@@ -22,7 +22,7 @@ func benchmarkConvergedRescan(b *testing.B, incremental bool, churnPct int) {
 	c := core.BuildCluster(core.ClusterConfig{
 		Scale: benchScale, Specs: []workload.Spec{workload.DayTrader()},
 		NumVMs: 4, SharedClasses: true, SteadyRounds: 10,
-		IncrementalScan: incremental,
+		Knobs: core.Knobs{IncrementalScan: incremental},
 	})
 	c.Run()
 	var scanned uint64

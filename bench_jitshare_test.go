@@ -36,7 +36,7 @@ func benchmarkCodeSharing(b *testing.B, share bool) {
 		c := core.BuildCluster(core.ClusterConfig{
 			Scale: benchScale, Specs: []workload.Spec{workload.Tuscany()},
 			NumVMs: 3, JVMsPerGuest: 2, SharedClasses: true, SteadyRounds: 15,
-			JITShare: share,
+			Knobs: core.Knobs{JITShare: share},
 		})
 		c.RunWarmup()
 		b.StopTimer()

@@ -1,8 +1,8 @@
 // Sharded-scanner benchmark: the wall-clock cost of a steady-state KSM scan
 // pass at shard counts 1, 2 and 4 over the same cluster. Merge outcomes are
 // byte-identical at every shard count (internal/ksm's equivalence tests and
-// the CI ksmshard smoke pin that); the shard axis buys scan-pass wall time,
-// and BENCH_ksmshard.json records the measured pair of effects:
+// internal/core's ksmshard tests pin that); the shard axis buys scan-pass
+// wall time, and BENCH_ksmshard.json records the measured pair of effects:
 //
 //   - structural: each shard owns a stable treap of 1/Nth the nodes, so every
 //     lookup and insert descends a shallower tree. The scenario makes that

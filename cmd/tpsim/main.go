@@ -4,19 +4,13 @@
 //
 // Usage:
 //
-//	tpsim [-scale N] [-seed S] [-quick] [-jobs N] <experiment> [...]
+//	tpsim [flags] <experiment>...
 //
-// Experiments: table1 table2 table3 table4 fig2 fig3a fig3b fig3c fig4
-// fig5a fig5b fig5c fig6 fig7 fig8 thp-tradeoff dirtylog jitshare ksmshard
-// chaos datacenter, or "all" (which runs everything except dirtylog,
-// jitshare, ksmshard, chaos and datacenter). fig2/fig3a share one run, as do
-// fig4/fig5a; requesting either id prints that part. The -chaos flag appends
-// the chaos sweep; -chaos-seed fixes its (and the datacenter sweep's) fault
-// schedule; -incremental turns on dirty-ring incremental KSM rescans;
-// -jitshare attaches the ShareJIT shared code archive; -ksm-shards
-// partitions the KSM scanner across a worker pool (outcomes byte-identical
-// at every count); -datacenter appends the multi-host placement ×
-// live-migration sweep sized by -hosts and -net-gbps.
+// Every experiment is a positional id from the registry in internal/core
+// (tpsim -h lists them with their flags), or "all" for the paper's tables
+// and figures. Knob flags (-thp, -incremental, -jitshare, -ksm-shards, ...)
+// apply to every cluster of every experiment; a sweep ignores only the knob
+// that is its own axis.
 //
 // Independent cluster runs (sweep points, error-bar repetitions, the
 // experiments of "all") fan out across -jobs workers. Results are collected
@@ -34,66 +28,60 @@ import (
 	"repro/internal/thp"
 )
 
+// view selects what is printed for each experiment: the rendered report or
+// its CSV (-csv), and the telemetry appended after it (-timeline,
+// -metrics-csv).
+type view struct {
+	csv, timeline, metricsCSV bool
+}
+
 func main() {
-	scale := flag.Int("scale", 0, "memory scale divisor (0 = default 16; smaller = slower, more faithful)")
+	var (
+		opts core.Options
+		v    view
+	)
+	flag.IntVar(&opts.Scale, "scale", 0, "memory scale divisor (0 = default 16; smaller = slower, more faithful)")
 	seed := flag.Uint64("seed", 0, "randomization seed")
-	quick := flag.Bool("quick", false, "shorter steady state and sweeps")
-	csv := flag.Bool("csv", false, "emit CSV instead of rendered reports")
-	jobs := flag.Int("jobs", 0, "parallel cluster runs (0 = GOMAXPROCS, 1 = fully sequential)")
-	timeline := flag.Bool("timeline", false, "append an ASCII timeline of sampled metrics after each experiment")
-	metricsCSV := flag.Bool("metrics-csv", false, "append the sampled metrics series as CSV after each experiment")
-	thpFlag := flag.String("thp", "never", "transparent huge page policy: never|madvise|always|fhpm")
-	thpKSMSplit := flag.Bool("thp-ksm-split", false, "let KSM split huge pages over verified duplicate content")
-	thpMaxPtesNone := flag.Int("thp-max-ptes-none", 0, "khugepaged max_ptes_none collapse budget (0 = default 64)")
-	tlbEntries := flag.Int("tlb-entries", 0, "modeled TLB size for the reach estimate (0 = default 1024)")
-	chaos := flag.Bool("chaos", false, "run the fault-injection chaos sweep (guest kills, demand spikes, KSM stalls)")
-	chaosSeed := flag.Uint64("chaos-seed", 0, "fault schedule seed for -chaos and -datacenter (fixed seed = byte-identical output)")
-	incremental := flag.Bool("incremental", false, "enable dirty-ring incremental KSM rescans on every cluster")
-	jitShare := flag.Bool("jitshare", false, "attach the ShareJIT-style shared code archive to every JVM")
-	ksmShards := flag.Int("ksm-shards", 0, "KSM scanner shard count (0/1 = single-threaded; outcomes identical at every count)")
-	dcFlag := flag.Bool("datacenter", false, "run the multi-host placement × live-migration sweep")
-	hosts := flag.Int("hosts", 0, "host count for -datacenter (0 = 3)")
-	netGbps := flag.Float64("net-gbps", 0, "migration link rate in Gb/s for -datacenter (0 = 10)")
+	flag.BoolVar(&opts.Quick, "quick", false, "shorter steady state and sweeps")
+	flag.BoolVar(&v.csv, "csv", false, "emit CSV instead of rendered reports")
+	flag.IntVar(&opts.Jobs, "jobs", 0, "parallel cluster runs (0 = GOMAXPROCS, 1 = fully sequential)")
+	flag.BoolVar(&v.timeline, "timeline", false, "append an ASCII timeline of sampled metrics after each experiment")
+	flag.BoolVar(&v.metricsCSV, "metrics-csv", false, "append the sampled metrics series as CSV after each experiment")
+	thpFlag := flag.String("thp", "never", "transparent huge page policy: never|madvise|always|fhpm (fhpm splits and re-promotes per subpage)")
+	flag.BoolVar(&opts.THPKSMSplit, "thp-ksm-split", false, "let KSM split huge pages over verified duplicate content (not with -thp fhpm)")
+	flag.IntVar(&opts.THPMaxPtesNone, "thp-max-ptes-none", 0, "khugepaged max_ptes_none collapse budget (0 = default 64)")
+	flag.IntVar(&opts.TLBEntries, "tlb-entries", 0, "modeled TLB size for the reach estimate (0 = default 1024)")
+	flag.Uint64Var(&opts.ChaosSeed, "chaos-seed", 0, "fault schedule seed of chaos and datacenter (fixed seed = byte-identical output)")
+	flag.BoolVar(&opts.IncrementalScan, "incremental", false, "enable dirty-ring incremental KSM rescans")
+	flag.BoolVar(&opts.JITShare, "jitshare", false, "attach the ShareJIT-style shared code archive to every JVM")
+	flag.IntVar(&opts.KSMShards, "ksm-shards", 0, "KSM scanner shard count (0/1 = single-threaded; outcomes identical at every count)")
+	flag.IntVar(&opts.DCHosts, "hosts", 0, "host count of datacenter (0 = 3)")
+	flag.Float64Var(&opts.NetGbps, "net-gbps", 0, "migration link rate of datacenter in Gb/s (0 = 10)")
 	flag.Usage = usage
 	flag.Parse()
 	ids := flag.Args()
-	if *chaos {
-		ids = append(ids, "chaos")
-	}
-	if *dcFlag {
-		ids = append(ids, "datacenter")
-	}
 	if len(ids) == 0 {
 		usage()
 		os.Exit(2)
 	}
-	thpPolicy, err := thp.ParsePolicy(*thpFlag)
+	opts.Seed = core.SeedFromUint64(*seed)
+	opts.Progress = printProgress
+	var err error
+	if opts.THPPolicy, err = thp.ParsePolicy(*thpFlag); err == nil {
+		err = opts.Validate()
+	}
+	// Resolve every id before running anything: a typo in the last one must
+	// not cost the runs before it.
+	groups := make([][]core.Experiment, len(ids))
+	for i := 0; i < len(ids) && err == nil; i++ {
+		groups[i], err = core.Lookup(ids[i])
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tpsim: %v\n", err)
 		os.Exit(2)
 	}
-	opts := core.Options{
-		Scale:           *scale,
-		Seed:            core.SeedFromUint64(*seed),
-		Quick:           *quick,
-		Jobs:            *jobs,
-		Progress:        printProgress,
-		THPPolicy:       thpPolicy,
-		THPKSMSplit:     *thpKSMSplit,
-		THPMaxPtesNone:  *thpMaxPtesNone,
-		TLBEntries:      *tlbEntries,
-		ChaosSeed:       *chaosSeed,
-		IncrementalScan: *incremental,
-		JITShare:        *jitShare,
-		KSMShards:       *ksmShards,
-		DCHosts:         *hosts,
-		NetGbps:         *netGbps,
-	}
-	asCSV = *csv
-	showTimeline = *timeline
-	showMetricsCSV = *metricsCSV
-	for _, id := range ids {
-		if err := run(id, opts); err != nil {
+	for i, id := range ids {
+		if err := run(id, groups[i], opts, v); err != nil {
 			fmt.Fprintf(os.Stderr, "tpsim: %v\n", err)
 			os.Exit(1)
 		}
@@ -101,70 +89,30 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, `tpsim — rerun the ISPASS 2013 TPS-in-Java experiments
+	w := flag.CommandLine.Output()
+	fmt.Fprint(w, `tpsim — rerun the ISPASS 2013 TPS-in-Java experiments
 
-usage: tpsim [-scale N] [-seed S] [-quick] [-jobs N] [-timeline] [-metrics-csv]
-             [-thp never|madvise|always|fhpm] [-thp-ksm-split]
-             [-thp-max-ptes-none N] [-tlb-entries N] [-incremental]
-             [-jitshare] [-ksm-shards N] [-chaos] [-chaos-seed S] [-datacenter]
-             [-hosts N] [-net-gbps G] <experiment>...
+usage: tpsim [flags] <experiment>...
 
-experiments:
-  table1..table4   the paper's configuration tables
-  fig2, fig3a      baseline 4x DayTrader breakdown (one run, two views)
-  fig3b            DayTrader / SPECjEnterprise / TPC-W baseline
-  fig3c            3x Tuscany bigbank baseline
-  fig4, fig5a      the same with the shared class cache copied to all VMs
-  fig5b, fig5c     mixed and Tuscany breakdowns with caches
-  fig6             PowerVM: totals before/after sharing, +/- preloading
-  fig7             DayTrader throughput vs 1..9 guest VMs
-  fig8             SPECjEnterprise score vs 5..8 guest VMs
-  thp-tradeoff     THP policy sweep: huge-page coverage vs KSM sharing
-  dirtylog         converged KSM rescan cost: linear vs dirty-ring incremental
-  jitshare         code-area sharing: private JIT output vs ShareJIT PIC archive
-  ksmshard         sharded KSM scanning: identical outcomes at 1/2/4 shards
-  chaos            fault-injection sweep: kills/restarts, demand spikes, stalls
-  datacenter       multi-host sweep: placement × migration protocol under faults
-  check            evaluate every paper claim on quick runs (self-test)
-  all              everything above except dirtylog, jitshare, ksmshard, chaos,
-                   datacenter
-
--thp applies a huge-page policy to the paper experiments themselves
-(thp-tradeoff sweeps its own policies and ignores the flag). The fhpm policy
-splits and re-promotes huge pages per subpage: KSM carves only verified
-duplicate subpages and khugepaged demotes cold zero subpages, so the rest of
-the block keeps its TLB reach. -thp-max-ptes-none bounds how many absent
-pages a collapse (or fhpm re-absorption) may zero-fill; -tlb-entries sizes
-the analyzer's modeled TLB for the reach estimate.
--incremental likewise applies dirty-ring incremental KSM rescans to the paper
-experiments (dirtylog sweeps both modes itself and ignores the flag).
--jitshare attaches the ShareJIT-style shared code archive to every JVM of the
-paper experiments, making tier-1 JIT code position-independent and
-cross-process shareable (jitshare sweeps both modes itself and ignores the
-flag).
--ksm-shards partitions the KSM scanner's merge state by checksum bucket and
-scans batches on a worker pool. Figures are byte-identical at every count —
-sharding changes scan-pass wall time only (ksmshard sweeps its own shard
-axis and ignores the flag; BENCH_ksmshard.json has the wall-time scaling).
--chaos appends the chaos experiment to the requested list (it is not part
-of "all"); -chaos-seed drives its deterministic fault schedule.
--datacenter appends the multi-host sweep: guests placed round-robin vs by
-content-fingerprint similarity, live-migrated with a naive byte-copy vs the
-content-addressed descriptor protocol, under host kills and drains. -hosts
-sizes the cluster and -net-gbps the migration link; -chaos-seed drives its
-fault schedule too.
+experiments (* = run by "all"):
+`)
+	for _, e := range core.Experiments() {
+		mark := " "
+		if e.InAll {
+			mark = "*"
+		}
+		fmt.Fprintf(w, "  %s %-13s %s\n", mark, e.ID, e.Summary)
+	}
+	fmt.Fprintf(w, "    %-13s every experiment marked *\n\nflags (before the experiment ids):\n", "all")
+	flag.PrintDefaults()
+	fmt.Fprint(w, `
+The knob flags (-thp, -thp-ksm-split, -thp-max-ptes-none, -tlb-entries,
+-incremental, -jitshare, -ksm-shards) apply to every cluster of every
+experiment. A sweep ignores only the knob that is its own axis: thp-tradeoff
+the THP policy, dirtylog -incremental, jitshare -jitshare, ksmshard
+-ksm-shards. Figures are byte-identical at every -ksm-shards and -jobs value.
 `)
 }
-
-// asCSV selects CSV output (set by -csv).
-var asCSV bool
-
-// showTimeline / showMetricsCSV append telemetry views after each
-// experiment's figure output (set by -timeline / -metrics-csv).
-var (
-	showTimeline   bool
-	showMetricsCSV bool
-)
 
 // printProgress reports fanned-out job completions on stderr.
 func printProgress(ev core.JobEvent) {
@@ -174,218 +122,54 @@ func printProgress(ev core.JobEvent) {
 	}
 }
 
-func memText(f core.MemFigure) string {
-	if asCSV {
-		return core.MemFigureTable(f).CSV()
-	}
-	return core.RenderMemFigure(f) + "\n"
+// output is one experiment's stdout text and its verdict.
+type output struct {
+	text string
+	err  error
 }
 
-func javaText(f core.JavaFigure) string {
-	if asCSV {
-		return core.JavaFigureTable(f).CSV()
-	}
-	return core.RenderJavaFigure(f) + "\n"
-}
-
-func sweepText(f core.SweepFigure) string {
-	if asCSV {
-		return core.SweepFigureTable(f).CSV()
-	}
-	return core.RenderSweepFigure(f) + "\n"
-}
-
-func thpText(f core.THPFigure) string {
-	if asCSV {
-		return core.THPFigureTable(f).CSV()
-	}
-	return core.RenderTHPFigure(f) + "\n"
-}
-
-func chaosText(f core.ChaosFigure) string {
-	if asCSV {
-		return core.ChaosFigureTable(f).CSV()
-	}
-	return core.RenderChaosFigure(f) + "\n"
-}
-
-func datacenterText(f core.DatacenterFigure) string {
-	if asCSV {
-		return core.DatacenterFigureTable(f).CSV()
-	}
-	return core.RenderDatacenterFigure(f) + "\n"
-}
-
-func dirtyLogText(f core.DirtyLogFigure) string {
-	if asCSV {
-		return core.DirtyLogFigureTable(f).CSV()
-	}
-	return core.RenderDirtyLogFigure(f) + "\n"
-}
-
-func jitShareText(f core.JITShareFigure) string {
-	if asCSV {
-		return core.JITShareFigureTable(f).CSV()
-	}
-	return core.RenderJITShareFigure(f) + "\n"
-}
-
-func ksmShardText(f core.KSMShardFigure) string {
-	if asCSV {
-		return core.KSMShardFigureTable(f).CSV()
-	}
-	return core.RenderKSMShardFigure(f) + "\n"
-}
-
-func powerText(f core.PowerFigure) string {
-	if asCSV {
-		return core.PowerFigureTable(f).CSV()
-	}
-	return core.RenderPowerFigure(f) + "\n"
-}
-
-func tableText(t interface {
-	String() string
-	CSV() string
-}) string {
-	if asCSV {
-		return t.CSV()
-	}
-	return t.String() + "\n"
-}
-
-// allIDs lists every experiment "all" runs, in print order.
-var allIDs = []string{"table1", "table2", "table3", "table4",
-	"fig2", "fig3a", "fig3b", "fig3c", "fig4", "fig5a", "fig5b", "fig5c",
-	"fig6", "fig7", "fig8", "thp-tradeoff"}
-
-// render produces the stdout text for one experiment id: the figure itself
-// plus, when -timeline or -metrics-csv is set, the telemetry of every
-// cluster the experiment ran. Each call gets its own collector, so in "all"
-// mode the series ride along inside the experiment's output string and the
-// submission-order collection keeps stdout unchanged at any -jobs width.
-func render(id string, opts core.Options) (string, error) {
-	if (showTimeline || showMetricsCSV) && id != "check" {
-		// "check" fans out claims that share one Options value, so per-claim
-		// collection order would not be deterministic; the self-test output
-		// stays figure-only.
+// render runs one experiment and produces its stdout text: the figure plus,
+// under -timeline or -metrics-csv, the telemetry of every cluster it ran.
+// Each call gets its own collector, so the series ride along inside the
+// experiment's output string and the submission-order collection keeps
+// stdout unchanged at any -jobs width.
+func render(e core.Experiment, opts core.Options, v view) output {
+	if v.timeline || v.metricsCSV {
 		opts.Telemetry = core.NewTelemetry()
 	}
-	out, err := renderFigure(id, opts)
-	if err != nil || opts.Telemetry == nil {
-		return out, err
+	res, err := e.Run(opts)
+	text := res.Text
+	if v.csv {
+		text = res.CSV
 	}
-	if showTimeline {
-		out += opts.Telemetry.RenderTimelines()
+	if v.timeline {
+		text += opts.Telemetry.RenderTimelines()
 	}
-	if showMetricsCSV {
-		out += opts.Telemetry.CSV()
+	if v.metricsCSV {
+		text += opts.Telemetry.CSV()
 	}
-	return out, nil
+	return output{text, err}
 }
 
-// renderFigure produces the figure text for one experiment id.
-func renderFigure(id string, opts core.Options) (string, error) {
-	switch id {
-	case "table1":
-		return tableText(core.Table1()), nil
-	case "table2":
-		return tableText(core.Table2()), nil
-	case "table3":
-		return tableText(core.Table3()), nil
-	case "table4":
-		return tableText(core.Table4()), nil
-	case "fig2", "fig3a":
-		memF, javaF := core.Fig2(opts)
-		if id == "fig2" {
-			return memText(memF), nil
-		}
-		return javaText(javaF), nil
-	case "fig4", "fig5a":
-		memF, javaF := core.Fig4(opts)
-		if id == "fig4" {
-			return memText(memF), nil
-		}
-		return javaText(javaF), nil
-	case "fig3b":
-		return javaText(core.Fig3b(opts)), nil
-	case "fig3c":
-		return javaText(core.Fig3c(opts)), nil
-	case "fig5b":
-		return javaText(core.Fig5b(opts)), nil
-	case "fig5c":
-		return javaText(core.Fig5c(opts)), nil
-	case "fig6":
-		return powerText(core.Fig6(opts)), nil
-	case "fig7":
-		return sweepText(core.Fig7(opts)), nil
-	case "fig8":
-		return sweepText(core.Fig8(opts)), nil
-	case "thp-tradeoff":
-		return thpText(core.THPTradeoff(opts)), nil
-	case "dirtylog":
-		return dirtyLogText(core.DirtyLogSweep(opts)), nil
-	case "jitshare":
-		return jitShareText(core.JITShareSweep(opts)), nil
-	case "ksmshard":
-		return ksmShardText(core.KSMShardSweep(opts)), nil
-	case "chaos":
-		return chaosText(core.Chaos(opts)), nil
-	case "datacenter":
-		return datacenterText(core.Datacenter(opts)), nil
-	case "check":
-		out, ok := core.RunClaims(opts)
-		if !ok {
-			return out, fmt.Errorf("some claims failed")
-		}
-		return out, nil
-	default:
-		return "", fmt.Errorf("unknown experiment %q (see -h)", id)
-	}
-}
-
-func run(id string, opts core.Options) error {
+// run executes the experiments one positional id resolved to ("all" is the
+// only id with several). They are independent, so they fan out on the -jobs
+// pool — each inner sweep fans out its own cluster runs on the same width —
+// and print in registry order.
+func run(id string, exps []core.Experiment, opts core.Options, v view) error {
 	start := time.Now()
-	if id == "all" {
-		// The experiments are independent; fan them out and print in order.
-		// Each inner sweep fans out its own cluster runs on the same width.
-		type result struct {
-			out string
-			err error
-		}
-		runner := core.NewRunner(opts.Jobs)
-		if opts.Progress != nil {
-			runner.OnProgress(opts.Progress)
-		}
-		jobs := make([]core.Job[result], len(allIDs))
-		for i, sub := range allIDs {
-			sub := sub
-			jobs[i] = core.Job[result]{Label: sub, Run: func() result {
-				out, err := render(sub, opts)
-				return result{out: out, err: err}
-			}}
-		}
-		for i, r := range core.RunAll(runner, jobs) {
-			if r.err != nil {
-				return r.err
-			}
-			fmt.Print(r.out)
-			if !asCSV {
-				fmt.Fprintf(os.Stderr, "[%s done]\n", allIDs[i])
-			}
-		}
-		fmt.Fprintf(os.Stderr, "[all done in %v]\n", time.Since(start).Round(time.Millisecond))
-		return nil
+	runner := core.NewRunner(opts.Jobs)
+	runner.OnProgress(opts.Progress)
+	jobs := make([]core.Job[output], len(exps))
+	for i, e := range exps {
+		jobs[i] = core.Job[output]{Label: e.ID, Run: func() output { return render(e, opts, v) }}
 	}
-	out, err := render(id, opts)
-	if err != nil {
-		if out != "" {
-			fmt.Print(out)
+	for _, out := range core.RunAll(runner, jobs) {
+		fmt.Print(out.text)
+		if out.err != nil {
+			return out.err
 		}
-		return err
 	}
-	fmt.Print(out)
-	if !asCSV {
+	if len(exps) > 1 {
 		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", id, time.Since(start).Round(time.Millisecond))
 	}
 	return nil

@@ -82,46 +82,28 @@ func Chaos(o Options) ChaosFigure {
 		ID:    "chaos",
 		Title: fmt.Sprintf("Guest churn and memory pressure under fault injection (seed %d)", o.ChaosSeed),
 	}
-	counts := []int{2, 4}
-	var jobs []Job[ChaosRow]
-	for _, n := range counts {
+	var cells []cell[ChaosRow]
+	for _, n := range []int{2, 4} {
 		for _, p := range chaosProfiles {
-			n, p := n, p
-			seq := len(jobs)
 			label := fmt.Sprintf("chaos n=%d profile=%s", n, p.label)
-			jobs = append(jobs, Job[ChaosRow]{
-				Label: label,
-				Run:   func() ChaosRow { return chaosCell(o, n, p, label, seq) },
+			cells = append(cells, cell[ChaosRow]{
+				label:   label,
+				cfg:     o.clusterConfig([]workload.Spec{workload.DayTrader()}, n, true),
+				measure: func(c *Cluster) ChaosRow { return chaosCell(c, o.ChaosSeed, p, label) },
 			})
 		}
 	}
-	fig.Rows = RunAll(o.runner(), jobs)
+	fig.Rows = runCells(o, cells)
 	return fig
 }
 
-// chaosCell runs one cluster under one fault profile.
-func chaosCell(o Options, guests int, p chaosProfile, label string, seq int) ChaosRow {
-	cfg := ClusterConfig{
-		Scale:           o.scale(),
-		Specs:           []workload.Spec{workload.DayTrader()},
-		NumVMs:          guests,
-		SharedClasses:   true,
-		BaseSeed:        o.Seed,
-		EnableMetrics:   o.Telemetry != nil,
-		IncrementalScan: o.IncrementalScan,
-		KSMShards:       o.KSMShards,
-	}
-	if o.Quick {
-		cfg.SteadyRounds = 15
-	}
-	c := BuildCluster(cfg)
-	o.Telemetry.CollectAt(seq, label, c.Metrics)
-
+// chaosCell runs one built cluster under one fault profile.
+func chaosCell(c *Cluster, chaosSeed uint64, p chaosProfile, label string) ChaosRow {
 	h := newChaosHarness(c)
 	inj := faults.New(c.Clock, faults.Config{
 		// Each cell draws from its own stream: the seed folds in the cell
 		// label so rows are independent of execution order and of each other.
-		Seed:       uint64(mem.Combine(mem.Seed(o.ChaosSeed), mem.HashString(label))),
+		Seed:       uint64(mem.Combine(mem.Seed(chaosSeed), mem.HashString(label))),
 		KillEvery:  p.killEvery,
 		SpikeEvery: p.spikeEvery,
 		StallEvery: p.stallEvery,
@@ -145,7 +127,7 @@ func chaosCell(o Options, guests int, p chaosProfile, label string, seq int) Cha
 		}
 	}
 	return ChaosRow{
-		Guests:       guests,
+		Guests:       c.GuestSlots(),
 		Profile:      p.label,
 		Kills:        st.Kills,
 		KillsSkipped: st.KillsSkipped,

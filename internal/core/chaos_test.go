@@ -7,25 +7,11 @@ import (
 	"repro/internal/workload"
 )
 
-// TestChaosDeterministicAcrossJobs is the acceptance bar for the chaos
-// sweep: for a fixed -chaos-seed, the rendered figure and the CSV must be
-// byte-identical whether the cells run sequentially or on four workers.
-func TestChaosDeterministicAcrossJobs(t *testing.T) {
-	seq := Chaos(Options{Scale: testScale, Quick: true, Jobs: 1, ChaosSeed: 7})
-	par := Chaos(Options{Scale: testScale, Quick: true, Jobs: 4, ChaosSeed: 7})
-	if RenderChaosFigure(seq) != RenderChaosFigure(par) {
-		t.Fatal("chaos figure differs between -jobs 1 and -jobs 4")
-	}
-	if ChaosFigureTable(seq).CSV() != ChaosFigureTable(par).CSV() {
-		t.Fatal("chaos CSV differs between -jobs 1 and -jobs 4")
-	}
-}
-
 // TestChaosInjectsAndNeverLeaks asserts the sweep actually exercises the
 // lifecycle paths (kills, spikes, stalls all fire somewhere) and that every
 // leak check over every cell passed.
 func TestChaosInjectsAndNeverLeaks(t *testing.T) {
-	fig := Chaos(Options{Scale: testScale, Quick: true, ChaosSeed: 7})
+	fig := figureOf[ChaosFigure](t, "chaos")
 	if len(fig.Rows) == 0 {
 		t.Fatal("empty sweep")
 	}
@@ -56,10 +42,10 @@ func TestChaosInjectsAndNeverLeaks(t *testing.T) {
 // TestChaosSeedChangesHistory: different seeds must produce different fault
 // histories (the schedule is seed-driven, not time-driven).
 func TestChaosSeedChangesHistory(t *testing.T) {
-	a := Chaos(Options{Scale: testScale, Quick: true, ChaosSeed: 1})
-	b := Chaos(Options{Scale: testScale, Quick: true, ChaosSeed: 2})
-	if ChaosFigureTable(a).CSV() == ChaosFigureTable(b).CSV() {
-		t.Fatal("seeds 1 and 2 produced identical chaos sweeps")
+	o := testOptions("chaos", 1)
+	o.ChaosSeed++
+	if seq, _ := runMemo(t, "chaos"); seq.CSV == ChaosFigureTable(Chaos(o)).CSV() {
+		t.Fatalf("seeds %d and %d produced identical chaos sweeps", o.ChaosSeed-1, o.ChaosSeed)
 	}
 }
 

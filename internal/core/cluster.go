@@ -60,6 +60,51 @@ func DefaultGuestKernel() GuestKernelSizing {
 	}
 }
 
+// Knobs are the subsystem switches every cluster of an experiment shares:
+// each is one tpsim flag, declared here once and embedded in both Options and
+// ClusterConfig, so Options.clusterConfig carries all of them in one struct
+// copy. The zero value of every knob keeps the paper figures byte-identical.
+type Knobs struct {
+	// THPPolicy enables the transparent-huge-page collapse daemon (tpsim
+	// -thp). Under madvise or always, khugepaged-style collapse competes
+	// with KSM for dense guest-RAM runs.
+	THPPolicy thp.Policy
+	// THPKSMSplit lets KSM split huge mappings back to base pages when it
+	// verifies duplicate content (tpsim -thp-ksm-split) — the
+	// sharing-recovery side of the THP-vs-KSM tradeoff. Meaningless under
+	// thp.PolicyFHPM, which carries its own per-subpage splitting
+	// (ksm.Config.PartialSplitHuge); Options.Validate rejects the pair.
+	THPKSMSplit bool
+	// THPMaxPtesNone overrides khugepaged's max_ptes_none collapse budget
+	// (tpsim -thp-max-ptes-none, 0 = the thp package default of 64). Under
+	// FHPM it also bounds how many absent carved subpages a re-absorption
+	// may zero-fill.
+	THPMaxPtesNone int
+	// TLBEntries overrides the modeled TLB size used by the analyzer's
+	// TLB-reach estimate (tpsim -tlb-entries, 0 = memanalysis.TLBEntries).
+	TLBEntries int
+	// IncrementalScan turns on the host's PML-style dirty-page rings and
+	// switches the KSM scanner to dirty-ring driven incremental rescans once
+	// warm-up converges (tpsim -incremental). The working-set estimates the
+	// drains produce also steer the balloon manager and the OOM killer
+	// toward cold guests.
+	IncrementalScan bool
+	// JITShare attaches a ShareJIT-style shared code archive to every JVM
+	// (tpsim -jitshare, internal/jitshare): tier-1 JIT output becomes
+	// position-independent bodies at canonical page-aligned offsets,
+	// identical across guests, so KSM merges the code area the paper found
+	// unshareable; per-process profile stubs split into their own category,
+	// and tier-2 re-JITs invalidate canonical slots so the sharing decays
+	// under warming.
+	JITShare bool
+	// KSMShards partitions the scanner's merge state by checksum bucket and
+	// scans batches on a worker pool (tpsim -ksm-shards, ksm.Config.Shards).
+	// Results are byte-identical at every shard count — only scan-pass wall
+	// time changes — so 0/1 (single-threaded) and N>1 produce the same
+	// figures.
+	KSMShards int
+}
+
 // ClusterConfig describes one KVM experiment run.
 type ClusterConfig struct {
 	// Scale divides all byte quantities and class counts (0 = DefaultScale).
@@ -84,45 +129,12 @@ type ClusterConfig struct {
 	// DisableKSM leaves the scanner off: the memory state stays unmerged
 	// (used by the related-work baselines to analyze the raw state).
 	DisableKSM bool
-	// THPPolicy enables the transparent-huge-page collapse daemon
-	// (thp.PolicyNever, the zero value, keeps it off and all existing
-	// figures byte-identical). Under madvise or always, khugepaged-style
-	// collapse competes with KSM for dense guest-RAM runs.
-	THPPolicy thp.Policy
-	// THPKSMSplit lets KSM split huge mappings back to base pages when it
-	// verifies duplicate content — the sharing-recovery side of the
-	// THP-vs-KSM tradeoff. Ignored under thp.PolicyFHPM, which carries its
-	// own per-subpage splitting (ksm.Config.PartialSplitHuge).
-	THPKSMSplit bool
-	// THPMaxPtesNone overrides khugepaged's max_ptes_none collapse budget
-	// (0 = the thp package default). Under FHPM it also bounds how many
-	// absent carved subpages a re-absorption may zero-fill.
-	THPMaxPtesNone int
-	// TLBEntries overrides the modeled TLB size used by the analyzer's
-	// TLB-reach estimate (0 = memanalysis.TLBEntries).
-	TLBEntries int
-	// IncrementalScan turns on the host's PML-style dirty-page rings and
-	// switches the KSM scanner to dirty-ring driven incremental rescans once
-	// warm-up converges. The working-set estimates the drains produce also
-	// steer the balloon manager and the OOM killer toward cold guests. Off
-	// (the default) keeps every figure byte-identical.
-	IncrementalScan bool
-	// KSMShards partitions the scanner's merge state by checksum bucket and
-	// scans batches on a worker pool (ksm.Config.Shards). Results are
-	// byte-identical at every shard count — only scan-pass wall time changes
-	// — so 0/1 (single-threaded) and N>1 produce the same figures.
-	KSMShards int
+	// Knobs are the subsystem switches (THP, incremental scan, ShareJIT,
+	// scanner shards, modeled TLB size).
+	Knobs
 	// SharedAOT additionally populates and uses the cache's AOT section
 	// (extension; implies SharedClasses behaviour for code).
 	SharedAOT bool
-	// JITShare attaches a ShareJIT-style shared code archive to every JVM
-	// (internal/jitshare): tier-1 JIT output becomes position-independent
-	// bodies at canonical page-aligned offsets, identical across guests, so
-	// KSM merges the code area the paper found unshareable; per-process
-	// profile stubs split into their own category, and tier-2 re-JITs
-	// invalidate canonical slots so the sharing decays under warming. Off
-	// (the default) keeps every figure byte-identical.
-	JITShare bool
 	// PerVMCacheLayout is the §5 ablation of the paper's key insight: each
 	// guest populates its OWN cache in its own load order instead of
 	// receiving one copied file. The caches hold identical classes with

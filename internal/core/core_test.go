@@ -10,10 +10,6 @@ import (
 	"repro/internal/workload"
 )
 
-// testScale keeps the integration tests fast; the real experiments run at
-// DefaultScale.
-const testScale = 48
-
 func TestClusterConfigDefaults(t *testing.T) {
 	cfg := ClusterConfig{Specs: []workload.Spec{workload.DayTrader()}}.withDefaults()
 	if cfg.Scale != DefaultScale || cfg.NumVMs != 1 || cfg.WarmupPasses == 0 || cfg.SteadyRounds == 0 {
@@ -43,19 +39,17 @@ func TestTablesRender(t *testing.T) {
 	}
 }
 
-// fig2Result caches the expensive baseline run shared by several tests.
-var fig2Mem, fig4Mem MemFigure
-var fig2Java, fig4Java JavaFigure
-var figsOnce bool
+// The DayTrader figures shared by several tests, from the memoized registry
+// runs (registry_test.go).
+var (
+	fig2Mem, fig4Mem   MemFigure
+	fig2Java, fig4Java JavaFigure
+)
 
 func runFigs(t *testing.T) {
 	t.Helper()
-	if figsOnce {
-		return
-	}
-	fig2Mem, fig2Java = Fig2(Options{Scale: testScale, Quick: true})
-	fig4Mem, fig4Java = Fig4(Options{Scale: testScale, Quick: true})
-	figsOnce = true
+	fig2Mem, fig2Java = figureOf[MemFigure](t, "fig2"), figureOf[JavaFigure](t, "fig3a")
+	fig4Mem, fig4Java = figureOf[MemFigure](t, "fig4"), figureOf[JavaFigure](t, "fig5a")
 }
 
 func TestFig2BaselineShape(t *testing.T) {
@@ -134,7 +128,7 @@ func TestFig4PreloadShape(t *testing.T) {
 }
 
 func TestFig3cTuscanyShape(t *testing.T) {
-	fig := Fig3c(Options{Scale: testScale, Quick: true})
+	fig := figureOf[JavaFigure](t, "fig3c")
 	if len(fig.Bars) != 3 {
 		t.Fatalf("bars = %d", len(fig.Bars))
 	}
@@ -152,7 +146,7 @@ func TestFig3cTuscanyShape(t *testing.T) {
 }
 
 func TestFig5cTuscanyPreload(t *testing.T) {
-	fig := Fig5c(Options{Scale: testScale, Quick: true})
+	fig := figureOf[JavaFigure](t, "fig5c")
 	high := 0
 	for _, b := range fig.Bars {
 		cm := b.Cat(jvm.CatClassMeta)
@@ -166,7 +160,7 @@ func TestFig5cTuscanyPreload(t *testing.T) {
 }
 
 func TestFig6PowerDelta(t *testing.T) {
-	fig := Fig6(Options{Scale: testScale, Quick: true})
+	fig := figureOf[PowerFigure](t, "fig6")
 	if fig.NoPreload.SavingMB() <= 0 {
 		t.Fatalf("no sharing without preload: %+v", fig.NoPreload)
 	}
@@ -396,7 +390,7 @@ func TestStatOfAndMeanScore(t *testing.T) {
 
 func TestFig3bAnd5bShapes(t *testing.T) {
 	// The mixed-workload scenario: three different apps in the same WAS.
-	base := Fig3b(Options{Scale: testScale, Quick: true})
+	base := figureOf[JavaFigure](t, "fig3b")
 	if len(base.Bars) != 3 {
 		t.Fatalf("bars = %d", len(base.Bars))
 	}
@@ -413,7 +407,7 @@ func TestFig3bAnd5bShapes(t *testing.T) {
 			t.Fatalf("missing %s bar", want)
 		}
 	}
-	pre := Fig5b(Options{Scale: testScale, Quick: true})
+	pre := figureOf[JavaFigure](t, "fig5b")
 	high := 0
 	for _, b := range pre.Bars {
 		cm := b.Cat(jvm.CatClassMeta)
@@ -433,8 +427,7 @@ func TestSweepQuickShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep is slow")
 	}
-	o := Options{Scale: 64, Quick: true}
-	f7 := Fig7(o)
+	f7 := figureOf[SweepFigure](t, "fig7")
 	if len(f7.Points) == 0 || f7.Unit != "req/s" {
 		t.Fatalf("fig7 = %+v", f7)
 	}

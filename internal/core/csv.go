@@ -52,111 +52,33 @@ func SweepFigureTable(f SweepFigure) *report.Table {
 	return t
 }
 
+// The sweep figures' tables come from the column lists in render.go, so a
+// column is declared once for both forms.
+
 // THPFigureTable flattens the thp-tradeoff result.
-func THPFigureTable(f THPFigure) *report.Table {
-	t := &report.Table{
-		Title: f.ID,
-		Headers: []string{"guests", "policy", "huge_mb", "huge_coverage_pct", "tlb_reach_mb",
-			"ksm_saving_mb", "sharing_pages", "collapses", "splits",
-			"partial_splits", "reabsorbs", "ksm_skips"},
-	}
-	for _, r := range f.Rows {
-		t.AddRow(r.Guests, r.Policy, r.HugeMB, r.HugeCoveragePct, r.TLBReachMB,
-			r.SharingMB, r.SharingPages, fmt.Sprint(r.Collapses), fmt.Sprint(r.Splits),
-			fmt.Sprint(r.PartialSplits), fmt.Sprint(r.Reabsorbs), fmt.Sprint(r.KSMSkips))
-	}
-	return t
-}
+func THPFigureTable(f THPFigure) *report.Table { return rowsTable(f.ID, thpColumns, f.Rows) }
 
 // ChaosFigureTable flattens the chaos sweep result.
-func ChaosFigureTable(f ChaosFigure) *report.Table {
-	t := &report.Table{
-		Title: f.ID,
-		Headers: []string{"guests", "profile", "kills", "kills_skipped", "restarts", "spikes",
-			"oom_kills", "stalls", "balloon_pages", "claimed_pages", "leak_checks",
-			"leak_failures", "final_alive", "ksm_saving_mb", "major_faults", "swap_outs"},
-	}
-	for _, r := range f.Rows {
-		t.AddRow(r.Guests, r.Profile, fmt.Sprint(r.Kills), fmt.Sprint(r.KillsSkipped),
-			fmt.Sprint(r.Restarts), fmt.Sprint(r.Spikes), fmt.Sprint(r.OOMKills),
-			fmt.Sprint(r.Stalls), fmt.Sprint(r.BalloonPages), fmt.Sprint(r.ClaimedPages),
-			r.LeakChecks, r.LeakFailures, r.FinalAlive, r.SharingMB,
-			fmt.Sprint(r.MajorFaults), fmt.Sprint(r.SwapOuts))
-	}
-	return t
-}
+func ChaosFigureTable(f ChaosFigure) *report.Table { return rowsTable(f.ID, chaosColumns, f.Rows) }
 
 // DatacenterFigureTable flattens the datacenter sweep result.
 func DatacenterFigureTable(f DatacenterFigure) *report.Table {
-	t := &report.Table{
-		Title: f.ID,
-		Headers: []string{"hosts", "guests", "placement", "migration", "migrations",
-			"aborted", "precopy_rounds", "wire_mb", "downtime_max_ms", "host_kills",
-			"host_drains", "guest_kills", "guest_restarts", "leak_checks",
-			"leak_failures", "served", "blocked", "cluster_ksm_mb"},
-	}
-	for _, r := range f.Rows {
-		t.AddRow(r.Hosts, r.Guests, r.Placement, r.Migration, r.Migrations,
-			r.Aborted, r.PrecopyRounds, r.WireMB, r.DowntimeMaxMs,
-			fmt.Sprint(r.HostKills), fmt.Sprint(r.HostDrains),
-			fmt.Sprint(r.GuestKills), r.GuestRestarts, r.LeakChecks,
-			r.LeakFailures, fmt.Sprint(r.Served), fmt.Sprint(r.Blocked),
-			r.ClusterSavingMB)
-	}
-	return t
+	return rowsTable(f.ID, datacenterColumns, f.Rows)
 }
 
 // DirtyLogFigureTable flattens the dirtylog sweep result.
 func DirtyLogFigureTable(f DirtyLogFigure) *report.Table {
-	t := &report.Table{
-		Title: f.ID,
-		Headers: []string{"guests", "churn_pct", "mode", "scan_pages_per_interval",
-			"registered_pages", "ksm_saving_mb", "dirty_drained", "ring_overflows",
-			"incremental_rounds", "full_scans"},
-	}
-	for _, r := range f.Rows {
-		t.AddRow(r.Guests, r.ChurnPct, r.Mode, r.ScanPerInterval, r.RegisteredPages,
-			r.SharingMB, fmt.Sprint(r.DirtyDrained), fmt.Sprint(r.RingOverflows),
-			fmt.Sprint(r.IncrementalRounds), fmt.Sprint(r.FullScans))
-	}
-	return t
+	return rowsTable(f.ID, dirtyLogColumns, f.Rows)
 }
 
 // KSMShardFigureTable flattens the ksmshard sweep result.
 func KSMShardFigureTable(f KSMShardFigure) *report.Table {
-	t := &report.Table{
-		Title: f.ID,
-		Headers: []string{"workload", "guests", "shards", "ksm_saving_mb",
-			"merges", "pages_scanned", "full_scans", "scan_cpu_pct",
-			"shard_pages_scanned"},
-	}
-	for _, r := range f.Rows {
-		t.AddRow(r.Workload, r.Guests, r.Shards, r.SharingMB,
-			fmt.Sprint(r.Merges), fmt.Sprint(r.PagesScanned),
-			fmt.Sprint(r.FullScans), r.ScanCPUPct,
-			shardSplit(r.ShardPagesScanned))
-	}
-	return t
+	return rowsTable(f.ID, ksmShardColumns, f.Rows)
 }
 
 // JITShareFigureTable flattens the jitshare sweep result.
 func JITShareFigureTable(f JITShareFigure) *report.Table {
-	t := &report.Table{
-		Title: f.ID,
-		Headers: []string{"workload", "mode", "guests", "jvms_per_guest",
-			"code_mapped_mb", "code_shared_mb", "ratio_warm_pct", "ratio_end_pct",
-			"stub_mapped_mb", "stub_shared_mb", "archive_pages", "merged_warm",
-			"merged_end", "cow_broken_pages", "archived_methods", "overflow_methods",
-			"rejits", "ksm_saving_mb"},
-	}
-	for _, r := range f.Rows {
-		t.AddRow(r.Workload, r.Mode, r.Guests, r.JVMs,
-			r.CodeMappedMB, r.CodeSharedMB, r.RatioWarmPct, r.RatioEndPct,
-			r.StubMappedMB, r.StubSharedMB, r.ArchivePages, r.MergedWarm,
-			r.MergedEnd, r.COWBroken, r.ArchivedMethods, r.OverflowMethods,
-			r.ReJITs, r.KSMSavingMB)
-	}
-	return t
+	return rowsTable(f.ID, jitShareColumns, f.Rows)
 }
 
 // PowerFigureTable flattens the Fig. 6 result.

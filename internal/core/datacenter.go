@@ -75,7 +75,7 @@ var datacenterPlacements = []datacenter.PlacementPolicy{
 // execution order and the figure is byte-identical at every Jobs width.
 func Datacenter(o Options) DatacenterFigure {
 	hosts := o.DCHosts
-	if hosts <= 0 {
+	if hosts == 0 {
 		hosts = 3
 	}
 	fig := DatacenterFigure{
@@ -86,12 +86,9 @@ func Datacenter(o Options) DatacenterFigure {
 	var jobs []Job[DatacenterRow]
 	for _, p := range datacenterPlacements {
 		for _, m := range datacenterModes {
-			p, m := p, m
-			seq := len(jobs)
-			label := fmt.Sprintf("datacenter placement=%s migration=%s", p, m)
 			jobs = append(jobs, Job[DatacenterRow]{
-				Label: label,
-				Run:   func() DatacenterRow { return datacenterCell(o, hosts, p, m, label, seq) },
+				Label: fmt.Sprintf("datacenter placement=%s migration=%s", p, m),
+				Run:   func() DatacenterRow { return datacenterCell(o, hosts, p, m) },
 			})
 		}
 	}
@@ -100,7 +97,7 @@ func Datacenter(o Options) DatacenterFigure {
 }
 
 // datacenterCell runs one datacenter under one placement × migration pair.
-func datacenterCell(o Options, hosts int, p datacenter.PlacementPolicy, m datacenter.MigrationMode, label string, seq int) DatacenterRow {
+func datacenterCell(o Options, hosts int, p datacenter.PlacementPolicy, m datacenter.MigrationMode) DatacenterRow {
 	horizon := 30 * simclock.Second
 	if o.Quick {
 		horizon = 12 * simclock.Second

@@ -1,37 +1,11 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/datacenter"
 	"repro/internal/workload"
 )
-
-// datacenterTestOptions shrinks the sweep for test time: small horizon,
-// fixed fault seed.
-func datacenterTestOptions(jobs int) Options {
-	return Options{Scale: 48, Quick: true, Jobs: jobs, ChaosSeed: 4242}
-}
-
-// TestDatacenterFigureDeterministicAcrossJobs renders the sweep at three
-// worker-pool widths and requires byte-identical output — the per-host
-// figures may not depend on scheduling.
-func TestDatacenterFigureDeterministicAcrossJobs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-cell sweep")
-	}
-	base := RenderDatacenterFigure(Datacenter(datacenterTestOptions(1)))
-	for _, jobs := range []int{2, 8} {
-		got := RenderDatacenterFigure(Datacenter(datacenterTestOptions(jobs)))
-		if got != base {
-			t.Fatalf("output diverged between -jobs 1 and -jobs %d:\n%s\n----\n%s", jobs, base, got)
-		}
-	}
-	if !strings.Contains(base, "similarity") || !strings.Contains(base, "content") {
-		t.Fatalf("sweep missing expected rows:\n%s", base)
-	}
-}
 
 // TestDatacenterSweepInvariants checks the sweep's acceptance criteria on
 // one run: migrations happen when enabled, no leak check ever fails, and
@@ -41,12 +15,14 @@ func TestDatacenterSweepInvariants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-cell sweep")
 	}
-	fig := Datacenter(datacenterTestOptions(0))
+	fig := figureOf[DatacenterFigure](t, "datacenter")
 	if len(fig.Rows) != 6 {
 		t.Fatalf("want 6 cells, got %d", len(fig.Rows))
 	}
 	moved := false
+	seen := map[string]bool{}
 	for _, r := range fig.Rows {
+		seen[r.Placement], seen[r.Migration] = true, true
 		if r.LeakFailures != 0 {
 			t.Errorf("%s/%s: %d leak failures", r.Placement, r.Migration, r.LeakFailures)
 		}
@@ -65,6 +41,9 @@ func TestDatacenterSweepInvariants(t *testing.T) {
 	}
 	if !moved {
 		t.Fatal("no cell with migration enabled actually migrated")
+	}
+	if !seen["similarity"] || !seen["content"] {
+		t.Fatalf("sweep missing the similarity placement or the content protocol: %v", seen)
 	}
 }
 

@@ -54,15 +54,13 @@ const dirtyLogMeasureIntervals = 5
 // configured share of every guest's RAM, the clock advances one second, and
 // the scanner's pages-scanned delta is recorded. The linear scanner walks
 // all registered pages regardless of churn; incremental mode's cost tracks
-// the dirtied set. The Options.IncrementalScan flag is ignored here — the
-// sweep supplies its own mode axis.
+// the dirtied set. The scan mode (Knobs.IncrementalScan) is the sweep's own
+// axis; every other knob applies.
 func DirtyLogSweep(o Options) DirtyLogFigure {
 	fig := DirtyLogFigure{
 		ID:    "dirtylog",
 		Title: "Converged KSM rescan cost: linear vs dirty-ring incremental (DayTrader guests)",
 	}
-	counts := []int{2, 4}
-	churns := []int{0, 2, 8}
 	modes := []struct {
 		label       string
 		incremental bool
@@ -70,31 +68,16 @@ func DirtyLogSweep(o Options) DirtyLogFigure {
 		{"full", false},
 		{"incremental", true},
 	}
-	var jobs []Job[DirtyLogRow]
-	for _, n := range counts {
-		for _, churn := range churns {
+	var cells []cell[DirtyLogRow]
+	for _, n := range []int{2, 4} {
+		for _, churn := range []int{0, 2, 8} {
 			for _, mode := range modes {
-				n, churn, mode := n, churn, mode
-				seq := len(jobs)
-				label := fmt.Sprintf("dirtylog n=%d churn=%d%% mode=%s", n, churn, mode.label)
-				jobs = append(jobs, Job[DirtyLogRow]{
-					Label: label,
-					Run: func() DirtyLogRow {
-						cfg := ClusterConfig{
-							Scale:           o.scale(),
-							Specs:           []workload.Spec{workload.DayTrader()},
-							NumVMs:          n,
-							SharedClasses:   true,
-							BaseSeed:        o.Seed,
-							IncrementalScan: mode.incremental,
-							EnableMetrics:   o.Telemetry != nil,
-							KSMShards:       o.KSMShards,
-						}
-						if o.Quick {
-							cfg.SteadyRounds = 15
-						}
-						c := BuildCluster(cfg)
-						o.Telemetry.CollectAt(seq, label, c.Metrics)
+				cfg := o.clusterConfig([]workload.Spec{workload.DayTrader()}, n, true)
+				cfg.IncrementalScan = mode.incremental
+				cells = append(cells, cell[DirtyLogRow]{
+					label: fmt.Sprintf("dirtylog n=%d churn=%d%% mode=%s", n, churn, mode.label),
+					cfg:   cfg,
+					measure: func(c *Cluster) DirtyLogRow {
 						c.Run()
 						scanned := measureConvergedScanRate(c, churn)
 						kst := c.Scanner.Stats()
@@ -115,7 +98,7 @@ func DirtyLogSweep(o Options) DirtyLogFigure {
 			}
 		}
 	}
-	fig.Rows = RunAll(o.runner(), jobs)
+	fig.Rows = runCells(o, cells)
 	return fig
 }
 

@@ -6,20 +6,13 @@ import (
 	"repro/internal/workload"
 )
 
-// TestDirtyLogSweepQualitativeAndDeterministic runs the dirtylog sweep once
-// sequentially and once on four workers: the figure must be byte-identical
-// at any -jobs width, and the rows must show the tentpole claim — the linear
-// scanner's converged cost tracks registered pages while incremental mode's
-// tracks churn, without giving up the merges.
+// TestDirtyLogSweepQualitativeAndDeterministic reads the memoized dirtylog
+// sweep (its byte-identity across -jobs widths is that row of
+// TestRegistryDeterministicAcrossJobs): the rows must show the tentpole claim
+// — the linear scanner's converged cost tracks registered pages while
+// incremental mode's tracks churn, without giving up the merges.
 func TestDirtyLogSweepQualitativeAndDeterministic(t *testing.T) {
-	seq := DirtyLogSweep(Options{Scale: testScale, Quick: true, Jobs: 1})
-	par := DirtyLogSweep(Options{Scale: testScale, Quick: true, Jobs: 4})
-	if RenderDirtyLogFigure(seq) != RenderDirtyLogFigure(par) {
-		t.Fatal("dirtylog differs between -jobs 1 and -jobs 4")
-	}
-	if DirtyLogFigureTable(seq).CSV() != DirtyLogFigureTable(par).CSV() {
-		t.Fatal("dirtylog CSV differs between -jobs 1 and -jobs 4")
-	}
+	seq := figureOf[DirtyLogFigure](t, "dirtylog")
 
 	row := func(guests, churn int, mode string) DirtyLogRow {
 		for _, r := range seq.Rows {
@@ -89,7 +82,7 @@ func TestIncrementalScanOffLeavesClusterUntouched(t *testing.T) {
 // flag path: Fig2 with the option on must run deterministically and with the
 // scanner actually in incremental mode by the end of the steady phase.
 func TestIncrementalScanOptionAppliesToPaperExperiments(t *testing.T) {
-	o := Options{Scale: testScale, Quick: true, IncrementalScan: true}
+	o := Options{Scale: testScale, Quick: true, Knobs: Knobs{IncrementalScan: true}}
 	memA, _ := Fig2(o)
 	memB, _ := Fig2(o)
 	if RenderMemFigure(memA) != RenderMemFigure(memB) {

@@ -35,39 +35,15 @@ type Options struct {
 	// the fan-out completes (tpsim -timeline / -metrics-csv). Sampling is
 	// read-only, so figures are unchanged by it.
 	Telemetry *Telemetry
-	// THPPolicy enables the transparent-huge-page collapse daemon on every
-	// cluster the experiment builds (tpsim -thp). The zero value keeps THP
-	// off and all figures byte-identical to earlier releases.
-	THPPolicy thp.Policy
-	// THPKSMSplit lets KSM split huge mappings over verified duplicate
-	// content (tpsim -thp-ksm-split).
-	THPKSMSplit bool
-	// THPMaxPtesNone overrides khugepaged's max_ptes_none collapse budget on
-	// every cluster the experiment builds (tpsim -thp-max-ptes-none, 0 =
-	// the thp package default of 64).
-	THPMaxPtesNone int
-	// TLBEntries overrides the analyzer's modeled TLB size
-	// (tpsim -tlb-entries, 0 = memanalysis.TLBEntries).
-	TLBEntries int
-	// ChaosSeed derives the chaos experiment's fault schedule
-	// (tpsim -chaos-seed). Fixed seed ⇒ byte-identical sweep output at any
-	// Jobs width. Only the chaos experiment reads it.
+	// Knobs are the subsystem switches applied to every cluster the
+	// experiment builds (tpsim -thp, -thp-ksm-split, -thp-max-ptes-none,
+	// -tlb-entries, -incremental, -jitshare, -ksm-shards). A sweep ignores
+	// only the knob that is its own axis.
+	Knobs
+	// ChaosSeed derives the chaos and datacenter experiments' fault
+	// schedules (tpsim -chaos-seed). Fixed seed ⇒ byte-identical sweep
+	// output at any Jobs width. No other experiment reads it.
 	ChaosSeed uint64
-	// IncrementalScan enables the dirty-ring incremental KSM rescan mode on
-	// every cluster the experiment builds (tpsim -incremental). The zero
-	// value keeps the linear scanner and all figures byte-identical.
-	IncrementalScan bool
-	// JITShare attaches the ShareJIT-style shared code archive on every
-	// cluster the experiment builds (tpsim -jitshare). The zero value keeps
-	// all JIT output private and every figure byte-identical. The jitshare
-	// sweep supplies its own mode axis and ignores this flag.
-	JITShare bool
-	// KSMShards partitions the KSM scanner's merge state by checksum bucket
-	// on every cluster the experiment builds (tpsim -ksm-shards). Figures
-	// are byte-identical at every value — sharding changes scan-pass wall
-	// time, never outcomes. The ksmshard sweep supplies its own shard axis
-	// and ignores this flag.
-	KSMShards int
 	// DCHosts is the datacenter sweep's host count (tpsim -hosts, 0 = 3).
 	// Only the datacenter experiment reads it.
 	DCHosts int
@@ -91,6 +67,84 @@ func (o Options) runner() *Runner {
 		r.OnProgress(o.Progress)
 	}
 	return r
+}
+
+// Validate rejects option values the simulator would otherwise panic on or
+// silently replace with a default. cmd/tpsim calls it once before anything
+// runs.
+func (o Options) Validate() error {
+	for _, f := range []struct {
+		flag string
+		v    float64
+	}{
+		{"-scale", float64(o.Scale)},
+		{"-jobs", float64(o.Jobs)},
+		{"-thp-max-ptes-none", float64(o.THPMaxPtesNone)},
+		{"-tlb-entries", float64(o.TLBEntries)},
+		{"-ksm-shards", float64(o.KSMShards)},
+		{"-hosts", float64(o.DCHosts)},
+		{"-net-gbps", o.NetGbps},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("%s must not be negative (got %v; 0 selects the default)", f.flag, f.v)
+		}
+	}
+	if o.THPPolicy == thp.PolicyFHPM && o.THPKSMSplit {
+		return fmt.Errorf("-thp-ksm-split cannot be combined with -thp fhpm (fhpm splits per subpage itself)")
+	}
+	return nil
+}
+
+// clusterConfig is the one place an Options becomes a ClusterConfig: scale,
+// seed, Quick's shorter steady state, telemetry and every knob (one struct
+// copy, so a new Knobs field reaches every experiment). A sweep sets its own
+// axis on the result; nothing else may copy option fields by hand.
+func (o Options) clusterConfig(specs []workload.Spec, n int, shared bool) ClusterConfig {
+	cfg := ClusterConfig{
+		Scale:         o.scale(),
+		Specs:         specs,
+		NumVMs:        n,
+		SharedClasses: shared,
+		Knobs:         o.Knobs,
+		BaseSeed:      o.Seed,
+		EnableMetrics: o.Telemetry != nil,
+	}
+	if o.Quick {
+		cfg.SteadyRounds = 15
+	}
+	return cfg
+}
+
+// figureCluster builds the single cluster of a breakdown figure and files its
+// metrics registry with the telemetry collector.
+func (o Options) figureCluster(name string, n int, shared bool, specs ...workload.Spec) *Cluster {
+	c := BuildCluster(o.clusterConfig(specs, n, shared))
+	o.Telemetry.Collect(fmt.Sprintf("%s x%d shared=%v", name, n, shared), c.Metrics)
+	return c
+}
+
+// cell is one point of a sweep: an independent cluster run and the
+// measurement that turns the built cluster into the sweep's row.
+type cell[R any] struct {
+	label   string
+	cfg     ClusterConfig
+	measure func(*Cluster) R
+}
+
+// runCells builds every cell's cluster, files its registry under the cell's
+// submission index and measures it, fanned out across the options' runner;
+// rows come back in submission order, so a sweep is byte-identical at every
+// Jobs width.
+func runCells[R any](o Options, cells []cell[R]) []R {
+	jobs := make([]Job[R], len(cells))
+	for i, cl := range cells {
+		jobs[i] = Job[R]{Label: cl.label, Run: func() R {
+			c := BuildCluster(cl.cfg)
+			o.Telemetry.CollectAt(i, cl.label, c.Metrics)
+			return cl.measure(c)
+		}}
+	}
+	return RunAll(o.runner(), jobs)
 }
 
 // MemFigure is a Fig. 2 / Fig. 4 result: per-VM physical memory breakdown
@@ -243,27 +297,7 @@ func figureCategories(jbs []memanalysis.JavaBreakdown) []string {
 // dayTraderCluster builds the §2.C measurement scenario: four 1 GB guests
 // each running WAS + DayTrader on a 6 GB host.
 func dayTraderCluster(o Options, shared bool) *Cluster {
-	cfg := ClusterConfig{
-		Scale:         o.scale(),
-		Specs:         []workload.Spec{workload.DayTrader()},
-		NumVMs:        4,
-		SharedClasses: shared,
-		BaseSeed:      o.Seed,
-	}
-	if o.Quick {
-		cfg.SteadyRounds = 15
-	}
-	cfg.EnableMetrics = o.Telemetry != nil
-	cfg.THPPolicy = o.THPPolicy
-	cfg.THPKSMSplit = o.THPKSMSplit
-	cfg.THPMaxPtesNone = o.THPMaxPtesNone
-	cfg.TLBEntries = o.TLBEntries
-	cfg.IncrementalScan = o.IncrementalScan
-	cfg.JITShare = o.JITShare
-	cfg.KSMShards = o.KSMShards
-	c := BuildCluster(cfg)
-	o.Telemetry.Collect(fmt.Sprintf("daytrader x4 shared=%v", shared), c.Metrics)
-	return c
+	return o.figureCluster("daytrader", 4, shared, workload.DayTrader())
 }
 
 // Fig2 runs the baseline (no preloading) DayTrader scenario and returns the
@@ -292,27 +326,8 @@ func Fig4(o Options) (MemFigure, JavaFigure) {
 // mixedCluster is the Fig. 3(b)/5(b) scenario: three guests running
 // DayTrader, SPECjEnterprise 2010 and TPC-W in the same WAS version.
 func mixedCluster(o Options, shared bool) *Cluster {
-	cfg := ClusterConfig{
-		Scale:         o.scale(),
-		Specs:         []workload.Spec{workload.DayTrader(), workload.SPECjEnterprise(), workload.TPCW()},
-		NumVMs:        3,
-		SharedClasses: shared,
-		BaseSeed:      o.Seed,
-	}
-	if o.Quick {
-		cfg.SteadyRounds = 15
-	}
-	cfg.EnableMetrics = o.Telemetry != nil
-	cfg.THPPolicy = o.THPPolicy
-	cfg.THPKSMSplit = o.THPKSMSplit
-	cfg.THPMaxPtesNone = o.THPMaxPtesNone
-	cfg.TLBEntries = o.TLBEntries
-	cfg.IncrementalScan = o.IncrementalScan
-	cfg.JITShare = o.JITShare
-	cfg.KSMShards = o.KSMShards
-	c := BuildCluster(cfg)
-	o.Telemetry.Collect(fmt.Sprintf("mixed x3 shared=%v", shared), c.Metrics)
-	return c
+	return o.figureCluster("mixed", 3, shared,
+		workload.DayTrader(), workload.SPECjEnterprise(), workload.TPCW())
 }
 
 // Fig3b runs the mixed-workload baseline breakdown.
@@ -337,27 +352,7 @@ func Fig5b(o Options) JavaFigure {
 // tuscanyCluster is the Fig. 3(c)/5(c) scenario: three Tuscany bigbank
 // guests.
 func tuscanyCluster(o Options, shared bool) *Cluster {
-	cfg := ClusterConfig{
-		Scale:         o.scale(),
-		Specs:         []workload.Spec{workload.Tuscany()},
-		NumVMs:        3,
-		SharedClasses: shared,
-		BaseSeed:      o.Seed,
-	}
-	if o.Quick {
-		cfg.SteadyRounds = 15
-	}
-	cfg.EnableMetrics = o.Telemetry != nil
-	cfg.THPPolicy = o.THPPolicy
-	cfg.THPKSMSplit = o.THPKSMSplit
-	cfg.THPMaxPtesNone = o.THPMaxPtesNone
-	cfg.TLBEntries = o.TLBEntries
-	cfg.IncrementalScan = o.IncrementalScan
-	cfg.JITShare = o.JITShare
-	cfg.KSMShards = o.KSMShards
-	c := BuildCluster(cfg)
-	o.Telemetry.Collect(fmt.Sprintf("tuscany x3 shared=%v", shared), c.Metrics)
-	return c
+	return o.figureCluster("tuscany", 3, shared, workload.Tuscany())
 }
 
 // Fig3c runs the Tuscany baseline breakdown.

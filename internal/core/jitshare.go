@@ -60,8 +60,8 @@ type JITShareFigure struct {
 // ShareJIT archive on the DayTrader and Tuscany multi-JVM scenarios — the
 // experiment the paper couldn't run, since the measured J9 had no way to
 // make JIT output position-independent. Class preloading is on in every
-// cell so the only axis is the code area. The Options.JITShare flag is
-// ignored here: the sweep supplies its own mode axis.
+// cell so the only axis is the code area. The sharing mode (Knobs.JITShare)
+// is the sweep's own axis; every other knob applies.
 func JITShareSweep(o Options) JITShareFigure {
 	fig := JITShareFigure{
 		ID:    "jitshare",
@@ -85,72 +85,61 @@ func JITShareSweep(o Options) JITShareFigure {
 		{"off", false},
 		{"pic", true},
 	}
-	var jobs []Job[JITShareRow]
+	var cells []cell[JITShareRow]
 	for _, sc := range scenarios {
 		for _, mode := range modes {
-			sc, mode := sc, mode
-			seq := len(jobs)
-			label := fmt.Sprintf("jitshare %s x%d mode=%s", sc.name, sc.guests, mode.label)
-			jobs = append(jobs, Job[JITShareRow]{
-				Label: label,
-				Run: func() JITShareRow {
-					cfg := ClusterConfig{
-						Scale:         o.scale(),
-						Specs:         []workload.Spec{sc.spec},
-						NumVMs:        sc.guests,
-						JVMsPerGuest:  sc.jvms,
-						SharedClasses: true,
-						JITShare:      mode.share,
-						BaseSeed:      o.Seed,
-						EnableMetrics: o.Telemetry != nil,
-						KSMShards:     o.KSMShards,
-					}
-					if o.Quick {
-						cfg.SteadyRounds = 15
-					}
-					c := BuildCluster(cfg)
-					o.Telemetry.CollectAt(seq, label, c.Metrics)
-					c.RunWarmup()
-					warmRatio, _, _ := codeSharing(c)
-					warmCensus := c.JITShareCensus()
-					c.RunSteady()
-					endRatio, codeMapped, codeShared := codeSharing(c)
-					endCensus := c.JITShareCensus()
-
-					row := JITShareRow{
-						Workload:     sc.name,
-						Mode:         mode.label,
-						Guests:       sc.guests,
-						JVMs:         sc.jvms,
-						CodeMappedMB: mb(codeMapped, c.Cfg.Scale),
-						CodeSharedMB: mb(codeShared, c.Cfg.Scale),
-						RatioWarmPct: warmRatio * 100,
-						RatioEndPct:  endRatio * 100,
-						ArchivePages: endCensus.Shareable,
-						MergedWarm:   warmCensus.Merged,
-						MergedEnd:    endCensus.Merged,
-						KSMSavingMB:  mb(c.Scanner.Stats().SavedBytes, c.Cfg.Scale),
-					}
-					a := c.Analyze()
-					for _, jb := range a.JavaBreakdowns() {
-						cu := jb.ByCat[jvm.CatJITData]
-						row.StubMappedMB += mb(cu.MappedBytes, c.Cfg.Scale)
-						row.StubSharedMB += mb(cu.SharedBytes, c.Cfg.Scale)
-					}
-					for _, w := range c.Workers {
-						st := w.JVM.JIT().Stats()
-						row.ArchivedMethods += st.ArchivedMethods
-						row.OverflowMethods += st.OverflowMethods
-						row.ReJITs += st.ReJITs
-						row.COWBroken += st.CanonicalPagesInvalidated
-					}
-					return row
-				},
+			cfg := o.clusterConfig([]workload.Spec{sc.spec}, sc.guests, true)
+			cfg.JVMsPerGuest = sc.jvms
+			cfg.JITShare = mode.share
+			cells = append(cells, cell[JITShareRow]{
+				label:   fmt.Sprintf("jitshare %s x%d mode=%s", sc.name, sc.guests, mode.label),
+				cfg:     cfg,
+				measure: func(c *Cluster) JITShareRow { return jitShareRow(c, sc.name, mode.label) },
 			})
 		}
 	}
-	fig.Rows = RunAll(o.runner(), jobs)
+	fig.Rows = runCells(o, cells)
 	return fig
+}
+
+// jitShareRow runs one built cell, measuring the code area after warm-up and
+// again after steady state.
+func jitShareRow(c *Cluster, workload, mode string) JITShareRow {
+	c.RunWarmup()
+	warmRatio, _, _ := codeSharing(c)
+	warmCensus := c.JITShareCensus()
+	c.RunSteady()
+	endRatio, codeMapped, codeShared := codeSharing(c)
+	endCensus := c.JITShareCensus()
+
+	row := JITShareRow{
+		Workload:     workload,
+		Mode:         mode,
+		Guests:       c.GuestSlots(),
+		JVMs:         c.Cfg.JVMsPerGuest,
+		CodeMappedMB: mb(codeMapped, c.Cfg.Scale),
+		CodeSharedMB: mb(codeShared, c.Cfg.Scale),
+		RatioWarmPct: warmRatio * 100,
+		RatioEndPct:  endRatio * 100,
+		ArchivePages: endCensus.Shareable,
+		MergedWarm:   warmCensus.Merged,
+		MergedEnd:    endCensus.Merged,
+		KSMSavingMB:  mb(c.Scanner.Stats().SavedBytes, c.Cfg.Scale),
+	}
+	a := c.Analyze()
+	for _, jb := range a.JavaBreakdowns() {
+		cu := jb.ByCat[jvm.CatJITData]
+		row.StubMappedMB += mb(cu.MappedBytes, c.Cfg.Scale)
+		row.StubSharedMB += mb(cu.SharedBytes, c.Cfg.Scale)
+	}
+	for _, w := range c.Workers {
+		st := w.JVM.JIT().Stats()
+		row.ArchivedMethods += st.ArchivedMethods
+		row.OverflowMethods += st.OverflowMethods
+		row.ReJITs += st.ReJITs
+		row.COWBroken += st.CanonicalPagesInvalidated
+	}
+	return row
 }
 
 // codeSharing reports the cluster-wide code-area sharing ratio

@@ -7,20 +7,14 @@ import (
 	"repro/internal/workload"
 )
 
-// TestJITShareSweepQualitativeAndDeterministic runs the jitshare sweep once
-// sequentially and once on four workers: the figure must be byte-identical
-// at any -jobs width, and the rows must show the tentpole claim — the code
-// area goes from unshareable (the paper's result) to substantially shared
-// with PIC bodies, decaying from warm to end as re-JITs break the merges.
+// TestJITShareSweepQualitativeAndDeterministic reads the memoized jitshare
+// sweep (its byte-identity across -jobs widths is that row of
+// TestRegistryDeterministicAcrossJobs): the rows must show the tentpole claim
+// — the code area goes from unshareable (the paper's result) to substantially
+// shared with PIC bodies, decaying from warm to end as re-JITs break the
+// merges.
 func TestJITShareSweepQualitativeAndDeterministic(t *testing.T) {
-	seq := JITShareSweep(Options{Scale: testScale, Quick: true, Jobs: 1})
-	par := JITShareSweep(Options{Scale: testScale, Quick: true, Jobs: 4})
-	if RenderJITShareFigure(seq) != RenderJITShareFigure(par) {
-		t.Fatal("jitshare differs between -jobs 1 and -jobs 4")
-	}
-	if JITShareFigureTable(seq).CSV() != JITShareFigureTable(par).CSV() {
-		t.Fatal("jitshare CSV differs between -jobs 1 and -jobs 4")
-	}
+	seq := figureOf[JITShareFigure](t, "jitshare")
 
 	row := func(wl, mode string) JITShareRow {
 		for _, r := range seq.Rows {
@@ -86,7 +80,7 @@ func TestJITShareFigureSplitsJITData(t *testing.T) {
 			Specs:         []workload.Spec{workload.DayTrader()},
 			NumVMs:        1,
 			SharedClasses: true,
-			JITShare:      share,
+			Knobs:         Knobs{JITShare: share},
 			SteadyRounds:  5,
 		})
 		c.RunWarmup()

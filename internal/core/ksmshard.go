@@ -8,8 +8,8 @@ import (
 
 // KSMShardRow is one cell of the ksmshard sweep: one workload scenario run
 // at one scanner shard count. Every outcome column is byte-identical across
-// the shard axis — that invariance is the point of the sweep (and what the
-// CI smoke diffs); sharding buys scan-pass wall time, which the
+// the shard axis — that invariance is the point of the sweep (and what its
+// test asserts); sharding buys scan-pass wall time, which the
 // BenchmarkShardedScanPass harness measures (BENCH_ksmshard.json), never
 // different merges.
 type KSMShardRow struct {
@@ -41,8 +41,8 @@ type KSMShardFigure struct {
 
 // KSMShardSweep runs workload scenarios at shard counts 1, 2 and 4 and
 // reports identical sharing outcomes with the per-shard work split. The
-// Options.KSMShards flag is ignored here — the sweep supplies its own shard
-// axis.
+// shard count (Knobs.KSMShards) is the sweep's own axis; every other knob
+// applies.
 func KSMShardSweep(o Options) KSMShardFigure {
 	fig := KSMShardFigure{
 		ID:    "ksmshard",
@@ -56,30 +56,15 @@ func KSMShardSweep(o Options) KSMShardFigure {
 		{"daytrader", workload.DayTrader(), 4},
 		{"tuscany", workload.Tuscany(), 3},
 	}
-	shardCounts := []int{1, 2, 4}
-	var jobs []Job[KSMShardRow]
+	var cells []cell[KSMShardRow]
 	for _, sc := range scenarios {
-		for _, shards := range shardCounts {
-			sc, shards := sc, shards
-			seq := len(jobs)
-			label := fmt.Sprintf("ksmshard %s x%d shards=%d", sc.label, sc.guests, shards)
-			jobs = append(jobs, Job[KSMShardRow]{
-				Label: label,
-				Run: func() KSMShardRow {
-					cfg := ClusterConfig{
-						Scale:         o.scale(),
-						Specs:         []workload.Spec{sc.spec},
-						NumVMs:        sc.guests,
-						SharedClasses: true,
-						BaseSeed:      o.Seed,
-						EnableMetrics: o.Telemetry != nil,
-						KSMShards:     shards,
-					}
-					if o.Quick {
-						cfg.SteadyRounds = 15
-					}
-					c := BuildCluster(cfg)
-					o.Telemetry.CollectAt(seq, label, c.Metrics)
+		for _, shards := range []int{1, 2, 4} {
+			cfg := o.clusterConfig([]workload.Spec{sc.spec}, sc.guests, true)
+			cfg.KSMShards = shards
+			cells = append(cells, cell[KSMShardRow]{
+				label: fmt.Sprintf("ksmshard %s x%d shards=%d", sc.label, sc.guests, shards),
+				cfg:   cfg,
+				measure: func(c *Cluster) KSMShardRow {
 					c.Run()
 					kst := c.Scanner.Stats()
 					return KSMShardRow{
@@ -97,6 +82,6 @@ func KSMShardSweep(o Options) KSMShardFigure {
 			})
 		}
 	}
-	fig.Rows = RunAll(o.runner(), jobs)
+	fig.Rows = runCells(o, cells)
 	return fig
 }

@@ -2,21 +2,14 @@ package core
 
 import "testing"
 
-// TestKSMShardSweepQualitativeAndDeterministic runs the ksmshard sweep once
-// sequentially and once on four workers: the figure must be byte-identical at
-// any -jobs width, and the rows must show the tentpole claim — every outcome
-// column is identical down the shard axis (sharding buys wall time, never
-// different merges) while the per-shard split proves the checksum partition
-// actually spreads the work.
+// TestKSMShardSweepQualitativeAndDeterministic reads the memoized ksmshard
+// sweep (its byte-identity across -jobs widths is that row of
+// TestRegistryDeterministicAcrossJobs): the rows must show the tentpole claim
+// — every outcome column is identical down the shard axis (sharding buys wall
+// time, never different merges) while the per-shard split proves the checksum
+// partition actually spreads the work.
 func TestKSMShardSweepQualitativeAndDeterministic(t *testing.T) {
-	seq := KSMShardSweep(Options{Scale: testScale, Quick: true, Jobs: 1})
-	par := KSMShardSweep(Options{Scale: testScale, Quick: true, Jobs: 4})
-	if RenderKSMShardFigure(seq) != RenderKSMShardFigure(par) {
-		t.Fatal("ksmshard differs between -jobs 1 and -jobs 4")
-	}
-	if KSMShardFigureTable(seq).CSV() != KSMShardFigureTable(par).CSV() {
-		t.Fatal("ksmshard CSV differs between -jobs 1 and -jobs 4")
-	}
+	seq := figureOf[KSMShardFigure](t, "ksmshard")
 
 	byWorkload := map[string][]KSMShardRow{}
 	for _, r := range seq.Rows {

@@ -218,50 +218,35 @@ type sweepSample struct {
 // the figure is identical at every pool width.
 func sweep(o Options, id, title, unit string, spec workload.Spec, counts []int, reps int, aggregate bool) SweepFigure {
 	fig := SweepFigure{ID: id, Title: title, Unit: unit}
-	var jobs []Job[sweepSample]
+	measure := func(c *Cluster) sweepSample {
+		c.Run()
+		perf := c.MeasurePerf(20)
+		s := sweepSample{violated: AnySLAViolated(perf)}
+		if aggregate {
+			s.value = Aggregate(perf)
+		} else {
+			s.value = MeanScore(perf)
+		}
+		return s
+	}
+	var cells []cell[sweepSample]
 	for _, n := range counts {
 		for _, shared := range []bool{false, true} {
 			for rep := 0; rep < reps; rep++ {
-				n, shared, rep := n, shared, rep
-				seq := len(jobs)
-				label := fmt.Sprintf("%s n=%d shared=%v rep=%d", id, n, shared, rep+1)
-				jobs = append(jobs, Job[sweepSample]{
-					Label: label,
-					Run: func() sweepSample {
-						cfg := ClusterConfig{
-							Scale:         o.scale(),
-							Specs:         []workload.Spec{spec},
-							NumVMs:        n,
-							SharedClasses: shared,
-							BaseSeed:      mem.Combine(o.Seed, mem.Seed(rep+1)),
-							// The measurement must span at least one full GC
-							// cycle per VM: the collector's whole-heap touch
-							// is what exposes over-commitment as faults.
-							SteadyRounds:       8,
-							IterationsPerRound: 25,
-							EnableMetrics:      o.Telemetry != nil,
-							THPPolicy:          o.THPPolicy,
-							THPKSMSplit:        o.THPKSMSplit,
-							IncrementalScan:    o.IncrementalScan,
-							KSMShards:          o.KSMShards,
-						}
-						c := BuildCluster(cfg)
-						o.Telemetry.CollectAt(seq, label, c.Metrics)
-						c.Run()
-						perf := c.MeasurePerf(20)
-						s := sweepSample{violated: AnySLAViolated(perf)}
-						if aggregate {
-							s.value = Aggregate(perf)
-						} else {
-							s.value = MeanScore(perf)
-						}
-						return s
-					},
+				cfg := o.clusterConfig([]workload.Spec{spec}, n, shared)
+				cfg.BaseSeed = mem.Combine(o.Seed, mem.Seed(rep+1))
+				// The measurement must span at least one full GC cycle per
+				// VM: the collector's whole-heap touch is what exposes
+				// over-commitment as faults.
+				cfg.SteadyRounds, cfg.IterationsPerRound = 8, 25
+				cells = append(cells, cell[sweepSample]{
+					label: fmt.Sprintf("%s n=%d shared=%v rep=%d", id, n, shared, rep+1),
+					cfg:   cfg, measure: measure,
 				})
 			}
 		}
 	}
-	results := RunAll(o.runner(), jobs)
+	results := runCells(o, cells)
 
 	i := 0
 	for _, n := range counts {

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/mem"
 	"repro/internal/workload"
 )
 
@@ -96,45 +95,27 @@ func TestRunnerDefaultsAndSingleJob(t *testing.T) {
 	}
 }
 
-// TestSweepDeterministicAcrossJobWidths is the acceptance check for the
-// parallel runner: the rendered figure and its CSV must be byte-identical
-// whether the sweep's cluster runs execute sequentially or on 4 workers,
-// across two seeds.
+// TestSweepDeterministicAcrossJobWidths covers what the fig7/fig8 rows of
+// TestRegistryDeterministicAcrossJobs (seed 0, one repetition) leave out: at
+// a non-zero seed and with error-bar repetitions, the rendered figure and its
+// CSV must be byte-identical whether the sweep's cluster runs execute
+// sequentially or on 4 workers.
 func TestSweepDeterministicAcrossJobWidths(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep is slow")
 	}
-	for _, seed := range []mem.Seed{0, 42} {
-		var text, csv []string
-		for _, jobs := range []int{1, 4} {
-			o := Options{Scale: 64, Seed: seed, Jobs: jobs}
-			f := sweep(o, "fig7", "determinism probe", "req/s",
-				workload.DayTrader(), []int{1, 2}, 2, true)
-			text = append(text, RenderSweepFigure(f))
-			csv = append(csv, SweepFigureTable(f).CSV())
-		}
-		if text[0] != text[1] {
-			t.Fatalf("seed %d: rendered text differs between -jobs 1 and -jobs 4:\n%s\n---\n%s",
-				seed, text[0], text[1])
-		}
-		if csv[0] != csv[1] {
-			t.Fatalf("seed %d: CSV differs between -jobs 1 and -jobs 4:\n%s\n---\n%s",
-				seed, csv[0], csv[1])
-		}
+	var text, csv []string
+	for _, jobs := range []int{1, 4} {
+		o := Options{Scale: 64, Seed: 42, Jobs: jobs}
+		f := sweep(o, "fig7", "determinism probe", "req/s",
+			workload.DayTrader(), []int{1, 2}, 2, true)
+		text = append(text, RenderSweepFigure(f))
+		csv = append(csv, SweepFigureTable(f).CSV())
 	}
-}
-
-// TestFig6DeterministicAcrossJobWidths covers the non-sweep fan-out path.
-func TestFig6DeterministicAcrossJobWidths(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fig6 is slow")
+	if text[0] != text[1] {
+		t.Fatalf("rendered text differs between -jobs 1 and -jobs 4:\n%s\n---\n%s", text[0], text[1])
 	}
-	var outs []string
-	for _, jobs := range []int{1, 2} {
-		f := Fig6(Options{Scale: 96, Quick: true, Jobs: jobs})
-		outs = append(outs, RenderPowerFigure(f)+PowerFigureTable(f).CSV())
-	}
-	if outs[0] != outs[1] {
-		t.Fatalf("fig6 output differs between -jobs 1 and -jobs 2:\n%s\n---\n%s", outs[0], outs[1])
+	if csv[0] != csv[1] {
+		t.Fatalf("CSV differs between -jobs 1 and -jobs 4:\n%s\n---\n%s", csv[0], csv[1])
 	}
 }

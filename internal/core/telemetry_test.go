@@ -13,18 +13,17 @@ import (
 // metrics-on run must be byte-identical to a metrics-off run at the same
 // seed.
 func TestFiguresByteIdenticalWithMetrics(t *testing.T) {
-	o := Options{Scale: testScale, Quick: true}
-	memOff, javaOff := Fig2(o)
-	o.Telemetry = NewTelemetry()
-	memOn, javaOn := Fig2(o)
-	if RenderMemFigure(memOff) != RenderMemFigure(memOn) {
+	memOff, javaOff := Fig2(testOptions("fig2", 1))
+	on, _ := runMemo(t, "fig2") // memoized runs collect telemetry
+	javaOn, _ := runMemo(t, "fig3a")
+	if RenderMemFigure(memOff)+"\n" != on.Text {
 		t.Fatal("MemFigure differs with metrics enabled")
 	}
-	if RenderJavaFigure(javaOff) != RenderJavaFigure(javaOn) {
+	if RenderJavaFigure(javaOff)+"\n" != javaOn.Text {
 		t.Fatal("JavaFigure differs with metrics enabled")
 	}
-	if len(o.Telemetry.Entries()) != 1 {
-		t.Fatalf("collected %d registries, want 1", len(o.Telemetry.Entries()))
+	if n := strings.Count(on.telemetry, "TIMELINE — "); n != 1 {
+		t.Fatalf("collected %d registries, want 1", n)
 	}
 }
 
@@ -81,31 +80,23 @@ func TestAdaptiveWarmupMatchesFixedSavings(t *testing.T) {
 	}
 }
 
-// TestTelemetryIdenticalAcrossJobs fans the Fig. 7 sweep out at two pool
-// widths with telemetry collected from the concurrent workers; the rendered
+// TestTelemetryIdenticalAcrossJobs reads the Fig. 7 sweep memoized at two
+// pool widths, telemetry collected from the concurrent workers: the rendered
 // timelines and CSV must be byte-identical (and under -race this doubles as
 // the concurrent-collection safety check).
 func TestTelemetryIdenticalAcrossJobs(t *testing.T) {
-	run := func(jobs int) (string, string) {
-		// Double the test scale: the sweep runs 8 clusters of up to 9 VMs
-		// twice, and the comparison only needs identical bytes, not fidelity.
-		o := Options{Scale: 2 * testScale, Quick: true, Jobs: jobs, Telemetry: NewTelemetry()}
-		fig := Fig7(o)
-		if len(fig.Points) == 0 {
-			t.Fatal("empty sweep")
+	if testing.Short() {
+		t.Skip("sweep is slow")
+	}
+	seq, par := runMemo(t, "fig7")
+	if seq.telemetry != par.telemetry {
+		t.Fatal("timelines or metrics CSV differ between -jobs 1 and -jobs 4")
+	}
+	// Quick Fig. 7 is four VM counts × two configurations, one registry each.
+	for _, header := range []string{"TIMELINE — fig7 n=", "# fig7 n="} {
+		if n := strings.Count(seq.telemetry, header); n != 8 {
+			t.Fatalf("%d %q sections, want 8:\n%.200s", n, header, seq.telemetry)
 		}
-		return o.Telemetry.RenderTimelines(), o.Telemetry.CSV()
-	}
-	tl1, csv1 := run(1)
-	tl4, csv4 := run(4)
-	if tl1 != tl4 {
-		t.Fatal("timelines differ between -jobs 1 and -jobs 4")
-	}
-	if csv1 != csv4 {
-		t.Fatal("metrics CSV differs between -jobs 1 and -jobs 4")
-	}
-	if !strings.Contains(tl1, "TIMELINE — fig7 n=") {
-		t.Fatalf("unexpected timeline header:\n%.200s", tl1)
 	}
 }
 

@@ -65,69 +65,54 @@ var thpPolicies = []struct {
 // reports both axes of the huge-page/page-sharing tension: under "always"
 // khugepaged claims dense runs before KSM's two-sighting gate can merge out
 // of them, trading TPS savings for TLB reach; "ksm-split" buys most of the
-// sharing back by dissolving huge pages over verified duplicates. The
-// Options.THPPolicy flag is ignored here — the sweep supplies its own.
+// sharing back by dissolving huge pages over verified duplicates. The policy
+// (Knobs.THPPolicy and THPKSMSplit) is the sweep's own axis; every other
+// knob applies.
 func THPTradeoff(o Options) THPFigure {
 	fig := THPFigure{
 		ID:    "thp-tradeoff",
 		Title: "THP huge-page coverage vs KSM sharing (DayTrader guests)",
 	}
-	counts := []int{2, 4}
-	var jobs []Job[THPRow]
-	for _, n := range counts {
+	var cells []cell[THPRow]
+	for _, n := range []int{2, 4} {
 		for _, pol := range thpPolicies {
-			n, pol := n, pol
-			seq := len(jobs)
-			label := fmt.Sprintf("thp-tradeoff n=%d policy=%s", n, pol.label)
-			jobs = append(jobs, Job[THPRow]{
-				Label: label,
-				Run: func() THPRow {
-					cfg := ClusterConfig{
-						Scale:          o.scale(),
-						Specs:          []workload.Spec{workload.DayTrader()},
-						NumVMs:         n,
-						SharedClasses:  true,
-						BaseSeed:       o.Seed,
-						THPPolicy:      pol.policy,
-						THPKSMSplit:    pol.split,
-						THPMaxPtesNone: o.THPMaxPtesNone,
-						TLBEntries:     o.TLBEntries,
-						EnableMetrics:  o.Telemetry != nil,
-						KSMShards:      o.KSMShards,
-					}
-					if o.Quick {
-						cfg.SteadyRounds = 15
-					}
-					c := BuildCluster(cfg)
-					o.Telemetry.CollectAt(seq, label, c.Metrics)
-					c.Run()
-					a := c.Analyze()
-					huge, base := a.FrameSizeCounts()
-					kst := c.Scanner.Stats()
-					tst := c.THP.Stats()
-					scale := c.Cfg.Scale
-					ps := int64(c.Host.PageSize())
-					row := THPRow{
-						Policy:        pol.label,
-						Guests:        n,
-						HugeMB:        mb(int64(huge)*ps, scale),
-						TLBReachMB:    mb(a.EstimatedTLBReachBytes(), scale),
-						SharingMB:     mb(kst.SavedBytes, scale),
-						SharingPages:  kst.PagesSharing,
-						Collapses:     tst.Collapses,
-						Splits:        tst.Splits,
-						KSMSkips:      kst.HugeSkips,
-						PartialSplits: tst.PartialSplits,
-						Reabsorbs:     tst.Reabsorbs,
-					}
-					if huge+base > 0 {
-						row.HugeCoveragePct = 100 * float64(huge) / float64(huge+base)
-					}
-					return row
-				},
+			cfg := o.clusterConfig([]workload.Spec{workload.DayTrader()}, n, true)
+			cfg.THPPolicy, cfg.THPKSMSplit = pol.policy, pol.split
+			cells = append(cells, cell[THPRow]{
+				label:   fmt.Sprintf("thp-tradeoff n=%d policy=%s", n, pol.label),
+				cfg:     cfg,
+				measure: func(c *Cluster) THPRow { return thpRow(c, pol.label) },
 			})
 		}
 	}
-	fig.Rows = RunAll(o.runner(), jobs)
+	fig.Rows = runCells(o, cells)
 	return fig
+}
+
+// thpRow runs one built cell and reads both axes of the tradeoff off it.
+func thpRow(c *Cluster, policy string) THPRow {
+	c.Run()
+	a := c.Analyze()
+	huge, base := a.FrameSizeCounts()
+	kst := c.Scanner.Stats()
+	tst := c.THP.Stats()
+	scale := c.Cfg.Scale
+	ps := int64(c.Host.PageSize())
+	row := THPRow{
+		Policy:        policy,
+		Guests:        c.GuestSlots(),
+		HugeMB:        mb(int64(huge)*ps, scale),
+		TLBReachMB:    mb(a.EstimatedTLBReachBytes(), scale),
+		SharingMB:     mb(kst.SavedBytes, scale),
+		SharingPages:  kst.PagesSharing,
+		Collapses:     tst.Collapses,
+		Splits:        tst.Splits,
+		KSMSkips:      kst.HugeSkips,
+		PartialSplits: tst.PartialSplits,
+		Reabsorbs:     tst.Reabsorbs,
+	}
+	if huge+base > 0 {
+		row.HugeCoveragePct = 100 * float64(huge) / float64(huge+base)
+	}
+	return row
 }

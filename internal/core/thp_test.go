@@ -7,20 +7,13 @@ import (
 	"repro/internal/workload"
 )
 
-// TestTHPTradeoffQualitativeAndDeterministic runs the tradeoff sweep once
-// sequentially and once on four workers: the figure must be byte-identical
-// at any -jobs width, and the rows must show the paper-extension tradeoff —
-// `always` buys TLB reach by forgoing KSM sharing, `ksm-split` buys the
-// sharing back.
+// TestTHPTradeoffQualitativeAndDeterministic reads the memoized tradeoff
+// sweep (its byte-identity across -jobs widths is that row of
+// TestRegistryDeterministicAcrossJobs): the rows must show the
+// paper-extension tradeoff — `always` buys TLB reach by forgoing KSM sharing,
+// `ksm-split` buys the sharing back.
 func TestTHPTradeoffQualitativeAndDeterministic(t *testing.T) {
-	seq := THPTradeoff(Options{Scale: testScale, Quick: true, Jobs: 1})
-	par := THPTradeoff(Options{Scale: testScale, Quick: true, Jobs: 4})
-	if RenderTHPFigure(seq) != RenderTHPFigure(par) {
-		t.Fatal("thp-tradeoff differs between -jobs 1 and -jobs 4")
-	}
-	if THPFigureTable(seq).CSV() != THPFigureTable(par).CSV() {
-		t.Fatal("thp-tradeoff CSV differs between -jobs 1 and -jobs 4")
-	}
+	seq := figureOf[THPFigure](t, "thp-tradeoff")
 
 	row := func(guests int, policy string) THPRow {
 		for _, r := range seq.Rows {
@@ -90,24 +83,6 @@ func TestTHPTradeoffQualitativeAndDeterministic(t *testing.T) {
 	}
 }
 
-// TestFiguresIdenticalAcrossJobWidthsWithFHPMOff is the compatibility half of
-// the FHPM contract: with the flag off (default Options), the paper figures
-// must stay byte-identical at every -jobs width — the carve machinery may not
-// perturb the default pipeline.
-func TestFiguresIdenticalAcrossJobWidthsWithFHPMOff(t *testing.T) {
-	var outs []string
-	for _, jobs := range []int{1, 2, 8} {
-		m, j := Fig2(Options{Scale: testScale, Quick: true, Jobs: jobs})
-		outs = append(outs, RenderMemFigure(m)+MemFigureTable(m).CSV()+
-			RenderJavaFigure(j)+JavaFigureTable(j).CSV())
-	}
-	for i, out := range outs[1:] {
-		if out != outs[0] {
-			t.Fatalf("Fig2 differs between -jobs 1 and -jobs %d", []int{2, 8}[i])
-		}
-	}
-}
-
 // TestTHPOffLeavesClusterUntouched is the compatibility contract: the default
 // policy builds no daemon, allocates no huge frames, and the existing
 // scenarios behave exactly as before the subsystem existed.
@@ -131,14 +106,13 @@ func TestTHPOffLeavesClusterUntouched(t *testing.T) {
 // under `always` must run with a live daemon and end with huge coverage,
 // while staying deterministic for a fixed seed.
 func TestTHPPolicyAppliesToPaperExperiments(t *testing.T) {
-	o := Options{Scale: testScale, Quick: true, THPPolicy: thp.PolicyAlways}
+	o := Options{Scale: testScale, Quick: true, Knobs: Knobs{THPPolicy: thp.PolicyAlways}}
 	memA, _ := Fig2(o)
 	memB, _ := Fig2(o)
 	if RenderMemFigure(memA) != RenderMemFigure(memB) {
 		t.Fatal("Fig2 under THP always is not deterministic")
 	}
-	off, _ := Fig2(Options{Scale: testScale, Quick: true})
-	if RenderMemFigure(off) == RenderMemFigure(memA) {
+	if off, _ := runMemo(t, "fig2"); off.Text == RenderMemFigure(memA)+"\n" {
 		t.Fatal("THP always left Fig2 untouched; flag not threaded")
 	}
 }

@@ -1,0 +1,25 @@
+#!/usr/bin/env bash
+# Byte-identity check of the working tree's tpsim against another commit's:
+# stdout of every registered experiment, as text and as -csv, at -jobs 1 and
+# -jobs 8, must compare equal. Usage: scripts/byteidentity.sh [ref] [workdir]
+# (ref defaults to HEAD~1; a workdir that already holds the ref's outputs
+# skips re-running them).
+set -euo pipefail
+ref=${1:-HEAD~1}
+work=${2:-$(mktemp -d)}
+mkdir -p "$work/src"
+git archive "$ref" | tar -x -C "$work/src"
+(cd "$work/src" && go build -o "$work/old" ./cmd/tpsim)
+go build -o "$work/new" ./cmd/tpsim
+status=0
+for args in "-jobs 1" "-jobs 1 -csv" "-jobs 8" "-jobs 8 -csv"; do
+  for bin in old new; do
+    out="$work/$bin${args// /}.out"
+    if [ "$bin" = new ] || [ ! -s "$out" ]; then
+      # shellcheck disable=SC2086
+      "$work/$bin" -quick -chaos-seed 7 $args all dirtylog jitshare ksmshard chaos datacenter >"$out" 2>/dev/null
+    fi
+  done
+  cmp "$work/old${args// /}.out" "$work/new${args// /}.out" && echo "identical: $args" || status=1
+done
+exit $status

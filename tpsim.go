@@ -64,6 +64,10 @@ type (
 type (
 	// ClusterConfig describes a custom KVM scenario.
 	ClusterConfig = core.ClusterConfig
+	// Knobs are the subsystem switches (THP, incremental scan, ShareJIT,
+	// scanner shards, modeled TLB size) embedded in both Options and
+	// ClusterConfig; set them in a literal as Knobs: tpsim.Knobs{...}.
+	Knobs = core.Knobs
 	// Cluster is a running scenario.
 	Cluster = core.Cluster
 	// WorkloadSpec is one benchmark configuration (Table III).
