@@ -49,6 +49,7 @@ package ksm
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/hypervisor"
@@ -234,9 +235,10 @@ type KSM struct {
 	// shards holds the checksum-partitioned merge state (stable treaps,
 	// unstable indexes) — one entry when unsharded. See shard.go.
 	shards []*scanShard
-	// checksums remembers the last-seen checksum per page for the
-	// volatility gate.
-	checksums map[pageKey]uint64
+	// gates holds the volatility gate, one dense table per registered
+	// region; see gate.go.
+	gates    []*regionGate
+	gateMemo *regionGate
 
 	// vms lists the VMs with at least one registered region, in first-
 	// registration order; vmRegs counts each VM's live regions so Unregister
@@ -284,13 +286,12 @@ func New(host *hypervisor.Host, cfg Config) *KSM {
 		shardN = 1
 	}
 	k := &KSM{
-		host:      host,
-		cfg:       cfg,
-		regSet:    make(map[hypervisor.MergeableRegion]struct{}),
-		shards:    make([]*scanShard, shardN),
-		checksums: make(map[pageKey]uint64),
-		needFull:  make(map[*hypervisor.VMProcess]bool),
-		vmRegs:    make(map[*hypervisor.VMProcess]int),
+		host:     host,
+		cfg:      cfg,
+		regSet:   make(map[hypervisor.MergeableRegion]struct{}),
+		shards:   make([]*scanShard, shardN),
+		needFull: make(map[*hypervisor.VMProcess]bool),
+		vmRegs:   make(map[*hypervisor.VMProcess]int),
 	}
 	for i := range k.shards {
 		k.shards[i] = newScanShard(host.Phys(), i)
@@ -325,6 +326,7 @@ func (k *KSM) Register(vm *hypervisor.VMProcess) {
 		}
 		k.regSet[reg] = struct{}{}
 		k.regions = append(k.regions, reg)
+		k.gates = append(k.gates, newRegionGate(reg))
 		k.registeredPages += int(reg.End - reg.Start)
 		if reg.Start < reg.End {
 			k.scannable++
@@ -352,7 +354,7 @@ func (k *KSM) Register(vm *hypervisor.VMProcess) {
 // one restarts at the region that slides into its slot. When the repair
 // wraps past the shrunken list the pass IS complete — every surviving region
 // was already scanned this pass — so endPass fires with its usual
-// side effects (unstable-index drop, stale-stable and checksum pruning,
+// side effects (unstable-index drop, stale-stable prune, gate sweep,
 // FullScans accounting); earlier versions skipped it, silently stretching
 // the pass and its generation bookkeeping across the wrap. Stable pages the
 // VM mapped are left to refcounting: KillVM drops the mappings and the
@@ -398,11 +400,8 @@ func (k *KSM) Unregister(vm *hypervisor.VMProcess) {
 	if !removed {
 		return
 	}
-	for key := range k.checksums {
-		if key.vm == vm {
-			delete(k.checksums, key)
-		}
-	}
+	k.gates = slices.DeleteFunc(k.gates, func(g *regionGate) bool { return g.vm == vm })
+	k.gateMemo = nil
 	for _, s := range k.shards {
 		for sum, bucket := range s.unstable {
 			keptEnts := bucket[:0]
@@ -658,11 +657,11 @@ func (k *KSM) collectLinear(budget int) (cands []candidate, wrap *candidate, pas
 		k.cursor++
 		if k.cursor >= reg.End {
 			if k.advanceRegion() {
-				k.wrapCand = candidate{vm: reg.VM, vpn: vpn, shard: -1}
+				k.wrapCand = candidate{vm: reg.VM, vpn: vpn, gate: k.gateFor(reg.VM, vpn), shard: -1}
 				return k.candBuf, &k.wrapCand, true, false
 			}
 		}
-		k.candBuf = append(k.candBuf, candidate{vm: reg.VM, vpn: vpn, shard: -1})
+		k.candBuf = append(k.candBuf, candidate{vm: reg.VM, vpn: vpn, gate: k.gateFor(reg.VM, vpn), shard: -1})
 	}
 	return k.candBuf, nil, false, false
 }
@@ -680,7 +679,7 @@ func (k *KSM) scanIncremental(n int) {
 	cands := k.candBuf[:0]
 	for len(cands) < n && len(k.incQueue) > 0 {
 		r := &k.incQueue[0]
-		cands = append(cands, candidate{vm: r.vm, vpn: r.start, shard: -1})
+		cands = append(cands, candidate{vm: r.vm, vpn: r.start, gate: k.gateFor(r.vm, r.start), shard: -1})
 		r.start++
 		if r.start >= r.end {
 			k.incQueue = k.incQueue[1:]
@@ -833,9 +832,8 @@ func (k *KSM) advanceRegion() bool {
 // endPass finishes a full scan of all regions: stable nodes whose last
 // mapper went away are pruned, and so are volatility-gate entries for pages
 // that are no longer scan candidates — swapped out, unmapped, or merged into
-// a stable page. Without that prune the checksum map grows with every page
-// the scanner has ever visited instead of staying proportional to the
-// resident set. The unstable index is dropped (as in Linux) — except when
+// a stable page: such a page's next visit is a first sighting again. The
+// unstable index is dropped (as in Linux) — except when
 // this pass completes the streak that switches the scanner to incremental
 // mode, where the index survives as the partner directory for dirtied pages.
 func (k *KSM) endPass() {
@@ -847,18 +845,11 @@ func (k *KSM) endPass() {
 	if switching {
 		k.incremental = true
 	} else {
-		for _, s := range k.shards {
-			s.unstable = make(map[uint64][]unstableEntry)
-			s.unstableN = 0
-		}
+		k.dropUnstable()
 	}
 	k.pruneStaleStable()
-	pm := k.host.Phys()
-	for key := range k.checksums {
-		frame, resident := key.vm.ResolveResident(key.vpn)
-		if !resident || pm.IsKSM(frame) {
-			delete(k.checksums, key)
-		}
+	for _, g := range k.gates {
+		g.sweep(k.host.Phys())
 	}
 	k.stableDirty = false
 	k.passStart = k.stats
@@ -931,7 +922,7 @@ func (k *KSM) compactUnstable() {
 // the volatility gate skipped the page (it was seen changing), which
 // incremental mode uses to schedule the revisit that a linear pass would get
 // for free; callers in linear mode ignore the result.
-func (k *KSM) scanPage(vm *hypervisor.VMProcess, vpn mem.VPN) bool {
+func (k *KSM) scanPage(vm *hypervisor.VMProcess, vpn mem.VPN, gate *regionGate) bool {
 	pm := k.host.Phys()
 	pte, ok := vm.ResidentPTE(vpn)
 	if !ok {
@@ -944,7 +935,7 @@ func (k *KSM) scanPage(vm *hypervisor.VMProcess, vpn mem.VPN) bool {
 		return false
 	}
 	if pte.Huge {
-		return k.scanHugePage(vm, vpn, frame)
+		return k.scanHugePage(vm, vpn, frame, gate)
 	}
 
 	key := pageKey{vm: vm, vpn: vpn}
@@ -952,8 +943,8 @@ func (k *KSM) scanPage(vm *hypervisor.VMProcess, vpn mem.VPN) bool {
 	sh := k.shardOf(sum)
 	sh.scanned++
 	if k.cfg.ChecksumGate {
-		last, seen := k.checksums[key]
-		k.checksums[key] = sum
+		last, seen := gate.last(vpn)
+		gate.record(vpn, sum)
 		if !seen || last != sum {
 			k.stats.ChecksumSkips++
 			return true
@@ -962,7 +953,7 @@ func (k *KSM) scanPage(vm *hypervisor.VMProcess, vpn mem.VPN) bool {
 
 	// Stable tree first. Byte-identical content has an identical checksum,
 	// so any stable frame matching this page lives in this shard's tree.
-	if stableFrame, hit := sh.stable.lookup(frame); hit {
+	if stableFrame, hit := sh.stable.lookup(pm, frame); hit {
 		pm.IncRef(stableFrame)
 		vm.RemapShared(vpn, stableFrame)
 		k.stats.StableMerges++
@@ -1009,7 +1000,7 @@ func (k *KSM) scanPage(vm *hypervisor.VMProcess, vpn mem.VPN) bool {
 		pm.SetKSM(otherFrame, true)
 		ent.key.vm.WriteProtect(ent.key.vpn)
 		pm.IncRef(otherFrame) // tree reference
-		sh.stable.insert(otherFrame)
+		sh.stable.insert(pm, otherFrame)
 
 		pm.IncRef(otherFrame)
 		vm.RemapShared(vpn, otherFrame)
@@ -1022,8 +1013,7 @@ func (k *KSM) scanPage(vm *hypervisor.VMProcess, vpn mem.VPN) bool {
 		return false
 	}
 	if !selfSeen {
-		sh.unstable[sum] = append(bucket, unstableEntry{key: key, checksum: sum})
-		sh.unstableN++
+		k.record(sh, bucket, unstableEntry{key: key, checksum: sum})
 	}
 	return false
 }
@@ -1066,7 +1056,7 @@ func (k *KSM) splitHugeFor(vm *hypervisor.VMProcess, vpn mem.VPN) bool {
 // duplicate splits the subpage (or the whole mapping, depending on policy)
 // and re-enters the normal merge pipeline immediately. Like scanPage it
 // reports a volatility-gate skip.
-func (k *KSM) scanHugePage(vm *hypervisor.VMProcess, vpn mem.VPN, frame mem.FrameID) bool {
+func (k *KSM) scanHugePage(vm *hypervisor.VMProcess, vpn mem.VPN, frame mem.FrameID, gate *regionGate) bool {
 	if !k.hugeSplitting() {
 		k.stats.HugeSkips++
 		return false
@@ -1079,9 +1069,8 @@ func (k *KSM) scanHugePage(vm *hypervisor.VMProcess, vpn mem.VPN, frame mem.Fram
 		// Same volatility gate as base pages: splitting a huge page for a
 		// still-changing subpage would only trade TLB reach for a merge that
 		// breaks right back.
-		key := pageKey{vm: vm, vpn: vpn}
-		last, seen := k.checksums[key]
-		k.checksums[key] = sum
+		last, seen := gate.last(vpn)
+		gate.record(vpn, sum)
 		if !seen || last != sum {
 			k.stats.ChecksumSkips++
 			return true
@@ -1090,7 +1079,7 @@ func (k *KSM) scanHugePage(vm *hypervisor.VMProcess, vpn mem.VPN, frame mem.Fram
 	key := pageKey{vm: vm, vpn: vpn}
 	dup := false
 	selfSeen := false
-	if _, hit := sh.stable.lookup(frame); hit {
+	if _, hit := sh.stable.lookup(pm, frame); hit {
 		dup = true
 	} else {
 		for _, ent := range sh.unstable[sum] {
@@ -1122,8 +1111,7 @@ func (k *KSM) scanHugePage(vm *hypervisor.VMProcess, vpn mem.VPN, frame mem.Fram
 		// both sides are split and merged (the partner-huge path in
 		// scanPage).
 		if !selfSeen {
-			sh.unstable[sum] = append(sh.unstable[sum], unstableEntry{key: key, checksum: sum})
-			sh.unstableN++
+			k.record(sh, sh.unstable[sum], unstableEntry{key: key, checksum: sum})
 		}
 		return false
 	}
@@ -1133,7 +1121,7 @@ func (k *KSM) scanHugePage(vm *hypervisor.VMProcess, vpn mem.VPN, frame mem.Fram
 	}
 	// The page is base-grained now; rescan so the duplicate merges in
 	// this same visit (the gate entry written above lets it through).
-	return k.scanPage(vm, vpn)
+	return k.scanPage(vm, vpn, gate)
 }
 
 // Instrument registers the scanner's telemetry gauges on the registry.
@@ -1269,11 +1257,10 @@ func (k *KSM) Unmerge() {
 		pm.DecRef(f)
 		k.stats.StalePruned++
 	}
-	for _, s := range k.shards {
-		s.unstable = make(map[uint64][]unstableEntry)
-		s.unstableN = 0
+	k.dropUnstable()
+	for _, g := range k.gates {
+		clear(g.seen)
 	}
-	k.checksums = make(map[pageKey]uint64)
 	// Unmerging invalidates everything incremental mode assumed converged:
 	// fall back to linear scanning and earn the switch again.
 	k.incremental = false

@@ -18,7 +18,7 @@ type fixture struct {
 	k     *KSM
 }
 
-func newFixture(t *testing.T, ramPages, nVMs, guestPages int, cfg Config) *fixture {
+func newFixture(t testing.TB, ramPages, nVMs, guestPages int, cfg Config) *fixture {
 	t.Helper()
 	clock := simclock.New()
 	host := hypervisor.NewHost(hypervisor.Config{Name: "t", RAMBytes: int64(ramPages) * pg}, clock)
@@ -236,12 +236,12 @@ func TestSetPagesToScan(t *testing.T) {
 
 func TestStableTreapOrderAndRemoval(t *testing.T) {
 	pm := mem.NewPhysMem(64*pg, pg)
-	tr := newStableTreap(pm, 0)
+	tr := newStableTreap(0)
 	var frames []mem.FrameID
 	for i := 0; i < 20; i++ {
 		id, _ := pm.Alloc()
 		pm.FillFrame(id, mem.Seed(i))
-		tr.insert(id)
+		tr.insert(pm, id)
 		frames = append(frames, id)
 	}
 	got := tr.frames()
@@ -254,12 +254,12 @@ func TestStableTreapOrderAndRemoval(t *testing.T) {
 		}
 	}
 	for _, fr := range frames {
-		if sf, ok := tr.lookup(fr); !ok || sf != fr {
+		if sf, ok := tr.lookup(pm, fr); !ok || sf != fr {
 			t.Fatalf("lookup(%d) failed", fr)
 		}
 	}
 	for _, fr := range frames {
-		if !tr.remove(fr) {
+		if !tr.remove(pm, fr) {
 			t.Fatalf("remove(%d) failed", fr)
 		}
 	}
@@ -403,8 +403,8 @@ func TestRegisterIsIdempotent(t *testing.T) {
 }
 
 func TestChecksumMapPrunedOnSwapChurn(t *testing.T) {
-	// The volatility-gate map must stay proportional to the resident set,
-	// not grow with every page the scanner ever visited. Churn pages through
+	// The volatility gate's seen set must stay proportional to the resident
+	// set, not grow with every page the scanner ever visited. Churn pages through
 	// swap by touching a guest twice the host's size.
 	clock := simclock.New()
 	// 64 host frames; the guest demands 128 pages, so earlier pages are
@@ -427,16 +427,16 @@ func TestChecksumMapPrunedOnSwapChurn(t *testing.T) {
 			}
 		}
 	}
-	if got := len(k.checksums); got > resident {
-		t.Fatalf("checksum map holds %d entries for %d resident pages", got, resident)
+	if got := len(gateEntries(k)); got == 0 || got > resident {
+		t.Fatalf("gate holds %d entries for %d resident pages", got, resident)
 	}
-	// Unmapping everything and finishing a pass empties the map.
+	// Unmapping everything and finishing a pass empties the gate.
 	for p := uint64(0); p < 128; p++ {
 		vm.ReleaseGuestPage(p)
 	}
 	k.ScanChunk(128)
-	if got := len(k.checksums); got != 0 {
-		t.Fatalf("checksum map holds %d entries after all pages released", got)
+	if got := len(gateEntries(k)); got != 0 {
+		t.Fatalf("gate holds %d entries after all pages released", got)
 	}
 }
 
@@ -446,13 +446,19 @@ func TestChecksumEntriesForMergedPagesPruned(t *testing.T) {
 		f.vms[0].FillGuestPage(i, mem.Seed(50+i))
 		f.vms[1].FillGuestPage(i, mem.Seed(50+i))
 	}
+	// A private page beside them, so the gate is provably not just empty.
+	f.vms[0].FillGuestPage(5, mem.Seed(99))
 	f.scanPasses(4)
 	if f.k.Stats().PagesShared != 4 {
 		t.Fatalf("setup: %+v", f.k.Stats())
 	}
 	// All eight mapped pages point at stable frames now; their gate entries
 	// are dead weight and must have been pruned at the end of the pass.
-	for key := range f.k.checksums {
+	entries := gateEntries(f.k)
+	if len(entries) == 0 {
+		t.Fatal("gate holds nothing, not even the private page: the check below would pass vacuously")
+	}
+	for _, key := range entries {
 		frame, ok := key.vm.ResolveResident(key.vpn)
 		if ok && f.host.Phys().IsKSM(frame) {
 			t.Fatalf("gate entry survives for merged page %v", key.vpn)

@@ -57,6 +57,12 @@ type scanShard struct {
 	stable    *stableTreap
 	unstable  map[uint64][]unstableEntry
 	unstableN int
+	// arena backs the first entry of every bucket recorded in linear mode, in
+	// fixed chunks; arenaN counts the slots handed out since dropUnstable last
+	// rewound it. Most buckets never hold a second entry, so a pass that
+	// re-records every unshared page allocates nothing.
+	arena  [][]unstableEntry
+	arenaN int
 	// scanned counts candidates routed into this shard's merge pipeline
 	// (volatility gate and beyond) — per-shard telemetry, identical whether
 	// the batch ran parallel or serial.
@@ -71,9 +77,40 @@ type scanShard struct {
 
 func newScanShard(pm *mem.PhysMem, idx int) *scanShard {
 	return &scanShard{
-		stable:   newStableTreap(pm, idx),
+		stable:   newStableTreap(idx),
 		unstable: make(map[uint64][]unstableEntry),
 		view:     pm.NewROView(),
+	}
+}
+
+// unstableChunk is the arena's chunk size in entries (24 KiB a chunk).
+const unstableChunk = 1024
+
+// record appends ent to its checksum's bucket in shard s, given the bucket as
+// read. An empty bucket's backing is carved from the arena with capacity one,
+// so a second entry moves the bucket to the heap instead of overwriting its
+// neighbour. The retained index of incremental mode is never rewound and
+// takes its backing from the heap, as every bucket used to.
+func (k *KSM) record(s *scanShard, bucket []unstableEntry, ent unstableEntry) {
+	if !k.incremental && cap(bucket) == 0 {
+		chunk, off := s.arenaN/unstableChunk, s.arenaN%unstableChunk
+		if chunk == len(s.arena) {
+			s.arena = append(s.arena, make([]unstableEntry, unstableChunk))
+		}
+		bucket = s.arena[chunk][off : off : off+1]
+		s.arenaN++
+	}
+	s.unstable[ent.checksum] = append(bucket, ent)
+	s.unstableN++
+}
+
+// dropUnstable empties every shard's unstable index in place — the map keeps
+// its buckets and the arena its chunks for the next pass to refill.
+func (k *KSM) dropUnstable() {
+	for _, s := range k.shards {
+		clear(s.unstable)
+		s.unstableN = 0
+		s.arenaN = 0
 	}
 }
 
@@ -141,7 +178,8 @@ func (k *KSM) stableFramesOrdered() []mem.FrameID {
 // write-protected, so its checksum still matches the routing key it was
 // inserted under.
 func (k *KSM) removeStable(f mem.FrameID) bool {
-	return k.shardOf(k.host.Phys().Checksum(f)).stable.remove(f)
+	pm := k.host.Phys()
+	return k.shardOf(pm.Checksum(f)).stable.remove(pm, f)
 }
 
 // scanVerdict is a candidate's outcome, decided in classify or merge and
@@ -161,8 +199,9 @@ const (
 
 // candidate is one page moving through the batch pipeline.
 type candidate struct {
-	vm  *hypervisor.VMProcess
-	vpn mem.VPN
+	vm   *hypervisor.VMProcess
+	vpn  mem.VPN
+	gate *regionGate // the page's volatility-gate table, resolved at collection
 
 	// Filled by classify.
 	frame     mem.FrameID
@@ -200,7 +239,7 @@ func (k *KSM) processBatch(cands []candidate, incremental bool) {
 	// mid-batch). Same routed structures, same outcomes.
 	for i := range cands {
 		c := &cands[i]
-		gateSkipped := k.scanPage(c.vm, c.vpn)
+		gateSkipped := k.scanPage(c.vm, c.vpn, c.gate)
 		k.stats.PagesScanned++
 		if incremental {
 			k.stats.IncrementalScanned++
@@ -260,8 +299,7 @@ func (k *KSM) classifyOne(c *candidate, view *mem.ROView) {
 	c.sum = view.Checksum(c.frame)
 	c.shard = int32(c.sum % uint64(len(k.shards)))
 	if k.cfg.ChecksumGate {
-		key := pageKey{vm: c.vm, vpn: c.vpn}
-		last, seen := k.checksums[key]
+		last, seen := c.gate.last(c.vpn)
 		c.gateWrite = true
 		if !seen || last != c.sum {
 			c.verdict = vGateSkip
@@ -325,17 +363,16 @@ func (k *KSM) runShardWorker(s *scanShard, cands []candidate, idxs []int32) {
 		clear(s.pendRemap)
 	}
 	s.view.ResetFills()
-	cmp := s.view.Compare
 	pm := k.host.Phys()
 	for _, i := range idxs {
-		k.mergeCandidate(s, &cands[i], cmp, pm)
+		k.mergeCandidate(s, &cands[i], pm)
 	}
 }
 
 // mergeCandidate runs phase 3 for one candidate: the exact scanPage pipeline
 // against shard-owned structures plus the batch overlays, with all global
 // effects deferred to the candidate record.
-func (k *KSM) mergeCandidate(s *scanShard, c *candidate, cmp func(a, b mem.FrameID) int, pm *mem.PhysMem) {
+func (k *KSM) mergeCandidate(s *scanShard, c *candidate, pm *mem.PhysMem) {
 	key := pageKey{vm: c.vm, vpn: c.vpn}
 	if _, pend := s.pendKSM[c.frame]; pend {
 		// An earlier candidate in this batch promoted this very frame (two
@@ -350,7 +387,7 @@ func (k *KSM) mergeCandidate(s *scanShard, c *candidate, cmp func(a, b mem.Frame
 	}
 
 	// Stable tree first.
-	if stableFrame, hit := s.stable.lookupWith(c.frame, cmp); hit {
+	if stableFrame, hit := s.stable.lookup(s.view, c.frame); hit {
 		c.verdict = vStableMerge
 		c.target = stableFrame
 		s.pendRemap[key] = stableFrame
@@ -399,7 +436,7 @@ func (k *KSM) mergeCandidate(s *scanShard, c *candidate, cmp func(a, b mem.Frame
 		}
 		// Promote: shard-owned structures mutate eagerly; the frame-flag,
 		// write-protect, refcount and remap effects commit serially.
-		s.stable.insertWith(otherFrame, cmp)
+		s.stable.insert(s.view, otherFrame)
 		s.pendKSM[otherFrame] = struct{}{}
 		s.pendRemap[key] = otherFrame
 		c.verdict = vUnstableMerge
@@ -411,8 +448,7 @@ func (k *KSM) mergeCandidate(s *scanShard, c *candidate, cmp func(a, b mem.Frame
 		return
 	}
 	if !selfSeen {
-		s.unstable[c.sum] = append(bucket, unstableEntry{key: key, checksum: c.sum})
-		s.unstableN++
+		k.record(s, bucket, unstableEntry{key: key, checksum: c.sum})
 	}
 	c.verdict = vRecorded
 }
@@ -439,7 +475,7 @@ func (k *KSM) commitBatch(cands []candidate, incremental bool) {
 			k.shards[c.shard].scanned++
 		}
 		if c.gateWrite {
-			k.checksums[pageKey{vm: c.vm, vpn: c.vpn}] = c.sum
+			c.gate.record(c.vpn, c.sum)
 		}
 		switch c.verdict {
 		case vNotResident:

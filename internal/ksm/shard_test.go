@@ -144,9 +144,23 @@ func TestShardedIncrementalMatchesUnsharded(t *testing.T) {
 // TestShardedLargeBatchMatchesSerial runs pass-sized batches above the real
 // dispatch threshold (no override), so the production worker pool actually
 // fans out — and, under the CI -race run of this package, its synchronization
-// is exercised at full batch width.
+// is exercised at full batch width. Beyond statistics, tree and frame
+// assignment it compares the content store: the workers' read-only views
+// must leave exactly the blobs interned that the serial scanner's mutating
+// comparisons do. InternHits is the one counter left out. It counts frames
+// attached to an existing blob, and a probe that meets a same-seed node
+// promoted earlier in its own batch differs there by design: the serial
+// scanner finds the node already materialized and reads the probe's bytes
+// (one hit), a worker finds it still seeded — materialization waits for the
+// commit — and answers from the descriptors. No blob, no byte and no merge
+// depends on it.
 func TestShardedLargeBatchMatchesSerial(t *testing.T) {
-	run := func(shards int) Stats {
+	type outcome struct {
+		shardOutcome
+		materialized uint64
+		content      mem.ContentStats
+	}
+	run := func(shards int) outcome {
 		cfg := DefaultConfig()
 		cfg.Shards = shards
 		f := newFixture(t, 4096, 4, 128, cfg)
@@ -162,12 +176,19 @@ func TestShardedLargeBatchMatchesSerial(t *testing.T) {
 		f.vms[0].FillGuestPage(5, mem.Seed(31337))
 		f.vms[3].FillGuestPage(70, mem.Seed(107))
 		f.scanPasses(2)
-		return f.k.Stats()
+		pm := f.host.Phys()
+		o := outcome{materialized: pm.Stats().Materialized, content: pm.ContentStats()}
+		o.content.InternHits = 0
+		o.shardOutcome = captureOutcome(f)
+		return o
 	}
 	base := run(1)
+	if base.materialized == 0 {
+		t.Fatal("scenario materialized nothing: the content comparison proves nothing")
+	}
 	for _, n := range []int{2, 4} {
-		if got := run(n); got != base {
-			t.Fatalf("shards=%d stats diverged:\nbase %+v\ngot  %+v", n, base, got)
+		if got := run(n); !reflect.DeepEqual(got, base) {
+			t.Fatalf("shards=%d diverged from serial:\nbase %+v\ngot  %+v", n, base, got)
 		}
 	}
 }

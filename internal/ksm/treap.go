@@ -7,8 +7,13 @@ import "repro/internal/mem"
 // the unstable index — their keys can never drift and the tree stays
 // consistent. A treap keeps the structure balanced in expectation with
 // deterministic pseudo-random priorities, so runs remain reproducible.
+//
+// Every node caches the first eight bytes of its frame as a big-endian
+// integer once they can be read without side effects. (prefix, bytes) order is
+// byte-lexicographic order, so a descent that compares prefixes and falls
+// back to bytes on a tie takes the same path, and builds the same tree, as one
+// that compares bytes at every node — without touching a cold page per level.
 type stableTreap struct {
-	pm    *mem.PhysMem
 	root  *treapNode
 	size  int
 	prSrc mem.Seed
@@ -17,19 +22,63 @@ type stableTreap struct {
 type treapNode struct {
 	frame       mem.FrameID
 	prio        uint64
+	key         uint64 // content prefix; valid when keyed
+	keyed       bool
 	left, right *treapNode
+}
+
+// contentOrder is how a descent reads frame content: *mem.PhysMem for the
+// serial scanner, a *mem.ROView for shard workers, whose concurrent lookups
+// must never touch pool state. Prefix reports ok only when the bytes are
+// already there to read, so a known prefix implies that comparing the frame
+// has no side effect left to skip.
+type contentOrder interface {
+	Compare(a, b mem.FrameID) int
+	Prefix(id mem.FrameID) (uint64, bool)
+}
+
+// descent orders one probe frame against the nodes on its search path; the
+// one comparison routine of lookup, insert and remove.
+type descent struct {
+	ord   contentOrder
+	probe mem.FrameID
+	key   uint64
+	keyed bool
+}
+
+// cmp orders the probe against n. Prefixes decide when both are known and
+// differ. Otherwise the real comparison runs with all its side effects — a
+// seeded probe has no prefix until one has materialized it, so its first
+// step (the root) is always real — and both prefixes are captured after it.
+func (d *descent) cmp(n *treapNode) int {
+	if n.keyed {
+		if !d.keyed {
+			d.key, d.keyed = d.ord.Prefix(d.probe)
+		}
+		if d.keyed && d.key != n.key {
+			if d.key < n.key {
+				return -1
+			}
+			return 1
+		}
+	}
+	c := d.ord.Compare(d.probe, n.frame)
+	if !n.keyed {
+		n.key, n.keyed = d.ord.Prefix(n.frame)
+	}
+	return c
 }
 
 // newStableTreap creates a shard's tree. Shard 0 keeps the historical
 // priority seed so a single-shard scanner's tree is bit-for-bit the one the
 // unsharded scanner built; higher shards salt it so their priority streams
 // are independent.
-func newStableTreap(pm *mem.PhysMem, shard int) *stableTreap {
+func newStableTreap(shard int) *stableTreap {
 	seed := mem.HashString("ksm-stable-treap")
 	if shard > 0 {
 		seed = mem.Combine(seed, mem.Seed(shard))
 	}
-	return &stableTreap{pm: pm, prSrc: seed}
+	return &stableTreap{prSrc: seed}
 }
 
 func (t *stableTreap) nextPrio() uint64 {
@@ -38,16 +87,11 @@ func (t *stableTreap) nextPrio() uint64 {
 }
 
 // lookup finds a stable frame with content byte-identical to probe.
-func (t *stableTreap) lookup(probe mem.FrameID) (mem.FrameID, bool) {
-	return t.lookupWith(probe, t.pm.Compare)
-}
-
-// lookupWith is lookup with a caller-supplied comparator: shard workers pass
-// an mem.ROView comparator so concurrent lookups never touch pool state.
-func (t *stableTreap) lookupWith(probe mem.FrameID, cmp func(a, b mem.FrameID) int) (mem.FrameID, bool) {
+func (t *stableTreap) lookup(ord contentOrder, probe mem.FrameID) (mem.FrameID, bool) {
+	d := descent{ord: ord, probe: probe}
 	n := t.root
 	for n != nil {
-		switch c := cmp(probe, n.frame); {
+		switch c := d.cmp(n); {
 		case c == 0:
 			return n.frame, true
 		case c < 0:
@@ -61,27 +105,25 @@ func (t *stableTreap) lookupWith(probe mem.FrameID, cmp func(a, b mem.FrameID) i
 
 // insert adds a stable frame. Content must not already be present; the
 // caller looks up first.
-func (t *stableTreap) insert(frame mem.FrameID) {
-	t.insertWith(frame, t.pm.Compare)
-}
-
-// insertWith is insert with a caller-supplied comparator (see lookupWith).
-func (t *stableTreap) insertWith(frame mem.FrameID, cmp func(a, b mem.FrameID) int) {
-	t.root = t.insertAt(t.root, &treapNode{frame: frame, prio: t.nextPrio()}, cmp)
+func (t *stableTreap) insert(ord contentOrder, frame mem.FrameID) {
+	d := descent{ord: ord, probe: frame}
+	nn := &treapNode{frame: frame, prio: t.nextPrio()}
+	t.root = insertAt(t.root, nn, &d)
+	nn.key, nn.keyed = d.key, d.keyed
 	t.size++
 }
 
-func (t *stableTreap) insertAt(n, nn *treapNode, cmp func(a, b mem.FrameID) int) *treapNode {
+func insertAt(n, nn *treapNode, d *descent) *treapNode {
 	if n == nil {
 		return nn
 	}
-	if cmp(nn.frame, n.frame) < 0 {
-		n.left = t.insertAt(n.left, nn, cmp)
+	if d.cmp(n) < 0 {
+		n.left = insertAt(n.left, nn, d)
 		if n.left.prio > n.prio {
 			n = rotateRight(n)
 		}
 	} else {
-		n.right = t.insertAt(n.right, nn, cmp)
+		n.right = insertAt(n.right, nn, d)
 		if n.right.prio > n.prio {
 			n = rotateLeft(n)
 		}
@@ -90,35 +132,36 @@ func (t *stableTreap) insertAt(n, nn *treapNode, cmp func(a, b mem.FrameID) int)
 }
 
 // remove deletes the node holding exactly this frame id.
-func (t *stableTreap) remove(frame mem.FrameID) bool {
+func (t *stableTreap) remove(ord contentOrder, frame mem.FrameID) bool {
+	d := descent{ord: ord, probe: frame}
 	removed := false
-	t.root = t.removeAt(t.root, frame, &removed)
+	t.root = removeAt(t.root, &d, &removed)
 	if removed {
 		t.size--
 	}
 	return removed
 }
 
-func (t *stableTreap) removeAt(n *treapNode, frame mem.FrameID, removed *bool) *treapNode {
+func removeAt(n *treapNode, d *descent, removed *bool) *treapNode {
 	if n == nil {
 		return nil
 	}
-	c := t.pm.Compare(frame, n.frame)
+	c := d.cmp(n)
 	switch {
-	case c == 0 && n.frame == frame:
+	case c == 0 && n.frame == d.probe:
 		*removed = true
 		return mergeDown(n)
 	case c == 0:
 		// Identical content in a different frame should not exist in the
 		// stable tree, but be defensive: check both subtrees.
-		n.left = t.removeAt(n.left, frame, removed)
+		n.left = removeAt(n.left, d, removed)
 		if !*removed {
-			n.right = t.removeAt(n.right, frame, removed)
+			n.right = removeAt(n.right, d, removed)
 		}
 	case c < 0:
-		n.left = t.removeAt(n.left, frame, removed)
+		n.left = removeAt(n.left, d, removed)
 	default:
-		n.right = t.removeAt(n.right, frame, removed)
+		n.right = removeAt(n.right, d, removed)
 	}
 	return n
 }
@@ -160,17 +203,15 @@ func rotateLeft(n *treapNode) *treapNode {
 }
 
 // walk visits every stable frame in key order.
-func (t *stableTreap) walk(fn func(frame mem.FrameID)) {
-	var rec func(n *treapNode)
-	rec = func(n *treapNode) {
-		if n == nil {
-			return
-		}
-		rec(n.left)
-		fn(n.frame)
-		rec(n.right)
+func (t *stableTreap) walk(fn func(frame mem.FrameID)) { t.root.walk(fn) }
+
+func (n *treapNode) walk(fn func(frame mem.FrameID)) {
+	if n == nil {
+		return
 	}
-	rec(t.root)
+	n.left.walk(fn)
+	fn(n.frame)
+	n.right.walk(fn)
 }
 
 // frames returns all stable frames in key order.

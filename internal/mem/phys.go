@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -682,6 +683,21 @@ func (pm *PhysMem) Compare(a, b FrameID) int {
 		return 0
 	}
 	return bytes.Compare(pm.bytesOf(fa), pm.bytesOf(fb))
+}
+
+// Prefix returns the first eight content bytes as a big-endian integer, so
+// that integer order on prefixes agrees with Compare wherever two prefixes
+// differ. It never materializes: a seeded frame whose bytes nothing has read
+// yet reports ok=false, and the caller falls back to Compare.
+func (pm *PhysMem) Prefix(id FrameID) (prefix uint64, ok bool) {
+	switch f := pm.frameAt(id); f.desc.kind {
+	case descZero:
+		return 0, true
+	case descSeeded:
+		return 0, false
+	default:
+		return binary.BigEndian.Uint64(f.desc.blob.data), true
+	}
 }
 
 // Checksum returns the FNV-1a checksum of the frame contents, computed at

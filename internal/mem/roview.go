@@ -1,6 +1,9 @@
 package mem
 
-import "bytes"
+import (
+	"bytes"
+	"encoding/binary"
+)
 
 // ROView is a strictly read-only window onto a pool's frame contents, built
 // for the sharded KSM scanner's worker goroutines. The regular accessors
@@ -19,26 +22,44 @@ import "bytes"
 // through a serial commit step.
 //
 // The price of not writing is repeated work — a seeded page is regenerated
-// on every byte comparison instead of being interned once. Fills records
-// which frames paid that price so the serial commit step can materialize
-// them through the normal mutating path afterwards, restoring the
-// compute-once steady state for later batches.
+// for a byte comparison instead of being interned once. Each of the view's
+// two buffers remembers which frame it holds, so a probe compared against
+// node after node of a tree is generated once, not once per node. Fills
+// records which frames paid that price so the serial commit step can
+// materialize them through the normal mutating path afterwards, restoring
+// the compute-once steady state for later batches.
 type ROView struct {
 	pm   *PhysMem
-	bufA []byte
-	bufB []byte
+	bufA roBuf
+	bufB roBuf
 	// seedSums caches checksums for seeds missing from the pool's shared
 	// cache. Seed→checksum is a pure function of (seed, page size), so the
 	// view's copy can persist for its whole lifetime.
 	seedSums map[Seed]uint64
 	// filled collects frames whose seeded content the view had to
-	// regenerate for a byte comparison; see Fills.
-	filled []FrameID
+	// regenerate for a byte comparison, each once (inFilled dedups); see
+	// Fills.
+	filled   []FrameID
+	inFilled map[FrameID]struct{}
+}
+
+// roBuf is one page buffer of a view plus the seeded frame whose content it
+// currently holds (NilFrame: none). The seed is remembered beside the frame
+// id because a frame can be refilled between two frozen phases.
+type roBuf struct {
+	data  []byte
+	frame FrameID
+	seed  Seed
 }
 
 // NewROView creates a read-only content view over the pool.
 func (pm *PhysMem) NewROView() *ROView {
-	return &ROView{pm: pm}
+	return &ROView{
+		pm:       pm,
+		bufA:     roBuf{frame: NilFrame},
+		bufB:     roBuf{frame: NilFrame},
+		inFilled: make(map[FrameID]struct{}),
+	}
 }
 
 // Checksum returns the frame's content checksum, identical to
@@ -77,21 +98,44 @@ func (v *ROView) seedSum(seed Seed) uint64 {
 }
 
 // bytesRO returns the frame's content bytes, regenerating seeded pages into
-// the given view-owned buffer instead of materializing them.
-func (v *ROView) bytesRO(id FrameID, f *frame, buf *[]byte) []byte {
+// the given view-owned buffer — unless it already holds them — instead of
+// materializing them.
+func (v *ROView) bytesRO(id FrameID, f *frame, buf *roBuf) []byte {
 	switch f.desc.kind {
 	case descZero:
 		return v.pm.zero
 	case descSeeded:
-		if *buf == nil {
-			*buf = make([]byte, v.pm.pageSize)
+		if buf.frame != id || buf.seed != f.desc.seed {
+			if buf.data == nil {
+				buf.data = make([]byte, v.pm.pageSize)
+			}
+			Fill(buf.data, f.desc.seed)
+			buf.frame, buf.seed = id, f.desc.seed
+			if _, dup := v.inFilled[id]; !dup {
+				v.inFilled[id] = struct{}{}
+				v.filled = append(v.filled, id)
+			}
 		}
-		Fill(*buf, f.desc.seed)
-		v.filled = append(v.filled, id)
-		return *buf
+		return buf.data
 	default:
 		return f.desc.blob.data
 	}
+}
+
+// Prefix is PhysMem.Prefix without pool writes. A seeded frame has a prefix
+// only while one of the view's buffers holds its content, that is, once a
+// byte comparison has regenerated it (and Fills has recorded it).
+func (v *ROView) Prefix(id FrameID) (uint64, bool) {
+	f := v.pm.frameAt(id)
+	if f.desc.kind != descSeeded {
+		return v.pm.Prefix(id)
+	}
+	for _, buf := range [...]*roBuf{&v.bufA, &v.bufB} {
+		if buf.frame == id && buf.seed == f.desc.seed {
+			return binary.BigEndian.Uint64(buf.data), true
+		}
+	}
+	return 0, false
 }
 
 // Equal reports whether two frames hold byte-identical content; same answer
@@ -124,15 +168,19 @@ func (v *ROView) Compare(a, b FrameID) int {
 }
 
 // Fills returns the frames whose seeded content this view regenerated since
-// the last ResetFills — candidates for one-time materialization through the
-// pool's normal mutating path once single-threaded control resumes. Entries
-// may repeat; materializing a frame twice is a cheap no-op.
+// the last ResetFills, each once, in first-regeneration order — candidates
+// for one-time materialization through the pool's normal mutating path once
+// single-threaded control resumes.
 func (v *ROView) Fills() []FrameID { return v.filled }
 
-// ResetFills clears the regenerated-frame log. Call it at the start of each
-// frozen phase: frame ids recorded before pool mutations resumed may since
-// have been freed or refilled.
-func (v *ROView) ResetFills() { v.filled = v.filled[:0] }
+// ResetFills clears the regenerated-frame log and forgets what the buffers
+// hold. Call it at the start of each frozen phase: frame ids recorded before
+// pool mutations resumed may since have been freed or refilled.
+func (v *ROView) ResetFills() {
+	v.filled = v.filled[:0]
+	clear(v.inFilled)
+	v.bufA.frame, v.bufB.frame = NilFrame, NilFrame
+}
 
 // AdoptChecksum installs a checksum computed by an ROView into the pool's
 // caches, restoring the compute-once property for content the read-only
