@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -79,6 +80,25 @@ func TestRunnerProgressEvents(t *testing.T) {
 	RunAll(r, jobs)
 	if len(started) != 8 || len(finished) != 8 {
 		t.Fatalf("events: %d started, %d finished, want 8/8", len(started), len(finished))
+	}
+}
+
+// TestRunnerCollectsBetweenJobs pins what keeps a pool's peak memory at its
+// width's worth of clusters: a worker collects after each job. Two workers'
+// collections may share a cycle, one worker's own cannot; NumGC rather than
+// NumForcedGC because a cycle the pacer began first serves a caller as well.
+func TestRunnerCollectsBetweenJobs(t *testing.T) {
+	const width, n = 2, 8
+	jobs := make([]Job[int], n)
+	for i := range jobs {
+		jobs[i] = Job[int]{Run: func() int { return 0 }}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	RunAll(NewRunner(width), jobs)
+	runtime.ReadMemStats(&after)
+	if got := after.NumGC - before.NumGC; got < n/width {
+		t.Fatalf("%d collections over %d jobs on %d workers, want at least %d", got, n, width, n/width)
 	}
 }
 

@@ -21,7 +21,10 @@ import (
 )
 
 // FormatVersion guards against analyzing dumps from incompatible builds.
-const FormatVersion = 1
+// Version 2: FrameChecksums carries raw mem.ChecksumBytes values, and that
+// function changed from byte-serial FNV-1a to a word-at-a-time fold, so a
+// version-1 dump's sums compare equal to nothing a current build computes.
+const FormatVersion = 2
 
 // Dump is a frozen snapshot of everything the analyzer needs: the frame
 // contents summary plus all three translation layers of every guest.

@@ -2,6 +2,7 @@ package dump
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/cds"
@@ -87,9 +88,13 @@ func TestBadDumpRejected(t *testing.T) {
 	}
 	host, kernels := buildLive(t)
 	d := Capture(host, kernels)
-	d.Version = 99
-	if _, err := FromBytes(d.Bytes()); err == nil {
-		t.Fatal("wrong version accepted")
+	// Version 1 is what builds with the FNV-1a page checksum wrote.
+	for _, version := range []int{1, 99} {
+		d.Version = version
+		want := fmt.Sprintf("dump: format version %d, want %d", version, FormatVersion)
+		if _, err := FromBytes(d.Bytes()); err == nil || err.Error() != want {
+			t.Fatalf("version-%d dump: error %v, want %q", version, err, want)
+		}
 	}
 }
 

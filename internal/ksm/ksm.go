@@ -72,8 +72,8 @@ type Config struct {
 	ChecksumGate bool
 	// HashOnly, when set, merges on checksum equality without verifying
 	// bytes. This is the unsound ablation mode: it counts how many merges
-	// would have been wrong (none with 64-bit FNV over 4 KiB in practice,
-	// but the comparator records verification rejections).
+	// would have been wrong (none with a 64-bit checksum over 4 KiB in
+	// practice, but the comparator records verification rejections).
 	HashOnly bool
 	// ScanCostNanos is the CPU cost charged per scanned page, used only for
 	// the duty-cycle estimate. 2 500 ns reproduces the paper's ≈25 % CPU at

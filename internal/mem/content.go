@@ -11,6 +11,11 @@
 // the property the paper's Transparent Page Sharing analysis rests on.
 package mem
 
+import (
+	"encoding/binary"
+	"math/bits"
+)
+
 // Seed is a 64-bit value that deterministically identifies a piece of
 // logical content. Seeds are combined with SplitMix64-style mixing so that
 // related identities (same class, different process) produce unrelated byte
@@ -50,37 +55,37 @@ func HashString(s string) Seed {
 	return Seed(h)
 }
 
+// nextWord advances the xorshift64* state behind Fill and returns the new
+// state with the 64-bit word it emits (stored little-endian).
+func nextWord(s uint64) (state, word uint64) {
+	s ^= s << 13
+	s ^= s >> 7
+	s ^= s << 17
+	return s, s * 0x2545f4914f6cdd1d
+}
+
+// fillState is the generator state Fill(_, seed) starts from.
+func fillState(seed Seed) uint64 {
+	if s := uint64(Mix(seed)); s != 0 {
+		return s
+	}
+	return 0x9e3779b97f4a7c15
+}
+
 // Fill writes a deterministic byte stream derived from seed into dst. The
 // stream is a xorshift64* generator; the same (seed, len) always produces
 // the same bytes, and different seeds produce streams that share no long
 // common runs, so accidental page-content collisions do not happen.
 func Fill(dst []byte, seed Seed) {
-	s := uint64(Mix(seed))
-	if s == 0 {
-		s = 0x9e3779b97f4a7c15
+	s := fillState(seed)
+	var v uint64
+	for ; len(dst) >= 8; dst = dst[8:] {
+		s, v = nextWord(s)
+		binary.LittleEndian.PutUint64(dst, v)
 	}
-	i := 0
-	for i+8 <= len(dst) {
-		s ^= s << 13
-		s ^= s >> 7
-		s ^= s << 17
-		v := s * 0x2545f4914f6cdd1d
-		dst[i] = byte(v)
-		dst[i+1] = byte(v >> 8)
-		dst[i+2] = byte(v >> 16)
-		dst[i+3] = byte(v >> 24)
-		dst[i+4] = byte(v >> 32)
-		dst[i+5] = byte(v >> 40)
-		dst[i+6] = byte(v >> 48)
-		dst[i+7] = byte(v >> 56)
-		i += 8
-	}
-	if i < len(dst) {
-		s ^= s << 13
-		s ^= s >> 7
-		s ^= s << 17
-		v := s * 0x2545f4914f6cdd1d
-		for ; i < len(dst); i++ {
+	if len(dst) > 0 {
+		_, v = nextWord(s)
+		for i := range dst {
 			dst[i] = byte(v)
 			v >>= 8
 		}
@@ -94,58 +99,87 @@ func FillBytes(n int, seed Seed) []byte {
 	return b
 }
 
-// ChecksumBytes computes the FNV-1a checksum of a byte slice. KSM uses this
-// as its volatility gate: a page whose checksum changed between scan passes
-// is considered too volatile to merge.
+// The page checksum folds little-endian 64-bit words through sumLanes
+// independent multiply-rotate lanes — word j goes to lane j % sumLanes — so
+// the multiplies pipeline instead of forming one dependent chain. Every step
+// is a bijection of the lane given the word and of the word given the lane,
+// so changing a single word always changes the sum. Callers may rely on
+// equality of sums only, never on their value.
+const sumLanes = 4
+
+type sumState [sumLanes]uint64
+
+// sumInit holds the lanes' starting values; they differ so that the same
+// word means something different in each lane.
+var sumInit = sumState{0x60ea27eeadc0b5d6, 0xc2b2ae3d27d4eb4f, 0x165667b19e3779f9, 0x61c8864e7a143579}
+
+func sumRound(lane, word uint64) uint64 {
+	return bits.RotateLeft64(lane^word, 31) * 0x9e3779b185ebca87
+}
+
+// finish merges the lanes, mixes in the byte length (so zero-padding the
+// tail word is unambiguous) and avalanches through the SplitMix64 finalizer.
+func (l *sumState) finish(n int) uint64 {
+	h := bits.RotateLeft64(l[0], 1) + bits.RotateLeft64(l[1], 7) +
+		bits.RotateLeft64(l[2], 12) + bits.RotateLeft64(l[3], 18)
+	return uint64(Mix(Seed(h ^ uint64(n))))
+}
+
+// ChecksumBytes computes the checksum of a byte slice, a word at a time. KSM
+// uses this as its volatility gate: a page whose checksum changed between
+// scan passes is considered too volatile to merge.
 func ChecksumBytes(b []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= prime64
+	n := len(b)
+	// Scalars, not the array: the compiler keeps only those in registers.
+	l0, l1, l2, l3 := sumInit[0], sumInit[1], sumInit[2], sumInit[3]
+	for ; len(b) >= 8*sumLanes; b = b[8*sumLanes:] {
+		l0 = sumRound(l0, binary.LittleEndian.Uint64(b))
+		l1 = sumRound(l1, binary.LittleEndian.Uint64(b[8:]))
+		l2 = sumRound(l2, binary.LittleEndian.Uint64(b[16:]))
+		l3 = sumRound(l3, binary.LittleEndian.Uint64(b[24:]))
 	}
-	return h
+	l := sumState{l0, l1, l2, l3}
+	for k := 0; len(b) > 0; k++ {
+		var w uint64
+		if len(b) >= 8 {
+			w, b = binary.LittleEndian.Uint64(b), b[8:]
+		} else {
+			for i, c := range b {
+				w |= uint64(c) << (8 * i)
+			}
+			b = nil
+		}
+		l[k] = sumRound(l[k], w)
+	}
+	return l.finish(n)
 }
 
 // ChecksumSeed computes ChecksumBytes(FillBytes(n, seed)) without
 // materializing the buffer: the generator words are folded straight into
-// the hash. The content store checksums seeded (never-read) pages this way,
+// the lanes. The content store checksums seeded (never-read) pages this way,
 // so the volatility gate costs no page-sized memory traffic for them.
 func ChecksumSeed(seed Seed, n int) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	s := uint64(Mix(seed))
-	if s == 0 {
-		s = 0x9e3779b97f4a7c15
-	}
-	h := uint64(offset64)
+	s := fillState(seed)
+	l0, l1, l2, l3 := sumInit[0], sumInit[1], sumInit[2], sumInit[3]
+	var v uint64
 	i := 0
-	for i+8 <= n {
-		s ^= s << 13
-		s ^= s >> 7
-		s ^= s << 17
-		v := s * 0x2545f4914f6cdd1d
-		for k := 0; k < 8; k++ {
-			h ^= v >> (8 * k) & 0xff
-			h *= prime64
-		}
-		i += 8
+	for ; i+8*sumLanes <= n; i += 8 * sumLanes {
+		s, v = nextWord(s)
+		l0 = sumRound(l0, v)
+		s, v = nextWord(s)
+		l1 = sumRound(l1, v)
+		s, v = nextWord(s)
+		l2 = sumRound(l2, v)
+		s, v = nextWord(s)
+		l3 = sumRound(l3, v)
 	}
-	if i < n {
-		s ^= s << 13
-		s ^= s >> 7
-		s ^= s << 17
-		v := s * 0x2545f4914f6cdd1d
-		for ; i < n; i++ {
-			h ^= v & 0xff
-			h *= prime64
-			v >>= 8
+	l := sumState{l0, l1, l2, l3}
+	for k := 0; i < n; k, i = k+1, i+8 {
+		s, v = nextWord(s)
+		if n-i < 8 {
+			v &= 1<<(8*(n-i)) - 1
 		}
+		l[k] = sumRound(l[k], v)
 	}
-	return h
+	return l.finish(n)
 }

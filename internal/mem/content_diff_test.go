@@ -14,7 +14,8 @@ import (
 // must agree at every step. Snapshot/Restore/Release handles ride along so
 // the swap-store aliasing path is exercised too, and a blob census checks
 // that every literal blob's refcount equals the number of frame descriptors
-// and live handles pointing at it.
+// and live handles pointing at it, and that the recycled-buffer list is
+// invisible: it shares no buffer with a live blob and is not counted.
 
 type diffSnap struct {
 	c    PageContent
@@ -26,6 +27,9 @@ type diffModel struct {
 	pages map[FrameID][]byte // reference content per live frame
 	refs  map[FrameID]int
 	snaps []diffSnap
+	// peakBlobs is the most blobs seen live at once, which bounds how many
+	// page buffers the store may hold, recycled ones included.
+	peakBlobs int
 }
 
 func newDiffModel(frames int) *diffModel {
@@ -50,9 +54,14 @@ func (m *diffModel) pick(r *rand.Rand) (FrameID, bool) {
 	return ids[r.Intn(len(ids))], true
 }
 
+func (m *diffModel) notePeak() {
+	m.peakBlobs = max(m.peakBlobs, m.pm.cs.blobs)
+}
+
 // step applies one random operation to both the pool and the model.
-func (m *diffModel) step(r *rand.Rand) {
-	switch r.Intn(10) {
+func (m *diffModel) step(t testing.TB, r *rand.Rand) {
+	defer m.notePeak()
+	switch r.Intn(11) {
 	case 0, 1: // alloc
 		id, err := m.pm.Alloc()
 		if err != nil {
@@ -134,6 +143,31 @@ func (m *diffModel) step(r *rand.Rand) {
 		} else {
 			m.pm.Release(s.c)
 		}
+	case 10: // a write to a zero page that lands on a recycled, dirty buffer
+		id, ok := m.pick(r)
+		if !ok {
+			return
+		}
+		junk := make([]byte, DefaultPageSize)
+		for i := range junk {
+			junk[i] = 0xff
+		}
+		m.pm.Write(id, 0, junk) // the frame now solely owns a private blob
+		m.notePeak()
+		m.pm.ZeroFrame(id) // which dies here, leaving its buffer to reuse
+		pooled := len(m.pm.cs.freeBufs)
+		n := r.Intn(64) + 1
+		off := r.Intn(DefaultPageSize - n)
+		data := bytes.Repeat([]byte{byte(r.Intn(255) + 1)}, n)
+		m.pm.Write(id, off, data)
+		clear(m.pages[id])
+		copy(m.pages[id][off:], data)
+		if pooled == 0 || len(m.pm.cs.freeBufs) != pooled-1 {
+			t.Fatalf("zero-page write took no recycled buffer (%d pooled before, %d after)", pooled, len(m.pm.cs.freeBufs))
+		}
+		if !bytes.Equal(m.pm.Bytes(id), m.pages[id]) {
+			t.Fatalf("frame %d: stale bytes of a recycled buffer show outside [%d,%d)", id, off, off+n)
+		}
 	}
 }
 
@@ -183,6 +217,7 @@ func (m *diffModel) verify(t *testing.T) {
 // and live handles and compares refcounts and store gauges.
 func (m *diffModel) checkBlobs(t *testing.T) {
 	t.Helper()
+	m.notePeak() // verify's own reads materialize seeded frames
 	want := make(map[*blob]int32)
 	for i := range m.pm.frames {
 		f := &m.pm.frames[i]
@@ -208,6 +243,22 @@ func (m *diffModel) checkBlobs(t *testing.T) {
 	if cs.blobs != len(want) || cs.internedBlobs != interned {
 		t.Fatalf("store gauges blobs=%d interned=%d, census blobs=%d interned=%d",
 			cs.blobs, cs.internedBlobs, len(want), interned)
+	}
+	if st := m.pm.ContentStats(); st.Blobs != len(want) || st.BlobBytes != int64(len(want))*DefaultPageSize {
+		t.Fatalf("ContentStats counts %d blobs / %d bytes, census %d live blobs", st.Blobs, st.BlobBytes, len(want))
+	}
+	// One over: a copy-on-write holds its source and its copy at once.
+	if len(cs.freeBufs)+cs.blobs > m.peakBlobs+1 {
+		t.Fatalf("%d recycled + %d live buffers exceed the peak of %d live blobs", len(cs.freeBufs), cs.blobs, m.peakBlobs)
+	}
+	live := make(map[*byte]bool, len(want))
+	for b := range want {
+		live[&b.data[0]] = true
+	}
+	for _, buf := range cs.freeBufs {
+		if len(buf) != DefaultPageSize || live[&buf[0]] {
+			t.Fatalf("recycled buffer (len %d) is still a live blob's data", len(buf))
+		}
 	}
 	tabled := 0
 	for _, bucket := range cs.table {
@@ -250,7 +301,7 @@ func TestContentStoreDifferential(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		m := newDiffModel(64)
 		for step := 0; step < 3000; step++ {
-			m.step(r)
+			m.step(t, r)
 			if step%200 == 0 {
 				m.verify(t)
 			}
@@ -273,7 +324,7 @@ func FuzzContentStoreDifferential(f *testing.F) {
 		r := rand.New(rand.NewSource(seed))
 		m := newDiffModel(32)
 		for i := 0; i < steps; i++ {
-			m.step(r)
+			m.step(t, r)
 			if i%500 == 0 {
 				m.verify(t)
 			}
@@ -281,17 +332,4 @@ func FuzzContentStoreDifferential(f *testing.F) {
 		m.verify(t)
 		m.drain(t)
 	})
-}
-
-// TestChecksumSeedMatchesMaterialized pins the streamed seeded checksum to
-// the byte-materialized reference for a spread of seeds and sizes.
-func TestChecksumSeedMatchesMaterialized(t *testing.T) {
-	for _, n := range []int{8, 24, 4096, 4100, 16384} {
-		for s := uint64(0); s < 64; s++ {
-			seed := Mix(Seed(s * 0x9e37))
-			if got, want := ChecksumSeed(seed, n), ChecksumBytes(FillBytes(n, seed)); got != want {
-				t.Fatalf("seed %#x n=%d: ChecksumSeed %#x, materialized %#x", uint64(seed), n, got, want)
-			}
-		}
-	}
 }

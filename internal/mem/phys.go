@@ -436,7 +436,10 @@ func (pm *PhysMem) IsKSM(id FrameID) bool { return pm.frameAt(id).ksm }
 // Bytes returns a read-only view of the frame contents. All-zero frames
 // return the canonical zero page; seeded frames materialize into an
 // interned blob shared by every frame with the same content. Callers must
-// not mutate the result.
+// not mutate the result, and it is only borrowed: the next call that changes
+// or frees any content of this pool (Write, FillFrame, ZeroFrame, CopyFrame,
+// Restore, Release, ImportPage, DecRef to zero) may hand the buffer to
+// another page. Copy the bytes to keep them longer.
 func (pm *PhysMem) Bytes(id FrameID) []byte {
 	return pm.bytesOf(pm.frameAt(id))
 }
@@ -550,13 +553,13 @@ func (pm *PhysMem) Write(id FrameID, off int, data []byte) {
 		if allZero {
 			return // zero write to a zero page is a no-op
 		}
-		buf := make([]byte, pm.pageSize)
+		buf := pm.cs.pageBuf(pm.pageSize, true)
 		copy(buf[off:], data)
 		f.desc = desc{kind: descLiteral, blob: pm.cs.newBlob(buf, false)}
 		pm.materialized++
 		pm.zeroFrames--
 	case descSeeded:
-		buf := make([]byte, pm.pageSize)
+		buf := pm.cs.pageBuf(pm.pageSize, false)
 		Fill(buf, f.desc.seed)
 		copy(buf[off:], data)
 		f.desc = desc{kind: descLiteral, blob: pm.cs.newBlob(buf, false)}
@@ -568,7 +571,7 @@ func (pm *PhysMem) Write(id FrameID, off int, data []byte) {
 			b.sumValid = false
 			return
 		}
-		buf := make([]byte, pm.pageSize)
+		buf := pm.cs.pageBuf(pm.pageSize, false)
 		copy(buf, b.data)
 		copy(buf[off:], data)
 		pm.cs.release(f.desc)
@@ -688,7 +691,9 @@ func (pm *PhysMem) Compare(a, b FrameID) int {
 // Prefix returns the first eight content bytes as a big-endian integer, so
 // that integer order on prefixes agrees with Compare wherever two prefixes
 // differ. It never materializes: a seeded frame whose bytes nothing has read
-// yet reports ok=false, and the caller falls back to Compare.
+// yet reports ok=false, and the caller falls back to Compare. A blob with a
+// valid checksum answers from the copy cached beside it (blob.prefix), sparing
+// the scanner, which has just read that checksum, a cold data line.
 func (pm *PhysMem) Prefix(id FrameID) (prefix uint64, ok bool) {
 	switch f := pm.frameAt(id); f.desc.kind {
 	case descZero:
@@ -696,13 +701,18 @@ func (pm *PhysMem) Prefix(id FrameID) (prefix uint64, ok bool) {
 	case descSeeded:
 		return 0, false
 	default:
-		return binary.BigEndian.Uint64(f.desc.blob.data), true
+		b := f.desc.blob
+		if b.sumValid {
+			return b.prefix, true
+		}
+		return binary.BigEndian.Uint64(b.data), true
 	}
 }
 
-// Checksum returns the FNV-1a checksum of the frame contents, computed at
-// most once per content — zero pages use the pool's precomputed sum, seeded
-// pages the per-seed cache, literal blobs a sum cached on the blob itself.
+// Checksum returns the frame's content checksum (ChecksumBytes of its bytes),
+// computed at most once per content — zero pages use the pool's precomputed
+// sum, seeded pages the per-seed cache, literal blobs a sum cached on the blob
+// itself.
 func (pm *PhysMem) Checksum(id FrameID) uint64 {
 	return pm.checksumOf(pm.frameAt(id))
 }

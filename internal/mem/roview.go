@@ -199,8 +199,7 @@ func (pm *PhysMem) AdoptChecksum(id FrameID, sum uint64) {
 	default:
 		b := f.desc.blob
 		if !b.sumValid {
-			b.sum = sum
-			b.sumValid = true
+			b.setSum(sum)
 		}
 	}
 }

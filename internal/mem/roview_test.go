@@ -3,6 +3,7 @@ package mem
 import (
 	"encoding/binary"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -113,5 +114,109 @@ func TestPrefixNeverMaterializes(t *testing.T) {
 	pb, _ := pm.Prefix(other)
 	if pa != pb && (pa < pb) != (pm.Compare(seeded, other) < 0) {
 		t.Fatal("prefix order disagrees with Compare")
+	}
+}
+
+// TestPrefixCacheFollowsContent: a literal blob answers Prefix from the copy
+// cached beside its checksum, so every path that validates the checksum must
+// write the prefix and every in-place write must drop both.
+func TestPrefixCacheFollowsContent(t *testing.T) {
+	pm := NewPhysMem(16*DefaultPageSize, DefaultPageSize)
+	v := pm.NewROView()
+	check := func(id FrameID, when string) {
+		t.Helper()
+		want := binary.BigEndian.Uint64(pm.Bytes(id))
+		for name, prefix := range map[string]func(FrameID) (uint64, bool){"pool": pm.Prefix, "view": v.Prefix} {
+			if got, ok := prefix(id); !ok || got != want {
+				t.Fatalf("%s, %s: Prefix = %#x, %v; bytes start %#x", when, name, got, ok, want)
+			}
+		}
+	}
+	cached := func(id FrameID) bool { return pm.frameAt(id).desc.blob.sumValid }
+
+	// A private blob: checksum() caches, in-place writes invalidate.
+	priv, _ := pm.Alloc()
+	pm.Write(priv, 100, []byte{1, 2, 3})
+	check(priv, "fresh private blob, nothing cached")
+	pm.Checksum(priv)
+	check(priv, "after Checksum")
+	pm.Write(priv, 0, []byte{9, 8, 7, 6, 5, 4, 3, 2})
+	if cached(priv) {
+		t.Fatal("in-place Write left the cached sum and prefix valid")
+	}
+	check(priv, "after an in-place Write to bytes 0-7")
+	pm.Checksum(priv)
+	pm.Write(priv, 7, []byte{0xee, 0xdd})
+	check(priv, "after an in-place Write straddling byte 7")
+	pm.Checksum(priv)
+	pm.Write(priv, 2000, []byte{0xcc})
+	check(priv, "after an in-place Write elsewhere")
+
+	// AdoptChecksum validates without having computed: the prefix rides
+	// along, here replacing the one cached before byte 0 changed.
+	pm.Checksum(priv)
+	pm.Write(priv, 0, []byte{0x77})
+	pm.AdoptChecksum(priv, v.Checksum(priv))
+	if !cached(priv) {
+		t.Fatal("AdoptChecksum cached nothing")
+	}
+	check(priv, "after AdoptChecksum")
+	if got, want := pm.Checksum(priv), ChecksumBytes(pm.Bytes(priv)); got != want {
+		t.Fatalf("adopted checksum %#x, content %#x", got, want)
+	}
+
+	// intern (materializing a seeded page) leaves the new blob valid.
+	seeded := seededFrames(t, pm, 21)[0]
+	pm.Materialize(seeded)
+	if !cached(seeded) {
+		t.Fatal("interned blob has no cached sum")
+	}
+	check(seeded, "after intern")
+
+	// A write to the interned blob copies; the copy starts uncached and the
+	// aliases keep their own prefix.
+	alias, _ := pm.Alloc()
+	pm.CopyFrame(alias, seeded)
+	pm.Write(alias, 0, []byte{0x42})
+	check(alias, "copy-on-write copy")
+	check(seeded, "copy-on-write source")
+}
+
+// TestROViewPrefixConcurrentReaders: shard workers read cached prefixes and
+// checksums of the same blobs at once; under -race this shows the view's
+// Prefix and Checksum only read them.
+func TestROViewPrefixConcurrentReaders(t *testing.T) {
+	pm := NewPhysMem(64*DefaultPageSize, DefaultPageSize)
+	var ids []FrameID
+	for i := 0; i < 32; i++ {
+		id, _ := pm.Alloc()
+		pm.Write(id, 0, []byte{byte(i + 1), 1, 2, 3, 4, 5, 6, 7})
+		if i%2 == 0 {
+			pm.Checksum(id) // half cached, half not
+		}
+		ids = append(ids, id)
+	}
+	type answer struct{ prefix, sum uint64 }
+	answers := make([][]answer, 4)
+	var wg sync.WaitGroup
+	for w := range answers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v := pm.NewROView()
+			for _, id := range ids {
+				p, _ := v.Prefix(id)
+				answers[w] = append(answers[w], answer{p, v.Checksum(id)})
+			}
+		}()
+	}
+	wg.Wait()
+	for i, id := range ids {
+		want := answer{binary.BigEndian.Uint64(pm.Bytes(id)), pm.Checksum(id)}
+		for w := range answers {
+			if answers[w][i] != want {
+				t.Fatalf("reader %d, frame %d: %+v, want %+v", w, id, answers[w][i], want)
+			}
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package mem
 
-import "bytes"
+import (
+	"bytes"
+	"encoding/binary"
+)
 
 // This file is the content-addressed page store behind PhysMem. A frame no
 // longer owns a private 4 KiB byte array; it holds a small content
@@ -49,9 +52,15 @@ type desc struct {
 // under their checksum; private blobs are mutable only while exactly one
 // reference exists.
 type blob struct {
-	data     []byte
-	refs     int32
+	data []byte
+	refs int32
+	// sum is the content checksum and prefix the first eight bytes as a
+	// big-endian integer (see PhysMem.Prefix), kept on this header so that
+	// the scanner's tree probe, which has just read sum, need not touch a
+	// cold data line. sumValid covers both: they are set together by
+	// setSum and dropped together by an in-place Write.
 	sum      uint64
+	prefix   uint64
 	sumValid bool
 	interned bool
 	// seeded marks a blob registered in the seedBlobs index under seed, so
@@ -65,10 +74,15 @@ type blob struct {
 // first use — once per content, not per frame per scan pass.
 func (b *blob) checksum() uint64 {
 	if !b.sumValid {
-		b.sum = ChecksumBytes(b.data)
-		b.sumValid = true
+		b.setSum(ChecksumBytes(b.data))
 	}
 	return b.sum
+}
+
+// setSum caches sum, which must be the checksum of the blob's current bytes,
+// and the prefix beside it.
+func (b *blob) setSum(sum uint64) {
+	b.sum, b.prefix, b.sumValid = sum, binary.BigEndian.Uint64(b.data), true
 }
 
 // contentStore holds the pool's interned blobs and per-seed checksum cache.
@@ -86,6 +100,13 @@ type contentStore struct {
 	// map hit, not a fill-and-compare.
 	seedBlobs map[Seed]*blob
 
+	// freeBufs holds the page buffers of dead blobs for the next blob to
+	// reuse (pageBuf). A buffer is allocated only when this list is empty,
+	// so the list and the live blobs together never hold more buffers than
+	// the peak number of live blobs plus one (a copy-on-write has its source
+	// and its copy at once).
+	freeBufs [][]byte
+
 	blobs         int   // live blobs, interned + private
 	internedBlobs int   // blobs currently in the table
 	blobBytes     int64 // bytes held by live blobs
@@ -99,6 +120,22 @@ func newContentStore() *contentStore {
 		seedSums:  make(map[Seed]uint64),
 		seedBlobs: make(map[Seed]*blob),
 	}
+}
+
+// pageBuf returns an n-byte buffer for a new blob, recycled from a dead one
+// when possible. A recycled buffer holds stale bytes; zeroed asks for them
+// to be cleared.
+func (cs *contentStore) pageBuf(n int, zeroed bool) []byte {
+	k := len(cs.freeBufs) - 1
+	if k < 0 || len(cs.freeBufs[k]) != n {
+		return make([]byte, n)
+	}
+	buf := cs.freeBufs[k]
+	cs.freeBufs = cs.freeBufs[:k]
+	if zeroed {
+		clear(buf)
+	}
+	return buf
 }
 
 // newBlob registers a fresh buffer with the store's accounting.
@@ -121,7 +158,8 @@ func (cs *contentStore) retain(d desc) desc {
 }
 
 // release drops one reference; a blob whose last reference goes away leaves
-// the table (if interned) and its bytes return to the Go heap.
+// the table (if interned) and its buffer goes to freeBufs for reuse — which
+// is why slices handed out by PhysMem.Bytes are only borrowed.
 func (cs *contentStore) release(d desc) {
 	if d.kind != descLiteral {
 		return
@@ -144,6 +182,8 @@ func (cs *contentStore) release(d desc) {
 		cs.internedBlobs--
 		cs.removeInterned(b)
 	}
+	cs.freeBufs = append(cs.freeBufs, b.data)
+	b.data = nil
 }
 
 // internExisting registers an already-live blob in the content table
@@ -201,11 +241,10 @@ func (cs *contentStore) intern(data []byte, sum uint64) *blob {
 		cs.internHits++
 		return cand
 	}
-	buf := make([]byte, len(data))
+	buf := cs.pageBuf(len(data), false)
 	copy(buf, data)
 	b := cs.newBlob(buf, true)
-	b.sum = sum
-	b.sumValid = true
+	b.setSum(sum)
 	cs.table[sum] = append(cs.table[sum], b)
 	return b
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Byte-identity check of the working tree's tpsim against another commit's:
 # stdout of every registered experiment, as text and as -csv, at -jobs 1 and
-# -jobs 8, must compare equal. Usage: scripts/byteidentity.sh [ref] [workdir]
+# -jobs 8, must compare equal; where it does not, the first lines of the diff
+# are printed. Usage: scripts/byteidentity.sh [ref] [workdir]
 # (ref defaults to HEAD~1; a workdir that already holds the ref's outputs
 # skips re-running them).
 set -euo pipefail
@@ -20,6 +21,13 @@ for args in "-jobs 1" "-jobs 1 -csv" "-jobs 8" "-jobs 8 -csv"; do
       "$work/$bin" -quick -chaos-seed 7 $args all dirtylog jitshare ksmshard chaos datacenter >"$out" 2>/dev/null
     fi
   done
-  cmp "$work/old${args// /}.out" "$work/new${args// /}.out" && echo "identical: $args" || status=1
+  # pipefail: the pipeline fails when diff found differences (or head closed
+  # the pipe on it), so a mismatch shows its first lines.
+  if diff "$work/old${args// /}.out" "$work/new${args// /}.out" | head -n 40; then
+    echo "identical: $args"
+  else
+    echo "differs: $args"
+    status=1
+  fi
 done
 exit $status
