@@ -34,11 +34,7 @@ func (h *Host) CheckLeaks(external []mem.FrameID) error {
 	}
 	slotRefs := make(map[uint32]int)
 	for _, vm := range h.vms {
-		for _, vpn := range vm.hpt.SortedVPNs() {
-			pte, ok := vm.hpt.Lookup(vpn)
-			if !ok {
-				continue
-			}
+		vm.hpt.Range(func(vpn mem.VPN, pte mem.PTE) bool {
 			switch {
 			case pte.Swapped:
 				slotRefs[pte.SwapSlot]++
@@ -55,7 +51,8 @@ func (h *Host) CheckLeaks(external []mem.FrameID) error {
 			default:
 				expected[pte.Frame]++
 			}
-		}
+			return true
+		})
 	}
 
 	var problems []string

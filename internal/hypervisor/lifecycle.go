@@ -18,11 +18,9 @@ func (h *Host) KillVM(vm *VMProcess) {
 	if vm.dead {
 		panic(fmt.Sprintf("hypervisor: KillVM on already-dead %s", vm.cfg.Name))
 	}
-	for _, vpn := range vm.hpt.SortedVPNs() {
-		pte, ok := vm.hpt.Lookup(vpn)
-		if !ok {
-			continue
-		}
+	// The walk only reads the table (frames and swap slots are released, no
+	// PTE is deleted): the whole table is dropped once it is done.
+	vm.hpt.Range(func(vpn mem.VPN, pte mem.PTE) bool {
 		switch {
 		case pte.Swapped:
 			h.swap.drop(h.phys, pte.SwapSlot)
@@ -42,7 +40,8 @@ func (h *Host) KillVM(vm *VMProcess) {
 		default:
 			h.phys.DecRef(pte.Frame)
 		}
-	}
+		return true
+	})
 	vm.hpt = mem.NewPageTable()
 	vm.stats.ResidentPages = 0
 	vm.stats.SwappedPages = 0

@@ -38,25 +38,25 @@ func (vm *VMProcess) Paused() bool { return vm.paused }
 func (vm *VMProcess) MappedGuestPages() []uint64 {
 	guestEnd := vm.memslotBase + mem.VPN(vm.guestPages)
 	var out []uint64
-	for _, vpn := range vm.hpt.SortedVPNs() {
+	vm.hpt.Range(func(vpn mem.VPN, pte mem.PTE) bool {
 		if vpn < vm.memslotBase || vpn >= guestEnd {
-			continue
+			return true
 		}
-		pte, _ := vm.hpt.Lookup(vpn)
 		if !pte.Huge {
 			out = append(out, uint64(vpn-vm.memslotBase))
-			continue
+			return true
 		}
 		// A huge head covers a whole aligned run; every covered page is
 		// guest state. Carved subpages are excluded here — they have their
-		// own entries in this same sorted walk (when still mapped).
+		// own entries in this same ascending walk (when still mapped).
 		for off := mem.VPN(0); off < mem.HugePages && vpn+off < guestEnd; off++ {
 			if vm.hpt.CarvedAt(vpn + off) {
 				continue
 			}
 			out = append(out, uint64(vpn+off-vm.memslotBase))
 		}
-	}
+		return true
+	})
 	return out
 }
 

@@ -193,6 +193,59 @@ func TestShardedLargeBatchMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestShardedMultiLeafTablesMatchSerial: guests big enough that each host
+// page table spans several leaves of the radix table, so the classify workers
+// walk different leaves of one table at the same moment. The fixtures above
+// keep a whole guest inside one leaf, where nothing a read path remembers
+// between lookups could ever change value; here a memoising Lookup shows up
+// as a -race report, or as per-shard counts that differ between two runs.
+func TestShardedMultiLeafTablesMatchSerial(t *testing.T) {
+	forceParallel(t)
+	const guestPages = 2048 + 256
+	type outcome struct {
+		shardOutcome
+		perShard []uint64
+	}
+	run := func(shards int) outcome {
+		cfg := DefaultConfig()
+		cfg.Shards = shards
+		f := newFixture(t, 3*guestPages, 2, guestPages, cfg)
+		for vi, vm := range f.vms {
+			for i := uint64(0); i < guestPages; i++ {
+				seed := mem.Seed(100 + i) // every third page duplicated across the VMs
+				if i%3 != 0 {
+					seed = mem.Seed(uint64(vi+1)*100000 + i)
+				}
+				vm.FillGuestPage(i, seed)
+			}
+		}
+		f.scanPasses(3)
+		// Churn in the first, a middle and the last leaf of each table: a
+		// fresh duplicate pair over two shared pages, and a unique page
+		// pointed at content that is already stable.
+		for _, i := range []uint64{3, 1029, guestPages - 6} {
+			f.vms[0].FillGuestPage(i, mem.Seed(70000+i))
+			f.vms[1].FillGuestPage(i, mem.Seed(70000+i))
+			f.vms[1].FillGuestPage(i+2, mem.Seed(100+i+3))
+		}
+		f.scanPasses(3)
+		o := outcome{perShard: f.k.ShardPagesScanned()}
+		o.shardOutcome = captureOutcome(f)
+		return o
+	}
+	base := run(1)
+	if base.stats.StableMerges == 0 || base.stats.UnstableMerges == 0 || base.stats.COWBreaks == 0 {
+		t.Fatalf("scenario too tame to prove anything: %+v", base.stats)
+	}
+	first := run(4)
+	if !reflect.DeepEqual(first.shardOutcome, base.shardOutcome) {
+		t.Fatalf("shards=4 diverged from unsharded:\nbase %+v\ngot  %+v", base.stats, first.stats)
+	}
+	if again := run(4); !reflect.DeepEqual(again, first) {
+		t.Fatalf("two shards=4 runs differ: per-shard %v then %v", first.perShard, again.perShard)
+	}
+}
+
 // TestShardRoutingSpreadsWork: the checksum partition must actually spread
 // routed candidates over the shards rather than collapsing onto one, and the
 // per-shard counts must sum to the total routed work.

@@ -99,3 +99,130 @@ func TestRewriteChurnAllocFree(t *testing.T) {
 		t.Fatalf("ContentStats %+v: want one live blob per frame, recycled buffers not counted", st)
 	}
 }
+
+// Page-table benchmarks: one guest-sized table at a memslot-like base, the
+// shape every translation layer of the simulator walks.
+const (
+	benchPTPages      = 17000
+	benchPTBase   VPN = 1 << 24
+	benchPTTables     = 16
+)
+
+func benchPageTable(base VPN) *PageTable {
+	pt := NewPageTable()
+	for i := VPN(0); i < benchPTPages; i++ {
+		pt.Set(base+i, PTE{Frame: FrameID(i), Writable: true, LastUse: int64(i)})
+	}
+	return pt
+}
+
+func benchLookups(b *testing.B, pt *PageTable, vpns []VPN) {
+	b.ResetTimer()
+	for i, k := 0, 0; i < b.N; i++ {
+		e, _ := pt.Lookup(vpns[k])
+		benchSink += uint64(e.Frame)
+		if k++; k == len(vpns) {
+			k = 0
+		}
+	}
+}
+
+func BenchmarkPageTableLookupSeq(b *testing.B) {
+	pt := benchPageTable(benchPTBase)
+	benchLookups(b, pt, pt.SortedVPNs())
+}
+
+func BenchmarkPageTableLookupRand(b *testing.B) {
+	pt := benchPageTable(benchPTBase)
+	vpns := pt.SortedVPNs()
+	rng := Seed(1)
+	for i := len(vpns) - 1; i > 0; i-- {
+		rng = Mix(rng)
+		k := int(uint64(rng) % uint64(i+1))
+		vpns[i], vpns[k] = vpns[k], vpns[i]
+	}
+	benchLookups(b, pt, vpns)
+}
+
+// BenchmarkPageTableLookupHuge looks up covered subpages of collapsed runs,
+// every eighth run with a few subpages carved out of it.
+func BenchmarkPageTableLookupHuge(b *testing.B) {
+	pt := benchPageTable(benchPTBase)
+	var vpns []VPN
+	for run := VPN(0); (run+1)*HugePages <= benchPTPages; run++ {
+		head := benchPTBase + run*HugePages
+		pt.InstallHuge(head, PTE{Frame: FrameID(run * HugePages), Writable: true})
+		if run%8 == 0 {
+			pt.SplitHugeSubpages(head, []VPN{head + 5, head + 70, head + 300})
+		}
+		for off := VPN(0); off < HugePages; off++ {
+			if e, _ := pt.Lookup(head + off); e.Huge {
+				vpns = append(vpns, head+off)
+			}
+		}
+	}
+	benchLookups(b, pt, vpns)
+}
+
+// BenchmarkPageTableTouch is the ensureMapped pattern: look an entry up,
+// stamp it, store it back.
+func BenchmarkPageTableTouch(b *testing.B) {
+	pt := benchPageTable(benchPTBase)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		vpn := benchPTBase + VPN(i%benchPTPages)
+		e, _ := pt.Lookup(vpn)
+		e.LastUse, e.Accessed = int64(i), true
+		pt.Set(vpn, e)
+	}
+}
+
+func BenchmarkPageTableSortedVPNs(b *testing.B) {
+	pt := benchPageTable(benchPTBase)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink += uint64(len(pt.SortedVPNs()))
+	}
+}
+
+// BenchmarkPageTableLookupCold visits sixteen tables one after another in
+// address order, which is what a KSM pass over a cluster does: together they
+// outgrow the cache a single hot table fits in.
+func BenchmarkPageTableLookupCold(b *testing.B) {
+	var tables [benchPTTables]*PageTable
+	for s := range tables {
+		tables[s] = benchPageTable(VPN(s+1) * benchPTBase)
+	}
+	b.ResetTimer()
+	for i, s, k := 0, 0, VPN(0); i < b.N; i++ {
+		e, _ := tables[s].Lookup(VPN(s+1)*benchPTBase + k)
+		benchSink += uint64(e.Frame)
+		if k++; k == benchPTPages {
+			k, s = 0, (s+1)%benchPTTables
+		}
+	}
+}
+
+// TestPageTableSteadyStateAllocFree: once a table's leaves exist, the guest
+// fault path (Lookup, Set of an existing entry) and a full walk allocate
+// nothing.
+func TestPageTableSteadyStateAllocFree(t *testing.T) {
+	pt := benchPageTable(benchPTBase)
+	pt.InstallHuge(benchPTBase, PTE{Frame: 0, Writable: true})
+	allocs := testing.AllocsPerRun(10, func() {
+		for i := VPN(0); i < benchPTPages; i += 3 {
+			e, _ := pt.Lookup(benchPTBase + i)
+			if !e.Huge {
+				e.Accessed = !e.Accessed
+				pt.Set(benchPTBase+i, e)
+			}
+		}
+		pt.Range(func(_ VPN, e PTE) bool {
+			benchSink += uint64(e.Frame)
+			return true
+		})
+	})
+	if allocs != 0 {
+		t.Fatalf("%.0f allocations per steady-state pass, want 0", allocs)
+	}
+}

@@ -15,9 +15,10 @@ package mem
 type DirtyRing struct {
 	cap   int
 	pages []VPN
-	// member is the per-cycle dirty bit: pages already logged this cycle
-	// are not appended again.
-	member map[VPN]struct{}
+	// member is the per-cycle dirty bit, one per page number (the ring logs
+	// guest frame numbers, dense from zero): pages already logged this cycle
+	// are not appended again. It grows to the highest page logged.
+	member []uint64
 	// full latches the log-full condition until the next Drain/Reset.
 	full bool
 
@@ -36,7 +37,7 @@ func NewDirtyRing(capPages int) *DirtyRing {
 	if capPages <= 0 {
 		capPages = DefaultDirtyRingPages
 	}
-	return &DirtyRing{cap: capPages, member: make(map[VPN]struct{})}
+	return &DirtyRing{cap: capPages}
 }
 
 // Cap reports the ring capacity in distinct pages per cycle.
@@ -45,7 +46,8 @@ func (r *DirtyRing) Cap() int { return r.cap }
 // Log records a dirtied page. Pages already logged this cycle are ignored;
 // once the ring is full, new pages only latch the overflow flag.
 func (r *DirtyRing) Log(page VPN) {
-	if _, dup := r.member[page]; dup {
+	w, bit := int(page/64), uint64(1)<<(page%64)
+	if w < len(r.member) && r.member[w]&bit != 0 {
 		return
 	}
 	if len(r.pages) >= r.cap {
@@ -55,7 +57,10 @@ func (r *DirtyRing) Log(page VPN) {
 		}
 		return
 	}
-	r.member[page] = struct{}{}
+	for w >= len(r.member) {
+		r.member = append(r.member, 0)
+	}
+	r.member[w] |= bit
 	r.pages = append(r.pages, page)
 	r.appends++
 }
@@ -72,9 +77,10 @@ func (r *DirtyRing) Overflowed() bool { return r.full }
 // a full rescan.
 func (r *DirtyRing) Drain() ([]VPN, bool) {
 	pages, full := r.pages, r.full
-	r.pages = nil
-	r.member = make(map[VPN]struct{})
-	r.full = false
+	for _, p := range pages {
+		r.member[p/64] &^= 1 << (p % 64)
+	}
+	r.pages, r.full = nil, false
 	return pages, full
 }
 
@@ -83,13 +89,9 @@ func (r *DirtyRing) Drain() ([]VPN, bool) {
 // full scan uses this when it passes a VM: everything logged so far is
 // about to be visited anyway.
 func (r *DirtyRing) Reset() (n int, overflowed bool) {
-	n, overflowed = len(r.pages), r.full
-	if n > 0 || overflowed {
-		r.pages = nil
-		r.member = make(map[VPN]struct{})
-		r.full = false
-	}
-	return n, overflowed
+	pages, overflowed := r.Drain()
+	r.pages = pages[:0] // nobody else holds the list: keep its buffer
+	return len(pages), overflowed
 }
 
 // Appends reports the lifetime count of pages logged (post-dedup).

@@ -83,3 +83,30 @@ func TestDirtyRingDefaultCap(t *testing.T) {
 		t.Fatalf("cap = %d, want %d", got, DefaultDirtyRingPages)
 	}
 }
+
+// The dirty bits grow to the highest page logged: a page far above anything
+// seen so far dedups, drains and clears like its neighbours.
+func TestDirtyRingGrowsToFarPage(t *testing.T) {
+	r := NewDirtyRing(8)
+	const far = 1<<20 + 37
+	r.Log(3)
+	r.Log(far)
+	r.Log(far)
+	r.Log(far - 64) // same bit position, an earlier word
+	if r.Depth() != 3 || r.Appends() != 3 {
+		t.Fatalf("depth=%d appends=%d, want 3/3", r.Depth(), r.Appends())
+	}
+	pages, full := r.Drain()
+	if full || len(pages) != 3 || pages[1] != far {
+		t.Fatalf("drain = (%v, %v)", pages, full)
+	}
+	// The drain cleared every bit, the far one included.
+	r.Log(far)
+	if n, _ := r.Reset(); n != 1 {
+		t.Fatalf("far page not logged again after the drain: reset dropped %d", n)
+	}
+	r.Log(far)
+	if r.Depth() != 1 {
+		t.Fatal("far page not logged again after the reset")
+	}
+}

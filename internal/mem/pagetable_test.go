@@ -3,7 +3,16 @@ package mem
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// A third more PTEs per cache line than the padded 32-byte layout, and a
+// 12 KiB leaf: a new field must not silently undo it.
+func TestPTEPacksInto24Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(PTE{}); got != 24 {
+		t.Fatalf("unsafe.Sizeof(PTE{}) = %d, want 24 (wide fields first, then the flags)", got)
+	}
+}
 
 func TestPageTableSetLookupDelete(t *testing.T) {
 	pt := NewPageTable()
@@ -43,13 +52,13 @@ func TestSortedVPNsAscending(t *testing.T) {
 	}
 }
 
-func TestRangeSortedEarlyStop(t *testing.T) {
+func TestRangeEarlyStop(t *testing.T) {
 	pt := NewPageTable()
 	for v := VPN(0); v < 10; v++ {
 		pt.Set(v, PTE{})
 	}
 	n := 0
-	pt.RangeSorted(func(vpn VPN, _ PTE) bool {
+	pt.Range(func(vpn VPN, _ PTE) bool {
 		n++
 		return vpn < 4 // stop after visiting vpn 4
 	})

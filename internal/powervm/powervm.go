@@ -213,7 +213,7 @@ func (m *Machine) SharePass() {
 		if lp.cfg.Dedicated {
 			continue
 		}
-		lp.pt.RangeSorted(func(vpn mem.VPN, pte mem.PTE) bool {
+		lp.pt.Range(func(vpn mem.VPN, pte mem.PTE) bool {
 			f := pte.Frame
 			sum := m.phys.Checksum(f)
 			if m.phys.IsKSM(f) {
