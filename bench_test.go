@@ -543,35 +543,3 @@ func BenchmarkAblationPageSize64K(b *testing.B) {
 		b.ReportMetric(run(64<<10), "savedMB-64K-pages")
 	}
 }
-
-// BenchmarkAblationKSMHashOnly runs the unsound hash-only merge mode: pages
-// merge on checksum equality without byte verification. The HashRejects
-// metric counts candidates where verification would have refused a merge —
-// the risk the sound mode eliminates by construction.
-func BenchmarkAblationKSMHashOnly(b *testing.B) {
-	run := func(hashOnly bool) (merges, rejects uint64) {
-		clock := simclock.New()
-		host := hypervisor.NewHost(hypervisor.Config{Name: "abl", RAMBytes: 1 << 26}, clock)
-		cfg := ksm.DefaultConfig()
-		cfg.HashOnly = hashOnly
-		k := ksm.New(host, cfg)
-		for v := 0; v < 2; v++ {
-			vm := host.NewVM(hypervisor.VMConfig{Name: "vm", GuestMemBytes: 512 * 4096, Seed: mem.Seed(v + 1)})
-			for p := uint64(0); p < 256; p++ {
-				vm.FillGuestPage(p, mem.Seed(p%64))
-			}
-		}
-		k.RegisterAll()
-		k.ScanChunk(1024 * 4)
-		s := k.Stats()
-		return s.StableMerges + s.UnstableMerges, s.HashRejects
-	}
-	for i := 0; i < b.N; i++ {
-		m1, r1 := run(false)
-		m2, r2 := run(true)
-		b.ReportMetric(float64(m1), "verified-merges")
-		b.ReportMetric(float64(r1), "verification-rejects")
-		b.ReportMetric(float64(m2), "hashonly-merges")
-		b.ReportMetric(float64(r2), "hashonly-rejects")
-	}
-}

@@ -129,8 +129,20 @@ func (f *fixture) recountStats() (shared, sharing int, saved int64) {
 func TestStatsMatchBruteForceRecount(t *testing.T) {
 	// Stats() derives the sysfs totals from stable-tree refcounts; this
 	// cross-checks them against a full page-table recount after merge churn,
-	// COW breaks, guest kills and scanner unregisters.
-	f := newFixture(t, 2048, 4, 48, DefaultConfig())
+	// COW breaks, guest kills and scanner unregisters — once on the inline
+	// schedule and once with every batch fanned out over four shards, so
+	// apply is held to the recount on both.
+	t.Run("inline", func(t *testing.T) { statsMatchRecount(t, DefaultConfig()) })
+	t.Run("fanned", func(t *testing.T) {
+		forceParallel(t)
+		cfg := DefaultConfig()
+		cfg.Shards = 4
+		statsMatchRecount(t, cfg)
+	})
+}
+
+func statsMatchRecount(t *testing.T, cfg Config) {
+	f := newFixture(t, 2048, 4, 48, cfg)
 	rng := mem.Seed(11)
 	check := func(stage string) {
 		t.Helper()

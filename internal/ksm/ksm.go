@@ -70,11 +70,6 @@ type Config struct {
 	// ablation benchmarks turn it off to show wasted merges on volatile
 	// pages.
 	ChecksumGate bool
-	// HashOnly, when set, merges on checksum equality without verifying
-	// bytes. This is the unsound ablation mode: it counts how many merges
-	// would have been wrong (none with a 64-bit checksum over 4 KiB in
-	// practice, but the comparator records verification rejections).
-	HashOnly bool
 	// ScanCostNanos is the CPU cost charged per scanned page, used only for
 	// the duty-cycle estimate. 2 500 ns reproduces the paper's ≈25 % CPU at
 	// 10 000 pages/100 ms and ≈2 % at 1 000 pages/100 ms.
@@ -857,14 +852,10 @@ func (k *KSM) endPass() {
 
 // pruneStaleStable drops stable nodes nobody maps anymore (only the tree's
 // own reference is left). Full passes run it unconditionally; incremental
-// rounds only when stableDirty says sharing may have been lost. Frames are
-// freed in global content-key order — the frame-free order feeds the
-// allocator's free stack, so it must not depend on the shard count — but only
-// the frames actually freed need that order, so the stale candidates are
-// collected first (per-shard in-order walks) and only they are merged into
-// content order. A pass with nothing to prune therefore costs one refcount
-// check per stable node regardless of the shard count, instead of the
-// O(nodes × shards) cross-shard merge an ordered full iteration would pay.
+// rounds only when stableDirty says sharing may have been lost. The stale
+// frames are freed in ascending frame id, an order no shard count changes;
+// only they are sorted, so a pass with nothing to prune costs one refcount
+// check per stable node and allocates nothing.
 func (k *KSM) pruneStaleStable() {
 	pm := k.host.Phys()
 	var stale []mem.FrameID
@@ -875,16 +866,15 @@ func (k *KSM) pruneStaleStable() {
 			}
 		})
 	}
-	if len(stale) == 0 {
-		return
-	}
-	if len(k.shards) > 1 {
-		// Per-shard walks are each in content order already; a single-shard
-		// walk needs no sort at all (matching the seed scanner's cost). Equal
-		// content cannot appear twice in the trees, so the order is total.
-		sort.Slice(stale, func(i, j int) bool { return pm.Compare(stale[i], stale[j]) < 0 })
-	}
-	for _, f := range stale {
+	slices.Sort(stale)
+	k.freeStable(stale)
+}
+
+// freeStable takes frames nobody maps out of the stable trees and drops the
+// trees' references to them.
+func (k *KSM) freeStable(frames []mem.FrameID) {
+	pm := k.host.Phys()
+	for _, f := range frames {
 		k.removeStable(f)
 		pm.SetKSM(f, false)
 		pm.DecRef(f)
@@ -918,106 +908,6 @@ func (k *KSM) compactUnstable() {
 	}
 }
 
-// scanPage runs the merge pipeline on one candidate page. It reports whether
-// the volatility gate skipped the page (it was seen changing), which
-// incremental mode uses to schedule the revisit that a linear pass would get
-// for free; callers in linear mode ignore the result.
-func (k *KSM) scanPage(vm *hypervisor.VMProcess, vpn mem.VPN, gate *regionGate) bool {
-	pm := k.host.Phys()
-	pte, ok := vm.ResidentPTE(vpn)
-	if !ok {
-		k.stats.NotResident++
-		return false
-	}
-	frame := pte.Frame
-	if pm.IsKSM(frame) {
-		k.stats.AlreadyShared++
-		return false
-	}
-	if pte.Huge {
-		return k.scanHugePage(vm, vpn, frame, gate)
-	}
-
-	key := pageKey{vm: vm, vpn: vpn}
-	sum := pm.Checksum(frame)
-	sh := k.shardOf(sum)
-	sh.scanned++
-	if k.cfg.ChecksumGate {
-		last, seen := gate.last(vpn)
-		gate.record(vpn, sum)
-		if !seen || last != sum {
-			k.stats.ChecksumSkips++
-			return true
-		}
-	}
-
-	// Stable tree first. Byte-identical content has an identical checksum,
-	// so any stable frame matching this page lives in this shard's tree.
-	if stableFrame, hit := sh.stable.lookup(pm, frame); hit {
-		pm.IncRef(stableFrame)
-		vm.RemapShared(vpn, stableFrame)
-		k.stats.StableMerges++
-		return false
-	}
-
-	// Unstable index.
-	bucket := sh.unstable[sum]
-	selfSeen := false
-	for bi, ent := range bucket {
-		if ent.key == key {
-			// The retained index of incremental mode can already hold this
-			// page from an earlier round (a linear pass drops the index
-			// before a page is ever revisited, so this never fires there).
-			selfSeen = true
-			continue
-		}
-		otherPTE, ok := ent.key.vm.ResidentPTE(ent.key.vpn)
-		if !ok {
-			continue
-		}
-		otherFrame := otherPTE.Frame
-		if pm.IsKSM(otherFrame) || pm.Checksum(otherFrame) != ent.checksum {
-			// Stale: page went away, was merged via another path, or was
-			// rewritten since we recorded it.
-			continue
-		}
-		if !k.cfg.HashOnly && !pm.Equal(frame, otherFrame) {
-			k.stats.HashRejects++
-			continue
-		}
-		if otherPTE.Huge {
-			// The partner was collapsed into a huge mapping after we
-			// recorded it. Under the split policies the verified duplicate
-			// justifies recovering the subpage — carving just it out
-			// (PartialSplitHuge) or dissolving the whole huge page
-			// (SplitHugePages); otherwise THP wins and the merge is
-			// forgone.
-			if !k.splitHugeFor(ent.key.vm, ent.key.vpn) {
-				continue
-			}
-		}
-		// Promote the partner to a stable page and remap the candidate.
-		pm.SetKSM(otherFrame, true)
-		ent.key.vm.WriteProtect(ent.key.vpn)
-		pm.IncRef(otherFrame) // tree reference
-		sh.stable.insert(pm, otherFrame)
-
-		pm.IncRef(otherFrame)
-		vm.RemapShared(vpn, otherFrame)
-		k.stats.UnstableMerges++
-
-		// Drop the promoted entry from the bucket.
-		bucket = append(bucket[:bi], bucket[bi+1:]...)
-		sh.unstable[sum] = bucket
-		sh.unstableN--
-		return false
-	}
-	if !selfSeen {
-		k.record(sh, bucket, unstableEntry{key: key, checksum: sum})
-	}
-	return false
-}
-
 // hugeSplitting reports whether the scanner is allowed to break huge
 // mappings at all (either split policy).
 func (k *KSM) hugeSplitting() bool {
@@ -1025,103 +915,27 @@ func (k *KSM) hugeSplitting() bool {
 }
 
 // splitHugeFor recovers the verified-duplicate subpage at vpn from the huge
-// mapping covering it, honoring the configured split policy: a partial
-// carve of just that subpage, or a whole-block split. Reports false when
-// the policy leaves the mapping intact (splitting off, or a partial split
-// aimed at the uncarvable head subpage) — the caller forgoes the merge.
+// mapping covering it, honoring the configured split policy: carving just
+// that subpage out (PartialSplitHuge) or dissolving the whole huge page
+// (SplitHugePages). Reports false, having touched nothing, when the policy
+// leaves the mapping intact — splitting off, or a partial split aimed at the
+// uncarvable head subpage — and the caller forgoes the merge.
 func (k *KSM) splitHugeFor(vm *hypervisor.VMProcess, vpn mem.VPN) bool {
 	head := mem.HugeAlign(vpn)
-	if k.cfg.PartialSplitHuge {
+	switch {
+	case k.cfg.PartialSplitHuge:
 		if vpn == head {
-			k.stats.HugeSkips++
 			return false
 		}
 		vm.SplitHugeSubpages(head, []mem.VPN{vpn})
 		k.stats.HugePartialSplits++
-		return true
-	}
-	if !k.cfg.SplitHugePages {
-		k.stats.HugeSkips++
+	case k.cfg.SplitHugePages:
+		vm.SplitHuge(head)
+		k.stats.HugeSplits++
+	default:
 		return false
 	}
-	vm.SplitHuge(head)
-	k.stats.HugeSplits++
 	return true
-}
-
-// scanHugePage handles a candidate covered by a transparent huge mapping.
-// Without a split policy the page is simply skipped (THP hides it from
-// merging). With one, the scanner checks whether the subpage's content
-// duplicates a stable page or a still-valid unstable candidate; a verified
-// duplicate splits the subpage (or the whole mapping, depending on policy)
-// and re-enters the normal merge pipeline immediately. Like scanPage it
-// reports a volatility-gate skip.
-func (k *KSM) scanHugePage(vm *hypervisor.VMProcess, vpn mem.VPN, frame mem.FrameID, gate *regionGate) bool {
-	if !k.hugeSplitting() {
-		k.stats.HugeSkips++
-		return false
-	}
-	pm := k.host.Phys()
-	sum := pm.Checksum(frame)
-	sh := k.shardOf(sum)
-	sh.scanned++
-	if k.cfg.ChecksumGate {
-		// Same volatility gate as base pages: splitting a huge page for a
-		// still-changing subpage would only trade TLB reach for a merge that
-		// breaks right back.
-		last, seen := gate.last(vpn)
-		gate.record(vpn, sum)
-		if !seen || last != sum {
-			k.stats.ChecksumSkips++
-			return true
-		}
-	}
-	key := pageKey{vm: vm, vpn: vpn}
-	dup := false
-	selfSeen := false
-	if _, hit := sh.stable.lookup(pm, frame); hit {
-		dup = true
-	} else {
-		for _, ent := range sh.unstable[sum] {
-			if ent.key == key {
-				// Retained-index revisit, as in scanPage.
-				selfSeen = true
-				continue
-			}
-			otherFrame, ok := ent.key.vm.ResolveResident(ent.key.vpn)
-			if !ok || pm.IsKSM(otherFrame) || pm.Checksum(otherFrame) != ent.checksum {
-				// Stale, exactly as in scanPage — and the IsKSM test matters
-				// just as much here: a partner already promoted to the stable
-				// tree can still checksum-match through its old index entry,
-				// and without the test it validated a dup verdict (splitting
-				// a huge page) that the stable lookup above had already
-				// rejected on content.
-				continue
-			}
-			if k.cfg.HashOnly || pm.Equal(frame, otherFrame) {
-				dup = true
-				break
-			}
-		}
-	}
-	if !dup {
-		// No known duplicate yet — record the page as an unstable candidate
-		// anyway. Duplicates that are huge-mapped in *every* VM could never
-		// find each other otherwise; when a later scan matches this entry,
-		// both sides are split and merged (the partner-huge path in
-		// scanPage).
-		if !selfSeen {
-			k.record(sh, sh.unstable[sum], unstableEntry{key: key, checksum: sum})
-		}
-		return false
-	}
-	if !k.splitHugeFor(vm, vpn) {
-		// Partial policy, uncarvable head subpage: the merge is forgone.
-		return false
-	}
-	// The page is base-grained now; rescan so the duplicate merges in
-	// this same visit (the gate entry written above lets it through).
-	return k.scanPage(vm, vpn, gate)
 }
 
 // Instrument registers the scanner's telemetry gauges on the registry.
@@ -1216,10 +1030,10 @@ func (k *KSM) DirtyRingDepth() int {
 	return depth
 }
 
-// ShardPagesScanned reports each shard's routed-candidate count — pages
-// whose checksum reached the merge pipeline — in shard order. The split is
-// deterministic at every batch size and worker interleaving (routing is a
-// pure function of content).
+// ShardPagesScanned reports each shard's routed-candidate count — visits
+// whose checksum reached the merge pipeline, each counted once — in shard
+// order. The split is deterministic at every batch size and worker
+// interleaving (routing is a pure function of content).
 func (k *KSM) ShardPagesScanned() []uint64 {
 	out := make([]uint64, len(k.shards))
 	for i, s := range k.shards {
@@ -1228,9 +1042,16 @@ func (k *KSM) ShardPagesScanned() []uint64 {
 	return out
 }
 
-// StableFrames exposes the stable tree contents in global content-key order
-// (for the analyzer and tests).
-func (k *KSM) StableFrames() []mem.FrameID { return k.stableFramesOrdered() }
+// StableFrames exposes the stable tree contents in ascending frame id (for
+// the analyzer and tests).
+func (k *KSM) StableFrames() []mem.FrameID {
+	out := make([]mem.FrameID, 0, k.stableSize())
+	for _, s := range k.shards {
+		s.stable.walk(func(f mem.FrameID) { out = append(out, f) })
+	}
+	slices.Sort(out)
+	return out
+}
 
 // Unmerge undoes all sharing, like writing 2 to /sys/kernel/mm/ksm/run:
 // every mapping of a stable page gets its own private copy again, and the
@@ -1248,15 +1069,8 @@ func (k *KSM) Unmerge() {
 			reg.VM.TouchGuestPage(uint64(vpn-reg.Start), true)
 		}
 	}
-	// All stable frames are now referenced only by the trees. Free them in
-	// content-key order, as the prune does, so the free stack is the same at
-	// every shard count.
-	for _, f := range k.stableFramesOrdered() {
-		k.removeStable(f)
-		pm.SetKSM(f, false)
-		pm.DecRef(f)
-		k.stats.StalePruned++
-	}
+	// All stable frames are now referenced only by the trees.
+	k.freeStable(k.StableFrames())
 	k.dropUnstable()
 	for _, g := range k.gates {
 		clear(g.seen)

@@ -465,22 +465,3 @@ func TestChecksumEntriesForMergedPagesPruned(t *testing.T) {
 		}
 	}
 }
-
-func TestHashOnlyModeMerges(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.HashOnly = true
-	f := newFixture(t, 256, 2, 8, cfg)
-	f.vms[0].FillGuestPage(0, 7)
-	f.vms[1].FillGuestPage(0, 7)
-	f.scanPasses(3)
-	s := f.k.Stats()
-	if s.PagesShared != 1 {
-		t.Fatalf("hash-only merge failed: %+v", s)
-	}
-	// With 64-bit content checksums over deterministic streams, no
-	// verification rejections occur — but the counter exists to expose the
-	// risk the unsound mode takes.
-	if s.HashRejects != 0 {
-		t.Fatalf("unexpected hash rejects: %d", s.HashRejects)
-	}
-}

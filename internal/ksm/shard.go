@@ -1,43 +1,41 @@
-// Sharded scanning: the merge pipeline partitioned by checksum bucket.
+// The merge pipeline: one decision per page, run on one of two schedules.
 //
-// Config.Shards > 1 splits the scanner's mutable merge state — the stable
-// treap and the unstable index — into disjoint shards routed by
-// checksum % shards. Because a candidate can only ever interact with content
-// of its own checksum (a stable hit or an unstable partner is byte-identical,
-// hence checksum-identical), every lookup, insert and removal a candidate
-// performs lands in one shard, and workers pinned to distinct shards never
-// contend.
+// Every scanned page is a candidate, collected serially in scan order (the
+// linear cursor walk or the incremental queue pop), and goes through three
+// steps:
 //
-// A scan chunk is processed in batches through four phases:
+//  1. classify: resolve the PTE, settle the terminal verdicts (not resident,
+//     already shared, huge-mapped with no split policy), read the content
+//     checksum, route the page to its shard and take the volatility-gate
+//     decision. Nothing but the candidate is written (through a view, not
+//     even the pool's checksum cache).
+//  2. decide: the stable-tree lookup, then the walk of the checksum's unstable
+//     bucket. Only shard-owned structures (and, under a split policy, the huge
+//     mapping a verified duplicate sits in) mutate here; refcounts, remaps,
+//     write-protects, KSM flags, statistics and gate writes are recorded on
+//     the candidate.
+//  3. apply: the recorded effects, always in scan order.
 //
-//  1. collect (serial): the linear cursor walk or the incremental queue pop
-//     gathers candidate (vm, vpn) pairs in scan order — the same order the
-//     unsharded scanner visits them.
-//  2. classify (parallel, striped by index): each candidate resolves its PTE
-//     and computes its content checksum through a read-only mem.ROView;
-//     terminal verdicts (not resident, already shared, huge-skip) and the
-//     volatility gate are decided here. No pool, page-table or scanner state
-//     is written.
-//  3. merge (parallel, one worker per shard with work): each worker runs the
-//     stable-lookup / unstable-partner pipeline for its shard's candidates in
-//     batch order, eagerly mutating only shard-owned structures. Global
-//     effects (refcounts, remaps, write-protects, KSM flags, stats, gate
-//     writes) are recorded on the candidate. Two worker-local overlays —
-//     pendKSM (frames promoted earlier in this batch) and pendRemap (pages
-//     remapped earlier in this batch) — reproduce exactly the mid-batch state
-//     the serial scanner would observe; they suffice because every such
-//     interaction is same-checksum and therefore same-shard.
-//  4. commit (serial, batch order): verdicts are applied in candidate order,
-//     so the page-table, refcount and statistics mutation stream is
-//     byte-for-byte the one the serial scanner emits. Frame allocation and
-//     free order — which every figure depends on — is therefore independent
-//     of both the shard count and the worker interleaving.
+// Config.Shards > 1 splits the mutable merge state — the stable treap and the
+// unstable index — into disjoint shards routed by checksum % shards. Because
+// a candidate can only ever interact with content of its own checksum (a
+// stable hit or an unstable partner is byte-identical, hence
+// checksum-identical), every lookup, insert and removal a candidate performs
+// lands in one shard, and workers pinned to distinct shards never contend.
 //
-// The huge-splitting policies (Config.SplitHugePages and
-// Config.PartialSplitHuge) rewrite PTE ranges that can cross checksum shards
-// mid-scan, so batches run through the serial path whenever either is
-// enabled — still routed through the sharded structures, with identical
-// outcomes. DESIGN.md §5f covers the invariants in detail.
+// processBatch picks the schedule from what it can see. Inline — one shard, a
+// batch under minParallelBatch, or a huge-split policy, whose splits rewrite
+// PTE ranges that cross checksum shards — each candidate is classified,
+// decided and applied through the pool before the next is touched. Fanned
+// out, classify runs striped by index over the shards' read-only mem.ROViews,
+// one worker per shard with work then decides its candidates in batch order
+// through its view, and apply follows serially. Two worker-local overlays —
+// pendKSM (frames promoted earlier in this batch) and pendRemap (pages
+// remapped earlier in this batch) — stand in for the effects not yet applied;
+// they suffice because every such interaction is same-checksum and therefore
+// same-shard. Either way apply sees the same verdicts in the same order, so
+// merge outcomes and statistics depend on neither the shard count nor the
+// worker interleaving. DESIGN.md §5f covers the invariants in detail.
 package ksm
 
 import (
@@ -46,6 +44,18 @@ import (
 	"repro/internal/hypervisor"
 	"repro/internal/mem"
 )
+
+// contentReader is how the pipeline reads frame content: *mem.PhysMem on the
+// inline schedule, a *mem.ROView for shard workers, whose concurrent reads
+// must never touch pool state. Prefix reports ok only when the bytes are
+// already there to read, so a known prefix implies that comparing the frame
+// has no side effect left to skip.
+type contentReader interface {
+	Checksum(id mem.FrameID) uint64
+	Equal(a, b mem.FrameID) bool
+	Compare(a, b mem.FrameID) int
+	Prefix(id mem.FrameID) (uint64, bool)
+}
 
 // minParallelBatch is the smallest batch fanned out to shard workers; below
 // it goroutine dispatch costs more than the scan work. A package variable so
@@ -63,13 +73,14 @@ type scanShard struct {
 	// re-records every unshared page allocates nothing.
 	arena  [][]unstableEntry
 	arenaN int
-	// scanned counts candidates routed into this shard's merge pipeline
-	// (volatility gate and beyond) — per-shard telemetry, identical whether
-	// the batch ran parallel or serial.
+	// scanned counts candidates routed into this shard (volatility gate and
+	// beyond), each visit once — per-shard telemetry, identical on both
+	// schedules.
 	scanned uint64
 
 	// view is the worker's read-only content accessor; pendKSM and pendRemap
-	// are the per-batch overlays described in the package comment.
+	// are the overlays described in the package comment, empty outside a
+	// worker's run.
 	view      *mem.ROView
 	pendKSM   map[mem.FrameID]struct{}
 	pendRemap map[pageKey]mem.FrameID
@@ -77,9 +88,11 @@ type scanShard struct {
 
 func newScanShard(pm *mem.PhysMem, idx int) *scanShard {
 	return &scanShard{
-		stable:   newStableTreap(idx),
-		unstable: make(map[uint64][]unstableEntry),
-		view:     pm.NewROView(),
+		stable:    newStableTreap(idx),
+		unstable:  make(map[uint64][]unstableEntry),
+		view:      pm.NewROView(),
+		pendKSM:   make(map[mem.FrameID]struct{}),
+		pendRemap: make(map[pageKey]mem.FrameID),
 	}
 }
 
@@ -138,42 +151,6 @@ func (k *KSM) stableSize() int {
 	return t
 }
 
-// stableFramesOrdered returns every stable frame in global content-key order
-// — the order the single treap of an unsharded scanner yields — by k-way
-// merging the per-shard trees' ordered walks. Prune and unmerge iterate it
-// so the frame-free order (which feeds allocation order, which feeds every
-// figure) is independent of the shard count. Equal content cannot appear in
-// two shards (same bytes ⇒ same checksum ⇒ same shard), so the merge never
-// ties.
-func (k *KSM) stableFramesOrdered() []mem.FrameID {
-	if len(k.shards) == 1 {
-		return k.shards[0].stable.frames()
-	}
-	pm := k.host.Phys()
-	var lists [][]mem.FrameID
-	total := 0
-	for _, s := range k.shards {
-		if fr := s.stable.frames(); len(fr) > 0 {
-			lists = append(lists, fr)
-			total += len(fr)
-		}
-	}
-	out := make([]mem.FrameID, 0, total)
-	for len(lists) > 0 {
-		best := 0
-		for i := 1; i < len(lists); i++ {
-			if pm.Compare(lists[i][0], lists[best][0]) < 0 {
-				best = i
-			}
-		}
-		out = append(out, lists[best][0])
-		if lists[best] = lists[best][1:]; len(lists[best]) == 0 {
-			lists = append(lists[:best], lists[best+1:]...)
-		}
-	}
-	return out
-}
-
 // removeStable drops a frame from its owning shard's tree. Stable content is
 // write-protected, so its checksum still matches the routing key it was
 // inserted under.
@@ -182,22 +159,22 @@ func (k *KSM) removeStable(f mem.FrameID) bool {
 	return k.shardOf(pm.Checksum(f)).stable.remove(pm, f)
 }
 
-// scanVerdict is a candidate's outcome, decided in classify or merge and
-// applied in commit.
+// scanVerdict is a candidate's outcome, settled in classify or decide and
+// carried out by apply.
 type scanVerdict uint8
 
 const (
-	vPending scanVerdict = iota // awaiting the merge pipeline
+	vPending scanVerdict = iota // classified and through the gate, awaiting decide
 	vNotResident
 	vAlreadyShared
-	vHugeSkip
+	vHugeSkip // a huge mapping hides the page and no split recovers it
 	vGateSkip
 	vStableMerge
 	vUnstableMerge
 	vRecorded
 )
 
-// candidate is one page moving through the batch pipeline.
+// candidate is one page moving through the pipeline.
 type candidate struct {
 	vm   *hypervisor.VMProcess
 	vpn  mem.VPN
@@ -206,55 +183,73 @@ type candidate struct {
 	// Filled by classify.
 	frame     mem.FrameID
 	sum       uint64
-	shard     int32 // -1 until routed (terminal verdicts stay unrouted)
+	shard     int32 // -1 unless routed (terminal verdicts stay unrouted)
 	verdict   scanVerdict
 	gateWrite bool
+	huge      bool // huge-mapped under a split policy: split once a duplicate is verified
 
-	// Filled by the merge worker.
+	// Filled by decide.
 	partner     pageKey     // vUnstableMerge: the promoted entry's page
 	target      mem.FrameID // merge target frame
 	hashRejects uint32      // bucket entries rejected by byte verification
-	hugeSkips   uint32      // bucket entries forgone because the partner went huge
+	hugeSkips   uint32      // bucket entries forgone because the partner stays huge
 }
 
-// processBatch runs one batch of candidates through the merge pipeline. The
-// candidates must be distinct pages in scan order, collected while no guest
-// ran (the simulator is event-driven, so page contents are frozen between
-// scanner wake-ups). incremental selects the incremental-mode bookkeeping
-// (IncrementalScanned, gate-skip deferrals); linear callers pass false even
-// for the pass-straddling page scanned right after a mode switch, matching
-// the serial scanner.
+// processBatch runs one batch of candidates through the pipeline on the
+// schedule the package comment describes. The candidates must be distinct
+// pages in scan order, collected while no guest ran (the simulator is
+// event-driven, so page contents are frozen between scanner wake-ups).
+// incremental selects the incremental-mode bookkeeping (IncrementalScanned,
+// gate-skip deferrals, which incremental mode needs to schedule the revisit a
+// linear pass gets for free); linear callers pass false even for the
+// pass-straddling page scanned right after a mode switch.
 func (k *KSM) processBatch(cands []candidate, incremental bool) {
 	if len(cands) == 0 {
 		return
 	}
+	pm := k.host.Phys()
 	if len(k.shards) > 1 && !k.hugeSplitting() && len(cands) >= minParallelBatch {
 		k.classifyCandidates(cands)
 		k.runShardWorkers(cands)
-		k.commitBatch(cands, incremental)
-		return
+		// Repay the views' reads before anything is applied — the frames they
+		// regenerated are all still live here, and applying can free frames —
+		// so the pool's compute-once caches are warm for later batches.
+		for _, s := range k.shards {
+			for _, f := range s.view.Fills() {
+				pm.Materialize(f)
+			}
+			s.view.ResetFills()
+		}
+		for i := range cands {
+			c := &cands[i]
+			if c.shard >= 0 {
+				pm.AdoptChecksum(c.frame, c.sum)
+			}
+			k.apply(c)
+		}
+	} else {
+		for i := range cands {
+			c := &cands[i]
+			k.classifyOne(c, pm)
+			if c.verdict == vPending {
+				k.decide(k.shards[c.shard], c, pm)
+			}
+			k.apply(c)
+		}
 	}
-	// Serial path: single shard, tiny batch, or a huge-splitting policy
-	// (whole or partial — either rewrites PTE ranges that cross shards
-	// mid-batch). Same routed structures, same outcomes.
-	for i := range cands {
-		c := &cands[i]
-		gateSkipped := k.scanPage(c.vm, c.vpn, c.gate)
-		k.stats.PagesScanned++
-		if incremental {
-			k.stats.IncrementalScanned++
-			if gateSkipped {
+	k.stats.PagesScanned += uint64(len(cands))
+	if incremental {
+		k.stats.IncrementalScanned += uint64(len(cands))
+		for i := range cands {
+			if c := &cands[i]; c.verdict == vGateSkip {
 				k.deferVolatile(pageKey{vm: c.vm, vpn: c.vpn})
 			}
 		}
 	}
 }
 
-// classifyCandidates is the parallel prepare phase: PTE resolution, terminal
-// verdicts, checksum, shard routing and the volatility-gate decision, striped
-// across the worker views by candidate index. Strictly read-only on pool,
-// page-table and scanner state; each goroutine writes only its own slice of
-// candidates.
+// classifyCandidates is classify fanned out, striped across the worker views
+// by candidate index; each goroutine writes only its own slice of candidates.
 func (k *KSM) classifyCandidates(cands []candidate) {
 	nw := len(k.shards)
 	chunk := (len(cands) + nw - 1) / nw
@@ -279,7 +274,10 @@ func (k *KSM) classifyCandidates(cands []candidate) {
 	wg.Wait()
 }
 
-func (k *KSM) classifyOne(c *candidate, view *mem.ROView) {
+// classifyOne is step 1 for one candidate. Through a view it is strictly
+// read-only on pool, page-table and scanner state, so any number may run at
+// once.
+func (k *KSM) classifyOne(c *candidate, r contentReader) {
 	pte, ok := c.vm.ResidentPTE(c.vpn)
 	if !ok {
 		c.verdict = vNotResident
@@ -291,12 +289,16 @@ func (k *KSM) classifyOne(c *candidate, view *mem.ROView) {
 		return
 	}
 	if pte.Huge {
-		// The parallel path never runs under the split policy, so a huge
-		// mapping is always skipped outright.
-		c.verdict = vHugeSkip
-		return
+		if !k.hugeSplitting() {
+			c.verdict = vHugeSkip // THP hides the page from merging
+			return
+		}
+		// Same gate and lookups as a base page: splitting a huge page for a
+		// still-changing subpage would only trade TLB reach for a merge that
+		// breaks right back.
+		c.huge = true
 	}
-	c.sum = view.Checksum(c.frame)
+	c.sum = r.Checksum(c.frame)
 	c.shard = int32(c.sum % uint64(len(k.shards)))
 	if k.cfg.ChecksumGate {
 		last, seen := c.gate.last(c.vpn)
@@ -311,8 +313,8 @@ func (k *KSM) classifyOne(c *candidate, view *mem.ROView) {
 
 // runShardWorkers fans the routed candidates out to one worker per shard
 // with work. Gate-skipped candidates are routed too: a frame promoted
-// earlier in the batch must flip them to already-shared exactly as the
-// serial scanner's IsKSM check (which precedes the gate) would have.
+// earlier in the batch must flip them to already-shared, since classify's
+// IsKSM check precedes the gate.
 func (k *KSM) runShardWorkers(cands []candidate) {
 	if k.shardIdx == nil {
 		k.shardIdx = make([][]int32, len(k.shards))
@@ -321,7 +323,7 @@ func (k *KSM) runShardWorkers(cands []candidate) {
 		k.shardIdx[i] = k.shardIdx[i][:0]
 	}
 	for i := range cands {
-		if c := &cands[i]; c.verdict == vPending || c.verdict == vGateSkip {
+		if c := &cands[i]; c.shard >= 0 {
 			k.shardIdx[c.shard] = append(k.shardIdx[c.shard], int32(i))
 		}
 	}
@@ -354,167 +356,153 @@ func (k *KSM) runShardWorkers(cands []candidate) {
 	wg.Wait()
 }
 
+// runShardWorker decides one shard's candidates in batch order, entering each
+// merge in the overlays where apply would have changed the pool.
 func (k *KSM) runShardWorker(s *scanShard, cands []candidate, idxs []int32) {
-	if s.pendKSM == nil {
-		s.pendKSM = make(map[mem.FrameID]struct{})
-		s.pendRemap = make(map[pageKey]mem.FrameID)
-	} else {
-		clear(s.pendKSM)
-		clear(s.pendRemap)
-	}
-	s.view.ResetFills()
-	pm := k.host.Phys()
 	for _, i := range idxs {
-		k.mergeCandidate(s, &cands[i], pm)
+		c := &cands[i]
+		k.decide(s, c, s.view)
+		switch c.verdict {
+		case vUnstableMerge:
+			s.pendKSM[c.target] = struct{}{}
+			fallthrough
+		case vStableMerge:
+			s.pendRemap[pageKey{vm: c.vm, vpn: c.vpn}] = c.target
+		}
 	}
+	clear(s.pendKSM)
+	clear(s.pendRemap)
 }
 
-// mergeCandidate runs phase 3 for one candidate: the exact scanPage pipeline
-// against shard-owned structures plus the batch overlays, with all global
-// effects deferred to the candidate record.
-func (k *KSM) mergeCandidate(s *scanShard, c *candidate, pm *mem.PhysMem) {
-	key := pageKey{vm: c.vm, vpn: c.vpn}
+// decide is step 2 for one routed candidate, against its shard s through
+// reader r. The overlays answer for merges earlier candidates of a fanned-out
+// batch still owe; inline they are empty and the pool itself is current.
+func (k *KSM) decide(s *scanShard, c *candidate, r contentReader) {
 	if _, pend := s.pendKSM[c.frame]; pend {
 		// An earlier candidate in this batch promoted this very frame (two
-		// pages COW-sharing it): the serial scanner's IsKSM check fires
-		// before the gate, so the gate write is cancelled too.
-		c.verdict = vAlreadyShared
-		c.gateWrite = false
+		// pages COW-sharing it). Applied first, the promotion would have
+		// stopped classify at its IsKSM check, ahead of checksum and gate:
+		// the page was never routed.
+		c.verdict, c.gateWrite, c.shard = vAlreadyShared, false, -1
 		return
 	}
 	if c.verdict == vGateSkip {
-		return // gate decided in classify; only the pendKSM override above could trump it
+		return // routed only for the override above
 	}
 
-	// Stable tree first.
-	if stableFrame, hit := s.stable.lookup(s.view, c.frame); hit {
-		c.verdict = vStableMerge
-		c.target = stableFrame
-		s.pendRemap[key] = stableFrame
+	// Stable tree first. Byte-identical content has an identical checksum,
+	// so any stable frame matching this page lives in this shard's tree.
+	if stableFrame, hit := s.stable.lookup(r, c.frame); hit {
+		if c.huge && !k.splitHugeFor(c.vm, c.vpn) {
+			c.verdict = vHugeSkip
+			return
+		}
+		c.verdict, c.target = vStableMerge, stableFrame
 		return
 	}
 
 	// Unstable index.
+	pm := k.host.Phys()
+	key := pageKey{vm: c.vm, vpn: c.vpn}
 	bucket := s.unstable[c.sum]
 	selfSeen := false
-	for bi := range bucket {
-		ent := bucket[bi]
+	for bi, ent := range bucket {
 		if ent.key == key {
+			// The retained index of incremental mode can already hold this
+			// page from an earlier round (a linear pass drops the index
+			// before a page is ever revisited, so this never fires there).
 			selfSeen = true
 			continue
 		}
-		var otherFrame mem.FrameID
-		var otherHuge bool
-		if nf, remapped := s.pendRemap[ent.key]; remapped {
-			// The partner page was remapped earlier in this batch; the
-			// serial scanner would resolve it to its new stable frame and
-			// skip it at the IsKSM test below.
-			otherFrame = nf
-		} else {
+		// A partner remapped earlier in this batch resolves to its new
+		// stable frame and is skipped as stale below.
+		other, remapped := s.pendRemap[ent.key]
+		otherHuge := false
+		if !remapped {
 			otherPTE, ok := ent.key.vm.ResidentPTE(ent.key.vpn)
 			if !ok {
 				continue
 			}
-			otherFrame = otherPTE.Frame
-			otherHuge = otherPTE.Huge
+			other, otherHuge = otherPTE.Frame, otherPTE.Huge
 		}
-		if _, pend := s.pendKSM[otherFrame]; pend || pm.IsKSM(otherFrame) {
+		if _, pend := s.pendKSM[other]; pend || pm.IsKSM(other) || r.Checksum(other) != ent.checksum {
+			// Stale: the page went away, was merged via another path — a
+			// partner already promoted to the stable tree still
+			// checksum-matches through its old entry, and the tree is the
+			// only authority on stable content — or was rewritten since it
+			// was recorded.
 			continue
 		}
-		if s.view.Checksum(otherFrame) != ent.checksum {
-			continue
-		}
-		if !k.cfg.HashOnly && !s.view.Equal(c.frame, otherFrame) {
+		if !r.Equal(c.frame, other) {
 			c.hashRejects++
 			continue
 		}
-		if otherHuge {
-			// Sharded batches never run under the split policy, so the
-			// verified duplicate is forgone (THP wins), as in scanPage.
+		// A verified duplicate. Whichever side a huge mapping covers is
+		// recovered from it as the split policy allows — the candidate
+		// first; where the policy leaves a mapping intact, THP wins and the
+		// merge is forgone.
+		if c.huge {
+			if !k.splitHugeFor(c.vm, c.vpn) {
+				c.verdict = vHugeSkip
+				return
+			}
+			c.huge = false
+			// A whole-block split of a run the partner sits in as well has
+			// just made it a base page.
+			otherPTE, _ := ent.key.vm.ResidentPTE(ent.key.vpn)
+			otherHuge = otherPTE.Huge
+		}
+		if otherHuge && !k.splitHugeFor(ent.key.vm, ent.key.vpn) {
 			c.hugeSkips++
 			continue
 		}
-		// Promote: shard-owned structures mutate eagerly; the frame-flag,
-		// write-protect, refcount and remap effects commit serially.
-		s.stable.insert(s.view, otherFrame)
-		s.pendKSM[otherFrame] = struct{}{}
-		s.pendRemap[key] = otherFrame
-		c.verdict = vUnstableMerge
-		c.partner = ent.key
-		c.target = otherFrame
-		bucket = append(bucket[:bi], bucket[bi+1:]...)
-		s.unstable[c.sum] = bucket
+		// Promote the partner to a stable page and merge the candidate
+		// into it.
+		s.stable.insert(r, other)
+		c.verdict, c.partner, c.target = vUnstableMerge, ent.key, other
+		s.unstable[c.sum] = append(bucket[:bi], bucket[bi+1:]...)
 		s.unstableN--
 		return
 	}
 	if !selfSeen {
+		// A huge-mapped page is recorded like any other: duplicates that are
+		// huge-mapped in every VM could never find each other otherwise.
 		k.record(s, bucket, unstableEntry{key: key, checksum: c.sum})
 	}
 	c.verdict = vRecorded
 }
 
-// commitBatch applies the batch in candidate (scan) order: exactly the
-// mutation stream the serial scanner would have produced. Regenerated seeded
-// reads are materialized first (their frames are all still live here;
-// applying verdicts can free frames), restoring the pool's compute-once
-// caches for later batches.
-func (k *KSM) commitBatch(cands []candidate, incremental bool) {
+// apply is step 3: one candidate's verdict carried out on the pool, the page
+// tables, the gate and the statistics. Both schedules call it in scan order.
+func (k *KSM) apply(c *candidate) {
+	if c.shard >= 0 {
+		k.shards[c.shard].scanned++
+	}
+	if c.gateWrite {
+		c.gate.record(c.vpn, c.sum)
+	}
 	pm := k.host.Phys()
-	for _, s := range k.shards {
-		for _, f := range s.view.Fills() {
-			pm.Materialize(f)
-		}
-		s.view.ResetFills()
+	switch c.verdict {
+	case vNotResident:
+		k.stats.NotResident++
+	case vAlreadyShared:
+		k.stats.AlreadyShared++
+	case vHugeSkip:
+		k.stats.HugeSkips++
+	case vGateSkip:
+		k.stats.ChecksumSkips++
+	case vStableMerge:
+		pm.IncRef(c.target)
+		c.vm.RemapShared(c.vpn, c.target)
+		k.stats.StableMerges++
+	case vUnstableMerge:
+		pm.SetKSM(c.target, true)
+		c.partner.vm.WriteProtect(c.partner.vpn)
+		pm.IncRef(c.target) // tree reference
+		pm.IncRef(c.target)
+		c.vm.RemapShared(c.vpn, c.target)
+		k.stats.UnstableMerges++
 	}
-	for i := range cands {
-		c := &cands[i]
-		if c.shard >= 0 && c.verdict != vAlreadyShared {
-			// The serial scanner's already-shared check fires before the
-			// checksum, so a frame promoted mid-batch (pendKSM override)
-			// never counts as routed work there; match it.
-			k.shards[c.shard].scanned++
-		}
-		if c.gateWrite {
-			c.gate.record(c.vpn, c.sum)
-		}
-		switch c.verdict {
-		case vNotResident:
-			k.stats.NotResident++
-		case vAlreadyShared:
-			k.stats.AlreadyShared++
-		case vHugeSkip:
-			k.stats.HugeSkips++
-		case vGateSkip:
-			pm.AdoptChecksum(c.frame, c.sum)
-			k.stats.ChecksumSkips++
-			if incremental {
-				k.deferVolatile(pageKey{vm: c.vm, vpn: c.vpn})
-			}
-		case vStableMerge:
-			pm.AdoptChecksum(c.frame, c.sum)
-			pm.IncRef(c.target)
-			c.vm.RemapShared(c.vpn, c.target)
-			k.stats.StableMerges++
-		case vUnstableMerge:
-			pm.AdoptChecksum(c.frame, c.sum)
-			k.stats.HashRejects += uint64(c.hashRejects)
-			k.stats.HugeSkips += uint64(c.hugeSkips)
-			// Same op order as scanPage: flag, protect, tree ref, map ref,
-			// remap — DecRef order inside RemapShared feeds the free stack.
-			pm.SetKSM(c.target, true)
-			c.partner.vm.WriteProtect(c.partner.vpn)
-			pm.IncRef(c.target)
-			pm.IncRef(c.target)
-			c.vm.RemapShared(c.vpn, c.target)
-			k.stats.UnstableMerges++
-		case vRecorded:
-			pm.AdoptChecksum(c.frame, c.sum)
-			k.stats.HashRejects += uint64(c.hashRejects)
-			k.stats.HugeSkips += uint64(c.hugeSkips)
-		}
-		k.stats.PagesScanned++
-		if incremental {
-			k.stats.IncrementalScanned++
-		}
-	}
+	k.stats.HashRejects += uint64(c.hashRejects)
+	k.stats.HugeSkips += uint64(c.hugeSkips)
 }

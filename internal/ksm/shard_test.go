@@ -8,8 +8,8 @@ import (
 )
 
 // forceParallel drops the batch-size threshold so every batch — even the
-// one-page pass-straddler — runs through classify, the shard workers and the
-// serial commit. Restored on cleanup.
+// one-page pass-straddler — is fanned out: classify, the shard workers, then
+// apply. Restored on cleanup.
 func forceParallel(t *testing.T) {
 	t.Helper()
 	old := minParallelBatch
@@ -18,10 +18,10 @@ func forceParallel(t *testing.T) {
 }
 
 // shardOutcome is everything a figure can observe from a scanner run: the
-// statistics word for word, the stable tree in content order, the physical
-// frame behind every guest page, and the pool occupancy before and after an
-// unmerge (the latter exercises the ordered free path). Byte-identity of this
-// struct across shard counts is the tentpole contract.
+// statistics word for word, the stable frames, the physical frame behind
+// every guest page, and the pool occupancy before and after an unmerge (which
+// frees every stable frame). Byte-identity of this struct across shard counts
+// is the tentpole contract.
 type shardOutcome struct {
 	stats        Stats
 	stable       []mem.FrameID
@@ -29,6 +29,14 @@ type shardOutcome struct {
 	inUse        int
 	routed       uint64
 	afterUnmerge int
+}
+
+// routedPages sums the per-shard routed-candidate counts.
+func routedPages(k *KSM) (total uint64) {
+	for _, n := range k.ShardPagesScanned() {
+		total += n
+	}
+	return total
 }
 
 func captureOutcome(f *fixture) shardOutcome {
@@ -47,9 +55,7 @@ func captureOutcome(f *fixture) shardOutcome {
 		}
 		o.frames = append(o.frames, row)
 	}
-	for _, n := range f.k.ShardPagesScanned() {
-		o.routed += n
-	}
+	o.routed = routedPages(f.k)
 	f.k.Unmerge()
 	o.afterUnmerge = f.host.Phys().FramesInUse()
 	return o
@@ -281,13 +287,13 @@ func TestShardRoutingSpreadsWork(t *testing.T) {
 	}
 }
 
-// TestHugeScanIgnoresPromotedUnstablePartner is the scanHugePage staleness
-// regression (satellite): an unstable-index entry whose page has since been
-// promoted to a KSM frame is dead — scanPage skips it with an explicit IsKSM
-// test, but the huge-candidate path only compared checksums, so the stale
-// entry (checksum still matching, content write-protected and shared) could
-// vouch for a "duplicate found" verdict and split a huge mapping that the
-// stable-tree lookup had already declined to split.
+// TestHugeScanIgnoresPromotedUnstablePartner is the stale-partner regression
+// for a huge-mapped candidate: an unstable-index entry whose page has since
+// been promoted to a KSM frame is dead, however well its recorded checksum
+// still matches the (write-protected, shared) content. Without the IsKSM test
+// in the bucket walk the stale entry vouched for a "duplicate found" verdict
+// and split a huge mapping that the stable-tree lookup had already declined
+// to split.
 func TestHugeScanIgnoresPromotedUnstablePartner(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SplitHugePages = true

@@ -123,3 +123,37 @@ func TestKSMSplitsHugeSideToMergeWithBasePages(t *testing.T) {
 			s.PagesShared, s.PagesSharing, hp, 2*hp)
 	}
 }
+
+// TestDuplicatePairInsideOneHugeMapping: candidate and partner are subpages
+// of the same huge mapping. Splitting the candidate's block whole makes the
+// partner a base page before its own split is due, so the partner's PTE must
+// be read again after the candidate's split; and a page that is split and
+// merged in one visit is still one visit to its shard.
+func TestDuplicatePairInsideOneHugeMapping(t *testing.T) {
+	for name, set := range map[string]func(*Config){
+		"whole":   func(c *Config) { c.SplitHugePages = true },
+		"partial": func(c *Config) { c.PartialSplitHuge = true },
+	} {
+		t.Run(name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			set(&cfg)
+			f := newFixture(t, 6*hp, 1, 2*hp, cfg)
+			vm := f.vms[0]
+			for i := uint64(0); i < hp; i++ {
+				vm.FillGuestPage(i, mem.Seed(4000+i))
+			}
+			vm.FillGuestPage(9, mem.Seed(4000+5))
+			if got := vm.CollapseHuge(vm.MemslotBase(), 0); got.String() != "ok" {
+				t.Fatalf("setup collapse: %v", got)
+			}
+			f.scanPasses(5)
+			s := f.k.Stats()
+			if s.PagesShared != 1 || s.PagesSharing != 2 {
+				t.Fatalf("sharing: shared=%d sharing=%d, want 1/2", s.PagesShared, s.PagesSharing)
+			}
+			if got, want := routedPages(f.k), s.PagesScanned-s.NotResident-s.AlreadyShared; got != want {
+				t.Fatalf("per-shard counts sum to %d, want %d: a split page was routed twice", got, want)
+			}
+		})
+	}
+}

@@ -27,20 +27,10 @@ type treapNode struct {
 	left, right *treapNode
 }
 
-// contentOrder is how a descent reads frame content: *mem.PhysMem for the
-// serial scanner, a *mem.ROView for shard workers, whose concurrent lookups
-// must never touch pool state. Prefix reports ok only when the bytes are
-// already there to read, so a known prefix implies that comparing the frame
-// has no side effect left to skip.
-type contentOrder interface {
-	Compare(a, b mem.FrameID) int
-	Prefix(id mem.FrameID) (uint64, bool)
-}
-
 // descent orders one probe frame against the nodes on its search path; the
 // one comparison routine of lookup, insert and remove.
 type descent struct {
-	ord   contentOrder
+	ord   contentReader
 	probe mem.FrameID
 	key   uint64
 	keyed bool
@@ -87,7 +77,7 @@ func (t *stableTreap) nextPrio() uint64 {
 }
 
 // lookup finds a stable frame with content byte-identical to probe.
-func (t *stableTreap) lookup(ord contentOrder, probe mem.FrameID) (mem.FrameID, bool) {
+func (t *stableTreap) lookup(ord contentReader, probe mem.FrameID) (mem.FrameID, bool) {
 	d := descent{ord: ord, probe: probe}
 	n := t.root
 	for n != nil {
@@ -105,7 +95,7 @@ func (t *stableTreap) lookup(ord contentOrder, probe mem.FrameID) (mem.FrameID, 
 
 // insert adds a stable frame. Content must not already be present; the
 // caller looks up first.
-func (t *stableTreap) insert(ord contentOrder, frame mem.FrameID) {
+func (t *stableTreap) insert(ord contentReader, frame mem.FrameID) {
 	d := descent{ord: ord, probe: frame}
 	nn := &treapNode{frame: frame, prio: t.nextPrio()}
 	t.root = insertAt(t.root, nn, &d)
@@ -132,7 +122,7 @@ func insertAt(n, nn *treapNode, d *descent) *treapNode {
 }
 
 // remove deletes the node holding exactly this frame id.
-func (t *stableTreap) remove(ord contentOrder, frame mem.FrameID) bool {
+func (t *stableTreap) remove(ord contentReader, frame mem.FrameID) bool {
 	d := descent{ord: ord, probe: frame}
 	removed := false
 	t.root = removeAt(t.root, &d, &removed)
@@ -212,11 +202,4 @@ func (n *treapNode) walk(fn func(frame mem.FrameID)) {
 	n.left.walk(fn)
 	fn(n.frame)
 	n.right.walk(fn)
-}
-
-// frames returns all stable frames in key order.
-func (t *stableTreap) frames() []mem.FrameID {
-	out := make([]mem.FrameID, 0, t.size)
-	t.walk(func(f mem.FrameID) { out = append(out, f) })
-	return out
 }

@@ -179,21 +179,28 @@ func TestUnmaterializedSeededRoot(t *testing.T) {
 	}
 }
 
+// frames returns all stable frames in key order.
+func (t *stableTreap) frames() []mem.FrameID {
+	out := make([]mem.FrameID, 0, t.size)
+	t.walk(func(f mem.FrameID) { out = append(out, f) })
+	return out
+}
+
 // plainOrder hides the content prefix, so every step of a descent is the
 // byte comparison: the tree as it was before nodes cached prefixes, kept as
 // the reference the prefixed descent is held to.
-type plainOrder struct{ contentOrder }
+type plainOrder struct{ contentReader }
 
 func (plainOrder) Prefix(mem.FrameID) (uint64, bool) { return 0, false }
 
 // treapRig is one pool and one tree driven by a shared op sequence. With a
 // view, lookups and inserts go through it, as a shard worker's do, and commit
-// repays its regenerated reads, as commitBatch does.
+// repays its regenerated reads, as processBatch does.
 type treapRig struct {
 	pm      *mem.PhysMem
 	view    *mem.ROView
-	ord     contentOrder // lookups and inserts
-	serial  contentOrder // removals: always the pool, as in the scanner
+	ord     contentReader // lookups and inserts
+	serial  contentReader // removals: always the pool, as in the scanner
 	tr      *stableTreap
 	members []mem.FrameID
 }

@@ -672,11 +672,9 @@ func (pm *PhysMem) Equal(a, b FrameID) bool {
 	return bytes.Equal(pm.bytesOf(fa), pm.bytesOf(fb))
 }
 
-// Compare orders two frames by lexicographic byte comparison; the KSM
-// stable and unstable trees use it as their key order. The order must stay
-// byte-based — tree shape feeds frame-free order and therefore frame
-// assignment, which every figure depends on — but equal descriptors
-// short-circuit to 0 without materializing.
+// Compare orders two frames by lexicographic byte comparison, the key order
+// of the KSM stable tree. Equal descriptors short-circuit to 0 without
+// materializing.
 func (pm *PhysMem) Compare(a, b FrameID) int {
 	if a == b {
 		return 0
