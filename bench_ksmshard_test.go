@@ -1,22 +1,19 @@
 // Sharded-scanner benchmark: the wall-clock cost of a steady-state KSM scan
 // pass at shard counts 1, 2 and 4 over the same cluster. Merge outcomes are
 // byte-identical at every shard count (internal/ksm's equivalence tests and
-// internal/core's ksmshard tests pin that); the shard axis buys scan-pass
-// wall time, and BENCH_ksmshard.json records the measured pair of effects:
+// internal/core's ksmshard tests pin that); the shard axis can buy scan-pass
+// wall time only, and BENCH_ksmshard.json records what it buys.
 //
-//   - structural: each shard owns a stable treap of 1/Nth the nodes, so every
-//     lookup and insert descends a shallower tree. The scenario makes that
-//     cost visible the way real KSM deployments meet it — pages that share a
-//     long common prefix and differ near the tail (think zero-initialized
-//     heap pages with object headers, or guest page-cache pages of versioned
-//     files), where every treap comparison is a near-full-page memcmp. This
-//     is the memcmp-bound stable-tree regime the Linux KSM literature
-//     complains about, and it is where smaller trees matter even on one CPU.
-//   - parallel: classify and per-shard merge run on a worker pool, so on a
-//     multi-core host the depth win compounds with real concurrency. The
-//     container this repo is benchmarked in exposes a single CPU, so the
-//     JSON's numbers isolate the structural effect; the pool's correctness
-//     under real parallelism is covered by the -race CI run.
+// The scenario is the one an index ordered by memcmp meets worst — pages that
+// share a long common prefix and differ near the tail (think zero-initialized
+// heap pages with object headers, or guest page-cache pages of versioned
+// files). While the stable index was an ordered tree every comparison here
+// was a near-full-page memcmp and a shard's 1/Nth-size tree saved levels;
+// keyed by checksum, a lookup miss reads no page bytes at any shard count,
+// so what the numbers now show is the pipeline itself: classify and per-shard
+// decide on a worker pool (real concurrency only on a multi-core host)
+// against the fan-out's dispatch and fill-repayment overhead. The pool's
+// correctness under real parallelism is covered by the -race CI run.
 package tpsim
 
 import (
@@ -32,9 +29,9 @@ import (
 
 // shardBenchCluster builds two guests whose pages all share a 4088-byte
 // common prefix: dup contents are duplicated across both guests (they merge
-// during warm-up and become the stable tree), uniq contents per guest stay
-// private (every steady-state pass walks each of them through a full
-// stable-tree lookup miss).
+// during warm-up and become the stable index), uniq contents per guest stay
+// private (every steady-state pass walks each of them through a
+// stable-index lookup miss).
 func shardBenchCluster(b *testing.B, shards, dup, uniq int) (*ksm.KSM, int) {
 	b.Helper()
 	const pageBytes = 4096
@@ -67,19 +64,19 @@ func shardBenchCluster(b *testing.B, shards, dup, uniq int) (*ksm.KSM, int) {
 	}
 	k.RegisterAll()
 	// Warm up: sighting pass, merge pass, one steady pass (all content
-	// materialized, every checksum cached, stable tree fully grown).
+	// materialized, every checksum cached, stable index fully grown).
 	for i := 0; i < 3; i++ {
 		k.ScanChunk(pages)
 	}
 	if s := k.Stats(); s.PagesShared != dup {
-		b.Fatalf("stable tree holds %d pages after warm-up, want %d", s.PagesShared, dup)
+		b.Fatalf("stable index holds %d pages after warm-up, want %d", s.PagesShared, dup)
 	}
 	return k, pages
 }
 
 // BenchmarkShardedScanPass times one full steady-state scan pass per
 // iteration: 2×dup already-merged pages short-circuit, 2×uniq private pages
-// each pay a volatility-gate check plus a stable-tree lookup miss. ns/op is
+// each pay a volatility-gate check plus a stable-index lookup miss. ns/op is
 // the scan-pass wall time BENCH_ksmshard.json tracks down the shard axis.
 func BenchmarkShardedScanPass(b *testing.B) {
 	const (

@@ -11,61 +11,75 @@ import (
 // they measure. The end-to-end numbers live in bench/ (BENCHMARK.json); these
 // say which structure moved.
 
-// benchTreeNodes is the stable-tree size of the lookup benchmark: the depth
-// (about 2·log2 n ≈ 30 comparisons at worst, 17 on average) of a scale-16
-// four-guest cluster's tree.
-const benchTreeNodes = 50000
+// benchStableFrames is the stable-index size of the lookup benchmark: that of
+// a scale-16 four-guest cluster.
+const benchStableFrames = 50000
 
 var benchSink mem.FrameID
 
-// BenchmarkStableLookupMiss times the lookup every unshared page pays on every
-// pass: a descent that ends at a leaf without a match. "random" pages differ
-// in their first bytes, so the descent below the root runs on cached
-// prefixes; "common-prefix" pages agree on all but their last eight bytes, so
-// every step ties and falls back to a near-full-page byte comparison — the
-// cost of the tree without the prefix.
-func BenchmarkStableLookupMiss(b *testing.B) {
+// BenchmarkStableLookup times the stable-index lookup: the miss every unshared
+// page pays on every pass, and the hit a merge starts from. "random" pages
+// differ in their first bytes; "common-prefix" pages agree on all but their
+// last eight, the content an index ordered by memcmp reads to the end at
+// every step. Keyed by checksum, the two miss alike; a hit is verified by
+// Equal, which ends at descriptor identity for "random" (probe and member
+// share the seed's interned blob) and at one page memcmp for "common-prefix".
+func BenchmarkStableLookup(b *testing.B) {
 	const probes = 1024
-	random := func(pm *mem.PhysMem, id mem.FrameID, n int) {
-		pm.FillFrame(id, mem.Combine(mem.Seed(n)))
-		pm.Materialize(id)
-	}
 	page := mem.FillBytes(pg, 42)
-	commonPrefix := func(pm *mem.PhysMem, id mem.FrameID, n int) {
-		binary.BigEndian.PutUint64(page[pg-8:], uint64(mem.Mix(mem.Seed(n))))
-		pm.Write(id, 0, page)
+	contents := []struct {
+		name string
+		fill func(pm *mem.PhysMem, id mem.FrameID, n int)
+	}{
+		{"random", func(pm *mem.PhysMem, id mem.FrameID, n int) {
+			pm.FillFrame(id, mem.Combine(mem.Seed(n)))
+			pm.Materialize(id)
+		}},
+		{"common-prefix", func(pm *mem.PhysMem, id mem.FrameID, n int) {
+			binary.BigEndian.PutUint64(page[pg-8:], uint64(mem.Mix(mem.Seed(n))))
+			pm.Write(id, 0, page)
+		}},
 	}
-	for name, content := range map[string]func(*mem.PhysMem, mem.FrameID, int){
-		"random": random, "common-prefix": commonPrefix,
-	} {
-		b.Run(name, func(b *testing.B) {
-			pm := mem.NewPhysMem(int64(benchTreeNodes+probes)*pg, pg)
-			tr := newStableTreap(0)
-			frame := func(n int) mem.FrameID {
-				id, err := pm.Alloc()
-				if err != nil {
-					b.Fatal(err)
+	for _, kind := range []string{"miss", "hit"} {
+		hit := kind == "hit"
+		for _, content := range contents {
+			b.Run(kind+"/"+content.name, func(b *testing.B) {
+				pm := mem.NewPhysMem(int64(benchStableFrames+probes)*pg, pg)
+				x := newStableIndex()
+				frame := func(n int) mem.FrameID {
+					id, err := pm.Alloc()
+					if err != nil {
+						b.Fatal(err)
+					}
+					content.fill(pm, id, n)
+					return id
 				}
-				content(pm, id, n)
-				return id
-			}
-			for n := 0; n < benchTreeNodes; n++ {
-				tr.insert(pm, frame(n))
-			}
-			var probe [probes]mem.FrameID
-			for i := range probe {
-				probe[i] = frame(benchTreeNodes + i)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				f, hit := tr.lookup(pm, probe[i%probes])
+				for n := 0; n < benchStableFrames; n++ {
+					id := frame(n)
+					x.insert(pm, id, pm.Checksum(id))
+				}
+				// A hit probe is a second frame holding a member's content.
+				first := benchStableFrames
 				if hit {
-					b.Fatalf("probe %d found in the tree", i%probes)
+					first = 0
 				}
-				benchSink = f
-			}
-		})
+				var probe [probes]mem.FrameID
+				var sum [probes]uint64
+				for i := range probe {
+					probe[i] = frame(first + i*(benchStableFrames/probes))
+					sum[i] = pm.Checksum(probe[i])
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					f, found := x.lookup(pm, probe[i%probes], sum[i%probes])
+					if found != hit {
+						b.Fatalf("probe %d: found = %v", i%probes, found)
+					}
+					benchSink = f
+				}
+			})
+		}
 	}
 }
 
@@ -73,7 +87,7 @@ func BenchmarkStableLookupMiss(b *testing.B) {
 // across the guests, half private — scanned until nothing is left to merge.
 // Every further pass does what a pass over a converged cluster does: skips
 // the shared half, and walks each private page through the gate, a
-// stable-tree miss and a fresh unstable record.
+// stable-index miss and a fresh unstable record.
 func convergedFixture(tb testing.TB, guestPages int) (f *fixture, pass func()) {
 	f = newFixture(tb, 4*guestPages, 2, guestPages, DefaultConfig())
 	for vi, vm := range f.vms {

@@ -8,7 +8,7 @@
 //
 //  1. applies the volatility gate: a page whose checksum changed since the
 //     last visit is skipped (it would only be merged to be COW-broken again);
-//  2. searches the stable tree of already-shared pages for byte-identical
+//  2. searches the stable index of already-shared pages for byte-identical
 //     content and, on a hit, remaps the candidate to the stable frame
 //     copy-on-write;
 //  3. otherwise searches the unstable index of candidate pages seen earlier
@@ -34,17 +34,15 @@
 // Cost model: all content operations go through mem's content-addressed
 // store, so the per-page work above is cheap in the common case —
 // pm.Checksum is a cache lookup (computed once per distinct content, not
-// per frame per pass), the stable tree's Compare short-circuits to 0 on
-// matching content descriptors, and pm.Equal verifies bytes only when two
-// distinct descriptors' checksums collide.
+// per frame per pass), a page whose checksum no indexed page shares costs one
+// map probe per index, and pm.Equal verifies bytes only when two distinct
+// descriptors' checksums agree.
 //
-// Deviation from Linux noted in DESIGN.md: Linux keeps the unstable
-// candidates in a red-black tree whose keys may drift (the tree is tolerated
-// to be inconsistent and rebuilt each pass); we keep them in a
-// checksum-indexed table with memcmp verification, which has the same merge
-// outcomes without modelling tolerated inconsistency. The stable tree is a
-// real ordered tree (treap) because stable pages are write-protected and
-// their keys cannot drift.
+// Deviation from Linux noted in DESIGN.md: Linux keeps stable and unstable
+// pages in two red-black trees ordered by memcmp (the unstable one tolerated
+// to be inconsistent and rebuilt each pass), having no page hash it trusts;
+// we keep both in checksum-indexed tables with memcmp verification of every
+// hit, which has the same merge outcomes.
 package ksm
 
 import (
@@ -94,7 +92,7 @@ type Config struct {
 	// without the rings the scanner stays linear forever. Off (the default),
 	// behaviour is byte-identical to the linear scanner.
 	IncrementalScan bool
-	// Shards splits the merge state — the stable tree and the unstable index
+	// Shards splits the merge state — the stable and the unstable index
 	// — into this many partitions routed by checksum % Shards, scanned by a
 	// bounded worker pool (one worker per shard with work; see shard.go).
 	// 0 or 1 keeps the single-threaded scanner. Merge outcomes, statistics
@@ -227,7 +225,7 @@ type KSM struct {
 	// recently; nil between passes so every pass resets each ring once.
 	ringVM *hypervisor.VMProcess
 
-	// shards holds the checksum-partitioned merge state (stable treaps,
+	// shards holds the checksum-partitioned merge state (stable and
 	// unstable indexes) — one entry when unsharded. See shard.go.
 	shards []*scanShard
 	// gates holds the volatility gate, one dense table per registered
@@ -289,7 +287,7 @@ func New(host *hypervisor.Host, cfg Config) *KSM {
 		vmRegs:   make(map[*hypervisor.VMProcess]int),
 	}
 	for i := range k.shards {
-		k.shards[i] = newScanShard(host.Phys(), i)
+		k.shards[i] = newScanShard(host.Phys())
 	}
 	host.OnCOWBreak = k.onCOWBreak
 	return k
@@ -439,7 +437,7 @@ func (k *KSM) Unregister(vm *hypervisor.VMProcess) {
 		k.incPending = keptP
 	}
 	// The VM's stable pages lose their mappers when KillVM runs; let the
-	// next incremental round prune the tree (full passes always do).
+	// next incremental round prune the index (full passes always do).
 	k.stableDirty = true
 	if wrapped && !k.incremental {
 		// The cursor was inside (or past) the removed trailing region, so
@@ -502,7 +500,7 @@ func (k *KSM) Stall(d simclock.Time) {
 func (k *KSM) Stop() { k.running = false }
 
 // Stats returns a snapshot of counters with the sharing totals recomputed
-// from the stable tree.
+// from the stable index.
 func (k *KSM) Stats() Stats {
 	s := k.stats
 	s.PagesShared = 0
@@ -510,7 +508,7 @@ func (k *KSM) Stats() Stats {
 	pm := k.host.Phys()
 	for _, sh := range k.shards {
 		sh.stable.walk(func(f mem.FrameID) {
-			mappers := pm.RefCount(f) - 1 // one reference belongs to the tree
+			mappers := pm.RefCount(f) - 1 // one reference belongs to the index
 			if mappers <= 0 {
 				return
 			}
@@ -850,18 +848,18 @@ func (k *KSM) endPass() {
 	k.passStart = k.stats
 }
 
-// pruneStaleStable drops stable nodes nobody maps anymore (only the tree's
+// pruneStaleStable drops stable frames nobody maps anymore (only the index's
 // own reference is left). Full passes run it unconditionally; incremental
 // rounds only when stableDirty says sharing may have been lost. The stale
 // frames are freed in ascending frame id, an order no shard count changes;
 // only they are sorted, so a pass with nothing to prune costs one refcount
-// check per stable node and allocates nothing.
+// check per stable frame and allocates nothing.
 func (k *KSM) pruneStaleStable() {
 	pm := k.host.Phys()
 	var stale []mem.FrameID
 	for _, s := range k.shards {
 		s.stable.walk(func(f mem.FrameID) {
-			if pm.RefCount(f) == 1 { // only the tree holds it
+			if pm.RefCount(f) == 1 { // only the index holds it
 				stale = append(stale, f)
 			}
 		})
@@ -870,12 +868,16 @@ func (k *KSM) pruneStaleStable() {
 	k.freeStable(stale)
 }
 
-// freeStable takes frames nobody maps out of the stable trees and drops the
-// trees' references to them.
+// freeStable takes frames nobody maps out of the stable indexes and drops the
+// indexes' references to them.
 func (k *KSM) freeStable(frames []mem.FrameID) {
 	pm := k.host.Phys()
 	for _, f := range frames {
-		k.removeStable(f)
+		if !k.removeStable(f) {
+			// Un-flagging and releasing it would leave the index naming a
+			// frame the allocator hands out again.
+			panic(fmt.Sprintf("ksm: stable frame %d not in its shard's index", f))
+		}
 		pm.SetKSM(f, false)
 		pm.DecRef(f)
 		k.stats.StalePruned++
@@ -943,7 +945,7 @@ func (k *KSM) splitHugeFor(vm *hypervisor.VMProcess, vpn mem.VPN) bool {
 // gauges report activity within the current pass (counter minus the
 // end-of-last-pass snapshot), so a timeline shows per-pass effort even
 // after the cumulative totals dwarf it. The sharing totals need a stable
-// treap walk, so they share one Stats snapshot per sample timestamp.
+// index walk, so they share one Stats snapshot per sample timestamp.
 // A nil registry is a no-op, matching the rest of the metrics API.
 func (k *KSM) Instrument(r *metrics.Registry) {
 	if r == nil {
@@ -1042,7 +1044,7 @@ func (k *KSM) ShardPagesScanned() []uint64 {
 	return out
 }
 
-// StableFrames exposes the stable tree contents in ascending frame id (for
+// StableFrames exposes the stable index contents in ascending frame id (for
 // the analyzer and tests).
 func (k *KSM) StableFrames() []mem.FrameID {
 	out := make([]mem.FrameID, 0, k.stableSize())
@@ -1055,7 +1057,7 @@ func (k *KSM) StableFrames() []mem.FrameID {
 
 // Unmerge undoes all sharing, like writing 2 to /sys/kernel/mm/ksm/run:
 // every mapping of a stable page gets its own private copy again, and the
-// stable tree is pruned. Memory usage jumps back to the unshared level.
+// stable index is emptied. Memory usage jumps back to the unshared level.
 func (k *KSM) Unmerge() {
 	pm := k.host.Phys()
 	for _, reg := range k.regions {
@@ -1069,7 +1071,7 @@ func (k *KSM) Unmerge() {
 			reg.VM.TouchGuestPage(uint64(vpn-reg.Start), true)
 		}
 	}
-	// All stable frames are now referenced only by the trees.
+	// All stable frames are now referenced only by the indexes.
 	k.freeStable(k.StableFrames())
 	k.dropUnstable()
 	for _, g := range k.gates {

@@ -234,40 +234,6 @@ func TestSetPagesToScan(t *testing.T) {
 	f.k.SetPagesToScan(0)
 }
 
-func TestStableTreapOrderAndRemoval(t *testing.T) {
-	pm := mem.NewPhysMem(64*pg, pg)
-	tr := newStableTreap(0)
-	var frames []mem.FrameID
-	for i := 0; i < 20; i++ {
-		id, _ := pm.Alloc()
-		pm.FillFrame(id, mem.Seed(i))
-		tr.insert(pm, id)
-		frames = append(frames, id)
-	}
-	got := tr.frames()
-	if len(got) != 20 {
-		t.Fatalf("treap size = %d, want 20", len(got))
-	}
-	for i := 1; i < len(got); i++ {
-		if pm.Compare(got[i-1], got[i]) >= 0 {
-			t.Fatal("treap walk not in content order")
-		}
-	}
-	for _, fr := range frames {
-		if sf, ok := tr.lookup(pm, fr); !ok || sf != fr {
-			t.Fatalf("lookup(%d) failed", fr)
-		}
-	}
-	for _, fr := range frames {
-		if !tr.remove(pm, fr) {
-			t.Fatalf("remove(%d) failed", fr)
-		}
-	}
-	if len(tr.frames()) != 0 {
-		t.Fatal("treap not empty after removals")
-	}
-}
-
 // Property: after scanning, for every group of pages that share a seed, the
 // saved bytes equal (mappers-1) pages per group, and all content survives.
 func TestPropertyMergeSavingsExact(t *testing.T) {

@@ -9,14 +9,14 @@
 //     checksum, route the page to its shard and take the volatility-gate
 //     decision. Nothing but the candidate is written (through a view, not
 //     even the pool's checksum cache).
-//  2. decide: the stable-tree lookup, then the walk of the checksum's unstable
+//  2. decide: the stable-index lookup, then the walk of the checksum's unstable
 //     bucket. Only shard-owned structures (and, under a split policy, the huge
 //     mapping a verified duplicate sits in) mutate here; refcounts, remaps,
 //     write-protects, KSM flags, statistics and gate writes are recorded on
 //     the candidate.
 //  3. apply: the recorded effects, always in scan order.
 //
-// Config.Shards > 1 splits the mutable merge state — the stable treap and the
+// Config.Shards > 1 splits the mutable merge state — the stable and the
 // unstable index — into disjoint shards routed by checksum % shards. Because
 // a candidate can only ever interact with content of its own checksum (a
 // stable hit or an unstable partner is byte-identical, hence
@@ -47,14 +47,12 @@ import (
 
 // contentReader is how the pipeline reads frame content: *mem.PhysMem on the
 // inline schedule, a *mem.ROView for shard workers, whose concurrent reads
-// must never touch pool state. Prefix reports ok only when the bytes are
-// already there to read, so a known prefix implies that comparing the frame
-// has no side effect left to skip.
+// must never touch pool state. Materialize interns a seeded frame's bytes — at
+// once through the pool, when processBatch repays the fills through a view.
 type contentReader interface {
 	Checksum(id mem.FrameID) uint64
 	Equal(a, b mem.FrameID) bool
-	Compare(a, b mem.FrameID) int
-	Prefix(id mem.FrameID) (uint64, bool)
+	Materialize(id mem.FrameID)
 }
 
 // minParallelBatch is the smallest batch fanned out to shard workers; below
@@ -64,7 +62,7 @@ var minParallelBatch = 256
 
 // scanShard owns one checksum-bucket partition of the merge state.
 type scanShard struct {
-	stable    *stableTreap
+	stable    *stableIndex
 	unstable  map[uint64][]unstableEntry
 	unstableN int
 	// arena backs the first entry of every bucket recorded in linear mode, in
@@ -86,9 +84,9 @@ type scanShard struct {
 	pendRemap map[pageKey]mem.FrameID
 }
 
-func newScanShard(pm *mem.PhysMem, idx int) *scanShard {
+func newScanShard(pm *mem.PhysMem) *scanShard {
 	return &scanShard{
-		stable:    newStableTreap(idx),
+		stable:    newStableIndex(),
 		unstable:  make(map[uint64][]unstableEntry),
 		view:      pm.NewROView(),
 		pendKSM:   make(map[mem.FrameID]struct{}),
@@ -142,7 +140,7 @@ func (k *KSM) unstableTotal() int {
 	return t
 }
 
-// stableSize sums stable-tree nodes across shards.
+// stableSize sums stable frames across shards.
 func (k *KSM) stableSize() int {
 	t := 0
 	for _, s := range k.shards {
@@ -151,12 +149,11 @@ func (k *KSM) stableSize() int {
 	return t
 }
 
-// removeStable drops a frame from its owning shard's tree. Stable content is
-// write-protected, so its checksum still matches the routing key it was
-// inserted under.
+// removeStable drops a frame from its owning shard's index. Stable content is
+// write-protected, so its checksum is still the one it was routed and keyed by.
 func (k *KSM) removeStable(f mem.FrameID) bool {
-	pm := k.host.Phys()
-	return k.shardOf(pm.Checksum(f)).stable.remove(pm, f)
+	sum := k.host.Phys().Checksum(f)
+	return k.shardOf(sum).stable.remove(f, sum)
 }
 
 // scanVerdict is a candidate's outcome, settled in classify or decide and
@@ -390,9 +387,9 @@ func (k *KSM) decide(s *scanShard, c *candidate, r contentReader) {
 		return // routed only for the override above
 	}
 
-	// Stable tree first. Byte-identical content has an identical checksum,
-	// so any stable frame matching this page lives in this shard's tree.
-	if stableFrame, hit := s.stable.lookup(r, c.frame); hit {
+	// Stable index first. Byte-identical content has an identical checksum,
+	// so any stable frame matching this page lives in this shard's index.
+	if stableFrame, hit := s.stable.lookup(r, c.frame, c.sum); hit {
 		if c.huge && !k.splitHugeFor(c.vm, c.vpn) {
 			c.verdict = vHugeSkip
 			return
@@ -427,8 +424,8 @@ func (k *KSM) decide(s *scanShard, c *candidate, r contentReader) {
 		}
 		if _, pend := s.pendKSM[other]; pend || pm.IsKSM(other) || r.Checksum(other) != ent.checksum {
 			// Stale: the page went away, was merged via another path — a
-			// partner already promoted to the stable tree still
-			// checksum-matches through its old entry, and the tree is the
+			// partner already promoted to the stable index still
+			// checksum-matches through its old entry, and that index is the
 			// only authority on stable content — or was rewritten since it
 			// was recorded.
 			continue
@@ -458,7 +455,7 @@ func (k *KSM) decide(s *scanShard, c *candidate, r contentReader) {
 		}
 		// Promote the partner to a stable page and merge the candidate
 		// into it.
-		s.stable.insert(r, other)
+		s.stable.insert(r, other, c.sum)
 		c.verdict, c.partner, c.target = vUnstableMerge, ent.key, other
 		s.unstable[c.sum] = append(bucket[:bi], bucket[bi+1:]...)
 		s.unstableN--
@@ -498,7 +495,7 @@ func (k *KSM) apply(c *candidate) {
 	case vUnstableMerge:
 		pm.SetKSM(c.target, true)
 		c.partner.vm.WriteProtect(c.partner.vpn)
-		pm.IncRef(c.target) // tree reference
+		pm.IncRef(c.target) // the stable index's reference
 		pm.IncRef(c.target)
 		c.vm.RemapShared(c.vpn, c.target)
 		k.stats.UnstableMerges++

@@ -2,7 +2,6 @@ package mem
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -672,9 +671,8 @@ func (pm *PhysMem) Equal(a, b FrameID) bool {
 	return bytes.Equal(pm.bytesOf(fa), pm.bytesOf(fb))
 }
 
-// Compare orders two frames by lexicographic byte comparison, the key order
-// of the KSM stable tree. Equal descriptors short-circuit to 0 without
-// materializing.
+// Compare orders two frames by lexicographic byte comparison. Equal
+// descriptors short-circuit to 0 without materializing.
 func (pm *PhysMem) Compare(a, b FrameID) int {
 	if a == b {
 		return 0
@@ -684,27 +682,6 @@ func (pm *PhysMem) Compare(a, b FrameID) int {
 		return 0
 	}
 	return bytes.Compare(pm.bytesOf(fa), pm.bytesOf(fb))
-}
-
-// Prefix returns the first eight content bytes as a big-endian integer, so
-// that integer order on prefixes agrees with Compare wherever two prefixes
-// differ. It never materializes: a seeded frame whose bytes nothing has read
-// yet reports ok=false, and the caller falls back to Compare. A blob with a
-// valid checksum answers from the copy cached beside it (blob.prefix), sparing
-// the scanner, which has just read that checksum, a cold data line.
-func (pm *PhysMem) Prefix(id FrameID) (prefix uint64, ok bool) {
-	switch f := pm.frameAt(id); f.desc.kind {
-	case descZero:
-		return 0, true
-	case descSeeded:
-		return 0, false
-	default:
-		b := f.desc.blob
-		if b.sumValid {
-			return b.prefix, true
-		}
-		return binary.BigEndian.Uint64(b.data), true
-	}
 }
 
 // Checksum returns the frame's content checksum (ChecksumBytes of its bytes),

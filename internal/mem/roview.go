@@ -1,13 +1,10 @@
 package mem
 
-import (
-	"bytes"
-	"encoding/binary"
-)
+import "bytes"
 
 // ROView is a strictly read-only window onto a pool's frame contents, built
 // for the sharded KSM scanner's worker goroutines. The regular accessors
-// (Checksum, Equal, Compare, Bytes) are cheap *because* they mutate: they
+// (Checksum, Equal, Bytes) are cheap *because* they mutate: they
 // lazily materialize seeded descriptors into interned blobs, cache checksums
 // on blobs and in the per-seed table, and share one scratch buffer — none of
 // which is safe with several workers reading the same pool. An ROView
@@ -24,7 +21,7 @@ import (
 // The price of not writing is repeated work — a seeded page is regenerated
 // for a byte comparison instead of being interned once. Each of the view's
 // two buffers remembers which frame it holds, so a probe compared against
-// node after node of a tree is generated once, not once per node. Fills
+// frame after frame is generated once, not once per comparison. Fills
 // records which frames paid that price so the serial commit step can
 // materialize them through the normal mutating path afterwards, restoring
 // the compute-once steady state for later batches.
@@ -111,31 +108,12 @@ func (v *ROView) bytesRO(id FrameID, f *frame, buf *roBuf) []byte {
 			}
 			Fill(buf.data, f.desc.seed)
 			buf.frame, buf.seed = id, f.desc.seed
-			if _, dup := v.inFilled[id]; !dup {
-				v.inFilled[id] = struct{}{}
-				v.filled = append(v.filled, id)
-			}
+			v.noteFill(id)
 		}
 		return buf.data
 	default:
 		return f.desc.blob.data
 	}
-}
-
-// Prefix is PhysMem.Prefix without pool writes. A seeded frame has a prefix
-// only while one of the view's buffers holds its content, that is, once a
-// byte comparison has regenerated it (and Fills has recorded it).
-func (v *ROView) Prefix(id FrameID) (uint64, bool) {
-	f := v.pm.frameAt(id)
-	if f.desc.kind != descSeeded {
-		return v.pm.Prefix(id)
-	}
-	for _, buf := range [...]*roBuf{&v.bufA, &v.bufB} {
-		if buf.frame == id && buf.seed == f.desc.seed {
-			return binary.BigEndian.Uint64(buf.data), true
-		}
-	}
-	return 0, false
 }
 
 // Equal reports whether two frames hold byte-identical content; same answer
@@ -154,23 +132,27 @@ func (v *ROView) Equal(a, b FrameID) bool {
 	return bytes.Equal(v.bytesRO(a, fa, &v.bufA), v.bytesRO(b, fb, &v.bufB))
 }
 
-// Compare orders two frames by lexicographic byte comparison; same answer as
-// PhysMem.Compare, no pool writes.
-func (v *ROView) Compare(a, b FrameID) int {
-	if a == b {
-		return 0
+// noteFill puts a seeded frame on the Fills list, once.
+func (v *ROView) noteFill(id FrameID) {
+	if _, dup := v.inFilled[id]; !dup {
+		v.inFilled[id] = struct{}{}
+		v.filled = append(v.filled, id)
 	}
-	fa, fb := v.pm.frameAt(a), v.pm.frameAt(b)
-	if eq, ok := descsEqualFast(fa.desc, fb.desc); ok && eq {
-		return 0
-	}
-	return bytes.Compare(v.bytesRO(a, fa, &v.bufA), v.bytesRO(b, fb, &v.bufB))
 }
 
-// Fills returns the frames whose seeded content this view regenerated since
-// the last ResetFills, each once, in first-regeneration order — candidates
-// for one-time materialization through the pool's normal mutating path once
-// single-threaded control resumes.
+// Materialize is the view's share of PhysMem.Materialize: a seeded frame goes
+// on the Fills list, for the pool to intern once the frozen phase ends, and
+// nothing is generated here.
+func (v *ROView) Materialize(id FrameID) {
+	if v.pm.frameAt(id).desc.kind == descSeeded {
+		v.noteFill(id)
+	}
+}
+
+// Fills returns the frames whose seeded content this view regenerated, or was
+// asked to materialize, since the last ResetFills, each once, in first-request
+// order — candidates for one-time materialization through the pool's normal
+// mutating path once single-threaded control resumes.
 func (v *ROView) Fills() []FrameID { return v.filled }
 
 // ResetFills clears the regenerated-frame log and forgets what the buffers

@@ -1,9 +1,6 @@
 package mem
 
-import (
-	"bytes"
-	"encoding/binary"
-)
+import "bytes"
 
 // This file is the content-addressed page store behind PhysMem. A frame no
 // longer owns a private 4 KiB byte array; it holds a small content
@@ -54,13 +51,9 @@ type desc struct {
 type blob struct {
 	data []byte
 	refs int32
-	// sum is the content checksum and prefix the first eight bytes as a
-	// big-endian integer (see PhysMem.Prefix), kept on this header so that
-	// the scanner's tree probe, which has just read sum, need not touch a
-	// cold data line. sumValid covers both: they are set together by
-	// setSum and dropped together by an in-place Write.
+	// sum is the content checksum, valid while sumValid: set by setSum and
+	// dropped by an in-place Write.
 	sum      uint64
-	prefix   uint64
 	sumValid bool
 	interned bool
 	// seeded marks a blob registered in the seedBlobs index under seed, so
@@ -79,11 +72,8 @@ func (b *blob) checksum() uint64 {
 	return b.sum
 }
 
-// setSum caches sum, which must be the checksum of the blob's current bytes,
-// and the prefix beside it.
-func (b *blob) setSum(sum uint64) {
-	b.sum, b.prefix, b.sumValid = sum, binary.BigEndian.Uint64(b.data), true
-}
+// setSum caches sum, which must be the checksum of the blob's current bytes.
+func (b *blob) setSum(sum uint64) { b.sum, b.sumValid = sum, true }
 
 // contentStore holds the pool's interned blobs and per-seed checksum cache.
 // It is per-PhysMem: concurrently running clusters share no mutable state.
