@@ -24,7 +24,9 @@ import (
 // Version 2: FrameChecksums carries raw mem.ChecksumBytes values, and that
 // function changed from byte-serial FNV-1a to a word-at-a-time fold, so a
 // version-1 dump's sums compare equal to nothing a current build computes.
-const FormatVersion = 2
+// Version 3: the seeded byte stream (mem.Fill) changed, and with it the sum of
+// every seeded page a version-2 dump recorded.
+const FormatVersion = 3
 
 // Dump is a frozen snapshot of everything the analyzer needs: the frame
 // contents summary plus all three translation layers of every guest.

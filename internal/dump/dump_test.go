@@ -88,8 +88,9 @@ func TestBadDumpRejected(t *testing.T) {
 	}
 	host, kernels := buildLive(t)
 	d := Capture(host, kernels)
-	// Version 1 is what builds with the FNV-1a page checksum wrote.
-	for _, version := range []int{1, 99} {
+	// Version 1 is what builds with the FNV-1a page checksum wrote, version 2
+	// what builds with the xorshift64* seeded stream wrote.
+	for _, version := range []int{1, 2, 99} {
 		d.Version = version
 		want := fmt.Sprintf("dump: format version %d, want %d", version, FormatVersion)
 		if _, err := FromBytes(d.Bytes()); err == nil || err.Error() != want {

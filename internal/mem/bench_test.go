@@ -2,6 +2,7 @@ package mem
 
 import (
 	"runtime"
+	"strconv"
 	"testing"
 )
 
@@ -23,14 +24,20 @@ func BenchmarkChecksumSeed(b *testing.B) {
 	}
 }
 
+// BenchmarkFill covers the sizes guests write: a JVM object header is a
+// 16-byte fill, small objects 64 and 256 bytes, file and arena pages 4 KiB.
 func BenchmarkFill(b *testing.B) {
-	page := make([]byte, DefaultPageSize)
-	b.SetBytes(DefaultPageSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Fill(page, Seed(i))
+	for _, n := range []int{16, 64, 256, DefaultPageSize} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			buf := make([]byte, n)
+			b.SetBytes(int64(n))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				Fill(buf, Seed(i))
+			}
+			benchSink += uint64(buf[0])
+		})
 	}
-	benchSink += uint64(page[0])
 }
 
 // rewriteChurn is the guest write path the simulator spends its time in: a

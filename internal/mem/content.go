@@ -55,40 +55,53 @@ func HashString(s string) Seed {
 	return Seed(h)
 }
 
-// nextWord advances the xorshift64* state behind Fill and returns the new
-// state with the 64-bit word it emits (stored little-endian).
-func nextWord(s uint64) (state, word uint64) {
-	s ^= s << 13
-	s ^= s >> 7
-	s ^= s << 17
-	return s, s * 0x2545f4914f6cdd1d
+// Seeded content is counter-based: word pair k of Fill(_, seed) is a function
+// of Mix(seed) + (k+1)·fillGamma alone, so no word waits on the one before it.
+// One 64×64→128 multiply of the counter by itself xor fillKey yields both
+// words.
+const (
+	fillGamma uint64 = 0x9e3779b97f4a7c15
+	fillKey   uint64 = 0xd6e8feb86659fd93
+)
+
+func fillPair(c uint64) (uint64, uint64) {
+	hi, lo := bits.Mul64(c, c^fillKey)
+	return lo ^ c, hi ^ lo
 }
 
-// fillState is the generator state Fill(_, seed) starts from.
-func fillState(seed Seed) uint64 {
-	if s := uint64(Mix(seed)); s != 0 {
-		return s
-	}
-	return 0x9e3779b97f4a7c15
-}
-
-// Fill writes a deterministic byte stream derived from seed into dst. The
-// stream is a xorshift64* generator; the same (seed, len) always produces
-// the same bytes, and different seeds produce streams that share no long
-// common runs, so accidental page-content collisions do not happen.
+// Fill writes the byte stream derived from seed into dst, words stored
+// little-endian. The contract: the bytes are a function of (seed, len(dst))
+// alone, the same at every GOARCH; Fill(n) is the first n bytes of Fill(m) for
+// n <= m (objects are written header-then-body at arbitrary sizes);
+// ChecksumSeed(seed, n) == ChecksumBytes(FillBytes(n, seed)) for every n; and
+// distinct seeds give distinct pages in practice. Callers may rely on equality
+// of generated content only, never on its value.
 func Fill(dst []byte, seed Seed) {
-	s := fillState(seed)
-	var v uint64
-	for ; len(dst) >= 8; dst = dst[8:] {
-		s, v = nextWord(s)
-		binary.LittleEndian.PutUint64(dst, v)
+	c := uint64(Mix(seed))
+	for ; len(dst) >= 32; dst = dst[32:] {
+		c0 := c + fillGamma
+		c = c0 + fillGamma
+		a0, b0 := fillPair(c0)
+		a1, b1 := fillPair(c)
+		binary.LittleEndian.PutUint64(dst, a0)
+		binary.LittleEndian.PutUint64(dst[8:], b0)
+		binary.LittleEndian.PutUint64(dst[16:], a1)
+		binary.LittleEndian.PutUint64(dst[24:], b1)
 	}
-	if len(dst) > 0 {
-		_, v = nextWord(s)
-		for i := range dst {
-			dst[i] = byte(v)
-			v >>= 8
+	if len(dst) >= 16 {
+		c += fillGamma
+		a, b := fillPair(c)
+		binary.LittleEndian.PutUint64(dst, a)
+		binary.LittleEndian.PutUint64(dst[8:], b)
+		dst = dst[16:]
+	}
+	a, b := fillPair(c + fillGamma)
+	for i := range dst {
+		if i == 8 {
+			a = b
 		}
+		dst[i] = byte(a)
+		a >>= 8
 	}
 }
 
@@ -159,27 +172,25 @@ func ChecksumBytes(b []byte) uint64 {
 // the lanes. The content store checksums seeded (never-read) pages this way,
 // so the volatility gate costs no page-sized memory traffic for them.
 func ChecksumSeed(seed Seed, n int) uint64 {
-	s := fillState(seed)
+	c := uint64(Mix(seed))
 	l0, l1, l2, l3 := sumInit[0], sumInit[1], sumInit[2], sumInit[3]
-	var v uint64
 	i := 0
 	for ; i+8*sumLanes <= n; i += 8 * sumLanes {
-		s, v = nextWord(s)
-		l0 = sumRound(l0, v)
-		s, v = nextWord(s)
-		l1 = sumRound(l1, v)
-		s, v = nextWord(s)
-		l2 = sumRound(l2, v)
-		s, v = nextWord(s)
-		l3 = sumRound(l3, v)
+		c0 := c + fillGamma
+		c = c0 + fillGamma
+		a0, b0 := fillPair(c0)
+		a1, b1 := fillPair(c)
+		l0, l1, l2, l3 = sumRound(l0, a0), sumRound(l1, b0), sumRound(l2, a1), sumRound(l3, b1)
 	}
 	l := sumState{l0, l1, l2, l3}
+	var w [sumLanes]uint64
+	w[0], w[1] = fillPair(c + fillGamma)
+	w[2], w[3] = fillPair(c + fillGamma + fillGamma)
 	for k := 0; i < n; k, i = k+1, i+8 {
-		s, v = nextWord(s)
 		if n-i < 8 {
-			v &= 1<<(8*(n-i)) - 1
+			w[k] &= 1<<(8*(n-i)) - 1
 		}
-		l[k] = sumRound(l[k], v)
+		l[k] = sumRound(l[k], w[k])
 	}
 	return l.finish(n)
 }

@@ -3,6 +3,7 @@ package mem
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"testing"
 )
 
@@ -17,22 +18,23 @@ func checksumSizes() []int {
 	return sizes
 }
 
-// fillReference is the generator written out a byte at a time: the stream
-// every figure's content was derived from, which Fill must keep bit for bit.
+// fillReference is the specification of the seeded stream a byte at a time,
+// with the multiply spelled out in 32-bit halves: byte i comes from word i/8,
+// word pair k from the counter Mix(seed) + (k+1)·γ alone.
 func fillReference(dst []byte, seed Seed) {
-	s := uint64(Mix(seed))
-	if s == 0 {
-		s = 0x9e3779b97f4a7c15
-	}
-	var v uint64
+	const gamma, key = 0x9e3779b97f4a7c15, 0xd6e8feb86659fd93
 	for i := range dst {
-		if i%8 == 0 {
-			s ^= s << 13
-			s ^= s >> 7
-			s ^= s << 17
-			v = s * 0x2545f4914f6cdd1d
+		c := uint64(Mix(seed)) + uint64(i/16+1)*gamma
+		x, y := c, c^key
+		x0, x1, y0, y1 := x&0xffffffff, x>>32, y&0xffffffff, y>>32
+		mid := x1*y0 + (x0*y0)>>32
+		mid2 := x0*y1 + mid&0xffffffff
+		hi, lo := x1*y1+mid>>32+mid2>>32, x*y
+		w := lo ^ c
+		if i/8%2 == 1 {
+			w = hi ^ lo
 		}
-		dst[i] = byte(v >> (8 * (i % 8)))
+		dst[i] = byte(w >> (8 * (i % 8)))
 	}
 }
 
@@ -53,6 +55,68 @@ func TestFillMatchesByteReference(t *testing.T) {
 				t.Fatalf("seed %#x n=%d: Fill diverged from the byte-at-a-time reference", uint64(seed), n)
 			}
 		}
+	}
+}
+
+// TestFillKnownAnswer holds the stream to the same bytes on every platform:
+// where int is 32 bits and bits.Mul64 is the portable fallback (CI runs this
+// under GOARCH=386) as much as on amd64.
+func TestFillKnownAnswer(t *testing.T) {
+	for _, kat := range []struct {
+		seed Seed
+		want string
+	}{
+		{42, "706ffbfb2fd2f28d43cf1f647bc50ee06b2baea24e45450be545a7e28960acda"},
+		{HashString("java/lang/Object"), "4054a7e3f5f530fc182767b481bd43e76b82616c24706e0aec489eebe7151dfe"},
+	} {
+		if got := hex.EncodeToString(FillBytes(32, kat.seed)); got != kat.want {
+			t.Errorf("seed %#x: first 32 bytes %s, want %s", uint64(kat.seed), got, kat.want)
+		}
+	}
+}
+
+// TestFillPrefixConsistent: objects are written header-then-body at arbitrary
+// sizes, so a short fill must be the start of a long one.
+func TestFillPrefixConsistent(t *testing.T) {
+	for _, seed := range []Seed{0, 42, HashString("java/lang/Object"), ^Seed(0)} {
+		long := FillBytes(2*DefaultPageSize, seed)
+		for _, n := range checksumSizes() {
+			if !bytes.Equal(FillBytes(n, seed), long[:n]) {
+				t.Fatalf("seed %#x: Fill(%d) is not a prefix of Fill(%d)", uint64(seed), n, len(long))
+			}
+		}
+	}
+}
+
+// TestFillSeedsDistinct: distinct seeds must give distinct pages, already in
+// their first 32 bytes and in their page checksums, and never an all-zero
+// word — over the seeds the simulator favours (small consecutive integers,
+// the extremes) and hashed ones.
+func TestFillSeedsDistinct(t *testing.T) {
+	const n = 1 << 18
+	seeds := []Seed{0, ^Seed(0)}
+	for i := Seed(1); len(seeds) < n; i++ {
+		seeds = append(seeds, i, ^i, Mix(i), Combine(i, 7))
+	}
+	heads := make(map[[32]byte]Seed, len(seeds))
+	sums := make(map[uint64]Seed, len(seeds))
+	for _, seed := range seeds {
+		var head [32]byte
+		Fill(head[:], seed)
+		for w := 0; w < len(head); w += 8 {
+			if binary.LittleEndian.Uint64(head[w:]) == 0 {
+				t.Fatalf("seed %#x: word %d is zero", uint64(seed), w/8)
+			}
+		}
+		if other, dup := heads[head]; dup {
+			t.Fatalf("seeds %#x and %#x share their first 32 bytes", uint64(other), uint64(seed))
+		}
+		heads[head] = seed
+		sum := ChecksumSeed(seed, DefaultPageSize)
+		if other, dup := sums[sum]; dup {
+			t.Fatalf("seeds %#x and %#x share page checksum %#x", uint64(other), uint64(seed), sum)
+		}
+		sums[sum] = seed
 	}
 }
 

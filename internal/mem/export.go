@@ -121,14 +121,22 @@ func (c ImportClass) String() string {
 // importBlob resolves an ExportBlob descriptor against this pool's
 // content table: a verified match attaches (ImportDup), anything else is
 // copied in and interned (ImportCopy). The returned blob carries one new
-// reference either way.
+// reference either way. A blob that is not exactly one page is a caller bug
+// and panics: interned, it would fail a later in-range Write and its buffer
+// would block the recycling list.
 func (pm *PhysMem) importBlob(e ExportedPage) (*blob, ImportClass) {
-	before := pm.cs.internHits
-	b := pm.cs.intern(e.Data, e.Sum)
-	if pm.cs.internHits > before {
+	if len(e.Data) != pm.pageSize {
+		panic(fmt.Sprintf("mem: import of a %d-byte blob into a pool of %d-byte pages", len(e.Data), pm.pageSize))
+	}
+	cs := pm.cs
+	if b := cs.lookupInterned(e.Data, e.Sum); b != nil {
+		b.refs++
+		cs.internHits++
 		return b, ImportDup
 	}
-	return b, ImportCopy
+	buf := cs.pageBuf(pm.pageSize, false)
+	copy(buf, e.Data)
+	return cs.addInterned(buf, e.Sum), ImportCopy
 }
 
 // ImportPage overwrites a frame with an exported page's content, like a

@@ -111,6 +111,34 @@ func TestImportPageRejectsSharedFrames(t *testing.T) {
 	}()
 }
 
+// TestImportRejectsShortBlob: a blob that is not one page long must not reach
+// the content table, through either entry point, and must leave the pool as it
+// found it — interned, it fails a later in-range Write and, once dead, its
+// buffer tops the recycling list for good.
+func TestImportRejectsShortBlob(t *testing.T) {
+	pm := NewPhysMem(1<<20, DefaultPageSize)
+	id := allocFrame(t, pm)
+	data := FillBytes(DefaultPageSize/2, 5)
+	short := ExportedPage{Kind: ExportBlob, Sum: ChecksumBytes(data), Data: data}
+	for name, imp := range map[string]func(){
+		"ImportPage":    func() { pm.ImportPage(id, short) },
+		"ImportContent": func() { pm.ImportContent(short) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s of a half-page blob did not panic", name)
+				}
+			}()
+			imp()
+		}()
+	}
+	if st := pm.ContentStats(); st.Blobs != 0 || st.InternedBlobs != 0 || !pm.IsZero(id) {
+		t.Fatalf("rejected imports left content behind: %+v", st)
+	}
+	pm.Write(id, DefaultPageSize-4, []byte{1, 2, 3, 4})
+}
+
 // TestExportImportContentRoundTrip moves detached PageContent handles —
 // the swapped-page path — between pools.
 func TestExportImportContentRoundTrip(t *testing.T) {

@@ -78,10 +78,8 @@ type PhysMem struct {
 	zeroSum uint64 // checksum of the zero page, precomputed per pool
 
 	// cs is the pool's content store: interned literal blobs keyed by
-	// checksum plus the per-seed checksum cache. scratch is a single page
-	// buffer reused to generate seeded content for checksumming/interning.
-	cs      *contentStore
-	scratch []byte
+	// checksum plus the per-seed checksum cache.
+	cs *contentStore
 
 	// Statistics.
 	allocs       uint64
@@ -455,15 +453,6 @@ func (pm *PhysMem) bytesOf(f *frame) []byte {
 	}
 }
 
-// fillScratch regenerates seed's page into the pool's scratch buffer.
-func (pm *PhysMem) fillScratch(seed Seed) []byte {
-	if pm.scratch == nil {
-		pm.scratch = make([]byte, pm.pageSize)
-	}
-	Fill(pm.scratch, seed)
-	return pm.scratch
-}
-
 // seedSum returns the checksum of seed's page, computed at most once per
 // pool per seed, streamed straight from the generator without touching a
 // page buffer.
@@ -478,7 +467,9 @@ func (pm *PhysMem) seedSum(seed Seed) uint64 {
 
 // internSeeded materializes seed's page as an interned blob; frames sharing
 // a fill seed converge on one buffer, and every materialization after the
-// first is a seed-index hit that never regenerates or compares bytes.
+// first is a seed-index hit that never regenerates or compares bytes. The
+// first generates the page once, into the buffer the new blob keeps; only when
+// the table already holds those bytes does the buffer go back for reuse.
 func (pm *PhysMem) internSeeded(seed Seed) *blob {
 	cs := pm.cs
 	if b, ok := cs.seedBlobs[seed]; ok {
@@ -487,10 +478,16 @@ func (pm *PhysMem) internSeeded(seed Seed) *blob {
 		return b
 	}
 	sum := pm.seedSum(seed)
-	before := cs.blobs
-	b := cs.intern(pm.fillScratch(seed), sum)
-	if cs.blobs != before {
+	buf := cs.pageBuf(pm.pageSize, false)
+	Fill(buf, seed)
+	b := cs.lookupInterned(buf, sum)
+	if b == nil {
 		pm.materialized++
+		b = cs.addInterned(buf, sum)
+	} else {
+		b.refs++
+		cs.internHits++
+		cs.freeBufs = append(cs.freeBufs, buf)
 	}
 	if !b.seeded {
 		b.seeded = true

@@ -6,11 +6,11 @@ import "bytes"
 // for the sharded KSM scanner's worker goroutines. The regular accessors
 // (Checksum, Equal, Bytes) are cheap *because* they mutate: they
 // lazily materialize seeded descriptors into interned blobs, cache checksums
-// on blobs and in the per-seed table, and share one scratch buffer — none of
-// which is safe with several workers reading the same pool. An ROView
-// computes the same answers without writing any pool state: seeded content
-// is regenerated into view-owned buffers, uncached checksums are recomputed
-// in place, and the only caches touched are the view's own.
+// on blobs and in the per-seed table, and draw page buffers from one recycling
+// list — none of which is safe with several workers reading the same pool. An
+// ROView computes the same answers without writing any pool state: seeded
+// content is regenerated into view-owned buffers, uncached checksums are
+// recomputed in place, and the only caches touched are the view's own.
 //
 // Concurrency contract: any number of ROViews may be used from separate
 // goroutines, provided nothing mutates the pool (or the frames' contents)

@@ -222,17 +222,9 @@ func (cs *contentStore) lookupInterned(data []byte, sum uint64) *blob {
 	return nil
 }
 
-// intern returns an interned blob holding exactly data's bytes, reusing an
-// existing table entry on a verified match and cloning data into a new
-// immutable blob otherwise. The returned blob carries one new reference.
-func (cs *contentStore) intern(data []byte, sum uint64) *blob {
-	if cand := cs.lookupInterned(data, sum); cand != nil {
-		cand.refs++
-		cs.internHits++
-		return cand
-	}
-	buf := cs.pageBuf(len(data), false)
-	copy(buf, data)
+// addInterned enters buf, whose checksum is sum and whose bytes the table
+// does not hold yet, as a new interned blob carrying one reference.
+func (cs *contentStore) addInterned(buf []byte, sum uint64) *blob {
 	b := cs.newBlob(buf, true)
 	b.setSum(sum)
 	cs.table[sum] = append(cs.table[sum], b)
