@@ -107,6 +107,77 @@ func TestRewriteChurnAllocFree(t *testing.T) {
 	}
 }
 
+// seededPool returns a pool of n frames, frame i filled with seed base+i.
+func seededPool(tb testing.TB, n int, base Seed) (*PhysMem, []FrameID) {
+	pm := NewPhysMem(int64(n)*DefaultPageSize, DefaultPageSize)
+	ids := make([]FrameID, n)
+	for i := range ids {
+		id, err := pm.Alloc()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		pm.FillFrame(id, base+Seed(i))
+		ids[i] = id
+	}
+	return pm, ids
+}
+
+// BenchmarkSeededRescan is the volatility gate over freshly written pages:
+// the first checksum pass over 4 096 seeded frames computes every sum, the
+// second finds them already known.
+func BenchmarkSeededRescan(b *testing.B) {
+	const frames = 4096
+	pass := func(pm *PhysMem, ids []FrameID) {
+		for _, id := range ids {
+			benchSink += pm.Checksum(id)
+		}
+	}
+	perFrame := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*frames), "ns/frame")
+	}
+	b.Run("first", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			pm, ids := seededPool(b, frames, Seed(i*frames))
+			b.StartTimer()
+			pass(pm, ids)
+		}
+		perFrame(b)
+	})
+	b.Run("second", func(b *testing.B) {
+		pm, ids := seededPool(b, frames, 0)
+		pass(pm, ids)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pass(pm, ids)
+		}
+		perFrame(b)
+	})
+}
+
+// TestInternFreshSeedAllocs: with every seed's checksum known and page
+// buffers recycled, interning a seed no live blob holds allocates the blob
+// and nothing else — no table bucket, no seed index entry.
+func TestInternFreshSeedAllocs(t *testing.T) {
+	const frames, runs = 64, 20
+	pm, ids := seededPool(t, frames, 0)
+	next := Seed(0)
+	for s := next; s < (runs+3)*frames; s++ {
+		pm.seedSum(s)
+	}
+	round := func() {
+		for _, id := range ids {
+			pm.FillFrame(id, next)
+			next++
+			benchSink += uint64(pm.Bytes(id)[0])
+		}
+	}
+	round() // every frame now holds an interned blob for the next round to free
+	if allocs := testing.AllocsPerRun(runs, round); allocs > frames {
+		t.Fatalf("%.0f allocations interning %d fresh seeds, want at most one blob each", allocs, frames)
+	}
+}
+
 // Page-table benchmarks: one guest-sized table at a memslot-like base, the
 // shape every translation layer of the simulator walks.
 const (

@@ -3,6 +3,7 @@ package mem
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -12,7 +13,8 @@ import (
 // PhysMem representation) runs the same random operation stream as the real
 // pool, and every observable — Bytes, Equal, Compare, Checksum, IsZero —
 // must agree at every step. Snapshot/Restore/Release handles ride along so
-// the swap-store aliasing path is exercised too, and a blob census checks
+// the swap-store aliasing path is exercised too, as does an ExportFrame →
+// ImportPage round trip, and a blob census checks
 // that every literal blob's refcount equals the number of frame descriptors
 // and live handles pointing at it, and that the recycled-buffer list is
 // invisible: it shares no buffer with a live blob and is not counted.
@@ -40,17 +42,23 @@ func newDiffModel(frames int) *diffModel {
 	}
 }
 
-func (m *diffModel) pick(r *rand.Rand) (FrameID, bool) {
-	if len(m.pages) == 0 {
-		return 0, false
-	}
-	// Sort before choosing so the stream is independent of map iteration
-	// order and a failing (seed, steps) pair replays exactly.
+// ids lists the live frames in ascending order, so the op stream and the
+// checks are independent of map iteration order and a failing (seed, steps)
+// pair replays exactly.
+func (m *diffModel) ids() []FrameID {
 	ids := make([]FrameID, 0, len(m.pages))
 	for id := range m.pages {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids
+}
+
+func (m *diffModel) pick(r *rand.Rand) (FrameID, bool) {
+	if len(m.pages) == 0 {
+		return 0, false
+	}
+	ids := m.ids()
 	return ids[r.Intn(len(ids))], true
 }
 
@@ -61,7 +69,7 @@ func (m *diffModel) notePeak() {
 // step applies one random operation to both the pool and the model.
 func (m *diffModel) step(t testing.TB, r *rand.Rand) {
 	defer m.notePeak()
-	switch r.Intn(11) {
+	switch r.Intn(13) {
 	case 0, 1: // alloc
 		id, err := m.pm.Alloc()
 		if err != nil {
@@ -97,12 +105,15 @@ func (m *diffModel) step(t testing.TB, r *rand.Rand) {
 		}
 		m.pm.Write(id, off, data)
 		copy(m.pages[id][off:], data)
-	case 5: // fill from a small seed pool, forcing cross-frame sharing
+	case 5: // fill, mostly from a small seed pool that forces cross-frame sharing
 		id, ok := m.pick(r)
 		if !ok {
 			return
 		}
 		seed := Seed(r.Intn(4) + 1)
+		if r.Intn(4) == 0 {
+			seed = Seed(r.Int63()) // one no other frame holds
+		}
 		m.pm.FillFrame(id, seed)
 		Fill(m.pages[id], seed)
 	case 6: // zero
@@ -168,36 +179,67 @@ func (m *diffModel) step(t testing.TB, r *rand.Rand) {
 		if !bytes.Equal(m.pm.Bytes(id), m.pages[id]) {
 			t.Fatalf("frame %d: stale bytes of a recycled buffer show outside [%d,%d)", id, off, off+n)
 		}
+	case 11: // ask seeded frames for checksum, zeroness and equality, bytes unread
+		m.peekSeeded(t)
+	case 12: // re-import one frame's exported content into a private frame
+		src, ok := m.pick(r)
+		if !ok {
+			return
+		}
+		dst, _ := m.pick(r)
+		if m.refs[dst] != 1 {
+			return
+		}
+		m.pm.ImportPage(dst, m.pm.ExportFrame(src))
+		copy(m.pages[dst], m.pages[src])
+	}
+}
+
+// checkSum checks a frame's Checksum and IsZero against the model.
+func (m *diffModel) checkSum(t testing.TB, id FrameID) {
+	t.Helper()
+	want := m.pages[id]
+	if got, wantSum := m.pm.Checksum(id), ChecksumBytes(want); got != wantSum {
+		t.Fatalf("frame %d: Checksum %#x, model %#x", id, got, wantSum)
+	}
+	wantZero := !slices.ContainsFunc(want, func(b byte) bool { return b != 0 })
+	if m.pm.IsZero(id) != wantZero {
+		t.Fatalf("frame %d: IsZero %v, model %v", id, m.pm.IsZero(id), wantZero)
+	}
+}
+
+// peekSeeded checks Checksum, IsZero and Equal on every frame still holding a
+// seeded descriptor, before anything reads its bytes: a checksum remembered
+// across FillFrame, CopyFrame, Restore or ImportPage shows here, where
+// verify's Bytes pass would first replace the descriptor with a blob.
+func (m *diffModel) peekSeeded(t testing.TB) {
+	t.Helper()
+	ids := m.ids()
+	for _, a := range ids {
+		if m.pm.frames[a].desc.kind != descSeeded {
+			continue
+		}
+		m.checkSum(t, a)
+		for _, b := range ids {
+			if got, want := m.pm.Equal(a, b), bytes.Equal(m.pages[a], m.pages[b]); got != want {
+				t.Fatalf("seeded frame %d: Equal(%d,%d)=%v, model %v", a, a, b, got, want)
+			}
+		}
 	}
 }
 
 // verify checks every observable of every live frame against the model, and
-// pairwise Equal/Compare over a handful of frames.
+// pairwise Equal/Compare over every pair of frames.
 func (m *diffModel) verify(t *testing.T) {
 	t.Helper()
 	pm := m.pm
-	ids := make([]FrameID, 0, len(m.pages))
-	for id := range m.pages {
-		ids = append(ids, id)
-	}
+	m.peekSeeded(t)
+	ids := m.ids()
 	for _, id := range ids {
-		want := m.pages[id]
-		if !bytes.Equal(pm.Bytes(id), want) {
+		if !bytes.Equal(pm.Bytes(id), m.pages[id]) {
 			t.Fatalf("frame %d: Bytes diverged from model", id)
 		}
-		if got, wantSum := pm.Checksum(id), ChecksumBytes(want); got != wantSum {
-			t.Fatalf("frame %d: Checksum %#x, model %#x", id, got, wantSum)
-		}
-		wantZero := true
-		for _, b := range want {
-			if b != 0 {
-				wantZero = false
-				break
-			}
-		}
-		if pm.IsZero(id) != wantZero {
-			t.Fatalf("frame %d: IsZero %v, model %v", id, pm.IsZero(id), wantZero)
-		}
+		m.checkSum(t, id)
 	}
 	for i, a := range ids {
 		for _, b := range ids[i:] {
@@ -260,12 +302,22 @@ func (m *diffModel) checkBlobs(t *testing.T) {
 			t.Fatalf("recycled buffer (len %d) is still a live blob's data", len(buf))
 		}
 	}
-	tabled := 0
-	for _, bucket := range cs.table {
-		tabled += len(bucket)
+	chained := make(map[*blob]bool, interned)
+	for sum, head := range cs.table {
+		for b := head; b != nil; b = b.next {
+			switch {
+			case chained[b]:
+				t.Fatalf("blob %p is chained twice", b)
+			case !b.interned || want[b] == 0:
+				t.Fatalf("chained blob %p is not a live interned blob (interned %v, census %d)", b, b.interned, want[b])
+			case !b.sumValid || b.sum != sum || ChecksumBytes(b.data) != sum:
+				t.Fatalf("blob %p chained under %#x holds content summing to %#x", b, sum, ChecksumBytes(b.data))
+			}
+			chained[b] = true
+		}
 	}
-	if tabled != interned {
-		t.Fatalf("content table holds %d blobs, census %d interned", tabled, interned)
+	if len(chained) != interned {
+		t.Fatalf("content table holds %d blobs, census %d interned", len(chained), interned)
 	}
 }
 
@@ -294,19 +346,53 @@ func (m *diffModel) drain(t *testing.T) {
 	}
 }
 
+// runDiff drives a frames-wide model through steps random operations from
+// seed, verifying every verifyEvery steps and once at the end.
+func runDiff(t *testing.T, seed int64, frames, steps, verifyEvery int) *diffModel {
+	t.Helper()
+	r := rand.New(rand.NewSource(seed))
+	m := newDiffModel(frames)
+	for i := 0; i < steps; i++ {
+		m.step(t, r)
+		if i%verifyEvery == 0 {
+			m.verify(t)
+		}
+	}
+	m.verify(t)
+	return m
+}
+
 // TestContentStoreDifferential is the satellite property test: long random
 // operation sequences, model-checked throughout.
 func TestContentStoreDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		m := newDiffModel(64)
-		for step := 0; step < 3000; step++ {
-			m.step(t, r)
-			if step%200 == 0 {
-				m.verify(t)
-			}
+		runDiff(t, seed, 64, 3000, 200).drain(t)
+	}
+}
+
+// TestContentStatsPinned holds the store's counters for two fixed op streams
+// at exact values: a change to how the store indexes or caches content must
+// leave what it counts — blobs made and reused, seeds asked, pages
+// materialized — where it was.
+func TestContentStatsPinned(t *testing.T) {
+	for _, c := range []struct {
+		seed         int64
+		steps        int
+		want         ContentStats
+		materialized uint64
+	}{
+		{5, 3000, ContentStats{Blobs: 42, BlobBytes: 42 * DefaultPageSize, InternedBlobs: 21,
+			SeedSums: 52, InternHits: 135, COWCopies: 207}, 730},
+		{13, 6000, ContentStats{Blobs: 40, BlobBytes: 40 * DefaultPageSize, InternedBlobs: 15,
+			SeedSums: 124, InternHits: 299, COWCopies: 464}, 1432},
+	} {
+		m := runDiff(t, c.seed, 64, c.steps, 100)
+		if got := m.pm.ContentStats(); got != c.want {
+			t.Errorf("seed %d, %d steps: ContentStats %+v, want %+v", c.seed, c.steps, got, c.want)
 		}
-		m.verify(t)
+		if got := m.pm.Stats().Materialized; got != c.materialized {
+			t.Errorf("seed %d, %d steps: Materialized %d, want %d", c.seed, c.steps, got, c.materialized)
+		}
 		m.drain(t)
 	}
 }
@@ -321,15 +407,6 @@ func FuzzContentStoreDifferential(f *testing.F) {
 		if steps < 0 || steps > 4000 {
 			return
 		}
-		r := rand.New(rand.NewSource(seed))
-		m := newDiffModel(32)
-		for i := 0; i < steps; i++ {
-			m.step(t, r)
-			if i%500 == 0 {
-				m.verify(t)
-			}
-		}
-		m.verify(t)
-		m.drain(t)
+		runDiff(t, seed, 32, steps, 500).drain(t)
 	})
 }

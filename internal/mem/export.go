@@ -66,7 +66,7 @@ func (pm *PhysMem) exportDesc(d desc) ExportedPage {
 	case descZero:
 		return ExportedPage{Kind: ExportZero, Sum: pm.zeroSum}
 	case descSeeded:
-		return ExportedPage{Kind: ExportSeed, Seed: d.seed, Sum: pm.seedSum(d.seed)}
+		return ExportedPage{Kind: ExportSeed, Seed: d.seed, Sum: pm.seededSum(&d)} // d is a copy
 	default:
 		if d.blob.seeded {
 			return ExportedPage{Kind: ExportSeed, Seed: d.blob.seed, Sum: d.blob.checksum()}

@@ -14,6 +14,20 @@ func TestPTEPacksInto24Bytes(t *testing.T) {
 	}
 }
 
+// The frame array is the pool's one per-page cost: the descriptor's checksum
+// memo must fit the padding its flags leave, not add a word per frame.
+func TestFramePacking(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layout pinned for 64-bit targets")
+	}
+	if got := unsafe.Sizeof(desc{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(desc{}) = %d, want 32 (the two flags first, then the words)", got)
+	}
+	if got := unsafe.Sizeof(frame{}); got > 40 {
+		t.Fatalf("unsafe.Sizeof(frame{}) = %d, want at most 40", got)
+	}
+}
+
 func TestPageTableSetLookupDelete(t *testing.T) {
 	pt := NewPageTable()
 	if _, ok := pt.Lookup(5); ok {

@@ -446,7 +446,7 @@ func (pm *PhysMem) bytesOf(f *frame) []byte {
 	case descZero:
 		return pm.zero
 	case descSeeded:
-		f.desc = desc{kind: descLiteral, blob: pm.internSeeded(f.desc.seed)}
+		f.desc = desc{kind: descLiteral, blob: pm.internSeeded(f.desc.seed, pm.seededSum(&f.desc))}
 		return f.desc.blob.data
 	default:
 		return f.desc.blob.data
@@ -465,19 +465,34 @@ func (pm *PhysMem) seedSum(seed Seed) uint64 {
 	return v
 }
 
-// internSeeded materializes seed's page as an interned blob; frames sharing
-// a fill seed converge on one buffer, and every materialization after the
-// first is a seed-index hit that never regenerates or compares bytes. The
-// first generates the page once, into the buffer the new blob keeps; only when
-// the table already holds those bytes does the buffer go back for reuse.
-func (pm *PhysMem) internSeeded(seed Seed) *blob {
-	cs := pm.cs
-	if b, ok := cs.seedBlobs[seed]; ok {
-		b.refs++
-		cs.internHits++
-		return b
+// seededSum returns a Seeded descriptor's checksum, asking seedSum only the
+// first time and keeping the answer on the descriptor: a page checksummed
+// pass after pass, then materialized, costs one cache probe, not one each.
+func (pm *PhysMem) seededSum(d *desc) uint64 {
+	if !d.summed {
+		d.sum, d.summed = pm.seedSum(d.seed), true
 	}
-	sum := pm.seedSum(seed)
+	return d.sum
+}
+
+// internSeeded materializes seed's page, whose checksum is sum, as an
+// interned blob; frames sharing a fill seed converge on one buffer. A blob in
+// sum's chain made from this very seed is a hit that never regenerates or
+// compares bytes. Otherwise the page is generated once, into the buffer the
+// new blob keeps, which goes back for reuse only if the table has the bytes.
+//
+// Asking for sum before the hit test cannot grow ContentStats.SeedSums: a
+// blob is marked seeded on a miss, after its seed's sum entered seedSums,
+// which never forgets — so on a hit the seed is always cached already.
+func (pm *PhysMem) internSeeded(seed Seed, sum uint64) *blob {
+	cs := pm.cs
+	for b := cs.table[sum]; b != nil; b = b.next {
+		if b.seeded && b.seed == seed {
+			b.refs++
+			cs.internHits++
+			return b
+		}
+	}
 	buf := cs.pageBuf(pm.pageSize, false)
 	Fill(buf, seed)
 	b := cs.lookupInterned(buf, sum)
@@ -492,7 +507,6 @@ func (pm *PhysMem) internSeeded(seed Seed) *blob {
 	if !b.seeded {
 		b.seeded = true
 		b.seed = seed
-		cs.seedBlobs[seed] = b
 	}
 	return b
 }
@@ -510,7 +524,7 @@ func (pm *PhysMem) isZeroFrame(f *frame) bool {
 	case descZero:
 		return true
 	case descSeeded:
-		return pm.seedSum(f.desc.seed) == pm.zeroSum && bytes.Equal(pm.bytesOf(f), pm.zero)
+		return pm.seededSum(&f.desc) == pm.zeroSum && bytes.Equal(pm.bytesOf(f), pm.zero)
 	default:
 		b := f.desc.blob
 		if b.sumValid && b.sum != pm.zeroSum {
@@ -551,14 +565,14 @@ func (pm *PhysMem) Write(id FrameID, off int, data []byte) {
 		}
 		buf := pm.cs.pageBuf(pm.pageSize, true)
 		copy(buf[off:], data)
-		f.desc = desc{kind: descLiteral, blob: pm.cs.newBlob(buf, false)}
+		f.desc = desc{kind: descLiteral, blob: pm.cs.newBlob(buf)}
 		pm.materialized++
 		pm.zeroFrames--
 	case descSeeded:
 		buf := pm.cs.pageBuf(pm.pageSize, false)
 		Fill(buf, f.desc.seed)
 		copy(buf[off:], data)
-		f.desc = desc{kind: descLiteral, blob: pm.cs.newBlob(buf, false)}
+		f.desc = desc{kind: descLiteral, blob: pm.cs.newBlob(buf)}
 		pm.materialized++
 	default:
 		b := f.desc.blob
@@ -571,7 +585,7 @@ func (pm *PhysMem) Write(id FrameID, off int, data []byte) {
 		copy(buf, b.data)
 		copy(buf[off:], data)
 		pm.cs.release(f.desc)
-		f.desc = desc{kind: descLiteral, blob: pm.cs.newBlob(buf, false)}
+		f.desc = desc{kind: descLiteral, blob: pm.cs.newBlob(buf)}
 		pm.cs.cowCopies++
 		pm.materialized++
 	}
@@ -683,8 +697,8 @@ func (pm *PhysMem) Compare(a, b FrameID) int {
 
 // Checksum returns the frame's content checksum (ChecksumBytes of its bytes),
 // computed at most once per content — zero pages use the pool's precomputed
-// sum, seeded pages the per-seed cache, literal blobs a sum cached on the blob
-// itself.
+// sum, seeded pages the per-seed cache and then their descriptor's memo,
+// literal blobs a sum cached on the blob itself.
 func (pm *PhysMem) Checksum(id FrameID) uint64 {
 	return pm.checksumOf(pm.frameAt(id))
 }
@@ -694,7 +708,7 @@ func (pm *PhysMem) checksumOf(f *frame) uint64 {
 	case descZero:
 		return pm.zeroSum
 	case descSeeded:
-		return pm.seedSum(f.desc.seed)
+		return pm.seededSum(&f.desc)
 	default:
 		return f.desc.blob.checksum()
 	}

@@ -60,13 +60,17 @@ func (pm *PhysMem) NewROView() *ROView {
 }
 
 // Checksum returns the frame's content checksum, identical to
-// PhysMem.Checksum but without caching into pool state.
+// PhysMem.Checksum but without caching into pool state: a seeded frame's
+// memo is read, never filled.
 func (v *ROView) Checksum(id FrameID) uint64 {
 	f := v.pm.frameAt(id)
 	switch f.desc.kind {
 	case descZero:
 		return v.pm.zeroSum
 	case descSeeded:
+		if f.desc.summed {
+			return f.desc.sum
+		}
 		return v.seedSum(f.desc.seed)
 	default:
 		b := f.desc.blob
@@ -178,6 +182,7 @@ func (pm *PhysMem) AdoptChecksum(id FrameID, sum uint64) {
 		if _, ok := pm.cs.seedSums[f.desc.seed]; !ok {
 			pm.cs.seedSums[f.desc.seed] = sum
 		}
+		pm.seededSum(&f.desc)
 	default:
 		b := f.desc.blob
 		if !b.sumValid {

@@ -37,15 +37,21 @@ const (
 )
 
 // desc is one frame's content descriptor. The zero value is the zero page.
+// Flags first: it packs into 32 bytes on 64-bit targets (TestFramePacking).
 type desc struct {
 	kind descKind
-	seed Seed  // descSeeded: Fill(page, seed) produces the bytes
-	blob *blob // descLiteral
+	// summed marks sum as seed's checksum (descSeeded only), a memo that
+	// seededSum sets once seedSums holds the seed. A new seed always comes
+	// with a fresh descriptor, so the memo cannot outlive its seed.
+	summed bool
+	seed   Seed  // descSeeded: Fill(page, seed) produces the bytes
+	blob   *blob // descLiteral
+	sum    uint64
 }
 
 // blob is a reference-counted page buffer. refs counts every descriptor
 // holding it: frame descs, swap-slot snapshots, and any other PageContent
-// handle. Interned blobs are immutable and indexed in the content table
+// handle. Interned blobs are immutable and chained into the content table
 // under their checksum; private blobs are mutable only while exactly one
 // reference exists.
 type blob struct {
@@ -56,11 +62,13 @@ type blob struct {
 	sum      uint64
 	sumValid bool
 	interned bool
-	// seeded marks a blob registered in the seedBlobs index under seed, so
-	// its death can unregister it. Set on the first materialization of a
-	// Seeded descriptor; later frames with the same seed attach in O(1).
+	// seeded records that the blob was first materialized from seed: export
+	// sends the seed instead of the bytes, and internSeeded attaches later
+	// frames with that seed without generating or comparing bytes.
 	seeded bool
 	seed   Seed
+	// next chains interned blobs whose checksums collide.
+	next *blob
 }
 
 // checksum returns the blob's content checksum, computing and caching it on
@@ -78,17 +86,14 @@ func (b *blob) setSum(sum uint64) { b.sum, b.sumValid = sum, true }
 // contentStore holds the pool's interned blobs and per-seed checksum cache.
 // It is per-PhysMem: concurrently running clusters share no mutable state.
 type contentStore struct {
-	// table indexes interned blobs by content checksum; buckets are scanned
-	// in insertion order and verified byte-for-byte, so checksum collisions
-	// cost a memcmp, never a wrong share.
-	table map[uint64][]*blob
-	// seedSums caches the page checksum of each Seed ever checksummed, so
-	// seeded frames answer Checksum without generating bytes again.
+	// table chains interned blobs through blob.next by content checksum. It
+	// holds each content once and verifies every match byte-for-byte, so a
+	// collision costs a memcmp, never a wrong share; chain order is unseen.
+	table map[uint64]*blob
+	// seedSums caches the page checksum of each Seed ever asked for. It never
+	// forgets: its size is ContentStats.SeedSums, which the benchmark's
+	// golden digests cover.
 	seedSums map[Seed]uint64
-	// seedBlobs indexes live interned blobs by the fill seed that produced
-	// them: materializing a seed that some frame already materialized is a
-	// map hit, not a fill-and-compare.
-	seedBlobs map[Seed]*blob
 
 	// freeBufs holds the page buffers of dead blobs for the next blob to
 	// reuse (pageBuf). A buffer is allocated only when this list is empty,
@@ -106,9 +111,8 @@ type contentStore struct {
 
 func newContentStore() *contentStore {
 	return &contentStore{
-		table:     make(map[uint64][]*blob),
-		seedSums:  make(map[Seed]uint64),
-		seedBlobs: make(map[Seed]*blob),
+		table:    make(map[uint64]*blob),
+		seedSums: make(map[Seed]uint64),
 	}
 }
 
@@ -128,15 +132,11 @@ func (cs *contentStore) pageBuf(n int, zeroed bool) []byte {
 	return buf
 }
 
-// newBlob registers a fresh buffer with the store's accounting.
-func (cs *contentStore) newBlob(data []byte, interned bool) *blob {
-	b := &blob{data: data, refs: 1, interned: interned}
+// newBlob registers a fresh private buffer with the store's accounting.
+func (cs *contentStore) newBlob(data []byte) *blob {
 	cs.blobs++
 	cs.blobBytes += int64(len(data))
-	if interned {
-		cs.internedBlobs++
-	}
-	return b
+	return &blob{data: data, refs: 1}
 }
 
 // retain takes one more reference on a descriptor's backing, if any.
@@ -164,59 +164,59 @@ func (cs *contentStore) release(d desc) {
 	}
 	cs.blobs--
 	cs.blobBytes -= int64(len(b.data))
-	if b.seeded {
-		delete(cs.seedBlobs, b.seed)
-		b.seeded = false
-	}
 	if b.interned {
-		cs.internedBlobs--
-		cs.removeInterned(b)
+		cs.unlink(b)
 	}
 	cs.freeBufs = append(cs.freeBufs, b.data)
 	b.data = nil
 }
 
 // internExisting registers an already-live blob in the content table
-// without copying or taking a reference (the table never owns one; dying
-// blobs remove themselves). Used when a frame becomes a KSM stable page:
-// content the host proved shared should be discoverable by checksum, so
-// imports of byte-identical pages attach instead of copying. A blob whose
-// bytes already have a table entry is left alone.
+// without copying or taking a reference. Used when a frame becomes a KSM
+// stable page: content the host proved shared should be discoverable by
+// checksum, so imports of byte-identical pages attach instead of copying. A
+// blob whose bytes already have a table entry is left alone.
 func (cs *contentStore) internExisting(b *blob) {
 	if b.interned {
 		return
 	}
 	sum := b.checksum()
-	if cs.lookupInterned(b.data, sum) != nil {
-		return
+	if cs.lookupInterned(b.data, sum) == nil {
+		cs.link(b, sum)
 	}
-	b.interned = true
-	cs.internedBlobs++
-	cs.table[sum] = append(cs.table[sum], b)
 }
 
-// removeInterned deletes a dying blob from its table bucket.
-func (cs *contentStore) removeInterned(b *blob) {
+// link enters b, whose checksum is sum and whose bytes the table does not
+// hold yet, into the content table. The table takes no reference; a dying
+// blob unlinks itself.
+func (cs *contentStore) link(b *blob, sum uint64) {
+	b.interned = true
+	cs.internedBlobs++
+	b.next = cs.table[sum]
+	cs.table[sum] = b
+}
+
+// unlink takes a dying interned blob out of its checksum's chain.
+func (cs *contentStore) unlink(b *blob) {
+	cs.internedBlobs--
 	sum := b.checksum()
-	bucket := cs.table[sum]
-	for i, cand := range bucket {
-		if cand == b {
-			bucket = append(bucket[:i], bucket[i+1:]...)
-			break
+	if p := cs.table[sum]; p != b {
+		for p.next != b {
+			p = p.next
 		}
-	}
-	if len(bucket) == 0 {
-		delete(cs.table, sum)
+		p.next = b.next
+	} else if b.next != nil {
+		cs.table[sum] = b.next
 	} else {
-		cs.table[sum] = bucket
+		delete(cs.table, sum)
 	}
 }
 
 // lookupInterned returns the table blob byte-equal to data, if any.
 func (cs *contentStore) lookupInterned(data []byte, sum uint64) *blob {
-	for _, cand := range cs.table[sum] {
-		if bytes.Equal(cand.data, data) {
-			return cand
+	for b := cs.table[sum]; b != nil; b = b.next {
+		if bytes.Equal(b.data, data) {
+			return b
 		}
 	}
 	return nil
@@ -225,9 +225,9 @@ func (cs *contentStore) lookupInterned(data []byte, sum uint64) *blob {
 // addInterned enters buf, whose checksum is sum and whose bytes the table
 // does not hold yet, as a new interned blob carrying one reference.
 func (cs *contentStore) addInterned(buf []byte, sum uint64) *blob {
-	b := cs.newBlob(buf, true)
+	b := cs.newBlob(buf)
 	b.setSum(sum)
-	cs.table[sum] = append(cs.table[sum], b)
+	cs.link(b, sum)
 	return b
 }
 
@@ -241,7 +241,8 @@ type ContentStats struct {
 	BlobBytes int64
 	// InternedBlobs counts blobs shared through the content table.
 	InternedBlobs int
-	// SeedSums is the per-seed checksum cache size.
+	// SeedSums counts the distinct seeds whose checksum was ever asked for
+	// (the per-seed cache never forgets one).
 	SeedSums int
 	// InternHits counts materializations and writes served by an existing
 	// interned blob instead of a new buffer.
@@ -302,9 +303,7 @@ func (pm *PhysMem) Snapshot(id FrameID) PageContent {
 			f.desc = desc{kind: descLiteral, blob: existing}
 		} else {
 			// Adopt the private buffer into the table in place — no copy.
-			b.interned = true
-			pm.cs.internedBlobs++
-			pm.cs.table[sum] = append(pm.cs.table[sum], b)
+			pm.cs.link(b, sum)
 		}
 	}
 	return PageContent{d: pm.cs.retain(f.desc)}
