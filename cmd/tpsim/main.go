@@ -8,7 +8,7 @@
 //
 // Every experiment is a positional id from the registry in internal/core
 // (tpsim -h lists them with their flags), or "all" for the paper's tables
-// and figures. Knob flags (-thp, -incremental, -jitshare, -ksm-shards, ...)
+// and figures. Knob flags (-thp, -incremental, -jitshare, ...)
 // apply to every cluster of every experiment; a sweep ignores only the knob
 // that is its own axis.
 //
@@ -49,12 +49,11 @@ func main() {
 	flag.BoolVar(&v.metricsCSV, "metrics-csv", false, "append the sampled metrics series as CSV after each experiment")
 	thpFlag := flag.String("thp", "never", "transparent huge page policy: never|madvise|always|fhpm (fhpm splits and re-promotes per subpage)")
 	flag.BoolVar(&opts.THPKSMSplit, "thp-ksm-split", false, "let KSM split huge pages over verified duplicate content (not with -thp fhpm)")
-	flag.IntVar(&opts.THPMaxPtesNone, "thp-max-ptes-none", 0, "khugepaged max_ptes_none collapse budget (0 = default 64)")
+	flag.IntVar(&opts.THPMaxPtesNone, "thp-max-ptes-none", 0, "khugepaged max_ptes_none collapse budget, 0..511 (0 = default 64)")
 	flag.IntVar(&opts.TLBEntries, "tlb-entries", 0, "modeled TLB size for the reach estimate (0 = default 1024)")
 	flag.Uint64Var(&opts.ChaosSeed, "chaos-seed", 0, "fault schedule seed of chaos and datacenter (fixed seed = byte-identical output)")
 	flag.BoolVar(&opts.IncrementalScan, "incremental", false, "enable dirty-ring incremental KSM rescans")
 	flag.BoolVar(&opts.JITShare, "jitshare", false, "attach the ShareJIT-style shared code archive to every JVM")
-	flag.IntVar(&opts.KSMShards, "ksm-shards", 0, "KSM scanner shard count (0/1 = single-threaded; outcomes identical at every count)")
 	flag.IntVar(&opts.DCHosts, "hosts", 0, "host count of datacenter (0 = 3)")
 	flag.Float64Var(&opts.NetGbps, "net-gbps", 0, "migration link rate of datacenter in Gb/s (0 = 10)")
 	flag.Usage = usage
@@ -107,10 +106,10 @@ experiments (* = run by "all"):
 	flag.PrintDefaults()
 	fmt.Fprint(w, `
 The knob flags (-thp, -thp-ksm-split, -thp-max-ptes-none, -tlb-entries,
--incremental, -jitshare, -ksm-shards) apply to every cluster of every
-experiment. A sweep ignores only the knob that is its own axis: thp-tradeoff
-the THP policy, dirtylog -incremental, jitshare -jitshare, ksmshard
--ksm-shards. Figures are byte-identical at every -ksm-shards and -jobs value.
+-incremental, -jitshare) apply to every cluster of every experiment. A sweep
+ignores only the knob that is its own axis: thp-tradeoff the THP policy,
+dirtylog -incremental, jitshare -jitshare. Figures are byte-identical at
+every -jobs value.
 `)
 }
 

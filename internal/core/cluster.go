@@ -97,12 +97,6 @@ type Knobs struct {
 	// and tier-2 re-JITs invalidate canonical slots so the sharing decays
 	// under warming.
 	JITShare bool
-	// KSMShards partitions the scanner's merge state by checksum bucket and
-	// scans batches on a worker pool (tpsim -ksm-shards, ksm.Config.Shards).
-	// Results are byte-identical at every shard count — only scan-pass wall
-	// time changes — so 0/1 (single-threaded) and N>1 produce the same
-	// figures.
-	KSMShards int
 }
 
 // ClusterConfig describes one KVM experiment run.
@@ -130,7 +124,7 @@ type ClusterConfig struct {
 	// (used by the related-work baselines to analyze the raw state).
 	DisableKSM bool
 	// Knobs are the subsystem switches (THP, incremental scan, ShareJIT,
-	// scanner shards, modeled TLB size).
+	// modeled TLB size).
 	Knobs
 	// SharedAOT additionally populates and uses the cache's AOT section
 	// (extension; implies SharedClasses behaviour for code).
@@ -290,7 +284,6 @@ func BuildCluster(cfg ClusterConfig) *Cluster {
 	// dissolving the whole block (takes precedence over SplitHugePages).
 	kcfg.PartialSplitHuge = cfg.THPPolicy == thp.PolicyFHPM
 	kcfg.IncrementalScan = cfg.IncrementalScan
-	kcfg.Shards = cfg.KSMShards
 	c.Scanner = ksm.New(host, kcfg)
 	if !cfg.DisableKSM {
 		c.Scanner.Start()

@@ -71,11 +71,6 @@ func DirtyLogFigureTable(f DirtyLogFigure) *report.Table {
 	return rowsTable(f.ID, dirtyLogColumns, f.Rows)
 }
 
-// KSMShardFigureTable flattens the ksmshard sweep result.
-func KSMShardFigureTable(f KSMShardFigure) *report.Table {
-	return rowsTable(f.ID, ksmShardColumns, f.Rows)
-}
-
 // JITShareFigureTable flattens the jitshare sweep result.
 func JITShareFigureTable(f JITShareFigure) *report.Table {
 	return rowsTable(f.ID, jitShareColumns, f.Rows)

@@ -37,8 +37,8 @@ type Options struct {
 	Telemetry *Telemetry
 	// Knobs are the subsystem switches applied to every cluster the
 	// experiment builds (tpsim -thp, -thp-ksm-split, -thp-max-ptes-none,
-	// -tlb-entries, -incremental, -jitshare, -ksm-shards). A sweep ignores
-	// only the knob that is its own axis.
+	// -tlb-entries, -incremental, -jitshare). A sweep ignores only the knob
+	// that is its own axis.
 	Knobs
 	// ChaosSeed derives the chaos and datacenter experiments' fault
 	// schedules (tpsim -chaos-seed). Fixed seed ⇒ byte-identical sweep
@@ -81,13 +81,15 @@ func (o Options) Validate() error {
 		{"-jobs", float64(o.Jobs)},
 		{"-thp-max-ptes-none", float64(o.THPMaxPtesNone)},
 		{"-tlb-entries", float64(o.TLBEntries)},
-		{"-ksm-shards", float64(o.KSMShards)},
 		{"-hosts", float64(o.DCHosts)},
 		{"-net-gbps", o.NetGbps},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("%s must not be negative (got %v; 0 selects the default)", f.flag, f.v)
 		}
+	}
+	if o.THPMaxPtesNone >= mem.HugePages {
+		return fmt.Errorf("-thp-max-ptes-none must be in 0..%d (got %d)", mem.HugePages-1, o.THPMaxPtesNone)
 	}
 	if o.THPPolicy == thp.PolicyFHPM && o.THPKSMSplit {
 		return fmt.Errorf("-thp-ksm-split cannot be combined with -thp fhpm (fhpm splits per subpage itself)")

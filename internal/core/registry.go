@@ -99,8 +99,6 @@ var registry = []Experiment{
 		figureRun(DirtyLogSweep, RenderDirtyLogFigure, DirtyLogFigureTable)},
 	{"jitshare", "code-area sharing: private JIT output vs ShareJIT PIC archive", false,
 		figureRun(JITShareSweep, RenderJITShareFigure, JITShareFigureTable)},
-	{"ksmshard", "sharded KSM scanning: identical outcomes at 1/2/4 shards", false,
-		figureRun(KSMShardSweep, RenderKSMShardFigure, KSMShardFigureTable)},
 	{"chaos", "fault-injection sweep: kills/restarts, demand spikes, stalls", false,
 		figureRun(Chaos, RenderChaosFigure, ChaosFigureTable)},
 	{"datacenter", "multi-host sweep: placement × migration protocol under faults", false,

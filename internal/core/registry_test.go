@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/mem"
 	"repro/internal/thp"
 	"repro/internal/workload"
 )
@@ -107,19 +108,6 @@ func TestRegistryDeterministicAcrossJobs(t *testing.T) {
 			}
 		})
 	}
-	// Outcomes may never depend on the scanner's shard count either.
-	t.Run("fig2-ksm-shards", func(t *testing.T) {
-		run := func(shards int) Result {
-			o := testOptions("fig2", 1)
-			o.KSMShards = shards
-			exps, _ := Lookup("fig2")
-			res, _ := exps[0].Run(o)
-			return res
-		}
-		if one, four := run(1), run(4); one.Text != four.Text || one.CSV != four.CSV {
-			t.Errorf("fig2 differs between 1 and 4 KSM shards:\n%s\n---\n%s", one.Text, four.Text)
-		}
-	})
 }
 
 // TestRegistryLookup pins id resolution: ids are unique, "all" expands to the
@@ -184,7 +172,7 @@ func TestOptionsValidate(t *testing.T) {
 		t.Fatalf("zero Options rejected: %v", err)
 	}
 	ok := Options{Scale: 64, Jobs: 8, DCHosts: 4, NetGbps: 2.5,
-		Knobs: Knobs{THPPolicy: thp.PolicyAlways, THPKSMSplit: true, THPMaxPtesNone: 8, TLBEntries: 64, KSMShards: 4}}
+		Knobs: Knobs{THPPolicy: thp.PolicyAlways, THPKSMSplit: true, THPMaxPtesNone: mem.HugePages - 1, TLBEntries: 64}}
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("valid Options rejected: %v", err)
 	}
@@ -195,8 +183,8 @@ func TestOptionsValidate(t *testing.T) {
 		{"-scale", Options{Scale: -4}},
 		{"-jobs", Options{Jobs: -1}},
 		{"-thp-max-ptes-none", Options{Knobs: Knobs{THPMaxPtesNone: -1}}},
+		{"-thp-max-ptes-none", Options{Knobs: Knobs{THPMaxPtesNone: mem.HugePages}}},
 		{"-tlb-entries", Options{Knobs: Knobs{TLBEntries: -1}}},
-		{"-ksm-shards", Options{Knobs: Knobs{KSMShards: -2}}},
 		{"-hosts", Options{DCHosts: -3}},
 		{"-net-gbps", Options{NetGbps: -0.5}},
 		{"-thp-ksm-split", Options{Knobs: Knobs{THPPolicy: thp.PolicyFHPM, THPKSMSplit: true}}},

@@ -253,38 +253,6 @@ func RenderDirtyLogFigure(f DirtyLogFigure) string {
 		"The linear scanner's converged cost tracks registered pages; incremental mode's tracks churn.")
 }
 
-// ksmShardColumns: one row per workload × shard count, outcomes identical
-// down the shard axis with the per-shard work split alongside.
-var ksmShardColumns = []column[KSMShardRow]{
-	{head: "Workload", csvHead: "workload", cell: func(r KSMShardRow) any { return r.Workload }},
-	{head: "Guests", csvHead: "guests", cell: func(r KSMShardRow) any { return r.Guests }},
-	{head: "Shards", csvHead: "shards", cell: func(r KSMShardRow) any { return r.Shards }},
-	{head: "KSM saving MB", csvHead: "ksm_saving_mb", cell: func(r KSMShardRow) any { return r.SharingMB }},
-	{head: "Merges", csvHead: "merges", cell: func(r KSMShardRow) any { return r.Merges }},
-	{head: "Pages scanned", csvHead: "pages_scanned", cell: func(r KSMShardRow) any { return r.PagesScanned }},
-	{head: "Full scans", csvHead: "full_scans", cell: func(r KSMShardRow) any { return r.FullScans }},
-	{head: "Scan CPU %", csvHead: "scan_cpu_pct", cell: func(r KSMShardRow) any { return r.ScanCPUPct }},
-	{head: "Per-shard scanned", csvHead: "shard_pages_scanned", cell: func(r KSMShardRow) any { return shardSplit(r.ShardPagesScanned) }},
-}
-
-// RenderKSMShardFigure prints the ksmshard sweep.
-func RenderKSMShardFigure(f KSMShardFigure) string {
-	return renderRows(f.ID, f.Title, ksmShardColumns, f.Rows,
-		"Outcome columns are identical at every shard count; sharding buys scan-pass wall time (BENCH_ksmshard.json), never different merges.")
-}
-
-// shardSplit formats a per-shard counter vector as "a/b/c".
-func shardSplit(counts []uint64) string {
-	var b strings.Builder
-	for i, c := range counts {
-		if i > 0 {
-			b.WriteByte('/')
-		}
-		fmt.Fprintf(&b, "%d", c)
-	}
-	return b.String()
-}
-
 // jitShareColumns: one row per workload × sharing mode with the code-area
 // sharing ratio after warm-up and at the end of steady state.
 var jitShareColumns = []column[JITShareRow]{

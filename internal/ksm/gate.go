@@ -25,7 +25,6 @@ func newRegionGate(reg hypervisor.MergeableRegion) *regionGate {
 }
 
 // last reports the checksum recorded at the page's previous visit, if any.
-// Read-only, so classify workers may call it concurrently.
 func (g *regionGate) last(vpn mem.VPN) (sum uint64, seen bool) {
 	i := vpn - g.start
 	return g.sums[i], g.seen[i>>6]&(1<<(i&63)) != 0

@@ -1,7 +1,6 @@
 package ksm
 
 import (
-	"sync"
 	"testing"
 
 	"repro/internal/hypervisor"
@@ -100,60 +99,5 @@ func TestUnmergeForgetsEveryGateEntry(t *testing.T) {
 	f.k.Unmerge()
 	if got := len(gateEntries(f.k)); got != 0 {
 		t.Fatalf("%d gate entries survive Unmerge", got)
-	}
-}
-
-// TestConcurrentGateReadersAreClean drives the parallel classify phase — the
-// gate's only concurrent use — at full width and holds its verdicts to the
-// serial scanner's. Under -race this is the proof that classifyOne only reads.
-func TestConcurrentGateReadersAreClean(t *testing.T) {
-	forceParallel(t)
-	cfg := DefaultConfig()
-	cfg.Shards = 4
-	f := newFixture(t, 4096, 4, 256, cfg)
-	for vi, vm := range f.vms {
-		for i := uint64(0); i < 200; i++ {
-			vm.FillGuestPage(i, mem.Seed(uint64(vi+1)*1000+i))
-		}
-	}
-	f.scanPasses(1) // every resident page now has a gate entry
-	cands := make([]candidate, 0, 4*256)
-	for _, vm := range f.vms {
-		for i := 0; i < vm.GuestPages(); i++ {
-			vpn := vm.MemslotBase() + mem.VPN(i)
-			cands = append(cands, candidate{vm: vm, vpn: vpn, gate: f.k.gateFor(vm, vpn), shard: -1})
-		}
-	}
-	var wg sync.WaitGroup
-	verdicts := make([][]scanVerdict, 4)
-	for w := range verdicts {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			mine := append([]candidate(nil), cands...)
-			view := f.host.Phys().NewROView()
-			for i := range mine {
-				f.k.classifyOne(&mine[i], view)
-				verdicts[w] = append(verdicts[w], mine[i].verdict)
-			}
-		}(w)
-	}
-	wg.Wait()
-	pending := 0
-	for i, v := range verdicts[0] {
-		for w := 1; w < 4; w++ {
-			if verdicts[w][i] != v {
-				t.Fatalf("candidate %d: reader %d classified %d, reader 0 classified %d", i, w, verdicts[w][i], v)
-			}
-		}
-		if v == vPending {
-			pending++
-		}
-	}
-	if pending != 4*200 {
-		t.Fatalf("%d candidates passed the gate, want every filled page (%d)", pending, 4*200)
-	}
-	if got := len(gateEntries(f.k)); got != 4*200 {
-		t.Fatalf("classify wrote the gate: %d entries, want %d", got, 4*200)
 	}
 }

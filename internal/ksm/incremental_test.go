@@ -246,7 +246,7 @@ func TestUnregisterLastRegionMidPassEndsPass(t *testing.T) {
 	if f.k.regionIdx != 1 {
 		t.Fatalf("cursor in region %d, want 1", f.k.regionIdx)
 	}
-	if f.k.unstableTotal() == 0 {
+	if f.k.unstableN == 0 {
 		t.Fatal("no unstable entries mid-pass; scan did nothing")
 	}
 	f.k.Unregister(f.vms[1])
@@ -254,8 +254,8 @@ func TestUnregisterLastRegionMidPassEndsPass(t *testing.T) {
 	if s.FullScans != 2 {
 		t.Fatalf("FullScans = %d after wrap-completing unregister, want 2", s.FullScans)
 	}
-	if f.k.unstableTotal() != 0 || len(f.k.shards[0].unstable) != 0 {
-		t.Fatalf("unstable index survived the pass boundary: %d entries", f.k.unstableTotal())
+	if f.k.unstableN != 0 || len(f.k.unstable) != 0 {
+		t.Fatalf("unstable index survived the pass boundary: %d entries", f.k.unstableN)
 	}
 	// The next chunk starts a fresh pass over the surviving VM and must
 	// complete it normally.

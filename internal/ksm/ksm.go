@@ -92,13 +92,6 @@ type Config struct {
 	// without the rings the scanner stays linear forever. Off (the default),
 	// behaviour is byte-identical to the linear scanner.
 	IncrementalScan bool
-	// Shards splits the merge state — the stable and the unstable index
-	// — into this many partitions routed by checksum % Shards, scanned by a
-	// bounded worker pool (one worker per shard with work; see shard.go).
-	// 0 or 1 keeps the single-threaded scanner. Merge outcomes, statistics
-	// and frame allocation order are byte-identical at every shard count;
-	// only wall-clock scan time changes. DESIGN.md §5f has the invariants.
-	Shards int
 }
 
 // fullPassesBeforeIncremental is how many consecutive completed full passes
@@ -225,9 +218,18 @@ type KSM struct {
 	// recently; nil between passes so every pass resets each ring once.
 	ringVM *hypervisor.VMProcess
 
-	// shards holds the checksum-partitioned merge state (stable and
-	// unstable indexes) — one entry when unsharded. See shard.go.
-	shards []*scanShard
+	// stable is the index of KSM stable frames; unstable maps a checksum to
+	// the candidate pages recorded under it this pass (unstableN of them).
+	// See pipeline.go.
+	stable    *stableIndex
+	unstable  map[uint64][]unstableEntry
+	unstableN int
+	// arena backs the first entry of every bucket recorded in linear mode, in
+	// fixed chunks; arenaN counts the slots handed out since dropUnstable last
+	// rewound it. Most buckets never hold a second entry, so a pass that
+	// re-records every unshared page allocates nothing.
+	arena  [][]unstableEntry
+	arenaN int
 	// gates holds the volatility gate, one dense table per registered
 	// region; see gate.go.
 	gates    []*regionGate
@@ -240,12 +242,11 @@ type KSM struct {
 	vms    []*hypervisor.VMProcess
 	vmRegs map[*hypervisor.VMProcess]int
 
-	// candBuf, wrapCand and shardIdx are reusable scratch for the batch
-	// pipeline (shard.go); each batch is fully consumed before the next
-	// collection reuses them.
+	// candBuf and wrapCand are reusable scratch for the batch pipeline
+	// (pipeline.go); each batch is fully consumed before the next collection
+	// reuses them.
 	candBuf  []candidate
 	wrapCand candidate
-	shardIdx [][]int32
 
 	running bool
 	started simclock.Time
@@ -274,20 +275,14 @@ func New(host *hypervisor.Host, cfg Config) *KSM {
 	if cfg.SleepMillis <= 0 {
 		panic(fmt.Sprintf("ksm: SleepMillis = %d", cfg.SleepMillis))
 	}
-	shardN := cfg.Shards
-	if shardN <= 0 {
-		shardN = 1
-	}
 	k := &KSM{
 		host:     host,
 		cfg:      cfg,
 		regSet:   make(map[hypervisor.MergeableRegion]struct{}),
-		shards:   make([]*scanShard, shardN),
+		stable:   newStableIndex(),
+		unstable: make(map[uint64][]unstableEntry),
 		needFull: make(map[*hypervisor.VMProcess]bool),
 		vmRegs:   make(map[*hypervisor.VMProcess]int),
-	}
-	for i := range k.shards {
-		k.shards[i] = newScanShard(host.Phys())
 	}
 	host.OnCOWBreak = k.onCOWBreak
 	return k
@@ -395,21 +390,19 @@ func (k *KSM) Unregister(vm *hypervisor.VMProcess) {
 	}
 	k.gates = slices.DeleteFunc(k.gates, func(g *regionGate) bool { return g.vm == vm })
 	k.gateMemo = nil
-	for _, s := range k.shards {
-		for sum, bucket := range s.unstable {
-			keptEnts := bucket[:0]
-			for _, ent := range bucket {
-				if ent.key.vm == vm {
-					s.unstableN--
-					continue
-				}
-				keptEnts = append(keptEnts, ent)
+	for sum, bucket := range k.unstable {
+		keptEnts := bucket[:0]
+		for _, ent := range bucket {
+			if ent.key.vm == vm {
+				k.unstableN--
+				continue
 			}
-			if len(keptEnts) == 0 {
-				delete(s.unstable, sum)
-			} else {
-				s.unstable[sum] = keptEnts
-			}
+			keptEnts = append(keptEnts, ent)
+		}
+		if len(keptEnts) == 0 {
+			delete(k.unstable, sum)
+		} else {
+			k.unstable[sum] = keptEnts
 		}
 	}
 	delete(k.needFull, vm)
@@ -506,16 +499,14 @@ func (k *KSM) Stats() Stats {
 	s.PagesShared = 0
 	s.PagesSharing = 0
 	pm := k.host.Phys()
-	for _, sh := range k.shards {
-		sh.stable.walk(func(f mem.FrameID) {
-			mappers := pm.RefCount(f) - 1 // one reference belongs to the index
-			if mappers <= 0 {
-				return
-			}
-			s.PagesShared++
-			s.PagesSharing += mappers
-		})
-	}
+	k.stable.walk(func(f mem.FrameID) {
+		mappers := pm.RefCount(f) - 1 // one reference belongs to the index
+		if mappers <= 0 {
+			return
+		}
+		s.PagesShared++
+		s.PagesSharing += mappers
+	})
 	s.SavedBytes = int64(s.PagesSharing-s.PagesShared) * int64(k.host.PageSize())
 	// Elapsed stall time is the scheduled total minus whatever part of the
 	// current window is still in the future.
@@ -551,16 +542,16 @@ func (k *KSM) ScanChunk(n int) {
 }
 
 // scanLinear spends a wake-up's budget on the circular cursor. Pages are
-// collected into batches and run through the (possibly sharded) merge
-// pipeline; batches break at pass boundaries so endPass bookkeeping — the
-// unstable-index drop, the prunes, the pass snapshot — lands between the
-// scans exactly where the page-at-a-time scanner put it. One quirk is
-// preserved deliberately: a pass boundary fires *before* the page whose
-// consumption wrapped the cursor is scanned, so that page is processed after
-// endPass, in linear semantics, even when endPass just switched the scanner
-// to incremental mode (the remaining budget then belongs to the incremental
-// queue starting next wake-up; unreachable with IncrementalScan off, so
-// off-mode CPU accounting is unchanged).
+// collected into batches and run through the merge pipeline; batches break
+// at pass boundaries so endPass bookkeeping — the unstable-index drop, the
+// prunes, the pass snapshot — lands between the scans exactly where the
+// page-at-a-time scanner put it. One quirk is preserved deliberately: a pass
+// boundary fires *before* the page whose consumption wrapped the cursor is
+// scanned, so that page is processed after endPass, in linear semantics, even
+// when endPass just switched the scanner to incremental mode (the remaining
+// budget then belongs to the incremental queue starting next wake-up;
+// unreachable with IncrementalScan off, so off-mode CPU accounting is
+// unchanged).
 func (k *KSM) scanLinear(n int) {
 	if k.scannable == 0 {
 		return
@@ -650,11 +641,11 @@ func (k *KSM) collectLinear(budget int) (cands []candidate, wrap *candidate, pas
 		k.cursor++
 		if k.cursor >= reg.End {
 			if k.advanceRegion() {
-				k.wrapCand = candidate{vm: reg.VM, vpn: vpn, gate: k.gateFor(reg.VM, vpn), shard: -1}
+				k.wrapCand = candidate{vm: reg.VM, vpn: vpn, gate: k.gateFor(reg.VM, vpn)}
 				return k.candBuf, &k.wrapCand, true, false
 			}
 		}
-		k.candBuf = append(k.candBuf, candidate{vm: reg.VM, vpn: vpn, gate: k.gateFor(reg.VM, vpn), shard: -1})
+		k.candBuf = append(k.candBuf, candidate{vm: reg.VM, vpn: vpn, gate: k.gateFor(reg.VM, vpn)})
 	}
 	return k.candBuf, nil, false, false
 }
@@ -672,7 +663,7 @@ func (k *KSM) scanIncremental(n int) {
 	cands := k.candBuf[:0]
 	for len(cands) < n && len(k.incQueue) > 0 {
 		r := &k.incQueue[0]
-		cands = append(cands, candidate{vm: r.vm, vpn: r.start, gate: k.gateFor(r.vm, r.start), shard: -1})
+		cands = append(cands, candidate{vm: r.vm, vpn: r.start, gate: k.gateFor(r.vm, r.start)})
 		r.start++
 		if r.start >= r.end {
 			k.incQueue = k.incQueue[1:]
@@ -710,7 +701,7 @@ func (k *KSM) buildRound() {
 		k.pruneStaleStable()
 		k.stableDirty = false
 	}
-	if k.unstableTotal() > k.registeredPages {
+	if k.unstableN > k.registeredPages {
 		k.compactUnstable()
 	}
 	pending := k.incPending
@@ -851,32 +842,32 @@ func (k *KSM) endPass() {
 // pruneStaleStable drops stable frames nobody maps anymore (only the index's
 // own reference is left). Full passes run it unconditionally; incremental
 // rounds only when stableDirty says sharing may have been lost. The stale
-// frames are freed in ascending frame id, an order no shard count changes;
+// frames are freed in ascending frame id, since the index's walk order is map
+// iteration order and the free stack's order decides later frame numbers;
 // only they are sorted, so a pass with nothing to prune costs one refcount
 // check per stable frame and allocates nothing.
 func (k *KSM) pruneStaleStable() {
 	pm := k.host.Phys()
 	var stale []mem.FrameID
-	for _, s := range k.shards {
-		s.stable.walk(func(f mem.FrameID) {
-			if pm.RefCount(f) == 1 { // only the index holds it
-				stale = append(stale, f)
-			}
-		})
-	}
+	k.stable.walk(func(f mem.FrameID) {
+		if pm.RefCount(f) == 1 { // only the index holds it
+			stale = append(stale, f)
+		}
+	})
 	slices.Sort(stale)
 	k.freeStable(stale)
 }
 
-// freeStable takes frames nobody maps out of the stable indexes and drops the
-// indexes' references to them.
+// freeStable takes frames nobody maps out of the stable index and drops the
+// index's references to them. Stable content is write-protected, so a frame's
+// checksum is still the one it was indexed under.
 func (k *KSM) freeStable(frames []mem.FrameID) {
 	pm := k.host.Phys()
 	for _, f := range frames {
-		if !k.removeStable(f) {
+		if !k.stable.remove(f, pm.Checksum(f)) {
 			// Un-flagging and releasing it would leave the index naming a
 			// frame the allocator hands out again.
-			panic(fmt.Sprintf("ksm: stable frame %d not in its shard's index", f))
+			panic(fmt.Sprintf("ksm: stable frame %d not in the stable index", f))
 		}
 		pm.SetKSM(f, false)
 		pm.DecRef(f)
@@ -890,22 +881,20 @@ func (k *KSM) freeStable(frames []mem.FrameID) {
 // bounds it by the registered page count instead.
 func (k *KSM) compactUnstable() {
 	pm := k.host.Phys()
-	for _, s := range k.shards {
-		for sum, bucket := range s.unstable {
-			kept := bucket[:0]
-			for _, ent := range bucket {
-				pte, ok := ent.key.vm.ResidentPTE(ent.key.vpn)
-				if !ok || pm.IsKSM(pte.Frame) || pm.Checksum(pte.Frame) != ent.checksum {
-					s.unstableN--
-					continue
-				}
-				kept = append(kept, ent)
+	for sum, bucket := range k.unstable {
+		kept := bucket[:0]
+		for _, ent := range bucket {
+			pte, ok := ent.key.vm.ResidentPTE(ent.key.vpn)
+			if !ok || pm.IsKSM(pte.Frame) || pm.Checksum(pte.Frame) != ent.checksum {
+				k.unstableN--
+				continue
 			}
-			if len(kept) == 0 {
-				delete(s.unstable, sum)
-			} else {
-				s.unstable[sum] = kept
-			}
+			kept = append(kept, ent)
+		}
+		if len(kept) == 0 {
+			delete(k.unstable, sum)
+		} else {
+			k.unstable[sum] = kept
 		}
 	}
 }
@@ -969,8 +958,8 @@ func (k *KSM) Instrument(r *metrics.Registry) {
 	r.Gauge("ksm.pages_unmerged", func() float64 { return float64(k.stats.COWBreaks) })
 	r.Gauge("ksm.pages_volatile", func() float64 { return float64(k.stats.ChecksumSkips) })
 	r.Gauge("ksm.full_scans", func() float64 { return float64(k.stats.FullScans) })
-	r.Gauge("ksm.stable_tree_size", func() float64 { return float64(k.stableSize()) })
-	r.Gauge("ksm.unstable_entries", func() float64 { return float64(k.unstableTotal()) })
+	r.Gauge("ksm.stable_tree_size", func() float64 { return float64(k.stable.size) })
+	r.Gauge("ksm.unstable_entries", func() float64 { return float64(k.unstableN) })
 	r.Gauge("ksm.pages_shared", func() float64 { return float64(snapshot().PagesShared) })
 	r.Gauge("ksm.pages_sharing", func() float64 { return float64(snapshot().PagesSharing) })
 	r.Gauge("ksm.saved_bytes", func() float64 { return float64(snapshot().SavedBytes) })
@@ -991,14 +980,6 @@ func (k *KSM) Instrument(r *metrics.Registry) {
 		return float64(k.stats.HugeSkips - k.passStart.HugeSkips)
 	})
 	r.Gauge("ksm.dirty_ring_depth", func() float64 { return float64(k.DirtyRingDepth()) })
-	if len(k.shards) > 1 {
-		for i, s := range k.shards {
-			s := s
-			r.Gauge(fmt.Sprintf("ksm.shard%d.pages_scanned", i), func() float64 { return float64(s.scanned) })
-			r.Gauge(fmt.Sprintf("ksm.shard%d.stable_tree_size", i), func() float64 { return float64(s.stable.size) })
-			r.Gauge(fmt.Sprintf("ksm.shard%d.unstable_entries", i), func() float64 { return float64(s.unstableN) })
-		}
-	}
 	r.Gauge("ksm.dirty_ring_overflows", func() float64 { return float64(k.stats.RingOverflows) })
 	r.Gauge("ksm.dirty_drained", func() float64 { return float64(k.stats.DirtyDrained) })
 	r.Gauge("ksm.pages_scanned_incremental", func() float64 {
@@ -1032,25 +1013,11 @@ func (k *KSM) DirtyRingDepth() int {
 	return depth
 }
 
-// ShardPagesScanned reports each shard's routed-candidate count — visits
-// whose checksum reached the merge pipeline, each counted once — in shard
-// order. The split is deterministic at every batch size and worker
-// interleaving (routing is a pure function of content).
-func (k *KSM) ShardPagesScanned() []uint64 {
-	out := make([]uint64, len(k.shards))
-	for i, s := range k.shards {
-		out[i] = s.scanned
-	}
-	return out
-}
-
 // StableFrames exposes the stable index contents in ascending frame id (for
 // the analyzer and tests).
 func (k *KSM) StableFrames() []mem.FrameID {
-	out := make([]mem.FrameID, 0, k.stableSize())
-	for _, s := range k.shards {
-		s.stable.walk(func(f mem.FrameID) { out = append(out, f) })
-	}
+	out := make([]mem.FrameID, 0, k.stable.size)
+	k.stable.walk(func(f mem.FrameID) { out = append(out, f) })
 	slices.Sort(out)
 	return out
 }
@@ -1071,7 +1038,7 @@ func (k *KSM) Unmerge() {
 			reg.VM.TouchGuestPage(uint64(vpn-reg.Start), true)
 		}
 	}
-	// All stable frames are now referenced only by the indexes.
+	// All stable frames are now referenced only by the index.
 	k.freeStable(k.StableFrames())
 	k.dropUnstable()
 	for _, g := range k.gates {

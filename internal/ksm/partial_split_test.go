@@ -122,20 +122,3 @@ func TestPartialSplitCarvesHugeSideToMeetBasePages(t *testing.T) {
 			s.PagesShared, s.PagesSharing, hp-1, 2*(hp-1))
 	}
 }
-
-func TestPartialSplitIdenticalAcrossShardCounts(t *testing.T) {
-	run := func(shards int) Stats {
-		cfg := DefaultConfig()
-		cfg.PartialSplitHuge = true
-		cfg.Shards = shards
-		f := hugeFixture(t, cfg)
-		f.scanPasses(5)
-		return f.k.Stats()
-	}
-	base := run(0)
-	for _, shards := range []int{2, 4} {
-		if got := run(shards); got != base {
-			t.Fatalf("stats differ at %d shards:\n  base: %+v\n  got:  %+v", shards, base, got)
-		}
-	}
-}

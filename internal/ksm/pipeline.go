@@ -1,0 +1,255 @@
+// The merge pipeline: one decision per page.
+//
+// Every scanned page is a candidate, collected in scan order (the linear
+// cursor walk or the incremental queue pop), and goes through three steps
+// before the next candidate is touched:
+//
+//  1. classify: resolve the PTE, settle the terminal verdicts (not resident,
+//     already shared, huge-mapped with no split policy), read the content
+//     checksum and take the volatility-gate decision.
+//  2. decide: the stable-index lookup, then the walk of the checksum's unstable
+//     bucket. Only the two indexes (and, under a split policy, the huge
+//     mapping a verified duplicate sits in) mutate here; refcounts, remaps,
+//     write-protects, KSM flags, statistics and gate writes are recorded on
+//     the candidate as its verdict.
+//  3. apply: the verdict carried out.
+package ksm
+
+import (
+	"repro/internal/hypervisor"
+	"repro/internal/mem"
+)
+
+// unstableChunk is the arena's chunk size in entries (24 KiB a chunk).
+const unstableChunk = 1024
+
+// record appends ent to its checksum's bucket in the unstable index, given the
+// bucket as read. An empty bucket's backing is carved from the arena with
+// capacity one, so a second entry moves the bucket to the heap instead of
+// overwriting its neighbour. The retained index of incremental mode is never
+// rewound and takes its backing from the heap, as every bucket used to.
+func (k *KSM) record(bucket []unstableEntry, ent unstableEntry) {
+	if !k.incremental && cap(bucket) == 0 {
+		chunk, off := k.arenaN/unstableChunk, k.arenaN%unstableChunk
+		if chunk == len(k.arena) {
+			k.arena = append(k.arena, make([]unstableEntry, unstableChunk))
+		}
+		bucket = k.arena[chunk][off : off : off+1]
+		k.arenaN++
+	}
+	k.unstable[ent.checksum] = append(bucket, ent)
+	k.unstableN++
+}
+
+// dropUnstable empties the unstable index in place — the map keeps its
+// buckets and the arena its chunks for the next pass to refill.
+func (k *KSM) dropUnstable() {
+	clear(k.unstable)
+	k.unstableN = 0
+	k.arenaN = 0
+}
+
+// scanVerdict is a candidate's outcome, settled in classify or decide and
+// carried out by apply.
+type scanVerdict uint8
+
+const (
+	vPending scanVerdict = iota // classified and through the gate, awaiting decide
+	vNotResident
+	vAlreadyShared
+	vHugeSkip // a huge mapping hides the page and no split recovers it
+	vGateSkip
+	vStableMerge
+	vUnstableMerge
+	vRecorded
+)
+
+// candidate is one page moving through the pipeline.
+type candidate struct {
+	vm   *hypervisor.VMProcess
+	vpn  mem.VPN
+	gate *regionGate // the page's volatility-gate table, resolved at collection
+
+	// Filled by classify.
+	frame     mem.FrameID
+	sum       uint64
+	verdict   scanVerdict
+	gateWrite bool
+	huge      bool // huge-mapped under a split policy: split once a duplicate is verified
+
+	// Filled by decide.
+	partner     pageKey     // vUnstableMerge: the promoted entry's page
+	target      mem.FrameID // merge target frame
+	hashRejects uint32      // bucket entries rejected by byte verification
+	hugeSkips   uint32      // bucket entries forgone because the partner stays huge
+}
+
+// processBatch runs one batch of candidates through the pipeline, each
+// classified, decided and applied before the next. The candidates must be
+// distinct pages in scan order, collected while no guest ran (the simulator
+// is event-driven, so page contents are frozen between scanner wake-ups).
+// incremental selects the incremental-mode bookkeeping (IncrementalScanned,
+// gate-skip deferrals, which incremental mode needs to schedule the revisit a
+// linear pass gets for free); linear callers pass false even for the
+// pass-straddling page scanned right after a mode switch.
+func (k *KSM) processBatch(cands []candidate, incremental bool) {
+	pm := k.host.Phys()
+	for i := range cands {
+		c := &cands[i]
+		k.classify(c, pm)
+		if c.verdict == vPending {
+			k.decide(c, pm)
+		}
+		k.apply(c, pm)
+	}
+	k.stats.PagesScanned += uint64(len(cands))
+	if incremental {
+		k.stats.IncrementalScanned += uint64(len(cands))
+		for i := range cands {
+			if c := &cands[i]; c.verdict == vGateSkip {
+				k.deferVolatile(pageKey{vm: c.vm, vpn: c.vpn})
+			}
+		}
+	}
+}
+
+// classify is step 1 for one candidate.
+func (k *KSM) classify(c *candidate, pm *mem.PhysMem) {
+	pte, ok := c.vm.ResidentPTE(c.vpn)
+	if !ok {
+		c.verdict = vNotResident
+		return
+	}
+	c.frame = pte.Frame
+	if pm.IsKSM(c.frame) {
+		c.verdict = vAlreadyShared
+		return
+	}
+	if pte.Huge {
+		if !k.hugeSplitting() {
+			c.verdict = vHugeSkip // THP hides the page from merging
+			return
+		}
+		// Same gate and lookups as a base page: splitting a huge page for a
+		// still-changing subpage would only trade TLB reach for a merge that
+		// breaks right back.
+		c.huge = true
+	}
+	c.sum = pm.Checksum(c.frame)
+	if k.cfg.ChecksumGate {
+		last, seen := c.gate.last(c.vpn)
+		c.gateWrite = true
+		if !seen || last != c.sum {
+			c.verdict = vGateSkip
+			return
+		}
+	}
+	c.verdict = vPending
+}
+
+// decide is step 2 for one candidate through the gate.
+func (k *KSM) decide(c *candidate, pm *mem.PhysMem) {
+	// Stable index first.
+	if stableFrame, hit := k.stable.lookup(pm, c.frame, c.sum); hit {
+		if c.huge && !k.splitHugeFor(c.vm, c.vpn) {
+			c.verdict = vHugeSkip
+			return
+		}
+		c.verdict, c.target = vStableMerge, stableFrame
+		return
+	}
+
+	// Unstable index.
+	key := pageKey{vm: c.vm, vpn: c.vpn}
+	bucket := k.unstable[c.sum]
+	selfSeen := false
+	for bi, ent := range bucket {
+		if ent.key == key {
+			// The retained index of incremental mode can already hold this
+			// page from an earlier round (a linear pass drops the index
+			// before a page is ever revisited, so this never fires there).
+			selfSeen = true
+			continue
+		}
+		otherPTE, ok := ent.key.vm.ResidentPTE(ent.key.vpn)
+		if !ok {
+			continue
+		}
+		other, otherHuge := otherPTE.Frame, otherPTE.Huge
+		if pm.IsKSM(other) || pm.Checksum(other) != ent.checksum {
+			// Stale: the page went away, was merged via another path — a
+			// partner already promoted to the stable index still
+			// checksum-matches through its old entry, and that index is the
+			// only authority on stable content — or was rewritten since it
+			// was recorded.
+			continue
+		}
+		if !pm.Equal(c.frame, other) {
+			c.hashRejects++
+			continue
+		}
+		// A verified duplicate. Whichever side a huge mapping covers is
+		// recovered from it as the split policy allows — the candidate
+		// first; where the policy leaves a mapping intact, THP wins and the
+		// merge is forgone.
+		if c.huge {
+			if !k.splitHugeFor(c.vm, c.vpn) {
+				c.verdict = vHugeSkip
+				return
+			}
+			c.huge = false
+			// A whole-block split of a run the partner sits in as well has
+			// just made it a base page.
+			otherPTE, _ := ent.key.vm.ResidentPTE(ent.key.vpn)
+			otherHuge = otherPTE.Huge
+		}
+		if otherHuge && !k.splitHugeFor(ent.key.vm, ent.key.vpn) {
+			c.hugeSkips++
+			continue
+		}
+		// Promote the partner to a stable page and merge the candidate
+		// into it.
+		k.stable.insert(pm, other, c.sum)
+		c.verdict, c.partner, c.target = vUnstableMerge, ent.key, other
+		k.unstable[c.sum] = append(bucket[:bi], bucket[bi+1:]...)
+		k.unstableN--
+		return
+	}
+	if !selfSeen {
+		// A huge-mapped page is recorded like any other: duplicates that are
+		// huge-mapped in every VM could never find each other otherwise.
+		k.record(bucket, unstableEntry{key: key, checksum: c.sum})
+	}
+	c.verdict = vRecorded
+}
+
+// apply is step 3: one candidate's verdict carried out on the pool, the page
+// tables, the gate and the statistics.
+func (k *KSM) apply(c *candidate, pm *mem.PhysMem) {
+	if c.gateWrite {
+		c.gate.record(c.vpn, c.sum)
+	}
+	switch c.verdict {
+	case vNotResident:
+		k.stats.NotResident++
+	case vAlreadyShared:
+		k.stats.AlreadyShared++
+	case vHugeSkip:
+		k.stats.HugeSkips++
+	case vGateSkip:
+		k.stats.ChecksumSkips++
+	case vStableMerge:
+		pm.IncRef(c.target)
+		c.vm.RemapShared(c.vpn, c.target)
+		k.stats.StableMerges++
+	case vUnstableMerge:
+		pm.SetKSM(c.target, true)
+		c.partner.vm.WriteProtect(c.partner.vpn)
+		pm.IncRef(c.target) // the stable index's reference
+		pm.IncRef(c.target)
+		c.vm.RemapShared(c.vpn, c.target)
+		k.stats.UnstableMerges++
+	}
+	k.stats.HashRejects += uint64(c.hashRejects)
+	k.stats.HugeSkips += uint64(c.hugeSkips)
+}

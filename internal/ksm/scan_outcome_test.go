@@ -1,0 +1,213 @@
+package ksm
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"testing"
+
+	"repro/internal/mem"
+)
+
+// scanOutcome is everything a figure can observe from a scripted scanner run:
+// the scanner statistics word for word, the content store's counters, the
+// pages the pool materialized, the pool occupancy before and after an
+// Unmerge (which frees every stable frame), and which pages share a frame —
+// as a partition, since frame numbers are not observable (DESIGN.md §6).
+type scanOutcome struct {
+	stats        Stats
+	content      mem.ContentStats
+	materialized uint64
+	inUse        int
+	afterUnmerge int
+	classes      int    // distinct frames behind the resident pages
+	partition    string // sharingPartition digest
+}
+
+// sharingPartition numbers the frames behind every guest page by first
+// occurrence, VM by VM in page order (a non-resident page is -1), and
+// digests the result: two runs share pages alike exactly when the digests
+// match, whatever frame numbers they were handed. It also reports the number
+// of classes.
+func sharingPartition(f *fixture) (digest string, classes int) {
+	class := map[mem.FrameID]int32{}
+	h := sha256.New()
+	var word [4]byte
+	for _, vm := range f.vms {
+		for i := 0; i < vm.GuestPages(); i++ {
+			id := int32(-1)
+			if fr, ok := vm.ResolveResident(vm.MemslotBase() + mem.VPN(i)); ok {
+				c, seen := class[fr]
+				if !seen {
+					c = int32(len(class))
+					class[fr] = c
+				}
+				id = c
+			}
+			binary.LittleEndian.PutUint32(word[:], uint32(id))
+			h.Write(word[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil)[:8]), len(class)
+}
+
+func captureScanOutcome(f *fixture) scanOutcome {
+	pm := f.host.Phys()
+	o := scanOutcome{
+		stats:        f.k.Stats(),
+		content:      pm.ContentStats(),
+		materialized: pm.Stats().Materialized,
+		inUse:        pm.FramesInUse(),
+	}
+	o.partition, o.classes = sharingPartition(f)
+	f.k.Unmerge()
+	o.afterUnmerge = pm.FramesInUse()
+	return o
+}
+
+// TestScanOutcomePinned holds the scanner's observable outcome on five
+// scripted scenarios to pinned values: linear churn with a mid-run
+// unregister, the dirty-ring incremental path, pass-sized batches, guests
+// spanning several radix leaves, and partial huge-page splitting. A change to
+// the merge pipeline that moves any merge, counter, interned blob or sharing
+// class shows up here.
+func TestScanOutcomePinned(t *testing.T) {
+	cases := []struct {
+		name string
+		run  func(t *testing.T) *fixture
+		want scanOutcome
+	}{
+		{"linear", func(t *testing.T) *fixture {
+			f := newFixture(t, 2048, 3, 24, DefaultConfig())
+			for vi, vm := range f.vms {
+				for i := uint64(0); i < 8; i++ {
+					vm.FillGuestPage(i, mem.Seed(100+i)) // duplicated across all VMs
+				}
+				vm.FillGuestPage(8, mem.Seed(50)) // duplicated within and across VMs
+				vm.FillGuestPage(9, mem.Seed(50))
+				for i := uint64(10); i < 20; i++ {
+					vm.FillGuestPage(i, mem.Seed(uint64(vi+1)*1000+i)) // unique
+				}
+			}
+			f.scanPasses(3)
+			// Churn: break two shared pages with a fresh duplicate pair, and
+			// point a unique page at already-stable content.
+			f.vms[0].FillGuestPage(2, mem.Seed(9001))
+			f.vms[1].FillGuestPage(2, mem.Seed(9001))
+			f.vms[2].FillGuestPage(15, mem.Seed(103))
+			f.scanPasses(3)
+			f.k.Unregister(f.vms[1])
+			f.scanPasses(2)
+			return f
+		}, scanOutcome{
+			stats: Stats{PagesShared: 10, PagesSharing: 31, SavedBytes: 86016, FullScans: 9, PagesScanned: 579,
+				StableMerges: 13, UnstableMerges: 10, ChecksumSkips: 63, AlreadyShared: 183, NotResident: 96,
+				COWBreaks: 2, CPUBusy: 1446},
+			content:      mem.ContentStats{Blobs: 39, BlobBytes: 159744, InternedBlobs: 39, SeedSums: 40, InternHits: 22},
+			materialized: 40, inUse: 39, afterUnmerge: 59, classes: 39, partition: "437142f455081fa3",
+		}},
+		{"incremental", func(t *testing.T) *fixture {
+			f := newDirtyFixture(t, 2048, 3, 32, 0, incrementalConfig())
+			for _, vm := range f.vms {
+				for i := uint64(0); i < 8; i++ {
+					vm.FillGuestPage(i, mem.Seed(500+i))
+				}
+			}
+			f.k.ScanChunk(96)
+			f.k.ScanChunk(96)
+			if !f.k.incremental {
+				t.Fatal("not incremental after two passes")
+			}
+			// Post-convergence churn: break shared pages, seed a new duplicate
+			// pair and rewrite a private page, then enough rounds for the
+			// two-sighting gate to settle everything.
+			f.vms[0].FillGuestPage(2, mem.Seed(9001))
+			f.vms[1].FillGuestPage(20, mem.Seed(8000))
+			f.vms[2].FillGuestPage(20, mem.Seed(8000))
+			f.vms[2].FillGuestPage(25, mem.Seed(8500))
+			for i := 0; i < 4; i++ {
+				f.k.ScanChunk(96)
+			}
+			return f
+		}, scanOutcome{
+			stats: Stats{PagesShared: 9, PagesSharing: 25, SavedBytes: 65536, FullScans: 2, PagesScanned: 200,
+				StableMerges: 8, UnstableMerges: 9, ChecksumSkips: 28, NotResident: 144, COWBreaks: 1,
+				IncrementalRounds: 2, IncrementalScanned: 8, DirtyDrained: 28, CPUBusy: 500},
+			content:      mem.ContentStats{Blobs: 11, BlobBytes: 45056, InternedBlobs: 11, SeedSums: 11, InternHits: 16},
+			materialized: 11, inUse: 11, afterUnmerge: 27, classes: 11, partition: "1740ebb99f02c8c5",
+		}},
+		{"pass-sized-batch", func(t *testing.T) *fixture {
+			f := newFixture(t, 4096, 4, 128, DefaultConfig())
+			for vi, vm := range f.vms {
+				for i := uint64(0); i < 64; i++ {
+					vm.FillGuestPage(i, mem.Seed(100+i))
+				}
+				for i := uint64(64); i < 96; i++ {
+					vm.FillGuestPage(i, mem.Seed(uint64(vi+1)*10000+i))
+				}
+			}
+			f.scanPasses(3)
+			f.vms[0].FillGuestPage(5, mem.Seed(31337))
+			f.vms[3].FillGuestPage(70, mem.Seed(107))
+			f.scanPasses(2)
+			return f
+		}, scanOutcome{
+			stats: Stats{PagesShared: 64, PagesSharing: 256, SavedBytes: 786432, FullScans: 5, PagesScanned: 2562,
+				StableMerges: 129, UnstableMerges: 64, ChecksumSkips: 386, AlreadyShared: 768, NotResident: 640,
+				COWBreaks: 1, CPUBusy: 6404},
+			content:      mem.ContentStats{Blobs: 192, BlobBytes: 786432, InternedBlobs: 192, SeedSums: 193, InternHits: 192},
+			materialized: 193, inUse: 192, afterUnmerge: 384, classes: 192, partition: "08a390d7c3f44787",
+		}},
+		{"multi-leaf", func(t *testing.T) *fixture {
+			const guestPages = 2048 + 256
+			f := newFixture(t, 3*guestPages, 2, guestPages, DefaultConfig())
+			for vi, vm := range f.vms {
+				for i := uint64(0); i < guestPages; i++ {
+					seed := mem.Seed(100 + i) // every third page duplicated across the VMs
+					if i%3 != 0 {
+						seed = mem.Seed(uint64(vi+1)*100000 + i)
+					}
+					vm.FillGuestPage(i, seed)
+				}
+			}
+			f.scanPasses(3)
+			// Churn in the first, a middle and the last leaf of each table: a
+			// fresh duplicate pair over two shared pages, and a unique page
+			// pointed at content that is already stable.
+			for _, i := range []uint64{3, 1029, guestPages - 6} {
+				f.vms[0].FillGuestPage(i, mem.Seed(70000+i))
+				f.vms[1].FillGuestPage(i, mem.Seed(70000+i))
+				f.vms[1].FillGuestPage(i+2, mem.Seed(100+i+3))
+			}
+			f.scanPasses(3)
+			return f
+		}, scanOutcome{
+			stats: Stats{PagesShared: 768, PagesSharing: 1539, SavedBytes: 3158016, FullScans: 6, PagesScanned: 27650,
+				StableMerges: 3, UnstableMerges: 771, ChecksumSkips: 4617, AlreadyShared: 6136,
+				COWBreaks: 6, StalePruned: 3, CPUBusy: 69124},
+			content:      mem.ContentStats{Blobs: 3837, BlobBytes: 15716352, InternedBlobs: 3837, SeedSums: 3843, InternHits: 773},
+			materialized: 3843, inUse: 3837, afterUnmerge: 4608, classes: 3837, partition: "71f8295718d84ea3",
+		}},
+		{"partial-split-huge", func(t *testing.T) *fixture {
+			cfg := DefaultConfig()
+			cfg.PartialSplitHuge = true
+			f := hugeFixture(t, cfg)
+			f.scanPasses(5)
+			return f
+		}, scanOutcome{
+			stats: Stats{PagesShared: 511, PagesSharing: 1022, SavedBytes: 2093056, FullScans: 5, PagesScanned: 10241,
+				UnstableMerges: 511, ChecksumSkips: 1024, AlreadyShared: 3066, NotResident: 5120,
+				HugeSkips: 4, HugePartialSplits: 1022, CPUBusy: 25602},
+			content:      mem.ContentStats{Blobs: 512, BlobBytes: 2097152, InternedBlobs: 512, SeedSums: 512, InternHits: 511},
+			materialized: 512, inUse: 513, afterUnmerge: 1024, classes: 513, partition: "873bfdafbaf8fd06",
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			got := captureScanOutcome(c.run(t))
+			if got != c.want {
+				t.Fatalf("outcome moved:\ngot  %#v\nwant %#v", got, c.want)
+			}
+		})
+	}
+}

@@ -2,7 +2,7 @@ package ksm
 
 import "repro/internal/mem"
 
-// stableIndex is one shard's set of KSM stable frames, keyed by the content
+// stableIndex is the scanner's set of KSM stable frames, keyed by the content
 // checksum every candidate already carries. Stable frames are write-protected,
 // so a frame's checksum cannot drift from the key it was inserted under. A
 // bucket holds the frames whose contents share a checksum: one, unless the
@@ -22,14 +22,14 @@ func newStableIndex() *stableIndex {
 // tree this index replaced interned every seeded probe it compared, and
 // bench/golden.json digests mem.ContentStats (DESIGN.md §6.1). Nothing else
 // depends on the call.
-func (x *stableIndex) lookup(r contentReader, probe mem.FrameID, sum uint64) (mem.FrameID, bool) {
+func (x *stableIndex) lookup(pm *mem.PhysMem, probe mem.FrameID, sum uint64) (mem.FrameID, bool) {
 	for _, f := range x.buckets[sum] {
-		if r.Equal(probe, f) {
+		if pm.Equal(probe, f) {
 			return f, true
 		}
 	}
 	if x.size > 0 {
-		r.Materialize(probe)
+		pm.Materialize(probe)
 	}
 	return mem.NilFrame, false
 }
@@ -37,8 +37,8 @@ func (x *stableIndex) lookup(r contentReader, probe mem.FrameID, sum uint64) (me
 // insert adds a stable frame whose checksum is sum. Content must not already
 // be present; the caller looks up first. The frame is materialized for the
 // reason lookup gives.
-func (x *stableIndex) insert(r contentReader, frame mem.FrameID, sum uint64) {
-	r.Materialize(frame)
+func (x *stableIndex) insert(pm *mem.PhysMem, frame mem.FrameID, sum uint64) {
+	pm.Materialize(frame)
 	x.buckets[sum] = append(x.buckets[sum], frame)
 	x.size++
 }

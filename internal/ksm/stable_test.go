@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -53,100 +52,82 @@ func adversarialContent(pm *mem.PhysMem, id mem.FrameID, c uint16) string {
 	}
 }
 
-// repayFills interns what the view queued and starts a new frozen phase, as
-// processBatch does between a fanned-out decide and apply.
-func repayFills(pm *mem.PhysMem, v *mem.ROView) {
-	for _, f := range v.Fills() {
-		pm.Materialize(f)
-	}
-	v.ResetFills()
-}
-
 // TestPropertyStableIndexMatchesReferenceSet: under any interleaving of
 // lookups, inserts and removes over adversarial content the index reports
-// exact membership, through the pool and through a worker's view. On even
-// seeds the sums are forged down to two bits, so every bucket holds many
-// different contents: Equal has to keep them apart and remove has to take the
-// one frame it was given.
+// exact membership. On even seeds the sums are forged down to two bits, so
+// every bucket holds many different contents: Equal has to keep them apart
+// and remove has to take the one frame it was given. The index is driven
+// straight from the frame pool (view=false); there is no other read path.
 func TestPropertyStableIndexMatchesReferenceSet(t *testing.T) {
-	for _, viaView := range []bool{false, true} {
-		t.Run(fmt.Sprintf("view=%v", viaView), func(t *testing.T) {
-			for seed := int64(1); seed <= 8; seed++ {
-				rng := rand.New(rand.NewSource(seed))
-				pm := mem.NewPhysMem(2048*pg, pg)
-				view := pm.NewROView()
-				var r contentReader = pm
-				if viaView {
-					r = view
+	t.Run("view=false", stableIndexMatchesReferenceSet)
+}
+
+func stableIndexMatchesReferenceSet(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		pm := mem.NewPhysMem(2048*pg, pg)
+		sum := func(id mem.FrameID) uint64 {
+			if seed%2 == 0 {
+				return pm.Checksum(id) & 3
+			}
+			return pm.Checksum(id)
+		}
+		x := newStableIndex()
+		ref := map[string]mem.FrameID{} // content key → the member holding it
+		var keys []string               // members' keys, for picking one to remove
+		for step := 0; step < 600; step++ {
+			op := rng.Uint32()
+			if op%4 == 3 && len(keys) > 0 {
+				i := int(op>>2) % len(keys)
+				id := ref[keys[i]]
+				if !x.remove(id, sum(id)) || x.remove(id, sum(id)) {
+					t.Fatalf("seed %d step %d: remove(%d) did not take it exactly once", seed, step, id)
 				}
-				sum := func(id mem.FrameID) uint64 {
-					if seed%2 == 0 {
-						return pm.Checksum(id) & 3
-					}
-					return pm.Checksum(id)
+				pm.DecRef(id)
+				delete(ref, keys[i])
+				keys = append(keys[:i], keys[i+1:]...)
+			} else {
+				id, err := pm.Alloc()
+				if err != nil {
+					t.Fatal(err)
 				}
-				x := newStableIndex()
-				ref := map[string]mem.FrameID{} // content key → the member holding it
-				var keys []string               // members' keys, for picking one to remove
-				for step := 0; step < 600; step++ {
-					op := rng.Uint32()
-					if op%4 == 3 && len(keys) > 0 {
-						// Removal is serial in the scanner and runs between batches.
-						repayFills(pm, view)
-						i := int(op>>2) % len(keys)
-						id := ref[keys[i]]
-						if !x.remove(id, sum(id)) || x.remove(id, sum(id)) {
-							t.Fatalf("seed %d step %d: remove(%d) did not take it exactly once", seed, step, id)
-						}
-						pm.DecRef(id)
-						delete(ref, keys[i])
-						keys = append(keys[:i], keys[i+1:]...)
-					} else {
-						id, err := pm.Alloc()
-						if err != nil {
-							t.Fatal(err)
-						}
-						key := adversarialContent(pm, id, uint16(op>>2))
-						member, known := ref[key]
-						if got, hit := x.lookup(r, id, sum(id)); hit != known || (hit && got != member) {
-							t.Fatalf("seed %d step %d: lookup(%q) = %d, %v; reference holds %d, %v", seed, step, key, got, hit, member, known)
-						}
-						if known {
-							repayFills(pm, view) // the probe may be on the fill list
-							pm.DecRef(id)
-						} else {
-							x.insert(r, id, sum(id))
-							ref[key] = id
-							keys = append(keys, key)
-						}
-					}
-					if x.size != len(ref) {
-						t.Fatalf("seed %d step %d: size %d, reference %d", seed, step, x.size, len(ref))
-					}
+				key := adversarialContent(pm, id, uint16(op>>2))
+				member, known := ref[key]
+				if got, hit := x.lookup(pm, id, sum(id)); hit != known || (hit && got != member) {
+					t.Fatalf("seed %d step %d: lookup(%q) = %d, %v; reference holds %d, %v", seed, step, key, got, hit, member, known)
 				}
-				if len(ref) < 20 {
-					t.Fatalf("seed %d: only %d members left to check", seed, len(ref))
-				}
-				walked := map[mem.FrameID]bool{}
-				x.walk(func(f mem.FrameID) { walked[f] = true })
-				for key, id := range ref {
-					if got, hit := x.lookup(r, id, sum(id)); !hit || got != id || !walked[id] {
-						t.Fatalf("seed %d: member %d (%q): lookup = %d, %v; walked %v", seed, id, key, got, hit, walked[id])
-					}
-				}
-				if len(walked) != len(ref) {
-					t.Fatalf("seed %d: walk visited %d frames, reference holds %d", seed, len(walked), len(ref))
+				if known {
+					pm.DecRef(id)
+				} else {
+					x.insert(pm, id, sum(id))
+					ref[key] = id
+					keys = append(keys, key)
 				}
 			}
-		})
+			if x.size != len(ref) {
+				t.Fatalf("seed %d step %d: size %d, reference %d", seed, step, x.size, len(ref))
+			}
+		}
+		if len(ref) < 20 {
+			t.Fatalf("seed %d: only %d members left to check", seed, len(ref))
+		}
+		walked := map[mem.FrameID]bool{}
+		x.walk(func(f mem.FrameID) { walked[f] = true })
+		for key, id := range ref {
+			if got, hit := x.lookup(pm, id, sum(id)); !hit || got != id || !walked[id] {
+				t.Fatalf("seed %d: member %d (%q): lookup = %d, %v; walked %v", seed, id, key, got, hit, walked[id])
+			}
+		}
+		if len(walked) != len(ref) {
+			t.Fatalf("seed %d: walk visited %d frames, reference holds %d", seed, len(walked), len(ref))
+		}
 	}
 }
 
 // TestStableIndexInterningRule pins the one side effect the index has on
 // purpose, the one bench/golden.json's mem.ContentStats observes: a probe that
-// misses a non-empty index is interned, and so is a frame on insert — at once
-// through the pool, by way of the fill list through a view. An empty index and
-// a repeated lookup intern nothing.
+// misses a non-empty index is interned, and so is a frame on insert. An empty
+// index and a repeated lookup intern nothing.
 func TestStableIndexInterningRule(t *testing.T) {
 	pm := mem.NewPhysMem(16*pg, pg)
 	seeded := func(seed mem.Seed) mem.FrameID {
@@ -158,8 +139,8 @@ func TestStableIndexInterningRule(t *testing.T) {
 		return id
 	}
 	x := newStableIndex()
-	lookup := func(r contentReader, probe mem.FrameID) bool {
-		_, hit := x.lookup(r, probe, pm.Checksum(probe))
+	lookup := func(probe mem.FrameID) bool {
+		_, hit := x.lookup(pm, probe, pm.Checksum(probe))
 		return hit
 	}
 	expect := func(when string, materialized uint64) {
@@ -169,36 +150,23 @@ func TestStableIndexInterningRule(t *testing.T) {
 		}
 	}
 	probe, member := seeded(7), seeded(8)
-	if lookup(pm, probe) {
+	if lookup(probe) {
 		t.Fatal("hit in an empty index")
 	}
 	expect("miss in an empty index", 0)
 	x.insert(pm, member, pm.Checksum(member))
 	expect("insert", 1)
-	if lookup(pm, probe) || lookup(pm, probe) {
+	if lookup(probe) || lookup(probe) {
 		t.Fatal("different content found")
 	}
 	expect("two misses of one probe", 2)
-
-	v := pm.NewROView()
-	probe2, member2 := seeded(9), seeded(10)
-	if lookup(v, probe2) || lookup(v, probe2) {
-		t.Fatal("different content found through the view")
-	}
-	x.insert(v, member2, pm.Checksum(member2))
-	expect("through a view, before the fills are repaid", 2)
-	if got, want := v.Fills(), []mem.FrameID{probe2, member2}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("Fills = %v, want %v (each frame once)", got, want)
-	}
-	repayFills(pm, v)
-	expect("fills repaid", 4)
-	if !lookup(v, seeded(10)) || !lookup(pm, seeded(8)) {
-		t.Fatal("same-seed probes missed their members")
+	if !lookup(seeded(8)) {
+		t.Fatal("a same-seed probe missed its member")
 	}
 }
 
-// TestFreeStablePanicsOnUnindexedFrame: a stable frame its shard's index does
-// not hold under its checksum must not be un-flagged and released — the index
+// TestFreeStablePanicsOnUnindexedFrame: a stable frame the index does not
+// hold under its checksum must not be un-flagged and released — the index
 // would go on naming a frame the allocator hands out again.
 func TestFreeStablePanicsOnUnindexedFrame(t *testing.T) {
 	f := newFixture(t, 256, 2, 16, DefaultConfig())
@@ -211,13 +179,13 @@ func TestFreeStablePanicsOnUnindexedFrame(t *testing.T) {
 	// Corrupt the index by hand: the frame moves to a bucket its checksum does
 	// not lead to.
 	sum := pm.Checksum(frame)
-	x := f.k.shardOf(sum).stable
+	x := f.k.stable
 	if !x.remove(frame, sum) {
 		t.Fatalf("fixture: stable frame %d not indexed", frame)
 	}
 	x.insert(pm, frame, sum+1)
 	defer func() {
-		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "not in its shard's index") {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "not in the stable index") {
 			t.Fatalf("Unmerge over a corrupted index: recovered %q", msg)
 		}
 		if !pm.IsKSM(frame) {

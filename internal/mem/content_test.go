@@ -174,8 +174,8 @@ func TestChecksumSensitivity(t *testing.T) {
 	}
 }
 
-// TestChecksumSpread: the sharded scanner routes by sum % shards and the
-// content table buckets by sum, so low bits must be even and sums distinct.
+// TestChecksumSpread: the content table and the KSM indexes bucket by sum, so
+// low bits must be even and sums distinct.
 func TestChecksumSpread(t *testing.T) {
 	const pages = 50000
 	seen := make(map[uint64]struct{}, pages)

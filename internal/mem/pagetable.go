@@ -131,7 +131,7 @@ func (l *ptLeaf) ensureHeat() *subpageHeat {
 // like the hardware structure it models; iteration is an in-order walk, so
 // ascending by construction. The read path — Lookup, Range, SortedVPNs, the
 // carve and heat getters — writes nothing, so any number of goroutines may
-// read a table nobody is mutating (the sharded KSM classify phase does).
+// read a table nobody is mutating.
 // Leaves are never freed while the table lives.
 //
 // Huge mappings store a single entry at the aligned head VPN with Huge set;

@@ -400,8 +400,8 @@ func FuzzPageTableModel(f *testing.F) {
 	})
 }
 
-// TestPageTableConcurrentLookups is the contract the sharded KSM classify
-// phase relies on: any number of goroutines may read one table. The readers
+// TestPageTableConcurrentLookups holds the read path to writing nothing: any
+// number of goroutines may read one table. The readers
 // interleave over base, huge-covered and carved entries of several leaves, so
 // under -race anything the read path writes (a last-leaf memo, say) is
 // reported within the first few lookups.

@@ -441,6 +441,10 @@ func (pm *PhysMem) Bytes(id FrameID) []byte {
 	return pm.bytesOf(pm.frameAt(id))
 }
 
+// Materialize interns the frame's content as a read would, without handing
+// out the bytes: a seeded page becomes an interned blob.
+func (pm *PhysMem) Materialize(id FrameID) { pm.bytesOf(pm.frameAt(id)) }
+
 func (pm *PhysMem) bytesOf(f *frame) []byte {
 	switch f.desc.kind {
 	case descZero:

@@ -5,7 +5,7 @@
 # are printed. Usage: scripts/byteidentity.sh [ref] [workdir] [tpsim flags...]
 # (ref defaults to HEAD~1; a workdir that already holds the ref's outputs
 # skips re-running them; flags after the workdir go to both binaries, e.g.
-# `scripts/byteidentity.sh HEAD~1 /tmp/bi -thp fhpm -ksm-shards 4`).
+# `scripts/byteidentity.sh HEAD~1 /tmp/bi -thp fhpm`).
 set -euo pipefail
 ref=${1:-HEAD~1}
 work=${2:-$(mktemp -d)}
@@ -22,7 +22,7 @@ for tag in "-jobs 1" "-jobs 1 -csv" "-jobs 8" "-jobs 8 -csv"; do
     out="$work/$bin${tag// /}.out"
     if [ "$bin" = new ] || [ ! -s "$out" ]; then
       # shellcheck disable=SC2086
-      "$work/$bin" -quick -chaos-seed 7 $tag all dirtylog jitshare ksmshard chaos datacenter >"$out" 2>/dev/null
+      "$work/$bin" -quick -chaos-seed 7 $tag all dirtylog jitshare chaos datacenter >"$out" 2>/dev/null
     fi
   done
   # pipefail: the pipeline fails when diff found differences (or head closed
