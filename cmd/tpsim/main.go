@@ -40,7 +40,7 @@ func main() {
 		opts core.Options
 		v    view
 	)
-	flag.IntVar(&opts.Scale, "scale", 0, "memory scale divisor (0 = default 16; smaller = slower, more faithful)")
+	flag.IntVar(&opts.Scale, "scale", 0, "memory scale divisor, 0..64 (0 = default 16; smaller = slower, more faithful)")
 	seed := flag.Uint64("seed", 0, "randomization seed")
 	flag.BoolVar(&opts.Quick, "quick", false, "shorter steady state and sweeps")
 	flag.BoolVar(&v.csv, "csv", false, "emit CSV instead of rendered reports")

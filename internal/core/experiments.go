@@ -69,6 +69,10 @@ func (o Options) runner() *Runner {
 	return r
 }
 
+// maxScale is the coarsest memory scale every registered experiment runs at:
+// at -scale 80 a guest already runs out of memory.
+const maxScale = 64
+
 // Validate rejects option values the simulator would otherwise panic on or
 // silently replace with a default. cmd/tpsim calls it once before anything
 // runs.
@@ -87,6 +91,9 @@ func (o Options) Validate() error {
 		if f.v < 0 {
 			return fmt.Errorf("%s must not be negative (got %v; 0 selects the default)", f.flag, f.v)
 		}
+	}
+	if o.Scale > maxScale {
+		return fmt.Errorf("-scale must be in 0..%d (got %d; coarser scales run the guests out of memory)", maxScale, o.Scale)
 	}
 	if o.THPMaxPtesNone >= mem.HugePages {
 		return fmt.Errorf("-thp-max-ptes-none must be in 0..%d (got %d)", mem.HugePages-1, o.THPMaxPtesNone)

@@ -181,6 +181,7 @@ func TestOptionsValidate(t *testing.T) {
 		o    Options
 	}{
 		{"-scale", Options{Scale: -4}},
+		{"-scale", Options{Scale: 65}},
 		{"-jobs", Options{Jobs: -1}},
 		{"-thp-max-ptes-none", Options{Knobs: Knobs{THPMaxPtesNone: -1}}},
 		{"-thp-max-ptes-none", Options{Knobs: Knobs{THPMaxPtesNone: mem.HugePages}}},

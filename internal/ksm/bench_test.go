@@ -103,7 +103,7 @@ func convergedFixture(tb testing.TB, guestPages int) (f *fixture, pass func()) {
 	for i := 0; i < 4; i++ {
 		pass()
 	}
-	// The page that wraps the cursor is scanned after its pass ends, so one
+	// The last page of a pass is scanned after the pass ends, so one
 	// private page is already on the next pass's index.
 	if s := f.k.Stats(); s.PagesShared != guestPages/2 || s.FullScans != 4 || f.k.unstableN != 1 {
 		tb.Fatalf("fixture not converged at a pass boundary: %+v, %d unstable", s, f.k.unstableN)

@@ -229,10 +229,10 @@ func TestRegisterDuringIncrementalForcesFullRescan(t *testing.T) {
 }
 
 // TestUnregisterLastRegionMidPassEndsPass is the pass-boundary regression
-// (satellite): killing the guest the cursor is currently inside, when it owns
-// the last region, used to wrap the cursor without ending the pass —
-// skipping the unstable-index drop, the stale prunes and the FullScans
-// count. The wrap IS the pass boundary: every surviving region was scanned.
+// (satellite): killing the guest the scan is currently inside, when it owns
+// the last region, empties the pass in flight. Every surviving region was
+// scanned, so that is the pass boundary: the unstable-index drop, the stale
+// prunes and the FullScans count must happen there.
 func TestUnregisterLastRegionMidPassEndsPass(t *testing.T) {
 	f := newFixture(t, 512, 2, 16, DefaultConfig())
 	// Distinct resident content everywhere, so second-sighting pages land in
@@ -243,11 +243,9 @@ func TestUnregisterLastRegionMidPassEndsPass(t *testing.T) {
 	}
 	f.k.ScanChunk(32) // pass 1: volatility-gate first sightings
 	f.k.ScanChunk(20) // pass 2: VM0's 16 pages plus 4 of VM1
-	if f.k.regionIdx != 1 {
-		t.Fatalf("cursor in region %d, want 1", f.k.regionIdx)
-	}
-	if f.k.unstableN == 0 {
-		t.Fatal("no unstable entries mid-pass; scan did nothing")
+	if s := f.k.Stats(); s.FullScans != 1 || f.k.unstableN != 20 {
+		t.Fatalf("mid-pass: FullScans = %d with %d unstable entries, want 1 and 20",
+			s.FullScans, f.k.unstableN)
 	}
 	f.k.Unregister(f.vms[1])
 	s := f.k.Stats()
@@ -266,20 +264,19 @@ func TestUnregisterLastRegionMidPassEndsPass(t *testing.T) {
 }
 
 // TestUnregisterBeforeCursorDoesNotEndPass: the complementary case — removing
-// an already-scanned region while the cursor sits in a later one shifts the
-// index down without faking a pass boundary.
+// an already-scanned region while the scan sits in a later one neither fakes
+// a pass boundary nor moves the scan: the pass ends where it would have.
 func TestUnregisterBeforeCursorDoesNotEndPass(t *testing.T) {
 	f := newFixture(t, 512, 3, 16, DefaultConfig())
-	f.k.ScanChunk(36) // regions 0 and 1 done, cursor 4 pages into region 2
-	if f.k.regionIdx != 2 {
-		t.Fatalf("cursor in region %d, want 2", f.k.regionIdx)
-	}
+	f.k.ScanChunk(36) // regions 0 and 1 done, 4 pages into region 2
 	f.k.Unregister(f.vms[0])
+	f.k.ScanChunk(11)
 	if s := f.k.Stats(); s.FullScans != 0 {
-		t.Fatalf("FullScans = %d, want 0 (pass not complete)", s.FullScans)
+		t.Fatalf("FullScans = %d one page before the pass end, want 0", s.FullScans)
 	}
-	if f.k.regionIdx != 1 {
-		t.Fatalf("regionIdx = %d after removal before cursor, want 1", f.k.regionIdx)
+	f.k.ScanChunk(1)
+	if s := f.k.Stats(); s.FullScans != 1 || s.PagesScanned != 48 {
+		t.Fatalf("FullScans = %d after %d pages, want 1 after 48", s.FullScans, s.PagesScanned)
 	}
 }
 
@@ -314,42 +311,34 @@ func TestStallExcludedFromCPUWall(t *testing.T) {
 	}
 }
 
-// TestScannableCountMaintained (satellite): the O(1) can-work guard must
-// track Register/Unregister exactly.
-func TestScannableCountMaintained(t *testing.T) {
+// TestPassLengthTracksRegistration (satellite): the pass in flight covers
+// exactly the registered regions — Unregister drops a region from it,
+// Register appends one, unregistering the last VM ends it — and an empty
+// scanner scans nothing.
+func TestPassLengthTracksRegistration(t *testing.T) {
 	f := newFixture(t, 512, 3, 16, DefaultConfig())
-	count := func() int {
-		n := 0
-		for _, reg := range f.k.regions {
-			if reg.Start < reg.End {
-				n++
-			}
+	want := func(fullScans, scanned uint64) {
+		t.Helper()
+		if s := f.k.Stats(); s.FullScans != fullScans || s.PagesScanned != scanned {
+			t.Fatalf("FullScans = %d after %d pages, want %d after %d",
+				s.FullScans, s.PagesScanned, fullScans, scanned)
 		}
-		return n
-	}
-	if f.k.scannable != count() || f.k.scannable != 3 {
-		t.Fatalf("scannable = %d, regions say %d", f.k.scannable, count())
 	}
 	f.k.Unregister(f.vms[1])
-	if f.k.scannable != count() || f.k.scannable != 2 {
-		t.Fatalf("scannable = %d after unregister, regions say %d", f.k.scannable, count())
-	}
+	f.k.ScanChunk(32)
+	want(1, 32)
 	f.k.Register(f.vms[1])
-	if f.k.scannable != count() || f.k.scannable != 3 {
-		t.Fatalf("scannable = %d after re-register, regions say %d", f.k.scannable, count())
-	}
+	f.k.ScanChunk(47)
+	want(1, 79)
+	f.k.ScanChunk(1)
+	want(2, 80)
 	f.k.Unregister(f.vms[0])
 	f.k.Unregister(f.vms[1])
 	f.k.Unregister(f.vms[2])
-	if f.k.scannable != 0 {
-		t.Fatalf("scannable = %d with no regions, want 0", f.k.scannable)
-	}
-	// Guard path: a chunk with nothing scannable must scan nothing.
-	before := f.k.Stats().PagesScanned
+	want(3, 80)
+	// Guard path: a chunk with nothing registered must scan nothing.
 	f.k.ScanChunk(64)
-	if got := f.k.Stats().PagesScanned - before; got != 0 {
-		t.Fatalf("empty scanner scanned %d pages", got)
-	}
+	want(3, 80)
 }
 
 // TestWorkingSetEstimateFromDrains: ring drains feed the per-VM working-set
@@ -361,7 +350,7 @@ func TestWorkingSetEstimateFromDrains(t *testing.T) {
 	}
 	f.k.ScanChunk(128)
 	f.k.ScanChunk(128)
-	// Rings were reset as the linear cursor entered each VM, so estimates
+	// Rings were reset as the linear passes entered each VM, so estimates
 	// exist already; dirty a known count and drain via one round.
 	for i := uint64(0); i < 10; i++ {
 		f.vms[0].FillGuestPage(i, mem.Seed(100+i))

@@ -16,20 +16,23 @@
 //     stable page;
 //  4. otherwise records the page in the unstable index.
 //
-// The unstable index is cleared at the end of every full pass, as in Linux.
+// The pages come off one scan queue of page ranges, filled a round at a
+// time. A linear round is a full pass: one range per registered region, in
+// region order. Its end is the pass boundary, where the unstable index is
+// cleared, as in Linux.
 //
 // Incremental mode (Config.IncrementalScan, requiring the host's dirty-page
 // log): once two consecutive full passes complete — so every long-lived page
 // has had the two same-checksum sightings the volatility gate demands — the
-// scanner stops cycling over all registered pages and instead drains each
-// VM's PML-style dirty ring once per wake-up, revisiting only pages whose
-// content may have changed. The unstable index is retained across rounds as
-// the partner directory (a newly-dirtied page must still be able to find the
-// clean page it now duplicates); gate-skipped pages are queued for the next
-// round so a page that settles down still merges. An overflowed ring forces
-// a conservative full rescan of that VM, as does registering a new VM
-// mid-flight. Converged rescan cost is therefore proportional to churn, not
-// to cluster size.
+// scanner stops queueing full passes. Each round is built instead from the
+// VMs' PML-style dirty rings, drained once per round, so only pages whose
+// content may have changed are revisited. The unstable index is retained
+// across rounds as the partner directory (a newly-dirtied page must still be
+// able to find the clean page it now duplicates); gate-skipped pages are
+// queued for the next round so a page that settles down still merges. An
+// overflowed ring forces a conservative full rescan of that VM, as does
+// registering a new VM mid-flight. Converged rescan cost is therefore
+// proportional to churn, not to cluster size.
 //
 // Cost model: all content operations go through mem's content-addressed
 // store, so the per-page work above is cheap in the common case —
@@ -137,7 +140,7 @@ type Stats struct {
 	HugePartialSplits uint64
 
 	IncrementalRounds  uint64 // dirty-ring drain rounds that produced rescan work
-	IncrementalScanned uint64 // pages scanned from the incremental queue
+	IncrementalScanned uint64 // pages scanned in incremental rounds
 	DirtyDrained       uint64 // pages drained from the per-VM dirty rings
 	RingOverflows      uint64 // drain cycles that hit the ring capacity (forced full rescans)
 
@@ -168,9 +171,10 @@ type unstableEntry struct {
 	checksum uint64
 }
 
-// incRange is one incremental-round work item: rescan pages [start, end) of
-// one VM. Single dirtied pages are one-page ranges; adjacent pages coalesce.
-type incRange struct {
+// scanRange is one scan-queue work item: scan pages [start, end) of one VM,
+// all inside one registered region. A linear round queues whole regions; an
+// incremental round queues dirtied pages, adjacent ones coalesced.
+type scanRange struct {
 	vm         *hypervisor.VMProcess
 	start, end mem.VPN
 }
@@ -183,13 +187,7 @@ type KSM struct {
 	regions []hypervisor.MergeableRegion
 	// regSet mirrors regions for O(1) duplicate detection in Register
 	// (regions itself stays a slice: scan order is part of determinism).
-	regSet    map[hypervisor.MergeableRegion]struct{}
-	regionIdx int
-	cursor    mem.VPN
-	// scannable counts regions with Start < End, maintained on Register and
-	// Unregister (regions never resize in place), so ScanChunk's can-work
-	// guard is O(1) instead of an O(regions) walk per wake-up.
-	scannable int
+	regSet map[hypervisor.MergeableRegion]struct{}
 	// registeredPages is the page total across regions; the retained
 	// unstable index of incremental mode is compacted when it outgrows it.
 	registeredPages int
@@ -199,9 +197,16 @@ type KSM struct {
 	// the switch.
 	incremental bool
 	fullStreak  int
-	// incQueue is the current round's rescan work, in region order with
-	// ascending coalesced page ranges per VM.
-	incQueue []incRange
+	// queue is the current round's work, in region order with ascending
+	// ranges per VM. In linear mode a pass is always in flight: the next one
+	// is queued as the last page of the previous one is popped, and Register
+	// appends to it. incRound is set while the queue holds an incremental
+	// round; it trails incremental by the last page of the pass that
+	// switched modes, which is scanned as linear. passBuf backs the linear
+	// rounds, reused from pass to pass.
+	queue    []scanRange
+	incRound bool
+	passBuf  []scanRange
 	// incPending holds gate-skipped (volatile at last sight) pages for the
 	// next round: a page dirtied once must be revisited to earn its second
 	// sighting even though nothing dirties it again. incPendingSet dedups.
@@ -214,8 +219,8 @@ type KSM struct {
 	// (COW break on a KSM frame, unregister); incremental rounds run the
 	// stale-stable prune only then, keeping idle rounds O(churn).
 	stableDirty bool
-	// ringVM is the VM whose dirty ring the linear cursor reset most
-	// recently; nil between passes so every pass resets each ring once.
+	// ringVM is the VM whose dirty ring a linear round reset most recently;
+	// nil between passes so every pass resets each ring once.
 	ringVM *hypervisor.VMProcess
 
 	// stable is the index of KSM stable frames; unstable maps a checksum to
@@ -236,17 +241,15 @@ type KSM struct {
 	gateMemo *regionGate
 
 	// vms lists the VMs with at least one registered region, in first-
-	// registration order; vmRegs counts each VM's live regions so Unregister
-	// knows when to drop one. The dirty-ring-depth gauge walks vms directly
-	// instead of allocating a per-sample dedup map over regions.
+	// registration order; vmRegs counts each VM's registered regions. The
+	// dirty-ring-depth gauge walks vms directly instead of allocating a
+	// per-sample dedup map over regions.
 	vms    []*hypervisor.VMProcess
 	vmRegs map[*hypervisor.VMProcess]int
 
-	// candBuf and wrapCand are reusable scratch for the batch pipeline
-	// (pipeline.go); each batch is fully consumed before the next collection
-	// reuses them.
-	candBuf  []candidate
-	wrapCand candidate
+	// candBuf is reusable scratch for the batch pipeline (pipeline.go); each
+	// batch is fully consumed before the next collection reuses it.
+	candBuf []candidate
 
 	running bool
 	started simclock.Time
@@ -302,10 +305,11 @@ func (k *KSM) SetPagesToScan(n int) {
 
 // Register adds a VM's mergeable regions to the scan list. Regions that are
 // already registered are skipped, so Register followed by RegisterAll cannot
-// double-scan a VM. Registering fresh pages resets the full-pass streak (a
-// pass in flight no longer covers everything twice); a scanner already in
-// incremental mode instead schedules a conservative full rescan of the VM,
-// since its ring cannot vouch for writes that predate it.
+// double-scan a VM. In linear mode the new regions join the pass in flight
+// and the full-pass streak restarts (that pass no longer covers everything
+// twice); a scanner already in incremental mode instead schedules a
+// conservative full rescan of the VM, since its ring cannot vouch for writes
+// that predate it.
 func (k *KSM) Register(vm *hypervisor.VMProcess) {
 	added := false
 	for _, reg := range vm.MergeableRegions() {
@@ -316,11 +320,11 @@ func (k *KSM) Register(vm *hypervisor.VMProcess) {
 		k.regions = append(k.regions, reg)
 		k.gates = append(k.gates, newRegionGate(reg))
 		k.registeredPages += int(reg.End - reg.Start)
-		if reg.Start < reg.End {
-			k.scannable++
-		}
 		if k.vmRegs[reg.VM]++; k.vmRegs[reg.VM] == 1 {
 			k.vms = append(k.vms, reg.VM)
+		}
+		if !k.incremental && reg.Start < reg.End {
+			k.queue = append(k.queue, scanRange{vm: reg.VM, start: reg.Start, end: reg.End})
 		}
 		added = true
 	}
@@ -336,110 +340,47 @@ func (k *KSM) Register(vm *hypervisor.VMProcess) {
 
 // Unregister drops a VM's regions from the scan list — what Linux does when
 // a process with madvised VMAs exits — and purges the VM's volatility-gate,
-// unstable-index and incremental-queue entries so no stale pointers to the
-// dead process survive. The pass cursor is repaired in place: removing a
-// region before the current one shifts the index down, removing the current
-// one restarts at the region that slides into its slot. When the repair
-// wraps past the shrunken list the pass IS complete — every surviving region
-// was already scanned this pass — so endPass fires with its usual
-// side effects (unstable-index drop, stale-stable prune, gate sweep,
-// FullScans accounting); earlier versions skipped it, silently stretching
-// the pass and its generation bookkeeping across the wrap. Stable pages the
-// VM mapped are left to refcounting: KillVM drops the mappings and the
+// unstable-index and scan-queue entries so no stale pointers to the dead
+// process survive. If that empties the linear pass in flight, every
+// surviving region has been scanned, so the pass ends here with endPass's
+// usual side effects (unstable-index drop, stale-stable prune, gate sweep,
+// FullScans accounting) — when the last VM goes too. Stable pages the VM
+// mapped are left to refcounting: KillVM drops the mappings and the
 // stale-stable prune collects nodes nobody maps anymore.
 func (k *KSM) Unregister(vm *hypervisor.VMProcess) {
-	kept := k.regions[:0]
-	newIdx := k.regionIdx
-	removed := false
-	for i, reg := range k.regions {
-		if reg.VM == vm {
-			delete(k.regSet, reg)
-			k.registeredPages -= int(reg.End - reg.Start)
-			if reg.Start < reg.End {
-				k.scannable--
-			}
-			if k.vmRegs[vm]--; k.vmRegs[vm] == 0 {
-				delete(k.vmRegs, vm)
-				for vi, v := range k.vms {
-					if v == vm {
-						k.vms = append(k.vms[:vi], k.vms[vi+1:]...)
-						break
-					}
-				}
-			}
-			if i < k.regionIdx {
-				newIdx--
-			} else if i == k.regionIdx {
-				k.cursor = 0
-			}
-			removed = true
-			continue
-		}
-		kept = append(kept, reg)
-	}
-	k.regions = kept
-	k.regionIdx = newIdx
-	wrapped := false
-	if k.regionIdx >= len(k.regions) {
-		k.regionIdx = 0
-		k.cursor = 0
-		wrapped = true
-	}
-	if !removed {
+	if _, ok := k.vmRegs[vm]; !ok {
 		return
 	}
+	k.regions = slices.DeleteFunc(k.regions, func(reg hypervisor.MergeableRegion) bool {
+		if reg.VM != vm {
+			return false
+		}
+		delete(k.regSet, reg)
+		k.registeredPages -= int(reg.End - reg.Start)
+		return true
+	})
+	delete(k.vmRegs, vm)
+	k.vms = slices.DeleteFunc(k.vms, func(v *hypervisor.VMProcess) bool { return v == vm })
 	k.gates = slices.DeleteFunc(k.gates, func(g *regionGate) bool { return g.vm == vm })
 	k.gateMemo = nil
-	for sum, bucket := range k.unstable {
-		keptEnts := bucket[:0]
-		for _, ent := range bucket {
-			if ent.key.vm == vm {
-				k.unstableN--
-				continue
-			}
-			keptEnts = append(keptEnts, ent)
-		}
-		if len(keptEnts) == 0 {
-			delete(k.unstable, sum)
-		} else {
-			k.unstable[sum] = keptEnts
-		}
-	}
+	k.filterUnstable(func(ent unstableEntry) bool { return ent.key.vm == vm })
 	delete(k.needFull, vm)
 	if k.ringVM == vm {
 		k.ringVM = nil
 	}
-	if len(k.incQueue) > 0 {
-		keptQ := k.incQueue[:0]
-		for _, r := range k.incQueue {
-			if r.vm != vm {
-				keptQ = append(keptQ, r)
-			}
+	inFlight := len(k.queue) > 0
+	k.queue = slices.DeleteFunc(k.queue, func(r scanRange) bool { return r.vm == vm })
+	k.incPending = slices.DeleteFunc(k.incPending, func(key pageKey) bool {
+		if key.vm != vm {
+			return false
 		}
-		k.incQueue = keptQ
-	}
-	if len(k.incPending) > 0 {
-		keptP := k.incPending[:0]
-		for _, key := range k.incPending {
-			if key.vm != vm {
-				keptP = append(keptP, key)
-			} else {
-				delete(k.incPendingSet, key)
-			}
-		}
-		k.incPending = keptP
-	}
+		delete(k.incPendingSet, key)
+		return true
+	})
 	// The VM's stable pages lose their mappers when KillVM runs; let the
 	// next incremental round prune the index (full passes always do).
 	k.stableDirty = true
-	if wrapped && !k.incremental {
-		// The cursor was inside (or past) the removed trailing region, so
-		// every surviving region has been fully scanned this pass: the pass
-		// boundary that the wrap used to swallow. That holds for an emptied
-		// scan list too — vacuously, all zero survivors were scanned — and
-		// skipping endPass there (as an earlier version did) lost the
-		// FullScans/streak accounting and the unstable-index drop exactly
-		// when the last VM went away.
+	if inFlight && len(k.queue) == 0 && !k.incremental {
 		k.endPass()
 	}
 }
@@ -527,161 +468,52 @@ func (k *KSM) Stats() Stats {
 	return s
 }
 
-// ScanChunk examines up to n pages. In linear mode it advances the circular
-// cursor over all registered regions; a full pass over every region ends the
-// current unstable generation and prunes dead stable nodes. Empty regions
-// (Start == End) are skipped: clamping the cursor into one would otherwise
-// scan reg.End itself, a page KSM was never madvised about. In incremental
-// mode the budget is spent on the dirty-ring rescan queue instead.
+// ScanChunk examines up to n pages off the scan queue, a collected batch at
+// a time. An empty queue first gets the next round of the current mode. When
+// a linear round runs out, endPass runs before its last page is scanned and
+// queues the next pass, which the rest of the budget continues into. That
+// last page is scanned as linear even when endPass has just switched the
+// scanner to incremental mode, and the rest of the budget is then forfeited.
+// An incremental round is built at most once per wake-up, so a page the gate
+// deferred is never revisited within the same wake-up (its two sightings
+// stay a sleep interval apart, as in a linear pass). CPU is charged for
+// pages actually scanned: a converged cluster with empty rings costs nothing.
 func (k *KSM) ScanChunk(n int) {
-	if k.incremental {
-		k.scanIncremental(n)
-		return
-	}
-	k.scanLinear(n)
-}
-
-// scanLinear spends a wake-up's budget on the circular cursor. Pages are
-// collected into batches and run through the merge pipeline; batches break
-// at pass boundaries so endPass bookkeeping — the unstable-index drop, the
-// prunes, the pass snapshot — lands between the scans exactly where the
-// page-at-a-time scanner put it. One quirk is preserved deliberately: a pass
-// boundary fires *before* the page whose consumption wrapped the cursor is
-// scanned, so that page is processed after endPass, in linear semantics, even
-// when endPass just switched the scanner to incremental mode (the remaining
-// budget then belongs to the incremental queue starting next wake-up;
-// unreachable with IncrementalScan off, so off-mode CPU accounting is
-// unchanged).
-func (k *KSM) scanLinear(n int) {
-	if k.scannable == 0 {
-		return
-	}
-	if k.regionIdx >= len(k.regions) {
-		// Unreachable: Unregister repairs the cursor in place (and ends the
-		// pass on a wrap). Kept as defense in depth.
-		k.regionIdx = 0
-		k.cursor = 0
+	if len(k.queue) == 0 {
+		k.nextRound()
 	}
 	scanned := 0
-	// forceOne: an endPass fired out of the empty-region skip walk, before
-	// its iteration's page was found; that page still scans before any mode
-	// switch is honored, as in the page-at-a-time loop.
-	forceOne := false
-	for scanned < n {
-		if k.incremental && !forceOne {
-			break
-		}
-		budget := n - scanned
-		if forceOne {
-			budget = 1
-			forceOne = false
-		}
-		cands, wrap, passEnd, resync := k.collectLinear(budget)
-		k.processBatch(cands, false)
+	for scanned < n && len(k.queue) > 0 {
+		cands := k.collect(n - scanned)
 		scanned += len(cands)
-		if passEnd {
-			k.endPass()
-			if wrap == nil && !resync {
-				forceOne = true
-			}
+		if k.incRound || len(k.queue) > 0 {
+			k.processBatch(cands)
+			continue
 		}
-		if wrap != nil {
-			one := k.candBuf[:0]
-			one = append(one, *wrap)
-			k.processBatch(one, false)
-			scanned++
-		}
-		if resync {
-			// Every region was empty: the maintained count was stale
-			// (possible only when the scan list is rewritten directly,
-			// bypassing Register/Unregister). Resync happened in collect;
-			// stop without charging, as the page-at-a-time loop did.
-			return
-		}
+		last := len(cands) - 1
+		k.processBatch(cands[:last])
+		k.endPass()
+		k.processBatch(cands[last:])
 	}
 	k.stats.CPUBusy += simclock.Time(int64(scanned) * int64(k.cfg.ScanCostNanos) / 1000)
 }
 
-// collectLinear consumes up to budget pages from the linear cursor in scan
-// order, performing the walk's side effects (region advance, dirty-ring
-// resets) as it goes. It stops early at a pass boundary: passEnd reports
-// that endPass is due, and wrap — when non-nil — is the page consumed in the
-// boundary iteration, to be scanned by the caller after endPass runs. A
-// boundary hit inside the empty-region skip walk returns passEnd with a nil
-// wrap (no page was consumed yet). resync reports the all-empty defense
-// path; the scannable count has been zeroed.
-func (k *KSM) collectLinear(budget int) (cands []candidate, wrap *candidate, passEnd, resync bool) {
-	k.candBuf = k.candBuf[:0]
-	for len(k.candBuf) < budget {
-		skips := 0
-		for k.regions[k.regionIdx].Start >= k.regions[k.regionIdx].End {
-			skips++
-			if skips >= len(k.regions) {
-				k.scannable = 0
-				return k.candBuf, nil, false, true
-			}
-			if k.advanceRegion() {
-				return k.candBuf, nil, true, false
-			}
-		}
-		reg := k.regions[k.regionIdx]
-		if reg.VM != k.ringVM {
-			// The linear cursor is entering this VM: everything its ring
-			// holds is about to be visited anyway, so restart the cycle. At
-			// the switch to incremental mode each ring then holds exactly
-			// the writes since the full scan last reached the VM.
-			k.ringVM = reg.VM
-			dropped, overflowed := reg.VM.ResetDirtyLog()
-			k.observeDrain(reg.VM, dropped, overflowed)
-		}
-		if k.cursor < reg.Start {
-			k.cursor = reg.Start
-		}
-		vpn := k.cursor
-		k.cursor++
-		if k.cursor >= reg.End {
-			if k.advanceRegion() {
-				k.wrapCand = candidate{vm: reg.VM, vpn: vpn, gate: k.gateFor(reg.VM, vpn)}
-				return k.candBuf, &k.wrapCand, true, false
-			}
-		}
-		k.candBuf = append(k.candBuf, candidate{vm: reg.VM, vpn: vpn, gate: k.gateFor(reg.VM, vpn)})
-	}
-	return k.candBuf, nil, false, false
-}
-
-// scanIncremental spends one wake-up's budget on the rescan queue. A new
-// round — dirty-ring drains plus the previous round's gate-skipped pages —
-// is built only when the queue is empty, so a page deferred by the gate is
-// never revisited within the same wake-up (the two sightings stay separated
-// by at least a sleep interval, as in linear mode). CPU is charged for pages
-// actually scanned: a converged cluster with empty rings costs nothing.
-func (k *KSM) scanIncremental(n int) {
-	if len(k.incQueue) == 0 {
+// nextRound queues the next round of the current mode: in incremental mode
+// the dirty-ring round of buildRound, in linear mode a full pass — one range
+// per registered non-empty region, in region order — built into the previous
+// pass's backing, so a pass allocates nothing.
+func (k *KSM) nextRound() {
+	if k.incremental {
 		k.buildRound()
-	}
-	cands := k.candBuf[:0]
-	for len(cands) < n && len(k.incQueue) > 0 {
-		r := &k.incQueue[0]
-		cands = append(cands, candidate{vm: r.vm, vpn: r.start, gate: k.gateFor(r.vm, r.start)})
-		r.start++
-		if r.start >= r.end {
-			k.incQueue = k.incQueue[1:]
-		}
-	}
-	if len(k.incQueue) == 0 {
-		// Drop the drained round's backing array: the [1:] reslicing above
-		// pins every consumed range (head included) until the array is
-		// released, so a round that merely shrank the slice would hold the
-		// whole round's memory across the converged idle phase.
-		k.incQueue = nil
-	}
-	k.candBuf = cands
-	if len(cands) == 0 {
 		return
 	}
-	k.processBatch(cands, true)
-	k.stats.CPUBusy += simclock.Time(int64(len(cands)) * int64(k.cfg.ScanCostNanos) / 1000)
+	k.passBuf = k.passBuf[:0]
+	for _, reg := range k.regions {
+		if reg.Start < reg.End {
+			k.passBuf = append(k.passBuf, scanRange{vm: reg.VM, start: reg.Start, end: reg.End})
+		}
+	}
+	k.queue, k.incRound = k.passBuf, false
 }
 
 // buildRound assembles the next incremental work queue: each VM's dirty ring
@@ -727,22 +559,23 @@ func (k *KSM) buildRound() {
 		drained[reg.VM] = pages
 		full[reg.VM] = overflowed
 	}
+	k.queue, k.incRound = nil, true
 	for _, reg := range k.regions {
 		if full[reg.VM] {
 			if reg.Start < reg.End {
-				k.incQueue = append(k.incQueue, incRange{vm: reg.VM, start: reg.Start, end: reg.End})
+				k.queue = append(k.queue, scanRange{vm: reg.VM, start: reg.Start, end: reg.End})
 			}
 			continue
 		}
 		k.queuePages(reg, drained[reg.VM], pendByVM[reg.VM])
 	}
-	if len(k.incQueue) > 0 {
+	if len(k.queue) > 0 {
 		k.stats.IncrementalRounds++
 	}
 }
 
 // queuePages sorts, dedups and coalesces the region's dirty plus deferred
-// pages into ascending ranges on the rescan queue.
+// pages into ascending ranges on the scan queue.
 func (k *KSM) queuePages(reg hypervisor.MergeableRegion, lists ...[]mem.VPN) {
 	var all []mem.VPN
 	for _, list := range lists {
@@ -762,10 +595,10 @@ func (k *KSM) queuePages(reg hypervisor.MergeableRegion, lists ...[]mem.VPN) {
 			prev = v
 			continue
 		}
-		k.incQueue = append(k.incQueue, incRange{vm: reg.VM, start: start, end: prev + 1})
+		k.queue = append(k.queue, scanRange{vm: reg.VM, start: start, end: prev + 1})
 		start, prev = v, v
 	}
-	k.incQueue = append(k.incQueue, incRange{vm: reg.VM, start: start, end: prev + 1})
+	k.queue = append(k.queue, scanRange{vm: reg.VM, start: start, end: prev + 1})
 }
 
 // deferVolatile queues a gate-skipped page for the next round's revisit.
@@ -800,33 +633,19 @@ func (k *KSM) observeDrain(vm *hypervisor.VMProcess, pages int, overflowed bool)
 	vm.ObserveDirtyDrain(pages)
 }
 
-// advanceRegion moves the cursor to the next region, reporting a wrap of the
-// scan list — a completed pass. The caller runs endPass once any candidates
-// collected before the boundary have been scanned.
-func (k *KSM) advanceRegion() bool {
-	k.regionIdx++
-	k.cursor = 0
-	if k.regionIdx >= len(k.regions) {
-		k.regionIdx = 0
-		return true
-	}
-	return false
-}
-
 // endPass finishes a full scan of all regions: stable nodes whose last
 // mapper went away are pruned, and so are volatility-gate entries for pages
 // that are no longer scan candidates — swapped out, unmapped, or merged into
 // a stable page: such a page's next visit is a first sighting again. The
-// unstable index is dropped (as in Linux) — except when
-// this pass completes the streak that switches the scanner to incremental
-// mode, where the index survives as the partner directory for dirtied pages.
+// unstable index is dropped (as in Linux) and the next pass queued — except
+// when this pass completes the streak that switches the scanner to
+// incremental mode, where the index survives as the partner directory for
+// dirtied pages.
 func (k *KSM) endPass() {
 	k.stats.FullScans++
 	k.fullStreak++
 	k.ringVM = nil
-	switching := k.cfg.IncrementalScan && k.host.DirtyLogEnabled() &&
-		k.fullStreak >= fullPassesBeforeIncremental
-	if switching {
+	if k.cfg.IncrementalScan && k.host.DirtyLogEnabled() && k.fullStreak >= fullPassesBeforeIncremental {
 		k.incremental = true
 	} else {
 		k.dropUnstable()
@@ -837,6 +656,9 @@ func (k *KSM) endPass() {
 	}
 	k.stableDirty = false
 	k.passStart = k.stats
+	if !k.incremental {
+		k.nextRound()
+	}
 }
 
 // pruneStaleStable drops stable frames nobody maps anymore (only the index's
@@ -881,16 +703,18 @@ func (k *KSM) freeStable(frames []mem.FrameID) {
 // bounds it by the registered page count instead.
 func (k *KSM) compactUnstable() {
 	pm := k.host.Phys()
+	k.filterUnstable(func(ent unstableEntry) bool {
+		pte, ok := ent.key.vm.ResidentPTE(ent.key.vpn)
+		return !ok || pm.IsKSM(pte.Frame) || pm.Checksum(pte.Frame) != ent.checksum
+	})
+}
+
+// filterUnstable drops the unstable entries drop selects, and the buckets it
+// empties.
+func (k *KSM) filterUnstable(drop func(unstableEntry) bool) {
 	for sum, bucket := range k.unstable {
-		kept := bucket[:0]
-		for _, ent := range bucket {
-			pte, ok := ent.key.vm.ResidentPTE(ent.key.vpn)
-			if !ok || pm.IsKSM(pte.Frame) || pm.Checksum(pte.Frame) != ent.checksum {
-				k.unstableN--
-				continue
-			}
-			kept = append(kept, ent)
-		}
+		kept := slices.DeleteFunc(bucket, drop)
+		k.unstableN -= len(bucket) - len(kept)
 		if len(kept) == 0 {
 			delete(k.unstable, sum)
 		} else {
@@ -1045,10 +869,13 @@ func (k *KSM) Unmerge() {
 		clear(g.seen)
 	}
 	// Unmerging invalidates everything incremental mode assumed converged:
-	// fall back to linear scanning and earn the switch again.
-	k.incremental = false
+	// its round gives way to a fresh full pass and the switch must be earned
+	// again. A linear pass in flight carries on.
+	if k.incremental {
+		k.incremental = false
+		k.nextRound()
+	}
 	k.fullStreak = 0
-	k.incQueue = nil
 	k.incPending = nil
 	k.incPendingSet = nil
 	k.needFull = make(map[*hypervisor.VMProcess]bool)

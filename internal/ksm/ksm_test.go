@@ -313,16 +313,17 @@ func TestUnmergeRestoresPrivateCopies(t *testing.T) {
 }
 
 func TestEmptyRegionNeverScanned(t *testing.T) {
-	// Regression: with an empty registered region (Start == End) the cursor
+	// Regression: with an empty registered region (Start == End) the scanner
 	// used to clamp to Start and scan reg.End itself — a page KSM was never
-	// madvised about. An empty-only scan list must scan nothing.
+	// madvised about. A pass built from an empty-only scan list scans nothing
+	// and completes nothing.
 	f := newFixture(t, 256, 1, 16, DefaultConfig())
-	f.k.regions = f.k.regions[:0]
 	base := f.vms[0].MergeableRegions()[0]
-	f.k.regions = append(f.k.regions, hypervisor.MergeableRegion{VM: f.vms[0], Start: base.Start, End: base.Start})
-	f.k.ScanChunk(64)
-	s := f.k.Stats()
-	if s.PagesScanned != 0 || s.NotResident != 0 {
+	k := New(f.host, DefaultConfig())
+	k.regions = []hypervisor.MergeableRegion{{VM: f.vms[0], Start: base.Start, End: base.Start}}
+	k.ScanChunk(64)
+	s := k.Stats()
+	if s.PagesScanned != 0 || s.NotResident != 0 || s.FullScans != 0 {
 		t.Fatalf("empty region was scanned: %+v", s)
 	}
 }

@@ -1,8 +1,8 @@
 // The merge pipeline: one decision per page.
 //
-// Every scanned page is a candidate, collected in scan order (the linear
-// cursor walk or the incremental queue pop), and goes through three steps
-// before the next candidate is touched:
+// Every scanned page is a candidate, popped off the scan queue in scan order
+// (collect), and goes through three steps before the next candidate is
+// touched:
 //
 //  1. classify: resolve the PTE, settle the terminal verdicts (not resident,
 //     already shared, huge-mapped with no split policy), read the content
@@ -26,8 +26,10 @@ const unstableChunk = 1024
 // record appends ent to its checksum's bucket in the unstable index, given the
 // bucket as read. An empty bucket's backing is carved from the arena with
 // capacity one, so a second entry moves the bucket to the heap instead of
-// overwriting its neighbour. The retained index of incremental mode is never
-// rewound and takes its backing from the heap, as every bucket used to.
+// overwriting its neighbour. Only dropUnstable rewinds the arena, and the
+// retained index of incremental mode outlives every round: carved from the
+// arena, each of its entries merged or compacted away would strand a slot
+// until the next Unmerge, so that index takes its buckets from the heap.
 func (k *KSM) record(bucket []unstableEntry, ent unstableEntry) {
 	if !k.incremental && cap(bucket) == 0 {
 		chunk, off := k.arenaN/unstableChunk, k.arenaN%unstableChunk
@@ -84,15 +86,48 @@ type candidate struct {
 	hugeSkips   uint32      // bucket entries forgone because the partner stays huge
 }
 
+// collect pops up to budget pages off the scan queue, in scan order, as the
+// next batch's candidates; all of them are collected before any is scanned.
+// A linear round resets each VM's dirty ring as collection enters the VM:
+// everything the ring holds is about to be visited anyway, so the cycle
+// restarts, and at the switch to incremental mode each ring holds exactly the
+// writes since the pass last reached the VM. Because the reset precedes the
+// scans, what a huge split in the batch logs to a partner's ring is kept. A
+// drained incremental round drops its backing array, which the popped ranges
+// would otherwise pin across a converged idle phase.
+func (k *KSM) collect(budget int) []candidate {
+	cands := k.candBuf[:0]
+	for len(cands) < budget && len(k.queue) > 0 {
+		r := &k.queue[0]
+		if !k.incRound && r.vm != k.ringVM {
+			k.ringVM = r.vm
+			dropped, overflowed := r.vm.ResetDirtyLog()
+			k.observeDrain(r.vm, dropped, overflowed)
+		}
+		gate := k.gateFor(r.vm, r.start)
+		end := min(r.end, r.start+mem.VPN(budget-len(cands)))
+		for vpn := r.start; vpn < end; vpn++ {
+			cands = append(cands, candidate{vm: r.vm, vpn: vpn, gate: gate})
+		}
+		if r.start = end; end == r.end {
+			k.queue = k.queue[1:]
+		}
+	}
+	if len(k.queue) == 0 && k.incRound {
+		k.queue = nil
+	}
+	k.candBuf = cands
+	return cands
+}
+
 // processBatch runs one batch of candidates through the pipeline, each
 // classified, decided and applied before the next. The candidates must be
 // distinct pages in scan order, collected while no guest ran (the simulator
-// is event-driven, so page contents are frozen between scanner wake-ups).
-// incremental selects the incremental-mode bookkeeping (IncrementalScanned,
-// gate-skip deferrals, which incremental mode needs to schedule the revisit a
-// linear pass gets for free); linear callers pass false even for the
-// pass-straddling page scanned right after a mode switch.
-func (k *KSM) processBatch(cands []candidate, incremental bool) {
+// is event-driven, so page contents are frozen between scanner wake-ups). A
+// batch from an incremental round also books IncrementalScanned and defers
+// its gate-skipped pages to the next round: the revisit a linear pass gets
+// for free.
+func (k *KSM) processBatch(cands []candidate) {
 	pm := k.host.Phys()
 	for i := range cands {
 		c := &cands[i]
@@ -103,7 +138,7 @@ func (k *KSM) processBatch(cands []candidate, incremental bool) {
 		k.apply(c, pm)
 	}
 	k.stats.PagesScanned += uint64(len(cands))
-	if incremental {
+	if k.incRound {
 		k.stats.IncrementalScanned += uint64(len(cands))
 		for i := range cands {
 			if c := &cands[i]; c.verdict == vGateSkip {

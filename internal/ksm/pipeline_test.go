@@ -99,9 +99,9 @@ func TestIncrementalRoundResnapshotsPassBaseline(t *testing.T) {
 
 // TestUnregisterOnlyVMMidPassEndsPass is the empty-scan-list half of the
 // pass-boundary regression (satellite): unregistering the only VM mid-pass
-// wraps the cursor past a list with zero survivors — all of which were,
-// vacuously, scanned — and the old `len(regions) > 0` guard swallowed exactly
-// this endPass, leaking the unstable index and the FullScans/streak count.
+// empties the pass in flight, whose zero survivors were all, vacuously,
+// scanned. A `len(regions) > 0` guard once swallowed exactly this endPass,
+// leaking the unstable index and the FullScans/streak count.
 func TestUnregisterOnlyVMMidPassEndsPass(t *testing.T) {
 	f := newFixture(t, 256, 1, 16, DefaultConfig())
 	for i := uint64(0); i < 16; i++ {
@@ -129,7 +129,7 @@ func TestUnregisterOnlyVMMidPassEndsPass(t *testing.T) {
 }
 
 // TestDrainedIncrementalQueueReleasesBacking (satellite): consuming the round
-// via incQueue[1:] pins every drained range — head included — in the backing
+// via queue[1:] pins every drained range — head included — in the backing
 // array; a fully drained queue must drop to nil so a converged idle phase
 // holds no round-sized allocation.
 func TestDrainedIncrementalQueueReleasesBacking(t *testing.T) {
@@ -143,19 +143,19 @@ func TestDrainedIncrementalQueueReleasesBacking(t *testing.T) {
 		f.vms[0].FillGuestPage(i, mem.Seed(7000+i))
 	}
 	f.k.ScanChunk(64) // drains the whole round
-	if f.k.incQueue != nil {
-		t.Fatalf("drained queue retains backing array (cap %d)", cap(f.k.incQueue))
+	if f.k.queue != nil {
+		t.Fatalf("drained queue retains backing array (cap %d)", cap(f.k.queue))
 	}
 	// A partially drained round must keep its remainder.
 	for i := uint64(0); i < 6; i++ {
 		f.vms[0].FillGuestPage(i, mem.Seed(8000+i))
 	}
 	f.k.ScanChunk(3)
-	if len(f.k.incQueue) == 0 {
+	if len(f.k.queue) == 0 {
 		t.Fatal("partially drained round lost its remaining work")
 	}
 	f.k.ScanChunk(64)
-	if f.k.incQueue != nil {
+	if f.k.queue != nil {
 		t.Fatal("queue backing array retained after the round finished")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"testing"
 
+	"repro/internal/hypervisor"
 	"repro/internal/mem"
 )
 
@@ -51,6 +52,38 @@ func sharingPartition(f *fixture) (digest string, classes int) {
 	return hex.EncodeToString(h.Sum(nil)[:8]), len(class)
 }
 
+// addVM boots a guest mid-run whose pages 0..7 hold the shared content
+// fillShared writes, registers it with the scanner and adds it to the
+// fixture.
+func (f *fixture) addVM(guestPages int, seed mem.Seed) {
+	vm := f.host.NewVM(hypervisor.VMConfig{Name: "late", GuestMemBytes: int64(guestPages) * pg, Seed: seed})
+	for i := uint64(0); i < 8; i++ {
+		vm.FillGuestPage(i, mem.Seed(100+i))
+	}
+	f.k.Register(vm)
+	f.vms = append(f.vms, vm)
+}
+
+// fillShared writes content shared by every VM into pages 0..7 and content
+// unique to each VM into pages 8..11.
+func (f *fixture) fillShared() {
+	for vi, vm := range f.vms {
+		for i := uint64(0); i < 8; i++ {
+			vm.FillGuestPage(i, mem.Seed(100+i))
+		}
+		for i := uint64(8); i < 12; i++ {
+			vm.FillGuestPage(i, mem.Seed(uint64(vi+1)*1000+i))
+		}
+	}
+}
+
+// unregister drops VM vi from the scanner, kills it and forgets it.
+func (f *fixture) unregister(vi int) {
+	f.k.Unregister(f.vms[vi])
+	f.host.KillVM(f.vms[vi])
+	f.vms = append(f.vms[:vi:vi], f.vms[vi+1:]...)
+}
+
 func captureScanOutcome(f *fixture) scanOutcome {
 	pm := f.host.Phys()
 	o := scanOutcome{
@@ -65,12 +98,15 @@ func captureScanOutcome(f *fixture) scanOutcome {
 	return o
 }
 
-// TestScanOutcomePinned holds the scanner's observable outcome on five
-// scripted scenarios to pinned values: linear churn with a mid-run
-// unregister, the dirty-ring incremental path, pass-sized batches, guests
-// spanning several radix leaves, and partial huge-page splitting. A change to
-// the merge pipeline that moves any merge, counter, interned blob or sharing
-// class shows up here.
+// TestScanOutcomePinned holds the scanner's observable outcome on scripted
+// scenarios to pinned values: linear churn with a mid-run unregister, the
+// dirty-ring incremental path, pass-sized batches, guests spanning several
+// radix leaves and partial huge-page splitting; then the scan queue's seams —
+// the linear→incremental switch inside a wake-up, Register mid-pass and while
+// incremental, Unregister of the last region mid-pass and of every VM at a
+// pass boundary, Unmerge in either mode, ring overflow, and partial splits
+// under incremental mode. A change to the scanner that moves any merge,
+// counter, interned blob or sharing class shows up here.
 func TestScanOutcomePinned(t *testing.T) {
 	cases := []struct {
 		name string
@@ -200,6 +236,194 @@ func TestScanOutcomePinned(t *testing.T) {
 				HugeSkips: 4, HugePartialSplits: 1022, CPUBusy: 25602},
 			content:      mem.ContentStats{Blobs: 512, BlobBytes: 2097152, InternedBlobs: 512, SeedSums: 512, InternHits: 511},
 			materialized: 512, inUse: 513, afterUnmerge: 1024, classes: 513, partition: "873bfdafbaf8fd06",
+		}},
+		{"switch-mid-wakeup", func(t *testing.T) *fixture {
+			f := newDirtyFixture(t, 2048, 3, 32, 0, incrementalConfig())
+			f.fillShared()
+			f.k.ScanChunk(50)
+			// The rest of pass 1 and all of pass 2, whose end switches the
+			// scanner: the budget left past that boundary is forfeited.
+			f.k.ScanChunk(200)
+			if !f.k.incremental {
+				t.Fatal("not incremental after two passes")
+			}
+			f.vms[1].FillGuestPage(3, mem.Seed(9002))
+			f.vms[2].FillGuestPage(30, mem.Seed(8))
+			for i := 0; i < 3; i++ {
+				f.k.ScanChunk(96)
+			}
+			return f
+		}, scanOutcome{
+			stats: Stats{PagesShared: 8, PagesSharing: 23, SavedBytes: 61440, FullScans: 2, PagesScanned: 196, StableMerges: 8,
+				UnstableMerges: 8, ChecksumSkips: 38, NotResident: 120, COWBreaks: 1, IncrementalRounds: 2, IncrementalScanned: 4,
+				DirtyDrained: 38, CPUBusy: 490},
+			content:      mem.ContentStats{Blobs: 18, BlobBytes: 73728, InternedBlobs: 18, SeedSums: 22, InternHits: 15},
+			materialized: 18, inUse: 22, afterUnmerge: 37, classes: 22, partition: "57c700c17463cf20",
+		}},
+		{"register-mid-pass", func(t *testing.T) *fixture {
+			f := newFixture(t, 2048, 2, 32, DefaultConfig())
+			f.fillShared()
+			f.k.ScanChunk(40) // inside the second VM's region
+			f.addVM(32, 3)
+			f.k.ScanChunk(60)
+			f.scanPasses(3)
+			return f
+		}, scanOutcome{
+			stats: Stats{PagesShared: 8, PagesSharing: 24, SavedBytes: 65536, FullScans: 4, PagesScanned: 389, StableMerges: 8,
+				UnstableMerges: 8, ChecksumSkips: 32, AlreadyShared: 53, NotResident: 256, CPUBusy: 972},
+			content:      mem.ContentStats{Blobs: 16, BlobBytes: 65536, InternedBlobs: 16, SeedSums: 16, InternHits: 15},
+			materialized: 16, inUse: 16, afterUnmerge: 32, classes: 16, partition: "49029684bc971147",
+		}},
+		{"register-incremental", func(t *testing.T) *fixture {
+			f := newDirtyFixture(t, 2048, 2, 32, 0, incrementalConfig())
+			f.fillShared()
+			f.k.ScanChunk(64)
+			f.k.ScanChunk(64)
+			if !f.k.incremental {
+				t.Fatal("not incremental after two passes")
+			}
+			f.addVM(32, 3)
+			for i := 0; i < 3; i++ {
+				f.k.ScanChunk(64)
+			}
+			return f
+		}, scanOutcome{
+			stats: Stats{PagesShared: 8, PagesSharing: 24, SavedBytes: 65536, FullScans: 2, PagesScanned: 168, StableMerges: 8,
+				UnstableMerges: 8, ChecksumSkips: 32, NotResident: 104, IncrementalRounds: 2, IncrementalScanned: 40,
+				DirtyDrained: 32, CPUBusy: 420},
+			content:      mem.ContentStats{Blobs: 12, BlobBytes: 49152, InternedBlobs: 12, SeedSums: 16, InternHits: 15},
+			materialized: 12, inUse: 16, afterUnmerge: 32, classes: 16, partition: "49029684bc971147",
+		}},
+		{"unregister-last-mid-pass", func(t *testing.T) *fixture {
+			f := newFixture(t, 2048, 3, 24, DefaultConfig())
+			f.fillShared()
+			f.k.ScanChunk(72 + 60) // pass 1, then into the last VM's region
+			f.unregister(2)
+			f.scanPasses(2)
+			return f
+		}, scanOutcome{
+			stats: Stats{PagesShared: 8, PagesSharing: 16, SavedBytes: 32768, FullScans: 4, PagesScanned: 229, StableMerges: 8,
+				UnstableMerges: 8, ChecksumSkips: 36, AlreadyShared: 33, NotResident: 108, CPUBusy: 572},
+			content:      mem.ContentStats{Blobs: 16, BlobBytes: 65536, InternedBlobs: 16, SeedSums: 20, InternHits: 15},
+			materialized: 20, inUse: 16, afterUnmerge: 24, classes: 16, partition: "b1b3ff571a138cb3",
+		}},
+		{"unregister-all-at-boundary", func(t *testing.T) *fixture {
+			f := newFixture(t, 2048, 2, 32, DefaultConfig())
+			f.fillShared()
+			f.k.ScanChunk(3 * 64) // exactly three passes
+			f.unregister(0)
+			f.unregister(0)
+			f.k.ScanChunk(10)
+			f.addVM(32, 3)
+			f.addVM(32, 4)
+			f.scanPasses(3)
+			return f
+		}, scanOutcome{
+			stats: Stats{PagesShared: 8, PagesSharing: 16, SavedBytes: 32768, FullScans: 7, PagesScanned: 385,
+				UnstableMerges: 16, ChecksumSkips: 40, AlreadyShared: 33, NotResident: 264, StalePruned: 8, CPUBusy: 962},
+			content:      mem.ContentStats{Blobs: 8, BlobBytes: 32768, InternedBlobs: 8, SeedSums: 16, InternHits: 14},
+			materialized: 24, inUse: 8, afterUnmerge: 16, classes: 8, partition: "d2f18162b72ee536",
+		}},
+		{"unmerge-mid-pass", func(t *testing.T) *fixture {
+			f := newFixture(t, 2048, 3, 24, DefaultConfig())
+			f.fillShared()
+			f.scanPasses(3)
+			f.k.ScanChunk(30)
+			f.k.Unmerge()
+			f.scanPasses(3)
+			return f
+		}, scanOutcome{
+			stats: Stats{PagesShared: 8, PagesSharing: 24, SavedBytes: 65536, FullScans: 6, PagesScanned: 464, StableMerges: 16,
+				UnstableMerges: 16, ChecksumSkips: 72, AlreadyShared: 57, NotResident: 228, COWBreaks: 24, StalePruned: 8,
+				CPUBusy: 1159},
+			content:      mem.ContentStats{Blobs: 20, BlobBytes: 81920, InternedBlobs: 20, SeedSums: 20, InternHits: 15},
+			materialized: 20, inUse: 20, afterUnmerge: 36, classes: 20, partition: "106ca80297ad213c",
+		}},
+		{"unmerge-incremental", func(t *testing.T) *fixture {
+			f := newDirtyFixture(t, 2048, 3, 32, 0, incrementalConfig())
+			f.fillShared()
+			f.k.ScanChunk(96)
+			f.k.ScanChunk(96)
+			f.vms[0].FillGuestPage(2, mem.Seed(9001))
+			f.k.ScanChunk(96)
+			f.k.Unmerge()
+			if f.k.incremental {
+				t.Fatal("still incremental after Unmerge")
+			}
+			f.k.ScanChunk(96)
+			f.k.ScanChunk(96)
+			if !f.k.incremental {
+				t.Fatal("not incremental again after two passes")
+			}
+			f.vms[1].FillGuestPage(20, mem.Seed(8000))
+			f.vms[2].FillGuestPage(20, mem.Seed(8000))
+			for i := 0; i < 3; i++ {
+				f.k.ScanChunk(96)
+			}
+			return f
+		}, scanOutcome{
+			stats: Stats{PagesShared: 9, PagesSharing: 25, SavedBytes: 65536, FullScans: 4, PagesScanned: 389, StableMerges: 15,
+				UnstableMerges: 17, ChecksumSkips: 75, NotResident: 240, COWBreaks: 24, StalePruned: 8, IncrementalRounds: 3,
+				IncrementalScanned: 5, DirtyDrained: 62, CPUBusy: 972},
+			content:      mem.ContentStats{Blobs: 17, BlobBytes: 69632, InternedBlobs: 17, SeedSums: 22, InternHits: 16},
+			materialized: 17, inUse: 22, afterUnmerge: 38, classes: 22, partition: "b38ed7e6d454dc7b",
+		}},
+		{"ring-overflow", func(t *testing.T) *fixture {
+			f := newDirtyFixture(t, 1024, 2, 64, 8, incrementalConfig())
+			f.fillShared()
+			f.k.ScanChunk(128)
+			f.k.ScanChunk(128)
+			for i := uint64(20); i < 40; i++ {
+				f.vms[0].FillGuestPage(i, mem.Seed(3000+i))
+				if i%2 == 0 {
+					f.vms[1].FillGuestPage(i, mem.Seed(3000+i))
+				}
+			}
+			for i := 0; i < 4; i++ {
+				f.k.ScanChunk(128)
+			}
+			return f
+		}, scanOutcome{
+			stats: Stats{PagesShared: 18, PagesSharing: 36, SavedBytes: 73728, FullScans: 2, PagesScanned: 414,
+				UnstableMerges: 18, ChecksumSkips: 54, AlreadyShared: 16, NotResident: 282, IncrementalRounds: 2,
+				IncrementalScanned: 158, DirtyDrained: 32, RingOverflows: 4, CPUBusy: 1035},
+			content:      mem.ContentStats{Blobs: 36, BlobBytes: 147456, InternedBlobs: 36, SeedSums: 36, InternHits: 17},
+			materialized: 36, inUse: 36, afterUnmerge: 54, classes: 36, partition: "03b67578e956f143",
+		}},
+		{"partial-split-incremental", func(t *testing.T) *fixture {
+			cfg := incrementalConfig()
+			cfg.PartialSplitHuge = true
+			f := newDirtyFixture(t, 6*hp, 2, 2*hp, 0, cfg)
+			for _, vm := range f.vms {
+				for i := uint64(0); i < hp; i++ {
+					vm.FillGuestPage(i, mem.Seed(4000+i))
+				}
+				if got := vm.CollapseHuge(vm.MemslotBase(), 0); got.String() != "ok" {
+					t.Fatalf("setup collapse: %v", got)
+				}
+			}
+			f.k.ScanChunk(3 * hp)
+			// The rest of pass 1 and all of pass 2, whose end switches the
+			// scanner mid-wake-up.
+			f.k.ScanChunk(6 * hp)
+			if !f.k.incremental {
+				t.Fatal("not incremental after two passes")
+			}
+			for _, i := range []uint64{0, 5, hp - 1, hp + 3} {
+				f.vms[0].FillGuestPage(i, mem.Seed(9100+i))
+				f.vms[1].FillGuestPage(i, mem.Seed(9100+i))
+			}
+			for i := 0; i < 4; i++ {
+				f.k.ScanChunk(2 * hp)
+			}
+			return f
+		}, scanOutcome{
+			stats: Stats{PagesShared: 512, PagesSharing: 1024, SavedBytes: 2097152, FullScans: 2, PagesScanned: 5130,
+				UnstableMerges: 514, ChecksumSkips: 1032, AlreadyShared: 1018, NotResident: 2048, COWBreaks: 4, StalePruned: 2,
+				HugeSkips: 2, HugePartialSplits: 1022, IncrementalRounds: 2, IncrementalScanned: 1034, DirtyDrained: 2050,
+				CPUBusy: 12825},
+			content:      mem.ContentStats{Blobs: 513, BlobBytes: 2101248, InternedBlobs: 513, SeedSums: 516, InternHits: 514},
+			materialized: 515, inUse: 514, afterUnmerge: 1026, classes: 514, partition: "e894996ed36ca418",
 		}},
 	}
 	for _, c := range cases {

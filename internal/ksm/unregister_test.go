@@ -47,12 +47,12 @@ func TestUnregisterMidPassKeepsCursorSane(t *testing.T) {
 		f.vms[1].FillGuestPage(i, mem.Seed(1000+i))
 		f.vms[2].FillGuestPage(i, mem.Seed(1000+i))
 	}
-	// Park the cursor inside the second VM's region, then drop that VM both
+	// Park the scan inside the second VM's region, then drop that VM both
 	// ways: once as the current region, once as an earlier one.
 	f.k.ScanChunk(16 + 4)
 	f.k.Unregister(f.vms[1])
 	f.host.KillVM(f.vms[1])
-	f.k.ScanChunk(4) // cursor now past vms[1]'s old slot
+	f.k.ScanChunk(4) // the scan is now in vms[2]'s region
 	f.k.Unregister(f.vms[0])
 	f.host.KillVM(f.vms[0])
 	f.vms = f.vms[2:]

@@ -209,7 +209,7 @@ func (d *Daemon) Register(vm *hypervisor.VMProcess, madvised bool) {
 }
 
 // Unregister drops a VM's ranges from the scan list (the process exited).
-// The circular cursor is repaired the same way as KSM's: removals before the
+// The circular cursor is repaired in place: removals before the
 // current region shift the index down, removing the current region restarts
 // at whichever region slides into its slot, and a wrap past the shrunken
 // list does not count a full scan. A nil Daemon is a no-op.
