@@ -17,14 +17,16 @@ const benchStableFrames = 50000
 
 var benchSink mem.FrameID
 
-// BenchmarkStableLookup times the stable-index lookup: the miss every unshared
-// page pays on every pass, and the hit a merge starts from. "random" pages
-// differ in their first bytes; "common-prefix" pages agree on all but their
-// last eight, the content an index ordered by memcmp reads to the end at
-// every step. Keyed by checksum, the two miss alike; a hit is verified by
-// Equal, which ends at descriptor identity for "random" (probe and member
-// share the seed's interned blob) and at one page memcmp for "common-prefix".
-func BenchmarkStableLookup(b *testing.B) {
+// BenchmarkIndexLookup times the checksum table's probe and stable-chain
+// lookup: the miss every unshared page pays on every pass, and the hit a merge
+// starts from. "random" pages differ in their first bytes; "common-prefix"
+// pages agree on all but their last eight, the content an index ordered by
+// memcmp reads to the end at every step. Keyed by checksum, the two miss
+// alike; a hit is verified by Equal, which ends at descriptor identity for
+// "random" (probe and member share the seed's interned blob) and at one page
+// memcmp for "common-prefix". A miss probes a slot that holds the sum's
+// unstable entry, as a converged pass does, so the table does not grow.
+func BenchmarkIndexLookup(b *testing.B) {
 	const probes = 1024
 	page := mem.FillBytes(pg, 42)
 	contents := []struct {
@@ -45,7 +47,8 @@ func BenchmarkStableLookup(b *testing.B) {
 		for _, content := range contents {
 			b.Run(kind+"/"+content.name, func(b *testing.B) {
 				pm := mem.NewPhysMem(int64(benchStableFrames+probes)*pg, pg)
-				x := newStableIndex()
+				x := makeSumTable(minSlots)
+				x.reserve(benchStableFrames + probes)
 				frame := func(n int) mem.FrameID {
 					id, err := pm.Alloc()
 					if err != nil {
@@ -56,7 +59,7 @@ func BenchmarkStableLookup(b *testing.B) {
 				}
 				for n := 0; n < benchStableFrames; n++ {
 					id := frame(n)
-					x.insert(pm, id, pm.Checksum(id))
+					x.insertStable(pm, x.claim(pm.Checksum(id)), id)
 				}
 				// A hit probe is a second frame holding a member's content.
 				first := benchStableFrames
@@ -68,11 +71,14 @@ func BenchmarkStableLookup(b *testing.B) {
 				for i := range probe {
 					probe[i] = frame(first + i*(benchStableFrames/probes))
 					sum[i] = pm.Checksum(probe[i])
+					if !hit {
+						x.record(x.claim(sum[i]), pageKey{vpn: mem.VPN(i)})
+					}
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					f, found := x.lookup(pm, probe[i%probes], sum[i%probes])
+					f, found := x.lookupStable(pm, x.claim(sum[i%probes]), probe[i%probes])
 					if found != hit {
 						b.Fatalf("probe %d: found = %v", i%probes, found)
 					}
@@ -105,14 +111,15 @@ func convergedFixture(tb testing.TB, guestPages int) (f *fixture, pass func()) {
 	}
 	// The last page of a pass is scanned after the pass ends, so one
 	// private page is already on the next pass's index.
-	if s := f.k.Stats(); s.PagesShared != guestPages/2 || s.FullScans != 4 || f.k.unstableN != 1 {
-		tb.Fatalf("fixture not converged at a pass boundary: %+v, %d unstable", s, f.k.unstableN)
+	if s := f.k.Stats(); s.PagesShared != guestPages/2 || s.FullScans != 4 || f.k.index.unstableN != 1 {
+		tb.Fatalf("fixture not converged at a pass boundary: %+v, %d unstable", s, f.k.index.unstableN)
 	}
 	return f, pass
 }
 
 // TestConvergedPassAllocFree: a pass over a converged cluster refills the
-// gate tables, the cleared unstable map and the rewound arena in place.
+// gate tables, the checksum table's stale slots and the rewound node store in
+// place.
 func TestConvergedPassAllocFree(t *testing.T) {
 	f, pass := convergedFixture(t, 512)
 	before := f.k.Stats()

@@ -243,17 +243,17 @@ func TestUnregisterLastRegionMidPassEndsPass(t *testing.T) {
 	}
 	f.k.ScanChunk(32) // pass 1: volatility-gate first sightings
 	f.k.ScanChunk(20) // pass 2: VM0's 16 pages plus 4 of VM1
-	if s := f.k.Stats(); s.FullScans != 1 || f.k.unstableN != 20 {
+	if s := f.k.Stats(); s.FullScans != 1 || f.k.index.unstableN != 20 {
 		t.Fatalf("mid-pass: FullScans = %d with %d unstable entries, want 1 and 20",
-			s.FullScans, f.k.unstableN)
+			s.FullScans, f.k.index.unstableN)
 	}
 	f.k.Unregister(f.vms[1])
 	s := f.k.Stats()
 	if s.FullScans != 2 {
 		t.Fatalf("FullScans = %d after wrap-completing unregister, want 2", s.FullScans)
 	}
-	if f.k.unstableN != 0 || len(f.k.unstable) != 0 {
-		t.Fatalf("unstable index survived the pass boundary: %d entries", f.k.unstableN)
+	if err := f.k.Verify(); err != nil || f.k.index.unstableN != 0 {
+		t.Fatalf("unstable index survived the pass boundary: %d entries (%v)", f.k.index.unstableN, err)
 	}
 	// The next chunk starts a fresh pass over the surviving VM and must
 	// complete it normally.
@@ -394,5 +394,58 @@ func TestIncrementalOffIsByteIdentical(t *testing.T) {
 	a, b := run(), run()
 	if a != b {
 		t.Fatalf("linear scanner not deterministic:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestRetainedUnstableIndexStaysBounded: the unstable index of incremental
+// mode is never dropped, so the nodes that merges and compaction unlink must
+// be reused or repacked. Unique pages fill the index; one guest then takes up
+// the other's content (each merge unlinks the partner's entry and leaves the
+// taker's old one stale), and the other rewrites a block of pages round after
+// round until the index outgrows the registered pages and is compacted down
+// to that block. After every wake-up the node store holds at most twice the
+// index's entries and one chunk, and Verify holds.
+func TestRetainedUnstableIndexStaysBounded(t *testing.T) {
+	const guestPages, block = 4096, 1024
+	f := newDirtyFixture(t, 4*guestPages, 2, guestPages, 0, incrementalConfig())
+	a, b := f.vms[0], f.vms[1]
+	for i := uint64(0); i < guestPages; i++ {
+		a.FillGuestPage(i, mem.Seed(10000+i))
+		b.FillGuestPage(i, mem.Seed(20000+i))
+	}
+	f.k.ScanChunk(2 * guestPages)
+	f.k.ScanChunk(2 * guestPages)
+	if !f.k.incremental {
+		t.Fatal("not incremental after two passes")
+	}
+	x := &f.k.index
+	peak, low := 0, 0 // the index's largest size, and its smallest since
+	for round := uint64(0); round < 16; round++ {
+		if round < 8 {
+			for i := round * guestPages / 8; i < (round+1)*guestPages/8; i++ {
+				b.FillGuestPage(i, mem.Seed(10000+i))
+			}
+		} else {
+			for i := uint64(0); i < block; i++ {
+				a.FillGuestPage(i, mem.Seed(30000+round*guestPages+i))
+			}
+		}
+		for w := 0; w < 3; w++ {
+			f.k.ScanChunk(2 * guestPages)
+			if x.unstableN > peak {
+				peak, low = x.unstableN, x.unstableN
+			}
+			low = min(low, x.unstableN)
+			if x.unstableStorage() > 2*x.unstableN+unstableChunk {
+				t.Fatalf("round %d: node store of %d nodes for %d entries", round, x.unstableStorage(), x.unstableN)
+			}
+		}
+		if err := f.k.Verify(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+	}
+	if s := f.k.Stats(); s.UnstableMerges < guestPages || low != block || peak <= 2*low+unstableChunk {
+		t.Fatalf("the churn never shrank the index: %d unstable merges, %d entries at the peak, %d at the lowest since",
+			s.UnstableMerges, peak, low)
 	}
 }

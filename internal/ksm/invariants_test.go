@@ -1,54 +1,14 @@
 package ksm
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/mem"
 )
 
-// Cross-cutting invariants of the sharing machinery, checked after randomized
-// workloads of fills, merges and COW breaks.
-
-// checkInvariants asserts the structural invariants that must hold at any
-// quiescent point:
-//  1. every stable-tree frame is flagged KSM and alive;
-//  2. every PTE pointing at a stable frame is write-protected (COW);
-//  3. frame reference counts equal 1 (tree) + number of mapping PTEs;
-//  4. no two stable frames have identical content.
-func (f *fixture) checkInvariants(t *testing.T) {
-	t.Helper()
-	pm := f.host.Phys()
-	stable := f.k.StableFrames()
-
-	mappers := map[mem.FrameID]int{}
-	for _, vm := range f.vms {
-		vm.HostPageTable().Range(func(vpn mem.VPN, pte mem.PTE) bool {
-			if pte.Swapped {
-				return true
-			}
-			if pm.IsKSM(pte.Frame) {
-				if !pte.COW {
-					t.Errorf("PTE %#x maps stable frame %d without COW", vpn, pte.Frame)
-				}
-				mappers[pte.Frame]++
-			}
-			return true
-		})
-	}
-	for i, fr := range stable {
-		if !pm.IsKSM(fr) {
-			t.Errorf("stable frame %d not flagged KSM", fr)
-		}
-		if got, want := pm.RefCount(fr), mappers[fr]+1; got != want {
-			t.Errorf("stable frame %d refcount %d, want %d (tree + %d mappers)", fr, got, want, mappers[fr])
-		}
-		for _, other := range stable[i+1:] {
-			if pm.Equal(fr, other) {
-				t.Errorf("stable frames %d and %d have identical content", fr, other)
-			}
-		}
-	}
-}
+// Cross-cutting invariants of the sharing machinery, checked by Verify after
+// randomized workloads of fills, merges and COW breaks.
 
 func TestInvariantsAfterRandomizedChurn(t *testing.T) {
 	f := newFixture(t, 1024, 3, 64, DefaultConfig())
@@ -73,9 +33,8 @@ func TestInvariantsAfterRandomizedChurn(t *testing.T) {
 			}
 		}
 		f.scanPasses(1)
-		f.checkInvariants(t)
-		if t.Failed() {
-			t.Fatalf("invariants broken at round %d", round)
+		if err := f.k.Verify(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
 		}
 	}
 	// Frame accounting closes: every allocated frame is reachable from a
@@ -102,32 +61,8 @@ func TestSavedBytesNeverNegative(t *testing.T) {
 	}
 }
 
-// recountStats rebuilds PagesShared/PagesSharing/SavedBytes from first
-// principles: walk every VM page table, count mappings of KSM-flagged frames,
-// and derive the totals — no scanner state consulted beyond the stable list.
-func (f *fixture) recountStats() (shared, sharing int, saved int64) {
-	pm := f.host.Phys()
-	mappers := map[mem.FrameID]int{}
-	for _, vm := range f.host.VMs() {
-		vm.HostPageTable().Range(func(_ mem.VPN, pte mem.PTE) bool {
-			if !pte.Swapped && !pte.Huge && pm.IsKSM(pte.Frame) {
-				mappers[pte.Frame]++
-			}
-			return true
-		})
-	}
-	for _, fr := range f.k.StableFrames() {
-		if n := mappers[fr]; n > 0 {
-			shared++
-			sharing += n
-		}
-	}
-	saved = int64(sharing-shared) * pg
-	return shared, sharing, saved
-}
-
 // TestStatsMatchBruteForceRecount: Stats() derives the sysfs totals from
-// stable-index refcounts; this cross-checks them against a full page-table
+// stable-index refcounts; Verify cross-checks them against a full page-table
 // recount after merge churn, COW breaks, guest kills and scanner unregisters,
 // on the inline schedule (the only one the scanner has).
 func TestStatsMatchBruteForceRecount(t *testing.T) {
@@ -139,11 +74,8 @@ func statsMatchRecount(t *testing.T) {
 	rng := mem.Seed(11)
 	check := func(stage string) {
 		t.Helper()
-		st := f.k.Stats()
-		shared, sharing, saved := f.recountStats()
-		if st.PagesShared != shared || st.PagesSharing != sharing || st.SavedBytes != saved {
-			t.Fatalf("%s: Stats (shared %d sharing %d saved %d) != recount (shared %d sharing %d saved %d)",
-				stage, st.PagesShared, st.PagesSharing, st.SavedBytes, shared, sharing, saved)
+		if err := f.k.Verify(); err != nil {
+			t.Fatalf("%s: %v", stage, err)
 		}
 	}
 	for round := 0; round < 6; round++ {
@@ -174,5 +106,59 @@ func statsMatchRecount(t *testing.T) {
 	check("after prune")
 	if err := f.host.CheckLeaks(f.k.StableFrames()); err != nil {
 		t.Fatalf("leak check: %v", err)
+	}
+}
+
+// TestVerifyCatchesBrokenLaws breaks each of Verify's laws by hand on a
+// converged fixture, the way a scanner bug would leave it, and expects Verify
+// to name the law.
+func TestVerifyCatchesBrokenLaws(t *testing.T) {
+	cases := []struct {
+		name, want string
+		corrupt    func(f *fixture, frame mem.FrameID)
+	}{
+		{"unflagged", "not flagged KSM", func(f *fixture, frame mem.FrameID) {
+			// A stable frame released without leaving the index.
+			f.host.Phys().SetKSM(frame, false)
+		}},
+		{"writable-mapper", "without COW", func(f *fixture, _ mem.FrameID) {
+			// A partner promoted without being write-protected.
+			vpn := f.vms[0].MemslotBase()
+			pte, _ := f.vms[0].HostPageTable().Lookup(vpn)
+			pte.COW = false
+			f.vms[0].HostPageTable().Set(vpn, pte)
+		}},
+		{"refcount", "refcount", func(f *fixture, frame mem.FrameID) {
+			f.host.Phys().IncRef(frame)
+		}},
+		{"duplicate", "same content", func(f *fixture, frame mem.FrameID) {
+			pm := f.host.Phys()
+			dup, err := pm.Alloc()
+			if err != nil {
+				t.Fatal(err)
+			}
+			pm.FillFrame(dup, 1000)
+			pm.SetKSM(dup, true)
+			f.k.index.insertStable(pm, f.k.index.claim(pm.Checksum(dup)), dup)
+		}},
+		{"unstable-count", "unstable entries", func(f *fixture, _ mem.FrameID) {
+			f.k.index.unstableN++
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			f := newFixture(t, 256, 2, 16, DefaultConfig())
+			for _, vm := range f.vms {
+				vm.FillGuestPage(0, 1000)
+			}
+			f.scanPasses(3)
+			if err := f.k.Verify(); err != nil {
+				t.Fatalf("before: %v", err)
+			}
+			c.corrupt(f, f.k.StableFrames()[0])
+			if err := f.k.Verify(); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Verify = %v, want an error about %q", err, c.want)
+			}
+		})
 	}
 }

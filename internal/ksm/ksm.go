@@ -37,14 +37,14 @@
 // Cost model: all content operations go through mem's content-addressed
 // store, so the per-page work above is cheap in the common case —
 // pm.Checksum is a cache lookup (computed once per distinct content, not
-// per frame per pass), a page whose checksum no indexed page shares costs one
-// map probe per index, and pm.Equal verifies bytes only when two distinct
+// per frame per pass), a scanned page costs one probe of the checksum table
+// that holds both indexes, and pm.Equal verifies bytes only when two distinct
 // descriptors' checksums agree.
 //
 // Deviation from Linux noted in DESIGN.md: Linux keeps stable and unstable
 // pages in two red-black trees ordered by memcmp (the unstable one tolerated
 // to be inconsistent and rebuilt each pass), having no page hash it trusts;
-// we keep both in checksum-indexed tables with memcmp verification of every
+// we keep both in one checksum-keyed table with memcmp verification of every
 // hit, which has the same merge outcomes.
 package ksm
 
@@ -166,11 +166,6 @@ type pageKey struct {
 	vpn mem.VPN
 }
 
-type unstableEntry struct {
-	key      pageKey
-	checksum uint64
-}
-
 // scanRange is one scan-queue work item: scan pages [start, end) of one VM,
 // all inside one registered region. A linear round queues whole regions; an
 // incremental round queues dirtied pages, adjacent ones coalesced.
@@ -223,18 +218,9 @@ type KSM struct {
 	// nil between passes so every pass resets each ring once.
 	ringVM *hypervisor.VMProcess
 
-	// stable is the index of KSM stable frames; unstable maps a checksum to
-	// the candidate pages recorded under it this pass (unstableN of them).
-	// See pipeline.go.
-	stable    *stableIndex
-	unstable  map[uint64][]unstableEntry
-	unstableN int
-	// arena backs the first entry of every bucket recorded in linear mode, in
-	// fixed chunks; arenaN counts the slots handed out since dropUnstable last
-	// rewound it. Most buckets never hold a second entry, so a pass that
-	// re-records every unshared page allocates nothing.
-	arena  [][]unstableEntry
-	arenaN int
+	// index holds the KSM stable frames and the candidate pages recorded
+	// this pass, both keyed by checksum; see index.go and pipeline.go.
+	index sumTable
 	// gates holds the volatility gate, one dense table per registered
 	// region; see gate.go.
 	gates    []*regionGate
@@ -282,8 +268,7 @@ func New(host *hypervisor.Host, cfg Config) *KSM {
 		host:     host,
 		cfg:      cfg,
 		regSet:   make(map[hypervisor.MergeableRegion]struct{}),
-		stable:   newStableIndex(),
-		unstable: make(map[uint64][]unstableEntry),
+		index:    makeSumTable(minSlots),
 		needFull: make(map[*hypervisor.VMProcess]bool),
 		vmRegs:   make(map[*hypervisor.VMProcess]int),
 	}
@@ -331,6 +316,7 @@ func (k *KSM) Register(vm *hypervisor.VMProcess) {
 	if !added {
 		return
 	}
+	k.index.reserve(k.registeredPages)
 	if k.incremental {
 		k.needFull[vm] = true
 	} else {
@@ -363,7 +349,7 @@ func (k *KSM) Unregister(vm *hypervisor.VMProcess) {
 	k.vms = slices.DeleteFunc(k.vms, func(v *hypervisor.VMProcess) bool { return v == vm })
 	k.gates = slices.DeleteFunc(k.gates, func(g *regionGate) bool { return g.vm == vm })
 	k.gateMemo = nil
-	k.filterUnstable(func(ent unstableEntry) bool { return ent.key.vm == vm })
+	k.index.filterUnstable(func(key pageKey, _ uint64) bool { return key.vm == vm })
 	delete(k.needFull, vm)
 	if k.ringVM == vm {
 		k.ringVM = nil
@@ -440,7 +426,7 @@ func (k *KSM) Stats() Stats {
 	s.PagesShared = 0
 	s.PagesSharing = 0
 	pm := k.host.Phys()
-	k.stable.walk(func(f mem.FrameID) {
+	k.index.walkStable(func(f mem.FrameID) {
 		mappers := pm.RefCount(f) - 1 // one reference belongs to the index
 		if mappers <= 0 {
 			return
@@ -478,6 +464,8 @@ func (k *KSM) Stats() Stats {
 // deferred is never revisited within the same wake-up (its two sightings
 // stay a sleep interval apart, as in a linear pass). CPU is charged for
 // pages actually scanned: a converged cluster with empty rings costs nothing.
+// The retained index of incremental mode is repacked once its node store
+// holds more than twice its entries and a chunk.
 func (k *KSM) ScanChunk(n int) {
 	if len(k.queue) == 0 {
 		k.nextRound()
@@ -496,6 +484,9 @@ func (k *KSM) ScanChunk(n int) {
 		k.processBatch(cands[last:])
 	}
 	k.stats.CPUBusy += simclock.Time(int64(scanned) * int64(k.cfg.ScanCostNanos) / 1000)
+	if t := &k.index; k.incremental && t.unstableStorage() > 2*t.unstableN+unstableChunk {
+		t.repackUnstable()
+	}
 }
 
 // nextRound queues the next round of the current mode: in incremental mode
@@ -533,7 +524,7 @@ func (k *KSM) buildRound() {
 		k.pruneStaleStable()
 		k.stableDirty = false
 	}
-	if k.unstableN > k.registeredPages {
+	if k.index.unstableN > k.registeredPages {
 		k.compactUnstable()
 	}
 	pending := k.incPending
@@ -648,7 +639,7 @@ func (k *KSM) endPass() {
 	if k.cfg.IncrementalScan && k.host.DirtyLogEnabled() && k.fullStreak >= fullPassesBeforeIncremental {
 		k.incremental = true
 	} else {
-		k.dropUnstable()
+		k.index.dropUnstable()
 	}
 	k.pruneStaleStable()
 	for _, g := range k.gates {
@@ -664,14 +655,15 @@ func (k *KSM) endPass() {
 // pruneStaleStable drops stable frames nobody maps anymore (only the index's
 // own reference is left). Full passes run it unconditionally; incremental
 // rounds only when stableDirty says sharing may have been lost. The stale
-// frames are freed in ascending frame id, since the index's walk order is map
-// iteration order and the free stack's order decides later frame numbers;
-// only they are sorted, so a pass with nothing to prune costs one refcount
-// check per stable frame and allocates nothing.
+// frames are freed in ascending frame id, since the free stack's order decides
+// later frame numbers and nothing may read the order of the index's walk (the
+// order its node store happens to be in); only they are sorted, so a pass
+// with nothing to prune costs one refcount check per stable frame and
+// allocates nothing.
 func (k *KSM) pruneStaleStable() {
 	pm := k.host.Phys()
 	var stale []mem.FrameID
-	k.stable.walk(func(f mem.FrameID) {
+	k.index.walkStable(func(f mem.FrameID) {
 		if pm.RefCount(f) == 1 { // only the index holds it
 			stale = append(stale, f)
 		}
@@ -686,7 +678,7 @@ func (k *KSM) pruneStaleStable() {
 func (k *KSM) freeStable(frames []mem.FrameID) {
 	pm := k.host.Phys()
 	for _, f := range frames {
-		if !k.stable.remove(f, pm.Checksum(f)) {
+		if !k.index.removeStable(f, pm.Checksum(f)) {
 			// Un-flagging and releasing it would leave the index naming a
 			// frame the allocator hands out again.
 			panic(fmt.Sprintf("ksm: stable frame %d not in the stable index", f))
@@ -703,24 +695,10 @@ func (k *KSM) freeStable(frames []mem.FrameID) {
 // bounds it by the registered page count instead.
 func (k *KSM) compactUnstable() {
 	pm := k.host.Phys()
-	k.filterUnstable(func(ent unstableEntry) bool {
-		pte, ok := ent.key.vm.ResidentPTE(ent.key.vpn)
-		return !ok || pm.IsKSM(pte.Frame) || pm.Checksum(pte.Frame) != ent.checksum
+	k.index.filterUnstable(func(key pageKey, sum uint64) bool {
+		pte, ok := key.vm.ResidentPTE(key.vpn)
+		return !ok || pm.IsKSM(pte.Frame) || pm.Checksum(pte.Frame) != sum
 	})
-}
-
-// filterUnstable drops the unstable entries drop selects, and the buckets it
-// empties.
-func (k *KSM) filterUnstable(drop func(unstableEntry) bool) {
-	for sum, bucket := range k.unstable {
-		kept := slices.DeleteFunc(bucket, drop)
-		k.unstableN -= len(bucket) - len(kept)
-		if len(kept) == 0 {
-			delete(k.unstable, sum)
-		} else {
-			k.unstable[sum] = kept
-		}
-	}
 }
 
 // hugeSplitting reports whether the scanner is allowed to break huge
@@ -782,8 +760,8 @@ func (k *KSM) Instrument(r *metrics.Registry) {
 	r.Gauge("ksm.pages_unmerged", func() float64 { return float64(k.stats.COWBreaks) })
 	r.Gauge("ksm.pages_volatile", func() float64 { return float64(k.stats.ChecksumSkips) })
 	r.Gauge("ksm.full_scans", func() float64 { return float64(k.stats.FullScans) })
-	r.Gauge("ksm.stable_tree_size", func() float64 { return float64(k.stable.size) })
-	r.Gauge("ksm.unstable_entries", func() float64 { return float64(k.unstableN) })
+	r.Gauge("ksm.stable_tree_size", func() float64 { return float64(k.index.stableN) })
+	r.Gauge("ksm.unstable_entries", func() float64 { return float64(k.index.unstableN) })
 	r.Gauge("ksm.pages_shared", func() float64 { return float64(snapshot().PagesShared) })
 	r.Gauge("ksm.pages_sharing", func() float64 { return float64(snapshot().PagesSharing) })
 	r.Gauge("ksm.saved_bytes", func() float64 { return float64(snapshot().SavedBytes) })
@@ -840,8 +818,8 @@ func (k *KSM) DirtyRingDepth() int {
 // StableFrames exposes the stable index contents in ascending frame id (for
 // the analyzer and tests).
 func (k *KSM) StableFrames() []mem.FrameID {
-	out := make([]mem.FrameID, 0, k.stable.size)
-	k.stable.walk(func(f mem.FrameID) { out = append(out, f) })
+	out := make([]mem.FrameID, 0, k.index.stableN)
+	k.index.walkStable(func(f mem.FrameID) { out = append(out, f) })
 	slices.Sort(out)
 	return out
 }
@@ -864,7 +842,7 @@ func (k *KSM) Unmerge() {
 	}
 	// All stable frames are now referenced only by the index.
 	k.freeStable(k.StableFrames())
-	k.dropUnstable()
+	k.index.dropUnstable()
 	for _, g := range k.gates {
 		clear(g.seen)
 	}

@@ -7,11 +7,11 @@
 //  1. classify: resolve the PTE, settle the terminal verdicts (not resident,
 //     already shared, huge-mapped with no split policy), read the content
 //     checksum and take the volatility-gate decision.
-//  2. decide: the stable-index lookup, then the walk of the checksum's unstable
-//     bucket. Only the two indexes (and, under a split policy, the huge
-//     mapping a verified duplicate sits in) mutate here; refcounts, remaps,
-//     write-protects, KSM flags, statistics and gate writes are recorded on
-//     the candidate as its verdict.
+//  2. decide: one probe of the checksum table, then the walk of the slot's
+//     stable chain and of its unstable chain. Only the table (and, under a
+//     split policy, the huge mapping a verified duplicate sits in) mutates
+//     here; refcounts, remaps, write-protects, KSM flags, statistics and gate
+//     writes are recorded on the candidate as its verdict.
 //  3. apply: the verdict carried out.
 package ksm
 
@@ -19,37 +19,6 @@ import (
 	"repro/internal/hypervisor"
 	"repro/internal/mem"
 )
-
-// unstableChunk is the arena's chunk size in entries (24 KiB a chunk).
-const unstableChunk = 1024
-
-// record appends ent to its checksum's bucket in the unstable index, given the
-// bucket as read. An empty bucket's backing is carved from the arena with
-// capacity one, so a second entry moves the bucket to the heap instead of
-// overwriting its neighbour. Only dropUnstable rewinds the arena, and the
-// retained index of incremental mode outlives every round: carved from the
-// arena, each of its entries merged or compacted away would strand a slot
-// until the next Unmerge, so that index takes its buckets from the heap.
-func (k *KSM) record(bucket []unstableEntry, ent unstableEntry) {
-	if !k.incremental && cap(bucket) == 0 {
-		chunk, off := k.arenaN/unstableChunk, k.arenaN%unstableChunk
-		if chunk == len(k.arena) {
-			k.arena = append(k.arena, make([]unstableEntry, unstableChunk))
-		}
-		bucket = k.arena[chunk][off : off : off+1]
-		k.arenaN++
-	}
-	k.unstable[ent.checksum] = append(bucket, ent)
-	k.unstableN++
-}
-
-// dropUnstable empties the unstable index in place — the map keeps its
-// buckets and the arena its chunks for the next pass to refill.
-func (k *KSM) dropUnstable() {
-	clear(k.unstable)
-	k.unstableN = 0
-	k.arenaN = 0
-}
 
 // scanVerdict is a candidate's outcome, settled in classify or decide and
 // carried out by apply.
@@ -82,8 +51,8 @@ type candidate struct {
 	// Filled by decide.
 	partner     pageKey     // vUnstableMerge: the promoted entry's page
 	target      mem.FrameID // merge target frame
-	hashRejects uint32      // bucket entries rejected by byte verification
-	hugeSkips   uint32      // bucket entries forgone because the partner stays huge
+	hashRejects uint32      // unstable entries rejected by byte verification
+	hugeSkips   uint32      // unstable entries forgone because the partner stays huge
 }
 
 // collect pops up to budget pages off the scan queue, in scan order, as the
@@ -182,10 +151,16 @@ func (k *KSM) classify(c *candidate, pm *mem.PhysMem) {
 	c.verdict = vPending
 }
 
-// decide is step 2 for one candidate through the gate.
+// decide is step 2 for one candidate through the gate. It claims the
+// checksum's slot once; the stable walk, the unstable walk, promotion and
+// record all go through that index. A claimed slot with nothing in it ends in
+// a record, so the claim never leaves an empty slot behind.
 func (k *KSM) decide(c *candidate, pm *mem.PhysMem) {
-	// Stable index first.
-	if stableFrame, hit := k.stable.lookup(pm, c.frame, c.sum); hit {
+	t := &k.index
+	i := t.claim(c.sum)
+
+	// Stable chain first.
+	if stableFrame, hit := t.lookupStable(pm, i, c.frame); hit {
 		if c.huge && !k.splitHugeFor(c.vm, c.vpn) {
 			c.verdict = vHugeSkip
 			return
@@ -194,24 +169,25 @@ func (k *KSM) decide(c *candidate, pm *mem.PhysMem) {
 		return
 	}
 
-	// Unstable index.
+	// Unstable chain.
 	key := pageKey{vm: c.vm, vpn: c.vpn}
-	bucket := k.unstable[c.sum]
 	selfSeen := false
-	for bi, ent := range bucket {
-		if ent.key == key {
+	prev := nilNode
+	for n := t.unstableHead(i); n != nilNode; prev, n = n, t.node(n).next {
+		ent := t.node(n).key
+		if ent == key {
 			// The retained index of incremental mode can already hold this
 			// page from an earlier round (a linear pass drops the index
 			// before a page is ever revisited, so this never fires there).
 			selfSeen = true
 			continue
 		}
-		otherPTE, ok := ent.key.vm.ResidentPTE(ent.key.vpn)
+		otherPTE, ok := ent.vm.ResidentPTE(ent.vpn)
 		if !ok {
 			continue
 		}
 		other, otherHuge := otherPTE.Frame, otherPTE.Huge
-		if pm.IsKSM(other) || pm.Checksum(other) != ent.checksum {
+		if pm.IsKSM(other) || pm.Checksum(other) != c.sum {
 			// Stale: the page went away, was merged via another path — a
 			// partner already promoted to the stable index still
 			// checksum-matches through its old entry, and that index is the
@@ -235,25 +211,24 @@ func (k *KSM) decide(c *candidate, pm *mem.PhysMem) {
 			c.huge = false
 			// A whole-block split of a run the partner sits in as well has
 			// just made it a base page.
-			otherPTE, _ := ent.key.vm.ResidentPTE(ent.key.vpn)
+			otherPTE, _ := ent.vm.ResidentPTE(ent.vpn)
 			otherHuge = otherPTE.Huge
 		}
-		if otherHuge && !k.splitHugeFor(ent.key.vm, ent.key.vpn) {
+		if otherHuge && !k.splitHugeFor(ent.vm, ent.vpn) {
 			c.hugeSkips++
 			continue
 		}
 		// Promote the partner to a stable page and merge the candidate
 		// into it.
-		k.stable.insert(pm, other, c.sum)
-		c.verdict, c.partner, c.target = vUnstableMerge, ent.key, other
-		k.unstable[c.sum] = append(bucket[:bi], bucket[bi+1:]...)
-		k.unstableN--
+		t.insertStable(pm, i, other)
+		t.unlinkUnstable(i, prev, n)
+		c.verdict, c.partner, c.target = vUnstableMerge, ent, other
 		return
 	}
 	if !selfSeen {
 		// A huge-mapped page is recorded like any other: duplicates that are
 		// huge-mapped in every VM could never find each other otherwise.
-		k.record(bucket, unstableEntry{key: key, checksum: c.sum})
+		t.record(i, key)
 	}
 	c.verdict = vRecorded
 }

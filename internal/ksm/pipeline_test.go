@@ -10,7 +10,7 @@ import (
 // for a huge-mapped candidate: an unstable-index entry whose page has since
 // been promoted to a KSM frame is dead, however well its recorded checksum
 // still matches the (write-protected, shared) content. Without the IsKSM test
-// in the bucket walk the stale entry vouched for a "duplicate found" verdict
+// in the unstable walk the stale entry vouched for a "duplicate found" verdict
 // and split a huge mapping that the stable-tree lookup had already declined
 // to split.
 func TestHugeScanIgnoresPromotedUnstablePartner(t *testing.T) {
@@ -38,9 +38,7 @@ func TestHugeScanIgnoresPromotedUnstablePartner(t *testing.T) {
 	if !ok {
 		t.Fatal("setup: base page not resident")
 	}
-	sum := pm.Checksum(frame)
-	f.k.unstable[sum] = append(f.k.unstable[sum], unstableEntry{key: pageKey{vm: base, vpn: vpn}, checksum: sum})
-	f.k.unstableN++
+	f.k.plantUnstable(pageKey{vm: base, vpn: vpn}, pm.Checksum(frame))
 	pm.SetKSM(frame, true)
 	base.WriteProtect(vpn)
 
@@ -109,17 +107,17 @@ func TestUnregisterOnlyVMMidPassEndsPass(t *testing.T) {
 	}
 	f.k.ScanChunk(16) // exactly pass 1: volatility-gate first sightings
 	f.k.ScanChunk(8)  // mid-pass 2: 8 second sightings land in the index
-	if f.k.unstableN != 8 {
-		t.Fatalf("unstable entries mid-pass = %d, want 8", f.k.unstableN)
+	if f.k.index.unstableN != 8 {
+		t.Fatalf("unstable entries mid-pass = %d, want 8", f.k.index.unstableN)
 	}
 	f.k.Unregister(f.vms[0])
 	s := f.k.Stats()
 	if s.FullScans != 2 {
 		t.Fatalf("FullScans = %d after last-region unregister, want 2", s.FullScans)
 	}
-	if f.k.unstableN != 0 {
+	if f.k.index.unstableN != 0 {
 		t.Fatalf("unstable index survived the vacuous pass boundary: %d entries",
-			f.k.unstableN)
+			f.k.index.unstableN)
 	}
 	// The emptied scanner must idle cleanly.
 	f.k.ScanChunk(64)

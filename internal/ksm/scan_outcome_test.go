@@ -84,6 +84,60 @@ func (f *fixture) unregister(vi int) {
 	f.vms = append(f.vms[:vi:vi], f.vms[vi+1:]...)
 }
 
+// randomChurn is three guests under rounds of seeded random writes — content
+// convergent across the guests, divergent per guest, or zero — each round
+// followed by a wake-up of uneven length; one guest is unregistered and killed
+// mid-pass (mid-round once incremental), then everything is unmerged, and the
+// churn goes on.
+func randomChurn(incremental bool) func(t *testing.T) *fixture {
+	return func(t *testing.T) *fixture {
+		const guestPages = 48
+		var f *fixture
+		if incremental {
+			f = newDirtyFixture(t, 2048, 3, guestPages, 0, incrementalConfig())
+		} else {
+			f = newFixture(t, 2048, 3, guestPages, DefaultConfig())
+		}
+		rng := mem.Seed(34)
+		writes := func() {
+			for vi, vm := range f.vms {
+				for p := 0; p < 12; p++ {
+					rng = mem.Mix(rng)
+					gpfn := uint64(rng>>8) % guestPages
+					switch uint64(rng) % 4 {
+					case 0, 1:
+						vm.FillGuestPage(gpfn, mem.Seed(700+gpfn%12))
+					case 2:
+						vm.FillGuestPage(gpfn, mem.Combine(mem.Seed(vi), rng))
+					case 3:
+						vm.ZeroGuestPage(gpfn)
+					}
+				}
+			}
+		}
+		round := func() {
+			writes()
+			f.k.ScanChunk(40 + int(uint64(rng)%80))
+		}
+		for i := 0; i < 8; i++ {
+			round()
+		}
+		writes()
+		if f.k.ScanChunk(5); len(f.k.queue) == 0 {
+			t.Fatal("not mid-pass at the unregister")
+		}
+		f.unregister(1)
+		for i := 0; i < 4; i++ {
+			round()
+		}
+		f.k.Unmerge()
+		for i := 0; i < 6; i++ {
+			round()
+		}
+		return f
+	}
+}
+
 func captureScanOutcome(f *fixture) scanOutcome {
 	pm := f.host.Phys()
 	o := scanOutcome{
@@ -105,7 +159,9 @@ func captureScanOutcome(f *fixture) scanOutcome {
 // the linear→incremental switch inside a wake-up, Register mid-pass and while
 // incremental, Unregister of the last region mid-pass and of every VM at a
 // pass boundary, Unmerge in either mode, ring overflow, and partial splits
-// under incremental mode. A change to the scanner that moves any merge,
+// under incremental mode; last, seeded random churn through an Unregister
+// and an Unmerge, in either mode. Verify holds before and after each
+// scenario's closing Unmerge. A change to the scanner that moves any merge,
 // counter, interned blob or sharing class shows up here.
 func TestScanOutcomePinned(t *testing.T) {
 	cases := []struct {
@@ -425,10 +481,32 @@ func TestScanOutcomePinned(t *testing.T) {
 			content:      mem.ContentStats{Blobs: 513, BlobBytes: 2101248, InternedBlobs: 513, SeedSums: 516, InternHits: 514},
 			materialized: 515, inUse: 514, afterUnmerge: 1026, classes: 514, partition: "e894996ed36ca418",
 		}},
+		{"random-churn-linear", randomChurn(false), scanOutcome{
+			stats: Stats{PagesShared: 13, PagesSharing: 64, SavedBytes: 208896, FullScans: 13, PagesScanned: 1513,
+				StableMerges: 187, UnstableMerges: 28, ChecksumSkips: 446, AlreadyShared: 300, NotResident: 332,
+				COWBreaks: 168, StalePruned: 15, CPUBusy: 3777},
+			content:      mem.ContentStats{Blobs: 29, BlobBytes: 118784, InternedBlobs: 29, SeedSums: 128, InternHits: 134},
+			materialized: 87, inUse: 45, afterUnmerge: 96, classes: 45, partition: "6eba1bb2a32f2b64",
+		}},
+		{"random-churn-incremental", randomChurn(true), scanOutcome{
+			stats: Stats{PagesShared: 12, PagesSharing: 57, SavedBytes: 184320, FullScans: 4, PagesScanned: 960,
+				StableMerges: 189, UnstableMerges: 28, ChecksumSkips: 445, AlreadyShared: 4, NotResident: 187,
+				COWBreaks: 175, StalePruned: 16, IncrementalRounds: 10, IncrementalScanned: 480, DirtyDrained: 508,
+				CPUBusy: 2395},
+			content:      mem.ContentStats{Blobs: 27, BlobBytes: 110592, InternedBlobs: 27, SeedSums: 127, InternHits: 134},
+			materialized: 84, inUse: 51, afterUnmerge: 96, classes: 51, partition: "c35da76426122b97",
+		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			got := captureScanOutcome(c.run(t))
+			f := c.run(t)
+			if err := f.k.Verify(); err != nil {
+				t.Fatal(err)
+			}
+			got := captureScanOutcome(f)
+			if err := f.k.Verify(); err != nil {
+				t.Fatalf("after Unmerge: %v", err)
+			}
 			if got != c.want {
 				t.Fatalf("outcome moved:\ngot  %#v\nwant %#v", got, c.want)
 			}

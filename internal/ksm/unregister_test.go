@@ -69,7 +69,9 @@ func TestUnregisterMidPassKeepsCursorSane(t *testing.T) {
 	if err := f.host.CheckLeaks(f.k.StableFrames()); err != nil {
 		t.Fatalf("leak check after unregister+kill: %v", err)
 	}
-	f.checkInvariants(t)
+	if err := f.k.Verify(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestUnregisterUnknownVMIsNoOp(t *testing.T) {
