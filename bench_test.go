@@ -470,38 +470,6 @@ func bootBenchGuest(vmp *hypervisor.VMProcess) *guestos.Kernel {
 	return guestos.Boot(vmp, guestos.KernelConfig{Version: "bench", TextBytes: 1 << 20})
 }
 
-// --- Extension ----------------------------------------------------------------
-
-// BenchmarkExtensionSharedAOT evaluates the extension beyond the paper's
-// measured setup: storing AOT-compiled method code in the shared cache (as
-// production J9 caches do). Hot methods execute shareable cache pages
-// instead of private JIT output, shrinking the unshareable JIT-code area.
-func BenchmarkExtensionSharedAOT(b *testing.B) {
-	run := func(aot bool) (jitMB, javaSharedMB float64) {
-		c := core.BuildCluster(core.ClusterConfig{
-			Scale: benchScale, Specs: []workload.Spec{workload.DayTrader()},
-			NumVMs: 3, SharedClasses: true, SharedAOT: aot, SteadyRounds: 15,
-		})
-		c.Run()
-		a := c.Analyze()
-		for _, jb := range a.JavaBreakdowns() {
-			jitMB += float64(jb.ByCat[jvm.CatJITCode].MappedBytes*benchScale) / (1 << 20)
-			for _, cu := range jb.ByCat {
-				javaSharedMB += float64(cu.SharedBytes*benchScale) / (1 << 20)
-			}
-		}
-		return jitMB / 3, javaSharedMB
-	}
-	for i := 0; i < b.N; i++ {
-		j1, s1 := run(false)
-		j2, s2 := run(true)
-		b.ReportMetric(j1, "jitcodeMB-classesOnly")
-		b.ReportMetric(j2, "jitcodeMB-withAOT")
-		b.ReportMetric(s1, "javaSharedMB-classesOnly")
-		b.ReportMetric(s2, "javaSharedMB-withAOT")
-	}
-}
-
 // BenchmarkAblationPageSize64K contrasts 4 KiB base pages with POWER's
 // 64 KiB pages on the Fig. 6 scenario shape. Coarser pages risk losing
 // sharing (one divergent byte unshares 16× more memory), but when the

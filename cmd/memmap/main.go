@@ -27,8 +27,12 @@ func main() {
 	dumpOut := flag.String("dump", "", "write a system dump of the final state to this file (virsh dump + crash workflow)")
 	analyzeIn := flag.String("analyze", "", "skip simulation; analyze a previously written dump file offline")
 	smaps := flag.Bool("smaps", false, "also print each Java process's smaps and the guest meminfo")
-	showTrace := flag.Bool("trace", false, "print the experiment timeline")
 	flag.Parse()
+
+	if err := validate(*scale, *numVMs); err != nil {
+		fmt.Fprintf(os.Stderr, "memmap: %v\n", err)
+		os.Exit(2)
+	}
 
 	if *analyzeIn != "" {
 		analyzeOffline(*analyzeIn)
@@ -56,7 +60,6 @@ func main() {
 		NumVMs:        *numVMs,
 		SharedClasses: *shared,
 		SteadyRounds:  20,
-		EnableTrace:   *showTrace,
 	})
 	c.Run()
 	if *dumpOut != "" {
@@ -75,11 +78,6 @@ func main() {
 	}
 	a := c.Analyze()
 	sc := c.Cfg.Scale
-
-	if *showTrace {
-		fmt.Println("Experiment timeline:")
-		fmt.Println(c.Trace)
-	}
 
 	if *smaps {
 		for _, w := range c.Workers {
@@ -131,6 +129,17 @@ func main() {
 			fmt.Sprintf("%.0f", a.PSS(proc)*float64(sc)/(1<<20)))
 	}
 	fmt.Println(pt)
+}
+
+// validate applies tpsim's -scale rule and requires at least one guest.
+func validate(scale, numVMs int) error {
+	if err := (core.Options{Scale: scale}).Validate(); err != nil {
+		return err
+	}
+	if numVMs < 1 {
+		return fmt.Errorf("-vms must be at least 1 (got %d)", numVMs)
+	}
+	return nil
 }
 
 // analyzeOffline loads a dump file and runs the crash-utility-style

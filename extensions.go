@@ -4,7 +4,6 @@ import (
 	"io"
 
 	"repro/internal/dump"
-	"repro/internal/trace"
 )
 
 // System dumps (§2.B): capture a cluster's full translation state into a
@@ -26,11 +25,3 @@ func ReadDump(r io.Reader) (*Dump, error) { return dump.Read(r) }
 // AnalyzeDump runs the owner-oriented attribution offline; results are
 // identical to Cluster.Analyze on the live state.
 func AnalyzeDump(d *Dump) *dump.Analysis { return dump.Analyze(d) }
-
-// Experiment timeline (ClusterConfig.EnableTrace).
-
-// TraceLog is the recorded event timeline of a cluster run.
-type TraceLog = trace.Log
-
-// TraceEvent is one timeline entry.
-type TraceEvent = trace.Event

@@ -52,12 +52,6 @@ type Image struct {
 	index   map[string]int
 	used    int64
 
-	// aotEntries holds ahead-of-time compiled method code (the J9 cache
-	// stores AOT code alongside ROMClasses; an extension over the paper's
-	// measured configuration, which shared class metadata only).
-	aotEntries []Entry
-	aotIndex   map[string]int
-
 	// Overflowed lists classes that did not fit once the cache filled.
 	Overflowed []string
 }
@@ -93,65 +87,6 @@ func Build(name, version string, capacity int64, loadOrder []*classlib.Class) *I
 	return img
 }
 
-// aotMethodSize derives the deterministic AOT blob size for a method:
-// baseline-compiled code is position-independent and smaller than the
-// profile-optimized JIT output.
-func aotMethodSize(cl *classlib.Class, m int) int {
-	r := mem.Mix(mem.Combine(cl.Seed, mem.Seed(m)))
-	return 1024 + int(uint64(r)%6144)
-}
-
-// AOTSeed derives the content seed of an AOT blob: class and method only —
-// no process or profile input, which is what makes the code identical (and
-// therefore shareable) across every JVM attaching the cache.
-func AOTSeed(cl *classlib.Class, m int) mem.Seed {
-	return mem.Combine(mem.HashString("aot-code"), cl.Seed, mem.Seed(m))
-}
-
-// PopulateAOT appends ahead-of-time code for the hot methods of the given
-// classes (the same hot set the JIT would compile at hotPermille). Blobs
-// that no longer fit overflow silently, like class entries.
-func (img *Image) PopulateAOT(classes []*classlib.Class, hotPermille int) {
-	if img.aotIndex == nil {
-		img.aotIndex = make(map[string]int)
-	}
-	for _, cl := range classes {
-		if _, cached := img.index[cl.Name]; !cached {
-			continue // AOT code is only stored for cached classes
-		}
-		for m := 0; m < classlib.HotMethods(cl, hotPermille); m++ {
-			key := aotKey(cl.Name, m)
-			if _, dup := img.aotIndex[key]; dup {
-				continue
-			}
-			size := aotMethodSize(cl, m)
-			sz := int64((size + entryAlign - 1) / entryAlign * entryAlign)
-			if img.used+sz > img.Capacity {
-				continue
-			}
-			img.aotIndex[key] = len(img.aotEntries)
-			img.aotEntries = append(img.aotEntries, Entry{Name: key, Offset: img.used, Size: size})
-			img.used += sz
-		}
-	}
-}
-
-func aotKey(className string, m int) string {
-	return fmt.Sprintf("%s#%d", className, m)
-}
-
-// AOTLookup finds the cached AOT code for a method.
-func (img *Image) AOTLookup(className string, m int) (Entry, bool) {
-	i, ok := img.aotIndex[aotKey(className, m)]
-	if !ok {
-		return Entry{}, false
-	}
-	return img.aotEntries[i], true
-}
-
-// AOTCount reports how many AOT method bodies the cache holds.
-func (img *Image) AOTCount() int { return len(img.aotEntries) }
-
 // Lookup finds a class's entry in the cache.
 func (img *Image) Lookup(name string) (Entry, bool) {
 	i, ok := img.index[name]
@@ -186,14 +121,6 @@ func (img *Image) FileBytes(corpus *classlib.Corpus) []byte {
 			panic(fmt.Sprintf("cds: class %q not in corpus", e.Name))
 		}
 		mem.Fill(data[e.Offset:e.Offset+int64(e.Size)], cl.Seed)
-	}
-	for _, e := range img.aotEntries {
-		name, m := splitAOTKey(e.Name)
-		cl, ok := corpus.Class(name)
-		if !ok {
-			panic(fmt.Sprintf("cds: AOT class %q not in corpus", name))
-		}
-		mem.Fill(data[e.Offset:e.Offset+int64(e.Size)], AOTSeed(cl, m))
 	}
 	return data
 }
@@ -255,20 +182,6 @@ func (img *Image) VerifyFile(data []byte) error {
 		return fmt.Errorf("cds: file watermark %d, directory %d", u, img.used)
 	}
 	return nil
-}
-
-// splitAOTKey parses "class#m".
-func splitAOTKey(key string) (string, int) {
-	for i := len(key) - 1; i >= 0; i-- {
-		if key[i] == '#' {
-			m := 0
-			for _, c := range key[i+1:] {
-				m = m*10 + int(c-'0')
-			}
-			return key[:i], m
-		}
-	}
-	panic(fmt.Sprintf("cds: bad AOT key %q", key))
 }
 
 // PagesSpanned reports which page indexes of the image a given entry

@@ -184,68 +184,6 @@ func TestVerifyFile(t *testing.T) {
 	}
 }
 
-func TestPopulateAOT(t *testing.T) {
-	c := testCorpus()
-	classes := c.Group(classlib.GroupDerby)
-	img := Build("was", "v", 16<<20, classes)
-	usedBefore := img.UsedBytes()
-	img.PopulateAOT(classes, 100)
-	if img.AOTCount() == 0 {
-		t.Fatal("no AOT entries")
-	}
-	if img.UsedBytes() <= usedBefore {
-		t.Fatal("AOT population did not grow the cache")
-	}
-	if img.UsedBytes() > img.Capacity {
-		t.Fatal("AOT overflowed capacity")
-	}
-	// Lookups resolve for the hot set, miss for cold methods.
-	found := 0
-	for _, cl := range classes {
-		for m := 0; m < classlib.HotMethods(cl, 100); m++ {
-			if _, ok := img.AOTLookup(cl.Name, m); ok {
-				found++
-			}
-		}
-	}
-	if found != img.AOTCount() {
-		t.Fatalf("lookup found %d, cache holds %d", found, img.AOTCount())
-	}
-	if _, ok := img.AOTLookup(classes[0].Name, 9999); ok {
-		t.Fatal("phantom AOT method")
-	}
-}
-
-func TestAOTFileBytesDeterministicAndDistinct(t *testing.T) {
-	c := testCorpus()
-	classes := c.Group(classlib.GroupDerby)
-	mk := func() []byte {
-		img := Build("was", "v", 16<<20, classes)
-		img.PopulateAOT(classes, 100)
-		return img.FileBytes(c)
-	}
-	a, b := mk(), mk()
-	if !bytes.Equal(a, b) {
-		t.Fatal("AOT cache files not deterministic")
-	}
-	// AOT content actually lands in the file (differs from a no-AOT build).
-	plain := Build("was", "v", 16<<20, classes).FileBytes(c)
-	if bytes.Equal(a, plain) {
-		t.Fatal("AOT section left no trace in the file")
-	}
-}
-
-func TestAOTOnlyForCachedClasses(t *testing.T) {
-	c := testCorpus()
-	derby := c.Group(classlib.GroupDerby)
-	osgi := c.Group(classlib.GroupOSGi)
-	img := Build("was", "v", 16<<20, derby) // OSGi not in the cache
-	img.PopulateAOT(osgi, 100)
-	if img.AOTCount() != 0 {
-		t.Fatal("AOT stored for classes outside the cache")
-	}
-}
-
 // Property: PagesSpanned covers exactly the pages the entry's byte range
 // overlaps.
 func TestPropertyPagesSpanned(t *testing.T) {

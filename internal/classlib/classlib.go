@@ -236,9 +236,9 @@ func ShuffleWindows(classes []*Class, seed mem.Seed, window int) []*Class {
 }
 
 // HotMethods reports how many of a class's methods are hot at the given
-// per-mille threshold. The JIT compiles these; an AOT-populated shared
-// cache stores ahead-of-time code for exactly the same set, so a JVM
-// attaching the cache finds code for every method it would have compiled.
+// per-mille threshold. The JIT compiles these, and a ShareJIT archive lays
+// out code for exactly the same set, so a JVM attached to the archive finds
+// a canonical slot for every method it compiles.
 func HotMethods(cl *Class, hotPermille int) int {
 	n := cl.Methods * hotPermille / 1000
 	r := mem.Mix(cl.Seed)

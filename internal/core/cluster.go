@@ -20,7 +20,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/simclock"
 	"repro/internal/thp"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -120,15 +119,11 @@ type ClusterConfig struct {
 	// PerVMNIOSalt de-identifies wire traffic per VM (real-world traffic
 	// instead of identical benchmark drivers).
 	PerVMNIOSalt bool
-	// DisableKSM leaves the scanner off: the memory state stays unmerged
-	// (used by the related-work baselines to analyze the raw state).
+	// DisableKSM leaves the scanner off: the memory state stays unmerged.
 	DisableKSM bool
 	// Knobs are the subsystem switches (THP, incremental scan, ShareJIT,
 	// modeled TLB size).
 	Knobs
-	// SharedAOT additionally populates and uses the cache's AOT section
-	// (extension; implies SharedClasses behaviour for code).
-	SharedAOT bool
 	// PerVMCacheLayout is the §5 ablation of the paper's key insight: each
 	// guest populates its OWN cache in its own load order instead of
 	// receiving one copied file. The caches hold identical classes with
@@ -151,22 +146,11 @@ type ClusterConfig struct {
 	IterationsPerRound int
 	// RoundDuration is the virtual time per steady round (0 = 1 s).
 	RoundDuration simclock.Time
-	// EnableTrace records a timeline of experiment events (Cluster.Trace).
-	EnableTrace bool
 
 	// EnableMetrics attaches a telemetry registry (Cluster.Metrics) sampling
 	// KSM, physical-memory, JVM and swap gauges on a virtual-time cadence.
 	// Every probe is read-only, so results are identical with it on or off.
 	EnableMetrics bool
-	// MetricsInterval is the sampling cadence (0 = metrics.DefaultInterval).
-	MetricsInterval simclock.Time
-	// MetricsCapacity bounds each series ring (0 = metrics.DefaultCapacity).
-	MetricsCapacity int
-	// AdaptiveWarmup replaces the fixed warm-up duration with the
-	// convergence detector: after the warm-up traffic, the scanner keeps
-	// running at the fast rate only until the merged-pages series flattens
-	// (capped at twice the fixed duration). Implies EnableMetrics.
-	AdaptiveWarmup bool
 }
 
 // withDefaults fills zero fields.
@@ -198,9 +182,6 @@ func (cfg ClusterConfig) withDefaults() ClusterConfig {
 	if cfg.RoundDuration == 0 {
 		cfg.RoundDuration = simclock.Second
 	}
-	if cfg.AdaptiveWarmup {
-		cfg.EnableMetrics = true
-	}
 	return cfg
 }
 
@@ -220,8 +201,6 @@ type Cluster struct {
 	// THP is the huge-page collapse daemon (nil unless THPPolicy is madvise
 	// or always; the thp API is nil-safe).
 	THP *thp.Daemon
-	// Trace is the experiment timeline (nil unless EnableTrace).
-	Trace *trace.Log
 	// Metrics is the telemetry registry (nil unless EnableMetrics). All the
 	// metrics API is nil-safe, so callers never branch on it.
 	Metrics *metrics.Registry
@@ -271,9 +250,6 @@ func BuildCluster(cfg ClusterConfig) *Cluster {
 		images:      make(map[string]*cds.Image),
 		jitArchives: make(map[string]*jitshare.Archive),
 	}
-	if cfg.EnableTrace {
-		c.Trace = trace.New(clock, 0)
-	}
 	// The scanner runs from the start at the paper's warm-up rate (10 000
 	// pages per 100 ms wake-up): guests deploy while KSM merges, exactly as
 	// in §2.C where KSM is enabled during WAS startup.
@@ -298,10 +274,7 @@ func BuildCluster(cfg ClusterConfig) *Cluster {
 		c.THP.Start()
 	}
 	if cfg.EnableMetrics {
-		c.Metrics = metrics.New(clock, metrics.Config{
-			Interval: cfg.MetricsInterval,
-			Capacity: cfg.MetricsCapacity,
-		})
+		c.Metrics = metrics.New(clock, metrics.Config{})
 		c.instrument()
 		// Started before the first guest boots so the series cover the
 		// provisioning ramp, not just warm-up and steady state.
@@ -314,9 +287,6 @@ func BuildCluster(cfg ClusterConfig) *Cluster {
 		// QEMU madvises all guest RAM as MADV_HUGEPAGE, so under the madvise
 		// policy guest memory is still an explicit collapse candidate.
 		c.THP.Register(c.Host.VMs()[i], true)
-		c.Trace.Emit(trace.KindDeploy, fmt.Sprintf("VM %d", i+1),
-			"deployed %s (shared classes: %v); host free %d MB",
-			spec.Name, cfg.SharedClasses, host.FreeBytes()>>20)
 		// Let the scanner absorb this guest's startup before the next one
 		// boots (sequential provisioning).
 		clock.RunFor(simclock.Time(c.totalGuestPages()/10000+1) * 100 * simclock.Millisecond)
@@ -372,7 +342,6 @@ func (c *Cluster) bootGuest(i int, slot *guestSlot) {
 		}
 		k.FS().Install(&guestos.File{Path: CachePath, Data: img.FileBytes(c.Corpus)})
 		dcfg.SharedClasses = true
-		dcfg.SharedAOT = cfg.SharedAOT
 		dcfg.CacheImage = img
 		dcfg.CachePath = CachePath
 	}
@@ -449,8 +418,6 @@ func (c *Cluster) KillGuest(i int) *guestos.Kernel {
 	slot.alive = false
 	slot.kernel = nil
 	slot.workers = nil
-	c.Trace.Emit(trace.KindDeploy, fmt.Sprintf("VM %d", i+1), "killed; host free %d MB",
-		c.Host.FreeBytes()>>20)
 	return killed
 }
 
@@ -467,8 +434,6 @@ func (c *Cluster) RestartGuest(i int) *guestos.Kernel {
 	c.bootGuest(i, slot)
 	c.Scanner.Register(slot.vm)
 	c.THP.Register(slot.vm, true)
-	c.Trace.Emit(trace.KindDeploy, fmt.Sprintf("VM %d", i+1),
-		"restarted (gen %d); host free %d MB", slot.gen, c.Host.FreeBytes()>>20)
 	return slot.kernel
 }
 
@@ -486,12 +451,7 @@ func (c *Cluster) cacheImage(spec workload.Spec) *cds.Image {
 	if img, ok := c.images[spec.CacheName]; ok {
 		return img
 	}
-	var img *cds.Image
-	if c.Cfg.SharedAOT {
-		img = workload.BuildCacheAOT(c.Corpus, spec, c.Cfg.Scale, 20)
-	} else {
-		img = workload.BuildCache(c.Corpus, spec, c.Cfg.Scale)
-	}
+	img := workload.BuildCache(c.Corpus, spec, c.Cfg.Scale)
 	c.images[spec.CacheName] = img
 	return img
 }
@@ -654,23 +614,6 @@ func (c *Cluster) instrument() {
 	}
 }
 
-// WaitConverged drives the clock forward, one sample interval at a time,
-// until the cumulative merged-pages series flattens per cc or maxWait
-// virtual time elapses. It returns the retrospective convergence point (the
-// start of the earliest flat window over the whole series) and whether one
-// was found. Requires EnableMetrics.
-func (c *Cluster) WaitConverged(cc metrics.ConvergenceConfig, maxWait simclock.Time) (simclock.Time, bool) {
-	if c.Metrics == nil {
-		panic("core: WaitConverged requires ClusterConfig.EnableMetrics")
-	}
-	s := c.Metrics.Get("ksm.pages_merged")
-	deadline := c.Clock.Now() + maxWait
-	for !cc.Steady(s) && c.Clock.Now() < deadline {
-		c.Clock.RunFor(c.Metrics.Interval())
-	}
-	return cc.ConvergedAt(s)
-}
-
 // WarmupEnded reports the virtual time at which RunWarmup returned (zero
 // before warm-up completes).
 func (c *Cluster) WarmupEnded() simclock.Time { return c.warmupEnded }
@@ -680,7 +623,6 @@ func (c *Cluster) WarmupEnded() simclock.Time { return c.warmupEnded }
 // setting, until the configured number of full passes completes; then the
 // scanner drops to the steady 1 000 pages per wake-up.
 func (c *Cluster) RunWarmup() {
-	c.Trace.Emit(trace.KindPhase, "cluster", "warm-up begins (scanner at 10000 pages/100ms)")
 	wakeupsPerPass := c.totalGuestPages()/10000 + 1
 	slices := c.Cfg.WarmupPasses * 2
 	fixedSlice := simclock.Time(wakeupsPerPass*c.Cfg.WarmupPasses/slices+1) * 100 * simclock.Millisecond
@@ -692,49 +634,22 @@ func (c *Cluster) RunWarmup() {
 			}
 			w.RunSteadyState(n)
 		}
-		if c.Cfg.AdaptiveWarmup {
-			// Just long enough for the scanner to absorb the traffic slice;
-			// the convergence detector supplies the rest of the duration.
-			c.Clock.RunFor(100 * simclock.Millisecond)
-		} else {
-			c.Clock.RunFor(fixedSlice)
-		}
-	}
-	if c.Cfg.AdaptiveWarmup {
-		// Keep fast-scanning until the merged-pages series flattens, capped
-		// at twice the fixed warm-up so a non-converging run still ends.
-		maxWait := 2 * fixedSlice * simclock.Time(slices)
-		if at, ok := c.WaitConverged(metrics.ConvergenceConfig{}, maxWait); ok {
-			c.Trace.Emit(trace.KindScanner, "ksm",
-				"merged-pages series converged at %.1fs", at.Seconds())
-		} else {
-			c.Trace.Emit(trace.KindScanner, "ksm",
-				"merged-pages series did not converge within %.1fs cap", maxWait.Seconds())
-		}
+		c.Clock.RunFor(fixedSlice)
 	}
 	c.Scanner.SetPagesToScan(1000)
 	c.warmupEnded = c.Clock.Now()
-	st := c.Scanner.Stats()
-	c.Trace.Emit(trace.KindScanner, "ksm",
-		"warm-up done: %d full scans, %d MB saved, CPU %.1f%%; dropping to 1000 pages/100ms",
-		st.FullScans, st.SavedBytes>>20, st.CPUPercent())
 }
 
 // RunSteady drives the measurement phase: each round every instance serves
 // IterationsPerRound requests and the clock advances by RoundDuration while
 // KSM scans at the steady 1 000 pages per wake-up.
 func (c *Cluster) RunSteady() {
-	c.Trace.Emit(trace.KindPhase, "cluster", "steady state: %d rounds × %d requests/VM",
-		c.Cfg.SteadyRounds, c.Cfg.IterationsPerRound)
 	for round := 0; round < c.Cfg.SteadyRounds; round++ {
 		for _, w := range c.Workers {
 			w.RunSteadyState(c.Cfg.IterationsPerRound)
 		}
 		c.Clock.RunFor(c.Cfg.RoundDuration)
 	}
-	st := c.Scanner.Stats()
-	c.Trace.Emit(trace.KindScanner, "ksm", "steady done: sharing %d pages -> %d mappings, %d MB saved",
-		st.PagesShared, st.PagesSharing, st.SavedBytes>>20)
 }
 
 // Run executes warm-up plus steady state (the standard measurement flow).

@@ -274,40 +274,6 @@ func TestMultipleJVMsPerGuestShareCacheIntraGuest(t *testing.T) {
 	}
 }
 
-func TestTraceTimelineRecorded(t *testing.T) {
-	c := BuildCluster(ClusterConfig{
-		Scale:        testScale,
-		Specs:        []workload.Spec{workload.Tuscany()},
-		NumVMs:       2,
-		EnableTrace:  true,
-		SteadyRounds: 5,
-	})
-	c.Run()
-	c.MeasurePerf(2)
-	if c.Trace == nil {
-		t.Fatal("trace not enabled")
-	}
-	ev := c.Trace.Events()
-	if len(ev) < 6 {
-		t.Fatalf("too few events: %d", len(ev))
-	}
-	kinds := map[string]bool{}
-	for _, e := range ev {
-		kinds[string(e.Kind)] = true
-	}
-	for _, want := range []string{"deploy", "phase", "scanner", "measure"} {
-		if !kinds[want] {
-			t.Fatalf("missing %q events in %v", want, kinds)
-		}
-	}
-	// Timestamps are monotone.
-	for i := 1; i < len(ev); i++ {
-		if ev[i].At < ev[i-1].At {
-			t.Fatal("timeline not monotone")
-		}
-	}
-}
-
 // TestFullScaleFig2 runs the Fig. 2 scenario at MemScale=1 — four real
 // 1 GB guests with full-size page bytes. It needs several GB of RAM and
 // minutes of CPU, so it only runs when explicitly requested:

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/hypervisor"
 	"repro/internal/mem"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -78,10 +77,6 @@ func (c *Cluster) MeasurePerf(rounds int) []VMPerf {
 		}
 	}
 	solveThroughput(perVM)
-	for _, v := range perVM {
-		c.Trace.Emit(trace.KindMeasure, v.VMName, "%s: %.1f req/s, %.2f faults/req, SLA violated: %v",
-			v.Workload, v.Throughput, v.FaultsPerReq, v.SLAViolated)
-	}
 	return perVM
 }
 

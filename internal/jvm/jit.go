@@ -257,23 +257,6 @@ func (j *JIT) upgrade(ms *methodState) {
 	j.stats.CodeBytes += int64(size)
 }
 
-// RecompileProfiled is the profile-driven recompilation entry point (the
-// AOT-upgrade path): without an archive it behaves exactly like
-// CompileMethod; with one it ensures the method exists and upgrades it to
-// tier 2, invalidating its canonical slot.
-func (j *JIT) RecompileProfiled(classSeed mem.Seed, m int) {
-	if j.share == nil {
-		j.CompileMethod(classSeed, m)
-		return
-	}
-	ms, ok := j.methods[jitKey{classSeed, m}]
-	if !ok {
-		j.CompileMethod(classSeed, m)
-		ms = j.methods[jitKey{classSeed, m}]
-	}
-	j.upgrade(ms)
-}
-
 // touchRanges lists the code regions an executing thread cycles through:
 // the archive's populated prefix (when attached) followed by the private
 // code cache segments.

@@ -136,7 +136,7 @@ func TestReJITInvalidatesCanonicalSlot(t *testing.T) {
 	st0 := j.JIT().Stats()
 	codeBytes0 := st0.CodeBytes
 
-	j.JIT().RecompileProfiled(ms.class, ms.m)
+	j.JIT().CompileMethod(ms.class, ms.m) // compiled already: the tier-2 upgrade
 
 	st1 := j.JIT().Stats()
 	if bytes.Equal(before, j.Process().ReadPage(vpn)) {
@@ -154,29 +154,9 @@ func TestReJITInvalidatesCanonicalSlot(t *testing.T) {
 
 	// The upgrade is terminal: compiling the method again is a no-op.
 	j.JIT().CompileMethod(ms.class, ms.m)
-	j.JIT().RecompileProfiled(ms.class, ms.m)
 	if st2 := j.JIT().Stats(); st2.ReJITs != st1.ReJITs ||
 		st2.CanonicalPagesInvalidated != st1.CanonicalPagesInvalidated {
 		t.Fatalf("tier-2 method upgraded again: %+v vs %+v", st2, st1)
-	}
-}
-
-// TestRecompileProfiledMatchesCompileWhenOff pins the flag-off contract: the
-// AOT-upgrade path calling RecompileProfiled must behave byte-for-byte like
-// the old direct CompileMethod call.
-func TestRecompileProfiledMatchesCompileWhenOff(t *testing.T) {
-	j1 := launch(t, bootGuest(t, 1), basicOpts())
-	j2 := launch(t, bootGuest(t, 1), basicOpts())
-	cl := corpus().Stack(classlib.GroupJDK)[0]
-	j1.JIT().CompileMethod(cl.Seed, 0)
-	j2.JIT().RecompileProfiled(cl.Seed, 0)
-	if s1, s2 := j1.JIT().Stats(), j2.JIT().Stats(); s1 != s2 {
-		t.Fatalf("stats diverge without an archive: %+v vs %+v", s1, s2)
-	}
-	b1 := j1.Process().ReadPage(j1.jit.code.segs[0].Start)
-	b2 := j2.Process().ReadPage(j2.jit.code.segs[0].Start)
-	if !bytes.Equal(b1, b2) {
-		t.Fatal("RecompileProfiled produced different code than CompileMethod")
 	}
 }
 
@@ -317,7 +297,7 @@ func TestReJITCOWBreaksMergedArchivePage(t *testing.T) {
 	}
 
 	breaks0 := scanner.Stats().COWBreaks
-	j.JIT().RecompileProfiled(ms.class, ms.m)
+	j.JIT().CompileMethod(ms.class, ms.m) // compiled already: the tier-2 upgrade
 	if got := scanner.Stats().COWBreaks; got <= breaks0 {
 		t.Fatalf("re-JIT write on a merged page recorded no COW break (%d -> %d)", breaks0, got)
 	}

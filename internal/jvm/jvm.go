@@ -26,11 +26,6 @@ type Options struct {
 	// SharedClasses enables -Xshareclasses with a persistent
 	// (memory-mapped file) cache.
 	SharedClasses bool
-	// SharedAOT additionally serves hot-method code from the cache's AOT
-	// section (J9 stores AOT code in the shared cache; an extension over
-	// the paper's measured configuration). Requires SharedClasses and a
-	// cache populated with PopulateAOT.
-	SharedAOT bool
 	// CacheImage is the populated cache directory; CachePath is the guest
 	// file holding its bytes. Both must be set when SharedClasses is on.
 	CacheImage *cds.Image
@@ -144,9 +139,6 @@ type LoadStats struct {
 	ROMPrivate      int
 	ROMBytesPrivate int64
 	RAMBytes        int64
-	// AOTMethodsUsed counts hot methods served from the cache's AOT
-	// section instead of being JIT-compiled.
-	AOTMethodsUsed int
 }
 
 // RuntimeVersion labels the JVM build; identical versions produce identical
@@ -474,30 +466,6 @@ func (j *JVM) JITWarm(hotPermille int) {
 	for _, cl := range j.loadedList {
 		n := classlib.HotMethods(cl, hotPermille)
 		for m := 0; m < n; m++ {
-			if j.opts.SharedAOT && j.opts.SharedClasses {
-				if e, ok := j.opts.CacheImage.AOTLookup(cl.Name, m); ok {
-					// Executing cached AOT code faults its (identical,
-					// shareable) cache pages instead of generating private
-					// code. The hottest fifth still gets a profile-driven
-					// recompilation, as the real JIT upgrades AOT bodies.
-					first, last := e.PagesSpanned(j.proc.Kernel().PageSize())
-					for pg := first; pg <= last; pg++ {
-						j.proc.Touch(j.cacheVMA.Start+mem.VPN(pg), false)
-					}
-					j.stats.AOTMethodsUsed++
-					// One in five AOT bodies is still upgraded by a
-					// profile-driven recompilation (selected by a stable
-					// per-method hash, since most classes expose m=0 only).
-					if uint64(mem.Mix(mem.Combine(cl.Seed, mem.Seed(m))))%5 != 0 {
-						continue
-					}
-					// The upgrade compiles against the accumulated profile;
-					// in ShareJIT mode that specialization invalidates the
-					// method's canonical archive slot.
-					j.jit.RecompileProfiled(cl.Seed, m)
-					continue
-				}
-			}
 			j.jit.CompileMethod(cl.Seed, m)
 		}
 	}

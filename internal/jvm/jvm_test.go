@@ -506,41 +506,6 @@ func TestUnloadClassSemantics(t *testing.T) {
 	}
 }
 
-func TestSharedAOTServesHotMethods(t *testing.T) {
-	c := corpus()
-	img := cds.Build("was", RuntimeVersion, 16<<20, c.Stack(classlib.GroupDerby))
-	img.PopulateAOT(c.Stack(classlib.GroupDerby), 100)
-	fileBytes := img.FileBytes(c)
-
-	launchOne := func(seed mem.Seed, aot bool) *JVM {
-		k := bootGuest(nil, seed)
-		k.FS().Install(&guestos.File{Path: "/cache", Data: fileBytes})
-		opts := basicOpts()
-		opts.SharedClasses = true
-		opts.SharedAOT = aot
-		opts.CacheImage = img
-		opts.CachePath = "/cache"
-		j := Launch(k, "java", c, opts, DefaultSizes(scale))
-		j.LoadGroups(true, classlib.GroupDerby)
-		j.JITWarm(100)
-		return j
-	}
-
-	withAOT := launchOne(1, true)
-	without := launchOne(2, false)
-	if withAOT.LoadStats().AOTMethodsUsed == 0 {
-		t.Fatal("no AOT methods used")
-	}
-	if without.LoadStats().AOTMethodsUsed != 0 {
-		t.Fatal("AOT used without the option")
-	}
-	// The AOT JVM compiles far fewer methods privately.
-	cw, co := withAOT.JIT().Stats().MethodsCompiled, without.JIT().Stats().MethodsCompiled
-	if cw >= co/2 {
-		t.Fatalf("AOT JVM compiled %d methods, plain JVM %d", cw, co)
-	}
-}
-
 func TestNIOTransferNeverOverrunsPool(t *testing.T) {
 	// Regression: a pool size that is not page-aligned must not let the
 	// write cursor run past the mapped VMA (caught by BenchmarkFig8 at

@@ -19,7 +19,7 @@ func HugeAlign(vpn VPN) VPN { return vpn &^ (HugePages - 1) }
 // is present (mapped to a frame) or swapped out (content lives in a swap
 // slot); unmapped pages simply have no entry.
 //
-// The layout is part of the table's speed (DESIGN §6.12): wide fields first
+// The layout is part of the table's speed (DESIGN §6.11): wide fields first
 // packs a PTE into 24 bytes, a 12 KiB leaf, and Lookup rewrites Frame and
 // SwapSlot as the one word they share.
 type PTE struct {

@@ -7,7 +7,6 @@
 // are captured only afterwards — so the registry turns the previously
 // opaque interval between boot and Analyze() into inspectable series:
 // merged pages per pass, frames in use, heap occupancy, swap traffic.
-// The convergence detector (convergence.go) runs on top of these series.
 //
 // Design constraints, in order:
 //
@@ -113,9 +112,8 @@ func New(clock *simclock.Clock, cfg Config) *Registry {
 	return &Registry{clock: clock, cfg: cfg.withDefaults()}
 }
 
-// register adds a probe, keeping probes sorted by name so sample order,
-// CSV columns and exposition output are deterministic regardless of
-// instrumentation order.
+// register adds a probe, keeping probes sorted by name so sample order and
+// CSV columns are deterministic regardless of instrumentation order.
 func (r *Registry) register(name string, fn func() float64) {
 	if name == "" || fn == nil {
 		panic("metrics: empty metric name or nil probe")
@@ -272,39 +270,6 @@ func (r *Registry) CSV() string {
 			}
 		}
 		b.WriteString("\n")
-	}
-	return b.String()
-}
-
-// PrometheusText renders the latest value of every metric in the Prometheus
-// text exposition format (for scripting against a run's end state). Metric
-// names are prefixed with "tpsim_" and sanitized to the exposition charset.
-func (r *Registry) PrometheusText() string {
-	if r == nil {
-		return ""
-	}
-	var b strings.Builder
-	for _, p := range r.probes {
-		last, ok := p.series.Last()
-		if !ok {
-			continue
-		}
-		name := "tpsim_" + sanitizeMetricName(p.name)
-		fmt.Fprintf(&b, "# TYPE %s gauge\n%s %g\n", name, name, last.V)
-	}
-	return b.String()
-}
-
-// sanitizeMetricName maps a series name onto [a-zA-Z0-9_].
-func sanitizeMetricName(s string) string {
-	var b strings.Builder
-	for _, c := range s {
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '_':
-			b.WriteRune(c)
-		default:
-			b.WriteRune('_')
-		}
 	}
 	return b.String()
 }

@@ -45,7 +45,7 @@ func TestNilRegistryInert(t *testing.T) {
 	r.Sample()
 	r.Stop()
 	if c.Value() != 0 || r.Get("g") != nil || r.All() != nil ||
-		r.CSV() != "" || r.PrometheusText() != "" || r.Ticks() != 0 {
+		r.CSV() != "" || r.Ticks() != 0 {
 		t.Fatal("nil registry not inert")
 	}
 }
@@ -136,18 +136,6 @@ func TestCSVLateRegisteredSeries(t *testing.T) {
 		"2.000,1,9\n"
 	if got != want {
 		t.Fatalf("CSV:\n%s\nwant:\n%s", got, want)
-	}
-}
-
-func TestPrometheusText(t *testing.T) {
-	clock := simclock.New()
-	r := New(clock, Config{})
-	r.Gauge("ksm.pages-merged", func() float64 { return 42 })
-	r.Start()
-	got := r.PrometheusText()
-	want := "# TYPE tpsim_ksm_pages_merged gauge\ntpsim_ksm_pages_merged 42\n"
-	if got != want {
-		t.Fatalf("exposition:\n%s\nwant:\n%s", got, want)
 	}
 }
 

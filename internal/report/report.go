@@ -207,39 +207,3 @@ func Spark(values []float64, width int) string {
 	}
 	return b.String()
 }
-
-// Series is one line of an X/Y chart (Fig. 7 / Fig. 8).
-type Series struct {
-	Name   string
-	Values []float64
-}
-
-// SeriesTable renders several series against shared X labels, with bars
-// scaled to the global maximum.
-func SeriesTable(title, xName string, xs []string, series []Series, unit string) string {
-	var max float64
-	for _, s := range series {
-		for _, v := range s.Values {
-			if v > max {
-				max = v
-			}
-		}
-	}
-	t := &Table{Title: title}
-	t.Headers = []string{xName}
-	for _, s := range series {
-		t.Headers = append(t.Headers, s.Name+" ("+unit+")", "")
-	}
-	for i, x := range xs {
-		row := []string{x}
-		for _, s := range series {
-			v := 0.0
-			if i < len(s.Values) {
-				v = s.Values[i]
-			}
-			row = append(row, fmt.Sprintf("%.1f", v), HBar(v, max, 24))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t.String()
-}

@@ -84,19 +84,6 @@ func TestStackedBar(t *testing.T) {
 	}
 }
 
-func TestSeriesTable(t *testing.T) {
-	out := SeriesTable("Fig 7", "VMs", []string{"1", "2"}, []Series{
-		{Name: "Default", Values: []float64{10, 20}},
-		{Name: "Ours", Values: []float64{12, 25}},
-	}, "req/s")
-	if !strings.Contains(out, "Fig 7") || !strings.Contains(out, "Default") {
-		t.Fatalf("missing pieces:\n%s", out)
-	}
-	if !strings.Contains(out, "25.0") {
-		t.Fatalf("missing value:\n%s", out)
-	}
-}
-
 func TestSpark(t *testing.T) {
 	if got := Spark(nil, 10); got != "" {
 		t.Fatalf("empty input: %q", got)

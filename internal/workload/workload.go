@@ -36,9 +36,6 @@ type DeployConfig struct {
 	// later via Warmup, interleaved with hypervisor activity (the paper
 	// runs the KSM scanner at full rate during startup and initialization).
 	DeferWarmup bool
-	// SharedAOT serves hot-method code from the cache's AOT section (the
-	// extension; requires a cache built with BuildCacheAOT).
-	SharedAOT bool
 	// JITShare attaches a shared code archive so tier-1 JIT output is
 	// position-independent and cross-process shareable (the ShareJIT
 	// extension); requires JITArchive, built with BuildJITArchive.
@@ -134,18 +131,6 @@ func BuildJITArchive(corpus *classlib.Corpus, spec Spec, scale, pageSize int) *j
 		corpus.Stack(groups...), HotPermille)
 }
 
-// BuildCacheAOT builds the cache like BuildCache and additionally populates
-// its AOT section with the hot methods at hotPermille (the extension mode).
-// The cache is grown by half: Table III's sizes fit the class metadata
-// only, and production caches that also hold AOT code ship larger.
-func BuildCacheAOT(corpus *classlib.Corpus, spec Spec, scale, hotPermille int) *cds.Image {
-	grown := spec
-	grown.CacheBytes = spec.CacheBytes * 3 / 2
-	img := BuildCache(corpus, grown, scale)
-	img.PopulateAOT(corpus.Stack(spec.CacheAwareGroups...), hotPermille)
-	return img
-}
-
 // Deploy starts the workload in a guest: installs and scans the JARs,
 // launches the JVM (attaching the shared cache when configured), loads the
 // class stack and warms the JIT — the paper's "first three minutes after
@@ -191,7 +176,6 @@ func Deploy(k *guestos.Kernel, corpus *classlib.Corpus, spec Spec, cfg DeployCon
 			}
 		}
 		opts.SharedClasses = true
-		opts.SharedAOT = cfg.SharedAOT
 		opts.CacheImage = cfg.CacheImage
 		opts.CachePath = cfg.CachePath
 	}

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"repro/internal/classlib"
@@ -263,5 +265,28 @@ func TestSpecValidate(t *testing.T) {
 	bad.Name = ""
 	if bad.Validate() == nil {
 		t.Fatal("nameless spec accepted")
+	}
+}
+
+// TestCacheFileBytesPinned holds the serialized cache file of each Table III
+// workload at scale 64 to a pinned hash. The file is what every guest maps,
+// so a change to the layout, the header or the fill of any entry moves the
+// class-metadata sharing of every figure; it shows up here first.
+func TestCacheFileBytesPinned(t *testing.T) {
+	corpus := classlib.NewCorpus(jvm.RuntimeVersion, scale)
+	for _, tc := range []struct {
+		spec Spec
+		want string
+	}{
+		{DayTrader(), "256145974d46dc90"},
+		{SPECjEnterprise(), "9be019f9c59d8db7"},
+		{TPCW(), "d6f8a3ed4371a98b"},
+		{Tuscany(), "f7167ba0fe248fbf"},
+	} {
+		img := BuildCache(corpus, tc.spec, scale)
+		sum := sha256.Sum256(img.FileBytes(corpus))
+		if got := hex.EncodeToString(sum[:8]); got != tc.want {
+			t.Errorf("%s: cache file hash %s, want %s", tc.spec.Name, got, tc.want)
+		}
 	}
 }

@@ -162,15 +162,10 @@ var ParseTHPPolicy = thp.ParsePolicy
 type (
 	// Metrics is a cluster's telemetry registry (Cluster.Metrics).
 	Metrics = metrics.Registry
-	// MetricsConfig tunes sampling cadence and series capacity.
-	MetricsConfig = metrics.Config
 	// Series is one bounded time series of samples.
 	Series = metrics.Series
 	// Sample is one (virtual time, value) observation.
 	Sample = metrics.Sample
-	// ConvergenceConfig tunes the flat-window convergence detector used by
-	// Cluster.WaitConverged and ClusterConfig.AdaptiveWarmup.
-	ConvergenceConfig = metrics.ConvergenceConfig
 	// Telemetry collects the registries of fanned-out experiment runs in
 	// submission order for post-run rendering.
 	Telemetry = core.Telemetry
@@ -189,36 +184,3 @@ var (
 // DefaultScale is the default memory scale (all results are scaled back to
 // paper units automatically).
 const DefaultScale = core.DefaultScale
-
-// Parallel experiment execution. Every Cluster owns its own clock and
-// physical memory, so independent scenario runs fan out across a bounded
-// worker pool; results come back in submission order, keeping rendered
-// output identical to a sequential run. Options.Jobs routes the paper
-// experiments (sweep points, error-bar repetitions, claim checks) through
-// the same pool.
-type (
-	// Runner is a bounded worker pool for independent cluster runs.
-	Runner = core.Runner
-	// JobEvent reports job start/completion to a Runner progress callback.
-	JobEvent = core.JobEvent
-)
-
-// NewRunner creates a runner with the given pool width (0 = GOMAXPROCS).
-var NewRunner = core.NewRunner
-
-// Job is one labelled unit of independent work for RunAll.
-type Job[T any] struct {
-	Label string
-	Run   func() T
-}
-
-// RunAll executes jobs on the runner's pool and returns results in
-// submission order. (A standalone generic helper: Go cannot alias the
-// generic core type, so the facade converts.)
-func RunAll[T any](r *Runner, jobs []Job[T]) []T {
-	cj := make([]core.Job[T], len(jobs))
-	for i, j := range jobs {
-		cj[i] = core.Job[T]{Label: j.Label, Run: j.Run}
-	}
-	return core.RunAll(r, cj)
-}

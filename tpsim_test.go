@@ -54,32 +54,6 @@ func TestPublicTablesAndSpecs(t *testing.T) {
 	}
 }
 
-func TestPublicBaselines(t *testing.T) {
-	c := BuildCluster(ClusterConfig{
-		Scale:         64,
-		Specs:         []WorkloadSpec{Tuscany()},
-		NumVMs:        2,
-		SharedClasses: true,
-		DisableKSM:    true,
-		SteadyRounds:  5,
-	})
-	c.Run()
-	de := DiffEngineAnalyze(c, DefaultDiffEngineConfig())
-	if de.ScannedPages == 0 {
-		t.Fatal("diffengine scanned nothing")
-	}
-	if de.IdenticalBytes == 0 {
-		t.Fatal("diffengine found no identical pages on an unmerged 2-guest state")
-	}
-	mgr := NewBalloonManager(c, BalloonConfig{
-		LowWatermarkBytes: c.Host.FreeBytes() + 1,
-		TargetFreeBytes:   c.Host.FreeBytes() + 1<<20,
-	})
-	if mgr.Balance() == 0 {
-		t.Fatal("balloon reclaimed nothing under forced pressure")
-	}
-}
-
 func TestPublicDeterminism(t *testing.T) {
 	run := func() (int64, int64) {
 		c := BuildCluster(ClusterConfig{
@@ -136,27 +110,5 @@ func TestPublicDumpWorkflow(t *testing.T) {
 	live := c.Analyze()
 	if off.TotalGuestBytes() != live.TotalGuestBytes() {
 		t.Fatalf("offline %d != live %d", off.TotalGuestBytes(), live.TotalGuestBytes())
-	}
-}
-
-func TestPublicTrace(t *testing.T) {
-	c := BuildCluster(ClusterConfig{
-		Scale: 64, Specs: []WorkloadSpec{Tuscany()}, NumVMs: 1,
-		EnableTrace: true, SteadyRounds: 3,
-	})
-	c.Run()
-	if len(c.Trace.Events()) == 0 {
-		t.Fatal("no trace events")
-	}
-}
-
-func TestPublicSharedAOT(t *testing.T) {
-	c := BuildCluster(ClusterConfig{
-		Scale: 64, Specs: []WorkloadSpec{Tuscany()}, NumVMs: 1,
-		SharedClasses: true, SharedAOT: true, SteadyRounds: 3,
-	})
-	c.Run()
-	if c.Workers[0].JVM.LoadStats().AOTMethodsUsed == 0 {
-		t.Fatal("AOT extension inert through the public API")
 	}
 }
