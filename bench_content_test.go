@@ -14,6 +14,9 @@ import (
 	"repro/internal/workload"
 )
 
+// benchScale keeps the root benchmarks' clusters fast.
+const benchScale = 48
+
 // buildLargeCluster is the 4-guest DayTrader scenario both content
 // benchmarks share: the Table-1 shape at bench scale, one guest wider than
 // the paper's trio so cross-VM sharing structure is non-trivial.

@@ -2,187 +2,327 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/jvm"
+	"repro/internal/mem"
+	"repro/internal/report"
+	"repro/internal/workload"
 )
 
 // Claim is one falsifiable statement from the paper that the simulation
-// must reproduce. The self-check (cmd/tpsim check) evaluates every claim on
-// fresh quick runs and reports pass/fail — a downstream user's one-command
-// verification that the reproduction behaves on their machine.
+// must reproduce. The self-check (cmd/tpsim check) evaluates every claim and
+// reports pass/fail — a downstream user's one-command verification that the
+// reproduction behaves on their machine. A counterfactual claim compares a
+// factual cell with one that differs from it in a single knob, attributing
+// an effect to its cause by difference, and prints both values.
 type Claim struct {
 	ID        string
 	Statement string
-	// Check runs the experiment(s) and returns a measured summary plus
-	// whether the claim held.
-	Check func(o Options) (string, bool)
+	// Check reads the figures and returns a measured summary plus whether
+	// the claim held. It runs nothing: RunClaims computes every cell once,
+	// before any claim is evaluated.
+	Check func(f *claimFigures) (string, bool)
 }
+
+// claimFigures is every value the claims read: the registry's figures at the
+// check's options, and the counterfactual cells beside them.
+type claimFigures struct {
+	fig2, fig4                               MemFigure
+	fig3a, fig3b, fig3c, fig5a, fig5b, fig5c JavaFigure
+	fig6                                     PowerFigure
+	fig7                                     SweepFigure // at least the quick 8-VM point
+
+	// The counterfactual cells, each one knob away from a factual one.
+	perVMLayout JavaFigure // fig5a's, each guest laying out its own cache
+	nioSalted   JavaFigure // fig3a's, the wire traffic salted per VM
+	fig6Page64K PowerPair  // fig6's preloaded run, on 64 KiB pages
+}
+
+// mixedLabels are the Fig. 3(b)/5(b) bars in VM order.
+const mixedLabels = "DayTrader / SPECjEnterprise / TPC-W"
 
 // Claims returns the full claim suite in paper order.
 func Claims() []Claim {
 	return []Claim{
-		{
-			ID:        "java-dominates",
-			Statement: "Java processes are the largest memory consumers in each guest VM (§2.D)",
-			Check: func(o Options) (string, bool) {
-				memF, _ := Fig2(o)
-				for _, v := range memF.VMs {
+		{"java-dominates", "Java processes are the largest memory consumers in each guest VM (§2.D)",
+			func(f *claimFigures) (string, bool) {
+				vms := f.fig2.VMs
+				if len(vms) != 4 {
+					return fmt.Sprintf("%d guests, want 4", len(vms)), false
+				}
+				for _, v := range vms {
 					if v.JavaMB < v.KernelMB || v.JavaMB < v.OtherMB {
 						return fmt.Sprintf("VM %s: java %.0f MB not dominant", v.Name, v.JavaMB), false
 					}
 				}
-				return fmt.Sprintf("java %.0f-%.0f MB per guest", memF.VMs[0].JavaMB, memF.VMs[len(memF.VMs)-1].JavaMB), true
-			},
-		},
-		{
-			ID:        "kernel-half-shared",
-			Statement: "About half the guest kernel area is shared across VMs (§2.D)",
-			Check: func(o Options) (string, bool) {
-				memF, _ := Fig2(o)
-				owner, other := memF.VMs[0].KernelMB, memF.VMs[1].KernelMB
+				return fmt.Sprintf("java %.0f-%.0f MB per guest", vms[0].JavaMB, vms[len(vms)-1].JavaMB), true
+			}},
+		{"kernel-half-shared", "About half the guest kernel area is shared across VMs (§2.D)",
+			func(f *claimFigures) (string, bool) {
+				if len(f.fig2.VMs) < 2 {
+					return "fewer than two guests", false
+				}
+				owner, other := f.fig2.VMs[0].KernelMB, f.fig2.VMs[1].KernelMB
 				frac := (owner - other) / owner
+				// The lower bound is the owner's kernel bar above 1.5× the others'.
 				return fmt.Sprintf("kernel %.0f MB owner vs %.0f MB non-primary (%.0f%% shared)", owner, other, frac*100),
-					frac > 0.3 && frac < 0.8
-			},
-		},
-		{
-			ID:        "baseline-classmeta-unshared",
-			Statement: "Without preloading, class metadata is essentially unshared (§3.A)",
-			Check: func(o Options) (string, bool) {
-				_, javaF := Fig2(o)
-				worst := 0.0
-				for _, b := range javaF.Bars {
-					cm := b.Cat(jvm.CatClassMeta)
-					if f := cm.SharedMB / cm.MappedMB; f > worst {
-						worst = f
+					frac > 1.0/3 && frac < 0.8
+			}},
+		{"baseline-classmeta-unshared", "Without preloading, class metadata is essentially unshared (§3.A)",
+			func(f *claimFigures) (string, bool) { return worstCase(f.fig3a, jvm.CatClassMeta, 4, 0.15) }},
+		{"baseline-heap-unshared", "The Java heap shares almost nothing (paper: 0.7%, zero pages only) (§3.A)",
+			func(f *claimFigures) (string, bool) { return worstCase(f.fig3a, jvm.CatHeap, 4, 0.1) }},
+		{"identical-drivers-share-wire-data", "The JVM work area shares partly because the benchmark drivers send identical wire data; per-VM traffic lowers it (§3.A)",
+			func(f *claimFigures) (string, bool) {
+				work := func(fig JavaFigure) (shared float64) {
+					for _, b := range fig.Bars {
+						shared += b.Cat(jvm.CatJVMWork).SharedMB
 					}
+					return shared
 				}
-				return fmt.Sprintf("worst-case %.1f%% shared", worst*100), worst < 0.15
-			},
-		},
-		{
-			ID:        "baseline-heap-unshared",
-			Statement: "The Java heap shares almost nothing (paper: 0.7%, zero pages only) (§3.A)",
-			Check: func(o Options) (string, bool) {
-				_, javaF := Fig2(o)
-				worst := 0.0
-				for _, b := range javaF.Bars {
-					hp := b.Cat(jvm.CatHeap)
-					if f := hp.SharedMB / hp.MappedMB; f > worst {
-						worst = f
-					}
+				same, salted := work(f.fig3a), work(f.nioSalted)
+				return fmt.Sprintf("JVM work area shares %.1f MB with identical drivers vs %.1f MB with per-VM traffic", same, salted),
+					salted < same
+			}},
+		{"code-area-shared", "The code area is the one JVM area TPS shares without help (§3.B)",
+			func(f *claimFigures) (string, bool) {
+				code, _, missing := fracs(f.fig3a, jvm.CatCode)
+				if missing != "" {
+					return missing, false
 				}
-				return fmt.Sprintf("worst-case %.1f%% shared", worst*100), worst < 0.1
-			},
-		},
-		{
-			ID:        "code-area-shared",
-			Statement: "The code area is the one JVM area TPS shares without help (§3.B)",
-			Check: func(o Options) (string, bool) {
-				_, javaF := Fig2(o)
-				n := 0
-				for _, b := range javaF.Bars {
-					c := b.Cat(jvm.CatCode)
-					if c.SharedMB > 0.5*c.MappedMB {
-						n++
-					}
+				n := countAbove(code, 0.5)
+				return fmt.Sprintf("%d of %d JVMs share most of their code area", n, len(code)),
+					len(code) == 4 && n == len(code)-1 // the owner pays
+			}},
+		{"jit-code-unshared", "JIT-compiled code is not shared: its content follows each JVM's own profile (§3.B)",
+			func(f *claimFigures) (string, bool) { return worstCase(f.fig3a, jvm.CatJITCode, 4, 0.1) }},
+		{"mixed-baseline-unshared", "Three different applications in one WAS version leave class metadata unshared too (Fig. 3(b), §3.A)",
+			func(f *claimFigures) (string, bool) {
+				if got := barLabels(f.fig3b); got != mixedLabels {
+					return "bars " + got, false
 				}
-				return fmt.Sprintf("%d of %d JVMs share most of their code area", n, len(javaF.Bars)),
-					n == len(javaF.Bars)-1 // the owner pays
-			},
-		},
-		{
-			ID:        "preload-classmeta-shared",
-			Statement: "Preloading via the copied cache eliminates most class metadata in non-primary JVMs (paper: 89.6%) (§5.A)",
-			Check: func(o Options) (string, bool) {
-				_, javaF := Fig4(o)
-				high, total := 0, 0
-				var best float64
-				for _, b := range javaF.Bars {
-					cm := b.Cat(jvm.CatClassMeta)
-					f := cm.SharedMB / cm.MappedMB
-					total++
-					if f > 0.7 {
-						high++
-					}
-					if f > best {
-						best = f
-					}
+				return worstCase(f.fig3b, jvm.CatClassMeta, 3, 0.15)
+			}},
+		{"tuscany-baseline-unshared", "Tuscany JVMs are an order of magnitude smaller than WAS, with class metadata unshared too (Fig. 3(c), §3.A)",
+			func(f *claimFigures) (string, bool) {
+				largest := 0.0
+				for _, b := range f.fig3c.Bars {
+					largest = max(largest, b.TotalMapped())
 				}
-				return fmt.Sprintf("%d of %d JVMs above 70%% (best %.1f%%)", high, total, best*100),
-					high == total-1
-			},
-		},
-		{
-			ID:        "preload-reduces-total",
-			Statement: "Preloading reduces the cluster's total physical memory (paper: 3648→3314 MB) (§5.A)",
-			Check: func(o Options) (string, bool) {
-				m2, _ := Fig2(o)
-				m4, _ := Fig4(o)
+				detail, ok := worstCase(f.fig3c, jvm.CatClassMeta, 3, 0.15)
+				return fmt.Sprintf("largest JVM %.0f MB, %s", largest, detail), ok && largest <= 350
+			}},
+		{"preload-classmeta-shared", "Preloading via the copied cache eliminates most class metadata in non-primary JVMs (paper: 89.6%) (§5.A)",
+			func(f *claimFigures) (string, bool) { return allButOwner(f.fig5a, 4, 0.7) }},
+		{"layout-is-the-cause", "The copied file's one layout is what makes class metadata shareable: per-VM cache layouts lose it (§4, §5.A)",
+			func(f *claimFigures) (string, bool) {
+				copied, _, missing := fracs(f.fig5a, jvm.CatClassMeta)
+				if missing != "" {
+					return missing, false
+				}
+				if len(copied) == 0 || len(f.perVMLayout.Bars) != len(copied) {
+					return fmt.Sprintf("%d JVMs vs %d with per-VM layouts", len(copied), len(f.perVMLayout.Bars)), false
+				}
+				// The owner of the merged frames is the JVM the copied
+				// file's sharing leaves out; both cells put it in one slot.
+				owner := slices.Index(copied, slices.Min(copied))
+				a, b := nonPrimaryShare(f.fig5a, owner), nonPrimaryShare(f.perVMLayout, owner)
+				return fmt.Sprintf("non-primary JVMs share %.1f%% with the copied file vs %.1f%% with per-VM layouts", a*100, b*100),
+					a >= 0.7 && b <= 0.1
+			}},
+		{"preload-reduces-total", "Preloading reduces the cluster's total physical memory (paper: 3648→3314 MB) (§5.A)",
+			func(f *claimFigures) (string, bool) {
+				m2, m4 := f.fig2, f.fig4
 				return fmt.Sprintf("%.0f → %.0f MB (Δ %.0f)", m2.TotalMB, m4.TotalMB, m4.TotalMB-m2.TotalMB),
 					m4.TotalMB < m2.TotalMB-150
-			},
-		},
-		{
-			ID:        "powervm-transfer",
-			Statement: "The technique transfers to a system-VM hypervisor (PowerVM) (§5.B)",
-			Check: func(o Options) (string, bool) {
-				f := Fig6(o)
-				return fmt.Sprintf("savings %.0f → %.0f MB with preloading", f.NoPreload.SavingMB(), f.Preload.SavingMB()),
-					f.Preload.SavingMB() > f.NoPreload.SavingMB()+50
-			},
-		},
-		{
-			ID:        "extra-vm",
-			Statement: "Preloading lets one extra DayTrader guest run with acceptable performance (§5.C)",
-			Check: func(o Options) (string, bool) {
-				o.Quick = true
-				fig := Fig7(o)
-				var at8 SweepPoint
-				found := false
-				for _, p := range fig.Points {
+			}},
+		{"preload-grows-savings", "Preloading grows the TPS savings by the cache content shared into non-primary JVMs (paper: 20→120 MB per guest) (§5.A)",
+			func(f *claimFigures) (string, bool) {
+				s2, s4 := f.fig2.TotalSavingsMB, f.fig4.TotalSavingsMB
+				return fmt.Sprintf("savings %.0f → %.0f MB (Δ %+.0f)", s2, s4, s4-s2), s4-s2 >= 150
+			}},
+		{"gc-policy-independent", "The copied cache shares class metadata across applications and GC policies: both non-primary WAS processes share most of it (Fig. 5(b), §5.C)",
+			func(f *claimFigures) (string, bool) {
+				cm, _, missing := fracs(f.fig5b, jvm.CatClassMeta)
+				if missing != "" {
+					return missing, false
+				}
+				if got := barLabels(f.fig5b); got != mixedLabels {
+					return "bars " + got, false
+				}
+				specj, tpcw := workload.SPECjEnterprise().GCPolicy, workload.TPCW().GCPolicy
+				return fmt.Sprintf("SPECjEnterprise (%v) %.1f%%, TPC-W (%v) %.1f%%, DayTrader (owner) %.1f%%",
+						specj, cm[1]*100, tpcw, cm[2]*100, cm[0]*100),
+					specj != tpcw && cm[1] > 0.6 && cm[2] > 0.6 && cm[0] <= 0.6
+			}},
+		{"tuscany-preload-shared", "The technique is not specific to WAS: non-primary Tuscany JVMs share most class metadata (Fig. 5(c), §5.A)",
+			func(f *claimFigures) (string, bool) { return allButOwner(f.fig5c, 3, 0.5) }},
+		{"powervm-transfer", "The technique transfers to a system-VM hypervisor (PowerVM) (§5.B)",
+			func(f *claimFigures) (string, bool) {
+				before, after := f.fig6.NoPreload.SavingMB(), f.fig6.Preload.SavingMB()
+				return fmt.Sprintf("savings %.0f → %.0f MB with preloading", before, after),
+					before > 0 && after > before+50
+			}},
+		{"64k-pages-keep-sharing", "POWER's 64 KiB pages keep the preloaded sharing: the cache file is page-aligned and identical (§5.B)",
+			func(f *claimFigures) (string, bool) {
+				small, large := f.fig6.Preload.SavingMB(), f.fig6Page64K.SavingMB()
+				return fmt.Sprintf("preloaded savings %.0f MB on 4 KiB pages vs %.0f MB on 64 KiB", small, large),
+					small > 0 && large >= 0.9*small
+			}},
+		{"extra-vm", "Preloading lets one extra DayTrader guest run with acceptable performance (§5.C)",
+			func(f *claimFigures) (string, bool) {
+				for _, p := range f.fig7.Points {
 					if p.NumVMs == 8 {
-						at8, found = p, true
+						return fmt.Sprintf("8 VMs: default %.1f vs ours %.1f req/s", p.Default.Mean, p.Preloaded.Mean),
+							p.Preloaded.Mean > 3*p.Default.Mean
 					}
 				}
-				if !found {
-					return "no 8-VM point", false
-				}
-				return fmt.Sprintf("8 VMs: default %.1f vs ours %.1f req/s", at8.Default.Mean, at8.Preloaded.Mean),
-					at8.Preloaded.Mean > 3*at8.Default.Mean
-			},
-		},
+				return "no 8-VM point", false
+			}},
 	}
 }
 
-// RunClaims evaluates every claim and renders a report; ok is true only if
-// all claims held. Each claim runs its experiments on fresh clusters, so the
-// checks fan out across the runner's pool; the report keeps paper order.
-func RunClaims(o Options) (string, bool) {
-	type verdict struct {
-		detail string
-		ok     bool
-	}
-	claims := Claims()
-	jobs := make([]Job[verdict], len(claims))
-	for i, c := range claims {
-		c := c
-		jobs[i] = Job[verdict]{Label: "claim " + c.ID, Run: func() verdict {
-			detail, ok := c.Check(o)
-			return verdict{detail: detail, ok: ok}
-		}}
-	}
-	results := RunAll(o.runner(), jobs)
-	var b strings.Builder
-	allOK := true
-	for i, c := range claims {
-		status := "PASS"
-		if !results[i].ok {
-			status = "FAIL"
-			allOK = false
+// fracs is each bar's shared fraction of category cat, and the largest. A
+// bar that maps none of it is named in missing: a figure without the
+// category fails its claim instead of passing at 0 %.
+func fracs(f JavaFigure, cat string) (out []float64, top float64, missing string) {
+	for _, b := range f.Bars {
+		c := b.Cat(cat)
+		if c.MappedMB == 0 {
+			return nil, 0, fmt.Sprintf("no %s in %s", cat, b.Label)
 		}
-		fmt.Fprintf(&b, "[%s] %-28s %s\n%*s measured: %s\n", status, c.ID, c.Statement, 6, "", results[i].detail)
+		out = append(out, c.SharedMB/c.MappedMB)
+		top = max(top, out[len(out)-1])
 	}
-	return b.String(), allOK
+	return out, top, ""
+}
+
+func countAbove(xs []float64, thr float64) (n int) {
+	for _, x := range xs {
+		if x > thr {
+			n++
+		}
+	}
+	return n
+}
+
+func barLabels(f JavaFigure) string {
+	labels := make([]string, len(f.Bars))
+	for i, b := range f.Bars {
+		labels[i] = b.Label
+	}
+	return strings.Join(labels, " / ")
+}
+
+// worstCase holds when f has jvms bars and none shares bound or more of
+// category cat.
+func worstCase(f JavaFigure, cat string, jvms int, bound float64) (string, bool) {
+	xs, worst, missing := fracs(f, cat)
+	if missing != "" {
+		return missing, false
+	}
+	return fmt.Sprintf("worst-case %.1f%% shared", worst*100), len(xs) == jvms && worst < bound
+}
+
+// allButOwner holds when f has jvms bars and every one but the owner of the
+// merged frames shares more than thr of its class metadata.
+func allButOwner(f JavaFigure, jvms int, thr float64) (string, bool) {
+	xs, best, missing := fracs(f, jvm.CatClassMeta)
+	if missing != "" {
+		return missing, false
+	}
+	high := countAbove(xs, thr)
+	return fmt.Sprintf("%d of %d JVMs above %.0f%% (best %.1f%%)", high, len(xs), thr*100, best*100),
+		len(xs) == jvms && high == jvms-1
+}
+
+// nonPrimaryShare is the shared fraction of class metadata over every bar
+// of f but the owner's.
+func nonPrimaryShare(f JavaFigure, owner int) float64 {
+	var shared, mapped float64
+	for i, b := range f.Bars {
+		if i != owner {
+			cm := b.Cat(jvm.CatClassMeta)
+			shared += cm.SharedMB
+			mapped += cm.MappedMB
+		}
+	}
+	return shared / mapped
+}
+
+// dayTraderCounterfactual runs fig2's (shared=false) or fig4's (shared=true)
+// cell with one ClusterConfig knob set, and returns its Java breakdown.
+func dayTraderCounterfactual(o Options, shared bool, knob string, set func(*ClusterConfig)) JavaFigure {
+	cfg := o.clusterConfig([]workload.Spec{workload.DayTrader()}, 4, shared)
+	set(&cfg)
+	c := BuildCluster(cfg)
+	o.Telemetry.Collect(fmt.Sprintf("daytrader x4 shared=%v %s", shared, knob), c.Metrics)
+	c.Run()
+	return javaFigureFrom(knob, "", c.Analyze(), cfg.Scale, nil)
+}
+
+// claimCells returns the jobs that fill f: the cells the registry's figures
+// come from, and the counterfactual cells, one knob away from a factual one.
+// Each job writes its own fields of f. The extra-vm point always runs quick,
+// and only at 8 VMs: a sweep point's cells do not depend on the points
+// beside it.
+func claimCells(o Options, f *claimFigures) (factual, counterfactual []Job[struct{}]) {
+	quick := o
+	quick.Quick = true
+	cell := func(label string, run func()) Job[struct{}] {
+		return Job[struct{}]{Label: label, Run: func() struct{} { run(); return struct{}{} }}
+	}
+	factual = []Job[struct{}]{
+		cell("fig7 n=8", func() { f.fig7 = sweep(quick, "fig7", "", "req/s", workload.DayTrader(), []int{8}, 1, true) }),
+		cell("fig2", func() { f.fig2, f.fig3a = Fig2(o) }),
+		cell("fig4", func() { f.fig4, f.fig5a = Fig4(o) }),
+		cell("fig3b", func() { f.fig3b = Fig3b(o) }),
+		cell("fig5b", func() { f.fig5b = Fig5b(o) }),
+		cell("fig3c", func() { f.fig3c = Fig3c(o) }),
+		cell("fig5c", func() { f.fig5c = Fig5c(o) }),
+		cell("fig6 preload=false", func() { f.fig6.NoPreload = powerRun(o, false, mem.DefaultPageSize) }),
+		cell("fig6 preload=true", func() { f.fig6.Preload = powerRun(o, true, mem.DefaultPageSize) }),
+	}
+	counterfactual = []Job[struct{}]{
+		cell("fig4 per-VM layout", func() {
+			f.perVMLayout = dayTraderCounterfactual(o, true, "per-vm-layout", func(c *ClusterConfig) { c.PerVMCacheLayout = true })
+		}),
+		cell("fig2 per-VM NIO salt", func() {
+			f.nioSalted = dayTraderCounterfactual(o, false, "nio-salt", func(c *ClusterConfig) { c.PerVMNIOSalt = true })
+		}),
+		cell("fig6 preload=true 64K pages", func() { f.fig6Page64K = powerRun(o, true, 64<<10) }),
+	}
+	return factual, counterfactual
+}
+
+// evalClaims evaluates every claim against f and renders the report: the
+// prose, and a claim,status,measured table in paper order. ok is true only
+// if all claims held.
+func evalClaims(f *claimFigures) (res Result, ok bool) {
+	t := &report.Table{Title: "check", Headers: []string{"claim", "status", "measured"}}
+	var b strings.Builder
+	ok = true
+	for _, c := range Claims() {
+		detail, held := c.Check(f)
+		status := "PASS"
+		if !held {
+			status = "FAIL"
+			ok = false
+		}
+		fmt.Fprintf(&b, "[%s] %-28s %s\n%*s measured: %s\n", status, c.ID, c.Statement, 6, "", detail)
+		t.AddRow(c.ID, status, detail)
+	}
+	return Result{Text: b.String(), CSV: t.CSV(), Figure: t}, ok
+}
+
+// RunClaims computes every cell the claims read, once each and fanned out
+// across the runner's pool in one RunAll, then evaluates the suite against
+// them. ok is true only if all claims held.
+func RunClaims(o Options) (Result, bool) {
+	f := &claimFigures{}
+	factual, counterfactual := claimCells(o, f)
+	RunAll(o.runner(), append(factual, counterfactual...))
+	return evalClaims(f)
 }

@@ -40,24 +40,15 @@ const (
 	HostKernelReserveBytes = int64(1280) << 20
 	// GuestKernelVersion labels the RHEL 5.5 guest kernel build.
 	GuestKernelVersion = "2.6.18-194.3.1.el5debug"
+	// The unscaled guest kernel memory, calibrated so the Fig. 2
+	// guest-kernel bars land near the paper's 219 MB with ≈50 % shared.
+	guestKernelTextBytes = int64(16) << 20
+	guestKernelDataBytes = int64(30) << 20
+	guestKernelSlabBytes = int64(50) << 20
+	// warmupPasses is the number of full KSM passes at the fast scan rate
+	// (the paper's first ≈3 minutes at 10 000 pages per wake-up).
+	warmupPasses = 4
 )
-
-// GuestKernelSizing is the unscaled guest kernel memory (calibrated so the
-// Fig. 2 guest-kernel bars land near the paper's 219 MB with ≈50 % shared).
-type GuestKernelSizing struct {
-	TextBytes int64
-	DataBytes int64
-	SlabBytes int64
-}
-
-// DefaultGuestKernel returns the calibrated guest kernel sizing.
-func DefaultGuestKernel() GuestKernelSizing {
-	return GuestKernelSizing{
-		TextBytes: 16 << 20,
-		DataBytes: 30 << 20,
-		SlabBytes: 50 << 20,
-	}
-}
 
 // Knobs are the subsystem switches every cluster of an experiment shares:
 // each is one tpsim flag, declared here once and embedded in both Options and
@@ -102,8 +93,6 @@ type Knobs struct {
 type ClusterConfig struct {
 	// Scale divides all byte quantities and class counts (0 = DefaultScale).
 	Scale int
-	// HostRAMBytes is unscaled host memory (0 = the Table I 6 GB).
-	HostRAMBytes int64
 	// Specs lists the workload per VM; a single entry is replicated across
 	// NumVMs guests.
 	Specs  []workload.Spec
@@ -117,15 +106,16 @@ type ClusterConfig struct {
 	// SharedClasses enables the paper's §4 technique on every guest.
 	SharedClasses bool
 	// PerVMNIOSalt de-identifies wire traffic per VM (real-world traffic
-	// instead of identical benchmark drivers).
+	// instead of identical benchmark drivers): the intervention of the
+	// identical-drivers-share-wire-data claim.
 	PerVMNIOSalt bool
 	// DisableKSM leaves the scanner off: the memory state stays unmerged.
 	DisableKSM bool
 	// Knobs are the subsystem switches (THP, incremental scan, ShareJIT,
 	// modeled TLB size).
 	Knobs
-	// PerVMCacheLayout is the §5 ablation of the paper's key insight: each
-	// guest populates its OWN cache in its own load order instead of
+	// PerVMCacheLayout is the intervention of the layout-is-the-cause claim:
+	// each guest populates its OWN cache in its own load order instead of
 	// receiving one copied file. The caches hold identical classes with
 	// different layouts, so cross-VM page identity — and the class-metadata
 	// sharing — collapses.
@@ -133,12 +123,7 @@ type ClusterConfig struct {
 	// BaseSeed perturbs every per-VM and per-process seed; experiments with
 	// error bars run several base seeds.
 	BaseSeed mem.Seed
-	// GuestKernel overrides the kernel sizing (zero value = default).
-	GuestKernel GuestKernelSizing
 
-	// WarmupPasses is the number of full KSM passes at the fast scan rate
-	// (the paper's first ≈3 minutes at 10 000 pages per wake-up).
-	WarmupPasses int
 	// SteadyRounds is the number of steady-state rounds; each round runs
 	// IterationsPerRound requests on every instance and advances the clock
 	// by RoundDuration while KSM scans at 1 000 pages per wake-up.
@@ -158,20 +143,11 @@ func (cfg ClusterConfig) withDefaults() ClusterConfig {
 	if cfg.Scale == 0 {
 		cfg.Scale = DefaultScale
 	}
-	if cfg.HostRAMBytes == 0 {
-		cfg.HostRAMBytes = HostRAMBytes
-	}
 	if cfg.NumVMs == 0 {
 		cfg.NumVMs = len(cfg.Specs)
 	}
 	if cfg.JVMsPerGuest == 0 {
 		cfg.JVMsPerGuest = 1
-	}
-	if cfg.GuestKernel == (GuestKernelSizing{}) {
-		cfg.GuestKernel = DefaultGuestKernel()
-	}
-	if cfg.WarmupPasses == 0 {
-		cfg.WarmupPasses = 4
 	}
 	if cfg.SteadyRounds == 0 {
 		cfg.SteadyRounds = 60
@@ -236,7 +212,7 @@ func BuildCluster(cfg ClusterConfig) *Cluster {
 	clock := simclock.New()
 	host := hypervisor.NewHost(hypervisor.Config{
 		Name:               "BladeCenter-LS21",
-		RAMBytes:           cfg.HostRAMBytes / int64(cfg.Scale),
+		RAMBytes:           HostRAMBytes / int64(cfg.Scale),
 		KernelReserveBytes: HostKernelReserveBytes / int64(cfg.Scale),
 		// FHPM needs the dirty rings too: its demote/promote decisions run on
 		// the per-subpage heat the ring drains feed.
@@ -325,9 +301,9 @@ func (c *Cluster) bootGuest(i int, slot *guestSlot) {
 	}
 	k := guestos.Boot(vmp, guestos.KernelConfig{
 		Version:   GuestKernelVersion,
-		TextBytes: cfg.GuestKernel.TextBytes / int64(cfg.Scale),
-		DataBytes: cfg.GuestKernel.DataBytes / int64(cfg.Scale),
-		SlabBytes: cfg.GuestKernel.SlabBytes / int64(cfg.Scale),
+		TextBytes: guestKernelTextBytes / int64(cfg.Scale),
+		DataBytes: guestKernelDataBytes / int64(cfg.Scale),
+		SlabBytes: guestKernelSlabBytes / int64(cfg.Scale),
 	})
 	c.spawnDaemons(k)
 
@@ -620,12 +596,12 @@ func (c *Cluster) WarmupEnded() simclock.Time { return c.warmupEnded }
 
 // RunWarmup runs the paper's warm-up phase: scenario initialization traffic
 // on every guest, interleaved with KSM at the fast 10 000 pages/100 ms
-// setting, until the configured number of full passes completes; then the
+// setting, until warmupPasses full passes complete; then the
 // scanner drops to the steady 1 000 pages per wake-up.
 func (c *Cluster) RunWarmup() {
 	wakeupsPerPass := c.totalGuestPages()/10000 + 1
-	slices := c.Cfg.WarmupPasses * 2
-	fixedSlice := simclock.Time(wakeupsPerPass*c.Cfg.WarmupPasses/slices+1) * 100 * simclock.Millisecond
+	slices := warmupPasses * 2
+	fixedSlice := simclock.Time(wakeupsPerPass*warmupPasses/slices+1) * 100 * simclock.Millisecond
 	for s := 0; s < slices; s++ {
 		for _, w := range c.Workers {
 			n := w.WarmupTarget() / slices

@@ -2,21 +2,19 @@ package core
 
 import (
 	"os"
-
 	"strings"
 	"testing"
 
 	"repro/internal/jvm"
+	"repro/internal/memanalysis"
 	"repro/internal/workload"
 )
 
 func TestClusterConfigDefaults(t *testing.T) {
 	cfg := ClusterConfig{Specs: []workload.Spec{workload.DayTrader()}}.withDefaults()
-	if cfg.Scale != DefaultScale || cfg.NumVMs != 1 || cfg.WarmupPasses == 0 || cfg.SteadyRounds == 0 {
+	if cfg.Scale != DefaultScale || cfg.NumVMs != 1 || cfg.JVMsPerGuest != 1 || cfg.SteadyRounds == 0 ||
+		cfg.IterationsPerRound == 0 || cfg.RoundDuration == 0 {
 		t.Fatalf("defaults not applied: %+v", cfg)
-	}
-	if cfg.HostRAMBytes != HostRAMBytes {
-		t.Fatal("host RAM default wrong")
 	}
 }
 
@@ -36,141 +34,6 @@ func TestTablesRender(t *testing.T) {
 				t.Fatalf("%s: missing %q in:\n%s", tc.name, w, tc.out)
 			}
 		}
-	}
-}
-
-// The DayTrader figures shared by several tests, from the memoized registry
-// runs (registry_test.go).
-var (
-	fig2Mem, fig4Mem   MemFigure
-	fig2Java, fig4Java JavaFigure
-)
-
-func runFigs(t *testing.T) {
-	t.Helper()
-	fig2Mem, fig2Java = figureOf[MemFigure](t, "fig2"), figureOf[JavaFigure](t, "fig3a")
-	fig4Mem, fig4Java = figureOf[MemFigure](t, "fig4"), figureOf[JavaFigure](t, "fig5a")
-}
-
-func TestFig2BaselineShape(t *testing.T) {
-	runFigs(t)
-	if len(fig2Mem.VMs) != 4 {
-		t.Fatalf("VM rows = %d", len(fig2Mem.VMs))
-	}
-	for _, v := range fig2Mem.VMs {
-		if v.JavaMB < v.OtherMB || v.JavaMB < v.KernelMB {
-			t.Fatalf("Java not the largest consumer in %s: %+v", v.Name, v)
-		}
-	}
-	// Kernel sharing: VM 1 owns the shared kernel pages, so its kernel bar
-	// is much larger than the others (paper: 219 MB vs ~106 MB).
-	if !(fig2Mem.VMs[0].KernelMB > 1.5*fig2Mem.VMs[1].KernelMB) {
-		t.Fatalf("kernel owner asymmetry missing: %v vs %v", fig2Mem.VMs[0].KernelMB, fig2Mem.VMs[1].KernelMB)
-	}
-	// Baseline class metadata essentially unshared.
-	for _, b := range fig2Java.Bars {
-		cm := b.Cat(jvm.CatClassMeta)
-		if cm.MappedMB == 0 {
-			t.Fatalf("no class metadata in %s", b.Label)
-		}
-		if frac := cm.SharedMB / cm.MappedMB; frac > 0.15 {
-			t.Fatalf("baseline class metadata %.0f%% shared in %s", frac*100, b.Label)
-		}
-		// JIT-compiled code unshared (profile-dependent content).
-		jc := b.Cat(jvm.CatJITCode)
-		if jc.MappedMB > 0 && jc.SharedMB/jc.MappedMB > 0.1 {
-			t.Fatalf("JIT code shared in %s", b.Label)
-		}
-		// Java heap nearly unshared (paper: 0.7 %).
-		hp := b.Cat(jvm.CatHeap)
-		if hp.SharedMB/hp.MappedMB > 0.1 {
-			t.Fatalf("heap %.1f%% shared in %s", 100*hp.SharedMB/hp.MappedMB, b.Label)
-		}
-	}
-	// Code area is mostly shared for the three non-owner JVMs.
-	sharedCode := 0
-	for _, b := range fig2Java.Bars {
-		c := b.Cat(jvm.CatCode)
-		if c.SharedMB > 0.5*c.MappedMB {
-			sharedCode++
-		}
-	}
-	if sharedCode != 3 {
-		t.Fatalf("code area shared in %d JVMs, want 3 (owner pays)", sharedCode)
-	}
-}
-
-func TestFig4PreloadShape(t *testing.T) {
-	runFigs(t)
-	// The headline: class metadata mostly eliminated by TPS in the three
-	// non-primary JVMs (paper: 89.6 %).
-	high := 0
-	for _, b := range fig4Java.Bars {
-		cm := b.Cat(jvm.CatClassMeta)
-		if cm.SharedMB/cm.MappedMB > 0.7 {
-			high++
-		}
-	}
-	if high != 3 {
-		t.Fatalf("class metadata mostly shared in %d JVMs, want 3", high)
-	}
-	// Savings grow by roughly the cache content shared into the three
-	// non-primary JVMs (paper: 20 → 120 MB per non-primary process).
-	delta := fig4Mem.TotalSavingsMB - fig2Mem.TotalSavingsMB
-	if delta < 150 {
-		t.Fatalf("preload savings delta %.0f MB too small (baseline %.0f, preload %.0f)",
-			delta, fig2Mem.TotalSavingsMB, fig4Mem.TotalSavingsMB)
-	}
-	// Total guest memory shrinks (paper: 3648 → 3314 MB).
-	if fig4Mem.TotalMB >= fig2Mem.TotalMB {
-		t.Fatalf("preload total %.0f ≥ baseline %.0f", fig4Mem.TotalMB, fig2Mem.TotalMB)
-	}
-}
-
-func TestFig3cTuscanyShape(t *testing.T) {
-	fig := figureOf[JavaFigure](t, "fig3c")
-	if len(fig.Bars) != 3 {
-		t.Fatalf("bars = %d", len(fig.Bars))
-	}
-	for _, b := range fig.Bars {
-		// Tuscany is an order of magnitude smaller than WAS (Fig. 3(c)'s
-		// axis tops at 160 MB versus 800 MB).
-		if b.TotalMapped() > 350 {
-			t.Fatalf("Tuscany JVM %s too large: %.0f MB", b.Label, b.TotalMapped())
-		}
-		cm := b.Cat(jvm.CatClassMeta)
-		if cm.SharedMB/cm.MappedMB > 0.15 {
-			t.Fatal("baseline Tuscany class metadata shared")
-		}
-	}
-}
-
-func TestFig5cTuscanyPreload(t *testing.T) {
-	fig := figureOf[JavaFigure](t, "fig5c")
-	high := 0
-	for _, b := range fig.Bars {
-		cm := b.Cat(jvm.CatClassMeta)
-		if cm.SharedMB/cm.MappedMB > 0.5 {
-			high++
-		}
-	}
-	if high != 2 {
-		t.Fatalf("class metadata mostly shared in %d of 3 Tuscany JVMs, want 2", high)
-	}
-}
-
-func TestFig6PowerDelta(t *testing.T) {
-	fig := figureOf[PowerFigure](t, "fig6")
-	if fig.NoPreload.SavingMB() <= 0 {
-		t.Fatalf("no sharing without preload: %+v", fig.NoPreload)
-	}
-	if fig.Preload.SavingMB() <= fig.NoPreload.SavingMB() {
-		t.Fatalf("preloading did not increase PowerVM sharing: %+v vs %+v", fig.Preload, fig.NoPreload)
-	}
-	// The delta should be of the order of two extra copies of the used
-	// cache (paper: 181 MB for a 100 MB cache across 3 LPARs).
-	if fig.DeltaMB() < 50 {
-		t.Fatalf("delta too small: %.1f MB", fig.DeltaMB())
 	}
 }
 
@@ -207,11 +70,10 @@ func TestSolverMonotonicInFaults(t *testing.T) {
 }
 
 func TestRenderersProduceOutput(t *testing.T) {
-	runFigs(t)
-	if out := RenderMemFigure(fig2Mem); !strings.Contains(out, "FIG2") || !strings.Contains(out, "Total physical memory") {
+	if out := RenderMemFigure(figureOf[MemFigure](t, "fig2")); !strings.Contains(out, "FIG2") || !strings.Contains(out, "Total physical memory") {
 		t.Fatalf("mem render:\n%s", out)
 	}
-	if out := RenderJavaFigure(fig2Java); !strings.Contains(out, "Class metadata") {
+	if out := RenderJavaFigure(figureOf[JavaFigure](t, "fig3a")); !strings.Contains(out, "Class metadata") {
 		t.Fatalf("java render:\n%s", out)
 	}
 	sf := SweepFigure{ID: "fig7", Title: "t", Unit: "req/s", Points: []SweepPoint{{NumVMs: 1, Default: Stat{1, 2, 3}, Preloaded: Stat{2, 3, 4}}}}
@@ -316,21 +178,18 @@ func TestCSVTables(t *testing.T) {
 	if !strings.Contains(csv, "preloaded,100.0,60.0,40.0") {
 		t.Fatalf("power csv:\n%s", csv)
 	}
-}
-
-func TestClaimsWellFormed(t *testing.T) {
-	seen := map[string]bool{}
-	for _, c := range Claims() {
-		if c.ID == "" || c.Statement == "" || c.Check == nil {
-			t.Fatalf("malformed claim %+v", c)
-		}
-		if seen[c.ID] {
-			t.Fatalf("duplicate claim id %q", c.ID)
-		}
-		seen[c.ID] = true
+	// check prints one claim,status,measured row per claim; empty figures
+	// fail every claim, none passes at 0 %.
+	res, ok := evalClaims(&claimFigures{})
+	rows := strings.Split(strings.TrimSuffix(res.CSV, "\n"), "\n")
+	if ok || rows[0] != "claim,status,measured" || len(rows) != len(Claims())+1 ||
+		!strings.HasPrefix(rows[1], "java-dominates,FAIL,") {
+		t.Fatalf("check csv:\n%s", res.CSV)
 	}
-	if len(seen) < 8 {
-		t.Fatalf("claim suite too small: %d", len(seen))
+	for _, row := range rows[1:] {
+		if !strings.Contains(row, ",FAIL,") {
+			t.Errorf("claim passes on empty figures: %s", row)
+		}
 	}
 }
 
@@ -354,41 +213,6 @@ func TestStatOfAndMeanScore(t *testing.T) {
 	}
 }
 
-func TestFig3bAnd5bShapes(t *testing.T) {
-	// The mixed-workload scenario: three different apps in the same WAS.
-	base := figureOf[JavaFigure](t, "fig3b")
-	if len(base.Bars) != 3 {
-		t.Fatalf("bars = %d", len(base.Bars))
-	}
-	labels := map[string]bool{}
-	for _, b := range base.Bars {
-		labels[b.Label] = true
-		cm := b.Cat(jvm.CatClassMeta)
-		if cm.SharedMB/cm.MappedMB > 0.15 {
-			t.Fatalf("baseline mixed class metadata shared in %s", b.Label)
-		}
-	}
-	for _, want := range []string{"DayTrader", "SPECjEnterprise", "TPC-W"} {
-		if !labels[want] {
-			t.Fatalf("missing %s bar", want)
-		}
-	}
-	pre := figureOf[JavaFigure](t, "fig5b")
-	high := 0
-	for _, b := range pre.Bars {
-		cm := b.Cat(jvm.CatClassMeta)
-		if cm.SharedMB/cm.MappedMB > 0.6 {
-			high++
-		}
-	}
-	// Two non-primary WAS processes share most of their (middleware-
-	// dominated) class metadata even though the apps differ — the paper's
-	// §5.A point about Fig. 5(b).
-	if high != 2 {
-		t.Fatalf("mixed preloaded: %d of 3 share most metadata, want 2", high)
-	}
-}
-
 func TestSweepQuickShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep is slow")
@@ -407,5 +231,21 @@ func TestSweepQuickShapes(t *testing.T) {
 	want := float64(first.NumVMs) * 19.0
 	if first.Default.Mean < want*0.9 || first.Preloaded.Mean < want*0.9 {
 		t.Fatalf("unloaded point degraded: %+v", first)
+	}
+}
+
+// BenchmarkAnalyzer measures the full three-layer walk of the paper's
+// measurement methodology on a 3-guest cluster.
+func BenchmarkAnalyzer(b *testing.B) {
+	c := BuildCluster(ClusterConfig{
+		Scale: testScale, Specs: []workload.Spec{workload.DayTrader()},
+		NumVMs: 3, SharedClasses: true, SteadyRounds: 10,
+	})
+	c.Run()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if a := memanalysis.Analyze(c.Host, c.Kernels); a.TotalGuestBytes() == 0 {
+			b.Fatal("empty analysis")
+		}
 	}
 }

@@ -52,20 +52,23 @@ func (f PowerFigure) DeltaMB() float64 {
 func Fig6(o Options) PowerFigure {
 	fig := PowerFigure{ID: "fig6", Title: "PowerVM: physical memory of three guest VMs, before/after sharing"}
 	pairs := RunAll(o.runner(), []Job[PowerPair]{
-		{Label: "fig6 preload=false", Run: func() PowerPair { return powerRun(o, false) }},
-		{Label: "fig6 preload=true", Run: func() PowerPair { return powerRun(o, true) }},
+		{Label: "fig6 preload=false", Run: func() PowerPair { return powerRun(o, false, mem.DefaultPageSize) }},
+		{Label: "fig6 preload=true", Run: func() PowerPair { return powerRun(o, true, mem.DefaultPageSize) }},
 	})
 	fig.NoPreload, fig.Preload = pairs[0], pairs[1]
 	return fig
 }
 
-// powerRun executes one Fig. 6 configuration and returns its bar pair.
-func powerRun(o Options, preload bool) PowerPair {
+// powerRun executes one Fig. 6 configuration on pages of pageSize bytes and
+// returns its bar pair. The figure runs 4 KiB pages; the
+// 64k-pages-keep-sharing claim reruns the preloaded one on POWER's 64 KiB.
+func powerRun(o Options, preload bool, pageSize int) PowerPair {
 	scale := o.scale()
 	clock := simclock.New()
 	machine := powervm.New(powervm.Config{
 		Name:     "BladeCenter-PS701",
 		RAMBytes: PowerRAMBytes / int64(scale),
+		PageSize: pageSize,
 	}, clock)
 	corpus := classlib.NewCorpus(jvm.RuntimeVersion, scale)
 	spec := workload.DayTraderPOWER()

@@ -9,8 +9,8 @@ import (
 
 // Result is one experiment's output in the two forms tpsim prints — the
 // rendered paper-style report and the CSV table behind it — plus the typed
-// figure both were rendered from (a MemFigure, a THPFigure, ...; nil for
-// check).
+// figure both were rendered from (a MemFigure, a THPFigure, ...; the claim
+// table for check).
 type Result struct {
 	Text   string
 	CSV    string
@@ -56,13 +56,12 @@ func javaRun(run func(Options) (MemFigure, JavaFigure)) func(Options) (Result, e
 	return figureRun(func(o Options) JavaFigure { _, j := run(o); return j }, RenderJavaFigure, JavaFigureTable)
 }
 
-// checkRun evaluates the claim suite. The claims share one Options value, so
-// per-claim telemetry collection order would not be deterministic; the
-// self-test output stays figure-only.
+// checkRun evaluates the claim suite. Its cells share one Options value, so
+// their telemetry would be collected in completion order; the self-test
+// output stays figure-only.
 func checkRun(o Options) (Result, error) {
 	o.Telemetry = nil
-	out, ok := RunClaims(o)
-	res := Result{Text: out, CSV: out}
+	res, ok := RunClaims(o)
 	if !ok {
 		return res, errors.New("some claims failed")
 	}

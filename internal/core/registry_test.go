@@ -85,10 +85,10 @@ func TestRegistryDeterministicAcrossJobs(t *testing.T) {
 		t.Run(e.ID, func(t *testing.T) {
 			switch {
 			case e.ID == "check":
-				// Its text is a function of the fig2/fig4/fig6/fig7 rows
-				// above and its fan-out is RunAll (runner_test.go); running
-				// the nine claims twice would cost more than every other
-				// row together.
+				// Its claims are pure functions of the rows above:
+				// TestClaimsHoldAtTestScale evaluates them on these memoized
+				// figures, and TestRunClaimsBuildsEachClusterOnce runs
+				// RunClaims end to end.
 				t.Skip("composed of rows already compared")
 			case testing.Short() && (e.ID == "fig7" || e.ID == "fig8"):
 				t.Skip("sweep is slow")

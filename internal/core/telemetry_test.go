@@ -167,3 +167,26 @@ func TestTelemetryCollectorOrdering(t *testing.T) {
 		t.Fatalf("entries = %+v", got)
 	}
 }
+
+// benchSamplingCluster runs the DayTrader pair scenario with or without the
+// metrics registry attached; the Off/On pair below quantifies the sampling
+// overhead (the subsystem's budget is "negligible when off, cheap when on").
+func benchSamplingCluster(b *testing.B, enabled bool) {
+	for i := 0; i < b.N; i++ {
+		c := BuildCluster(ClusterConfig{
+			Scale: testScale, Specs: []workload.Spec{workload.DayTrader()},
+			NumVMs: 2, SteadyRounds: 15, EnableMetrics: enabled,
+		})
+		c.Run()
+		if enabled && c.Metrics.Ticks() == 0 {
+			b.Fatal("no samples taken")
+		}
+	}
+}
+
+// BenchmarkSamplingOverheadOff is the metrics-disabled baseline.
+func BenchmarkSamplingOverheadOff(b *testing.B) { benchSamplingCluster(b, false) }
+
+// BenchmarkSamplingOverheadOn runs the same cluster with the registry
+// sampling every gauge at the default 500 ms cadence.
+func BenchmarkSamplingOverheadOn(b *testing.B) { benchSamplingCluster(b, true) }

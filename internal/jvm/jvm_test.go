@@ -517,3 +517,34 @@ func TestNIOTransferNeverOverrunsPool(t *testing.T) {
 		j.Work().NIOTransfer("dt", step, 39321, 0) // unaligned transfer size
 	}
 }
+
+// benchJVM launches a JVM on a fresh guest with guestBytes of RAM.
+func benchJVM(guestBytes int64, corpus *classlib.Corpus, heapBytes int64, sizes Sizes) *JVM {
+	clock := simclock.New()
+	host := hypervisor.NewHost(hypervisor.Config{Name: "m", RAMBytes: 2 * guestBytes}, clock)
+	vm := host.NewVM(hypervisor.VMConfig{Name: "vm", GuestMemBytes: guestBytes, Seed: 1})
+	k := guestos.Boot(vm, guestos.KernelConfig{Version: "bench", TextBytes: 1 << 20})
+	return Launch(k, "java", corpus, Options{GCPolicy: OptThruput, HeapBytes: heapBytes, Threads: 2}, sizes)
+}
+
+// BenchmarkHeapAllocGC measures object allocation with GC cycles included.
+func BenchmarkHeapAllocGC(b *testing.B) {
+	j := benchJVM(1<<27, classlib.NewCorpus(RuntimeVersion, 48), 16<<20, DefaultSizes(48))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j.Heap().Alloc(2048, mem.Seed(i), i%16 == 0)
+	}
+	b.SetBytes(2048)
+}
+
+// BenchmarkClassLoadPrivate measures class loading into private segments.
+func BenchmarkClassLoadPrivate(b *testing.B) {
+	j := benchJVM(1<<29, classlib.NewCorpus(RuntimeVersion, 1), 8<<20, DefaultSizes(16))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j.LoadGroups(true, classlib.GroupWASCore)
+		if i == 0 {
+			b.SetBytes(int64(j.LoadStats().ROMBytesPrivate + j.LoadStats().RAMBytes))
+		}
+	}
+}

@@ -290,3 +290,14 @@ func TestCacheFileBytesPinned(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkCacheBuild measures the cold-run population of a full WAS cache.
+func BenchmarkCacheBuild(b *testing.B) {
+	corpus := classlib.NewCorpus(jvm.RuntimeVersion, 16)
+	spec := DayTrader()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		img := BuildCache(corpus, spec, 16)
+		b.SetBytes(int64(len(img.FileBytes(corpus))))
+	}
+}
