@@ -12,10 +12,13 @@
 // apply to every cluster of every experiment; a sweep ignores only the knob
 // that is its own axis.
 //
-// Independent cluster runs (sweep points, error-bar repetitions, the
-// experiments of "all") fan out across -jobs workers. Results are collected
-// in submission order, so stdout is byte-identical at every -jobs width;
-// progress and timing go to stderr.
+// The experiments run one after another as one invocation: each hands its
+// cells (the independent cluster runs behind it: sweep points, error-bar
+// repetitions, a figure's one run) to a single pool of -jobs workers, and a
+// cell that several experiments read (fig2 and fig3a, the figures check
+// evaluates) runs once. Results are collected in submission order, so
+// stdout is byte-identical at every -jobs width; progress and timing go to
+// stderr.
 package main
 
 import (
@@ -63,6 +66,7 @@ func main() {
 	}
 	opts.Seed = core.SeedFromUint64(*seed)
 	opts.Progress = printProgress
+	opts.Telemetry = v.timeline || v.metricsCSV
 	var err error
 	if opts.THPPolicy, err = thp.ParsePolicy(*thpFlag); err == nil {
 		err = opts.Validate()
@@ -77,10 +81,19 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tpsim: %v\n", err)
 		os.Exit(2)
 	}
+	run := core.NewInvocation(opts)
 	for i, id := range ids {
-		if err := run(id, groups[i], opts, v); err != nil {
-			fmt.Fprintf(os.Stderr, "tpsim: %v\n", err)
-			os.Exit(1)
+		start := time.Now()
+		for _, e := range groups[i] {
+			res, err := run(e)
+			fmt.Print(v.render(res))
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "tpsim: %v\n", err)
+				os.Exit(1)
+			}
+		}
+		if len(groups[i]) > 1 {
+			fmt.Fprintf(os.Stderr, "[%s done in %v]\n", id, time.Since(start).Round(time.Millisecond))
 		}
 	}
 }
@@ -111,7 +124,7 @@ every -jobs value.
 `)
 }
 
-// printProgress reports fanned-out job completions on stderr.
+// printProgress reports cell completions on stderr.
 func printProgress(ev core.JobEvent) {
 	if ev.Done {
 		fmt.Fprintf(os.Stderr, "[%d/%d] %s done in %v\n",
@@ -119,55 +132,18 @@ func printProgress(ev core.JobEvent) {
 	}
 }
 
-// output is one experiment's stdout text and its verdict.
-type output struct {
-	text string
-	err  error
-}
-
-// render runs one experiment and produces its stdout text: the figure plus,
-// under -timeline or -metrics-csv, the telemetry of every cluster it ran.
-// Each call gets its own collector, so the series ride along inside the
-// experiment's output string and the submission-order collection keeps
-// stdout unchanged at any -jobs width.
-func render(e core.Experiment, opts core.Options, v view) output {
-	if v.timeline || v.metricsCSV {
-		opts.Telemetry = core.NewTelemetry()
-	}
-	res, err := e.Run(opts)
+// render is one experiment's stdout text: the figure plus, under -timeline
+// or -metrics-csv, the series of every cell it read.
+func (v view) render(res core.Result) string {
 	text := res.Text
 	if v.csv {
 		text = res.CSV
 	}
 	if v.timeline {
-		text += opts.Telemetry.RenderTimelines()
+		text += res.Timelines
 	}
 	if v.metricsCSV {
-		text += opts.Telemetry.CSV()
+		text += res.MetricsCSV
 	}
-	return output{text, err}
-}
-
-// run executes the experiments one positional id resolved to ("all" is the
-// only id with several). They are independent, so they fan out on the -jobs
-// pool — each inner sweep fans out its own cluster runs on the same width —
-// and print in registry order.
-func run(id string, exps []core.Experiment, opts core.Options, v view) error {
-	start := time.Now()
-	runner := core.NewRunner(opts.Jobs)
-	runner.OnProgress(opts.Progress)
-	jobs := make([]core.Job[output], len(exps))
-	for i, e := range exps {
-		jobs[i] = core.Job[output]{Label: e.ID, Run: func() output { return render(e, opts, v) }}
-	}
-	for _, out := range core.RunAll(runner, jobs) {
-		fmt.Print(out.text)
-		if out.err != nil {
-			return out.err
-		}
-	}
-	if len(exps) > 1 {
-		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", id, time.Since(start).Round(time.Millisecond))
-	}
-	return nil
+	return text
 }

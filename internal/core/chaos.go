@@ -77,23 +77,23 @@ var chaosProfiles = []chaosProfile{
 // leak invariant is checked; the row records any failure. Cells are
 // independent cluster runs and fan out across Options.Jobs with
 // submission-order collection, so output is byte-identical at every width.
-func Chaos(o Options) ChaosFigure {
+func Chaos(o Options) ChaosFigure { return chaos(newInvocation(o)) }
+
+func chaos(inv *invocation) ChaosFigure {
+	o := inv.o
 	fig := ChaosFigure{
 		ID:    "chaos",
 		Title: fmt.Sprintf("Guest churn and memory pressure under fault injection (seed %d)", o.ChaosSeed),
 	}
-	var cells []cell[ChaosRow]
+	var cells []cell
 	for _, n := range []int{2, 4} {
 		for _, p := range chaosProfiles {
 			label := fmt.Sprintf("chaos n=%d profile=%s", n, p.label)
-			cells = append(cells, cell[ChaosRow]{
-				label:   label,
-				cfg:     o.clusterConfig([]workload.Spec{workload.DayTrader()}, n, true),
-				measure: func(c *Cluster) ChaosRow { return chaosCell(c, o.ChaosSeed, p, label) },
-			})
+			cells = append(cells, clusterCell(label, o.clusterConfig([]workload.Spec{workload.DayTrader()}, n, true),
+				func(c *Cluster) ChaosRow { return chaosCell(c, o.ChaosSeed, p, label) }))
 		}
 	}
-	fig.Rows = runCells(o, cells)
+	fig.Rows = runCells[ChaosRow](inv, cells)
 	return fig
 }
 

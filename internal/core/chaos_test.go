@@ -42,7 +42,7 @@ func TestChaosInjectsAndNeverLeaks(t *testing.T) {
 // TestChaosSeedChangesHistory: different seeds must produce different fault
 // histories (the schedule is seed-driven, not time-driven).
 func TestChaosSeedChangesHistory(t *testing.T) {
-	o := testOptions("chaos", 1)
+	o := testOptions(1)
 	o.ChaosSeed++
 	if seq, _ := runMemo(t, "chaos"); seq.CSV == ChaosFigureTable(Chaos(o)).CSV() {
 		t.Fatalf("seeds %d and %d produced identical chaos sweeps", o.ChaosSeed-1, o.ChaosSeed)

@@ -252,49 +252,40 @@ func nonPrimaryShare(f JavaFigure, owner int) float64 {
 	return shared / mapped
 }
 
-// dayTraderCounterfactual runs fig2's (shared=false) or fig4's (shared=true)
-// cell with one ClusterConfig knob set, and returns its Java breakdown.
-func dayTraderCounterfactual(o Options, shared bool, knob string, set func(*ClusterConfig)) JavaFigure {
-	cfg := o.clusterConfig([]workload.Spec{workload.DayTrader()}, 4, shared)
-	set(&cfg)
-	c := BuildCluster(cfg)
-	o.Telemetry.Collect(fmt.Sprintf("daytrader x4 shared=%v %s", shared, knob), c.Metrics)
-	c.Run()
-	return javaFigureFrom(knob, "", c.Analyze(), cfg.Scale, nil)
+// claimCells lists every cell the claims read: the registry rows' own cells
+// (the extra-vm claim reads only fig7's 8-VM point, whose cells are the same
+// quick or not), longest first, and last the three counterfactual cells,
+// each one knob away from a factual one.
+func claimCells(o Options) []cell {
+	dt, mx, tu := dayTrader(), mixed(), tuscany()
+	cells := o.sweepCells("fig7", workload.DayTrader(), []int{8}, 1)
+	for _, shared := range []bool{false, true} {
+		cells = append(cells, dt.cellAt(o, shared, "", nil), mx.cellAt(o, shared, "", nil),
+			tu.cellAt(o, shared, "", nil), powerCell(o, shared, mem.DefaultPageSize))
+	}
+	return append(cells,
+		dt.cellAt(o, true, "per-vm-layout", func(c *ClusterConfig) { c.PerVMCacheLayout = true }),
+		dt.cellAt(o, false, "nio-salt", func(c *ClusterConfig) { c.PerVMNIOSalt = true }),
+		powerCell(o, true, 64<<10))
 }
 
-// claimCells returns the jobs that fill f: the cells the registry's figures
-// come from, and the counterfactual cells, one knob away from a factual one.
-// Each job writes its own fields of f. The extra-vm point always runs quick,
-// and only at 8 VMs: a sweep point's cells do not depend on the points
-// beside it.
-func claimCells(o Options, f *claimFigures) (factual, counterfactual []Job[struct{}]) {
-	quick := o
-	quick.Quick = true
-	cell := func(label string, run func()) Job[struct{}] {
-		return Job[struct{}]{Label: label, Run: func() struct{} { run(); return struct{}{} }}
-	}
-	factual = []Job[struct{}]{
-		cell("fig7 n=8", func() { f.fig7 = sweep(quick, "fig7", "", "req/s", workload.DayTrader(), []int{8}, 1, true) }),
-		cell("fig2", func() { f.fig2, f.fig3a = Fig2(o) }),
-		cell("fig4", func() { f.fig4, f.fig5a = Fig4(o) }),
-		cell("fig3b", func() { f.fig3b = Fig3b(o) }),
-		cell("fig5b", func() { f.fig5b = Fig5b(o) }),
-		cell("fig3c", func() { f.fig3c = Fig3c(o) }),
-		cell("fig5c", func() { f.fig5c = Fig5c(o) }),
-		cell("fig6 preload=false", func() { f.fig6.NoPreload = powerRun(o, false, mem.DefaultPageSize) }),
-		cell("fig6 preload=true", func() { f.fig6.Preload = powerRun(o, true, mem.DefaultPageSize) }),
-	}
-	counterfactual = []Job[struct{}]{
-		cell("fig4 per-VM layout", func() {
-			f.perVMLayout = dayTraderCounterfactual(o, true, "per-vm-layout", func(c *ClusterConfig) { c.PerVMCacheLayout = true })
-		}),
-		cell("fig2 per-VM NIO salt", func() {
-			f.nioSalted = dayTraderCounterfactual(o, false, "nio-salt", func(c *ClusterConfig) { c.PerVMNIOSalt = true })
-		}),
-		cell("fig6 preload=true 64K pages", func() { f.fig6Page64K = powerRun(o, true, 64<<10) }),
-	}
-	return factual, counterfactual
+// runClaims runs every cell the claims read in one batch, reads the figures
+// off the memo and evaluates the suite. ok is true only if all claims held.
+func runClaims(inv *invocation) (Result, bool) {
+	cells := claimCells(inv.o)
+	runCells[any](inv, cells)
+	n := len(cells)
+	counterfactual := runCells[breakdown](inv, cells[n-3:n-1])
+	return evalClaims(&claimFigures{
+		fig2: fig2(inv), fig4: fig4(inv),
+		fig3a: fig3a(inv), fig3b: fig3b(inv), fig3c: fig3c(inv),
+		fig5a: fig5a(inv), fig5b: fig5b(inv), fig5c: fig5c(inv),
+		fig6:        fig6(inv),
+		fig7:        sweep(inv, "fig7", "", "req/s", workload.DayTrader(), []int{8}, 1, true),
+		perVMLayout: counterfactual[0].java,
+		nioSalted:   counterfactual[1].java,
+		fig6Page64K: runCells[PowerPair](inv, cells[n-1:])[0],
+	})
 }
 
 // evalClaims evaluates every claim against f and renders the report: the
@@ -317,12 +308,7 @@ func evalClaims(f *claimFigures) (res Result, ok bool) {
 	return Result{Text: b.String(), CSV: t.CSV(), Figure: t}, ok
 }
 
-// RunClaims computes every cell the claims read, once each and fanned out
-// across the runner's pool in one RunAll, then evaluates the suite against
-// them. ok is true only if all claims held.
-func RunClaims(o Options) (Result, bool) {
-	f := &claimFigures{}
-	factual, counterfactual := claimCells(o, f)
-	RunAll(o.runner(), append(factual, counterfactual...))
-	return evalClaims(f)
-}
+// RunClaims runs the claim suite as one invocation: every cell the claims
+// read runs once, then each claim is evaluated. ok is true only if all
+// claims held.
+func RunClaims(o Options) (Result, bool) { return runClaims(newInvocation(o)) }

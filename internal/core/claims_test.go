@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestClaimsWellFormed(t *testing.T) {
 	seen := map[string]bool{}
@@ -18,61 +21,11 @@ func TestClaimsWellFormed(t *testing.T) {
 	}
 }
 
-// TestClaimsHoldAtTestScale evaluates the whole suite at test scale. The
-// factual figures come from the memoized registry runs, so only the
-// counterfactual cells run here.
+// TestClaimsHoldAtTestScale evaluates the whole suite at test scale: the
+// memoized check row, whose factual cells the registry rows above it share.
 func TestClaimsHoldAtTestScale(t *testing.T) {
-	if testing.Short() {
-		t.Skip("reads the quick fig7 sweep")
-	}
-	f := &claimFigures{
-		fig2:  figureOf[MemFigure](t, "fig2"),
-		fig4:  figureOf[MemFigure](t, "fig4"),
-		fig3a: figureOf[JavaFigure](t, "fig3a"),
-		fig3b: figureOf[JavaFigure](t, "fig3b"),
-		fig3c: figureOf[JavaFigure](t, "fig3c"),
-		fig5a: figureOf[JavaFigure](t, "fig5a"),
-		fig5b: figureOf[JavaFigure](t, "fig5b"),
-		fig5c: figureOf[JavaFigure](t, "fig5c"),
-		fig6:  figureOf[PowerFigure](t, "fig6"),
-		fig7:  figureOf[SweepFigure](t, "fig7"),
-	}
-	_, counterfactual := claimCells(testOptions("check", 2), f)
-	RunAll(NewRunner(2), counterfactual)
-	if res, ok := evalClaims(f); !ok {
-		t.Fatalf("claims failed at test scale:\n%s", res.Text)
-	}
-}
-
-// TestRunClaimsBuildsEachClusterOnce runs the suite end to end at the
-// coarsest scale and counts the clusters it builds by their telemetry
-// labels: each distinct cell once, however many claims read it.
-func TestRunClaimsBuildsEachClusterOnce(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the 8-VM sweep point")
-	}
-	o := Options{Scale: maxScale, Quick: true, Jobs: 2, Telemetry: NewTelemetry()}
-	if res, ok := RunClaims(o); !ok {
-		t.Fatalf("claims failed at scale %d:\n%s", maxScale, res.Text)
-	}
-	built := map[string]int{}
-	for _, e := range o.Telemetry.Entries() {
-		built[e.Label]++
-	}
-	want := []string{
-		"daytrader x4 shared=false", "daytrader x4 shared=true",
-		"mixed x3 shared=false", "mixed x3 shared=true",
-		"tuscany x3 shared=false", "tuscany x3 shared=true",
-		"fig7 n=8 shared=false rep=1", "fig7 n=8 shared=true rep=1",
-		"daytrader x4 shared=true per-vm-layout", "daytrader x4 shared=false nio-salt",
-	}
-	for _, label := range want {
-		if built[label] != 1 {
-			t.Errorf("%q built %d times, want once", label, built[label])
-		}
-	}
-	if len(built) != len(want) {
-		t.Errorf("built %d distinct clusters, want %d: %v", len(built), len(want), built)
+	if seq, _ := runMemo(t, "check"); strings.Contains(seq.Text, "[FAIL]") {
+		t.Fatalf("claims failed at test scale:\n%s", seq.Text)
 	}
 }
 

@@ -56,7 +56,9 @@ const dirtyLogMeasureIntervals = 5
 // all registered pages regardless of churn; incremental mode's cost tracks
 // the dirtied set. The scan mode (Knobs.IncrementalScan) is the sweep's own
 // axis; every other knob applies.
-func DirtyLogSweep(o Options) DirtyLogFigure {
+func DirtyLogSweep(o Options) DirtyLogFigure { return dirtyLogSweep(newInvocation(o)) }
+
+func dirtyLogSweep(inv *invocation) DirtyLogFigure {
 	fig := DirtyLogFigure{
 		ID:    "dirtylog",
 		Title: "Converged KSM rescan cost: linear vs dirty-ring incremental (DayTrader guests)",
@@ -68,16 +70,14 @@ func DirtyLogSweep(o Options) DirtyLogFigure {
 		{"full", false},
 		{"incremental", true},
 	}
-	var cells []cell[DirtyLogRow]
+	var cells []cell
 	for _, n := range []int{2, 4} {
 		for _, churn := range []int{0, 2, 8} {
 			for _, mode := range modes {
-				cfg := o.clusterConfig([]workload.Spec{workload.DayTrader()}, n, true)
+				cfg := inv.o.clusterConfig([]workload.Spec{workload.DayTrader()}, n, true)
 				cfg.IncrementalScan = mode.incremental
-				cells = append(cells, cell[DirtyLogRow]{
-					label: fmt.Sprintf("dirtylog n=%d churn=%d%% mode=%s", n, churn, mode.label),
-					cfg:   cfg,
-					measure: func(c *Cluster) DirtyLogRow {
+				cells = append(cells, clusterCell(fmt.Sprintf("dirtylog n=%d churn=%d%% mode=%s", n, churn, mode.label), cfg,
+					func(c *Cluster) DirtyLogRow {
 						c.Run()
 						scanned := measureConvergedScanRate(c, churn)
 						kst := c.Scanner.Stats()
@@ -93,12 +93,11 @@ func DirtyLogSweep(o Options) DirtyLogFigure {
 							IncrementalRounds: kst.IncrementalRounds,
 							FullScans:         kst.FullScans,
 						}
-					},
-				})
+					}))
 			}
 		}
 	}
-	fig.Rows = runCells(o, cells)
+	fig.Rows = runCells[DirtyLogRow](inv, cells)
 	return fig
 }
 

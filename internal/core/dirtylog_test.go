@@ -88,7 +88,7 @@ func TestIncrementalScanOptionAppliesToPaperExperiments(t *testing.T) {
 	if RenderMemFigure(memA) != RenderMemFigure(memB) {
 		t.Fatal("Fig2 under incremental scan is not deterministic")
 	}
-	c := dayTraderCluster(o, false)
+	c := BuildCluster(o.clusterConfig(dayTrader().specs, 4, false))
 	if !c.Host.DirtyLogEnabled() {
 		t.Fatal("IncrementalScan option did not reach the figure's host config")
 	}

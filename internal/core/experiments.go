@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 
 	"repro/internal/jvm"
 	"repro/internal/mem"
@@ -21,20 +23,19 @@ type Options struct {
 	Seed mem.Seed
 	// Quick shrinks steady-state length and sweep points for fast benches.
 	Quick bool
-	// Jobs bounds the worker pool used to fan out independent cluster runs
-	// (sweep points, error-bar repetitions, claim checks). 0 means
-	// runtime.GOMAXPROCS(0); 1 runs everything sequentially inline. Results
-	// are collected in submission order, so rendered output is identical at
-	// every width.
+	// Jobs bounds the worker pool every cell of an invocation runs on
+	// (NewInvocation). 0 means runtime.GOMAXPROCS(0); 1 runs everything
+	// sequentially inline. Results are collected in submission order, so
+	// rendered output is identical at every width.
 	Jobs int
-	// Progress, when set, receives a JobEvent as each fanned-out job starts
-	// and finishes (cmd/tpsim routes these to stderr).
+	// Progress, when set, receives a JobEvent as each cell starts and
+	// finishes (cmd/tpsim routes these to stderr).
 	Progress func(JobEvent)
-	// Telemetry, when set, enables metrics sampling on every cluster the
-	// experiment builds and collects each run's registry for rendering after
-	// the fan-out completes (tpsim -timeline / -metrics-csv). Sampling is
-	// read-only, so figures are unchanged by it.
-	Telemetry *Telemetry
+	// Telemetry enables metrics sampling on every cluster the experiment
+	// builds (tpsim -timeline / -metrics-csv). Each cell renders its series
+	// before its cluster is dropped, and NewInvocation's Result carries
+	// them. Sampling is read-only, so figures are unchanged by it.
+	Telemetry bool
 	// Knobs are the subsystem switches applied to every cluster the
 	// experiment builds (tpsim -thp, -thp-ksm-split, -thp-max-ptes-none,
 	// -tlb-entries, -incremental, -jitshare). A sweep ignores only the knob
@@ -51,15 +52,6 @@ func (o Options) scale() int {
 		return DefaultScale
 	}
 	return o.Scale
-}
-
-// runner builds a Runner from the options, wiring the progress callback.
-func (o Options) runner() *Runner {
-	r := NewRunner(o.Jobs)
-	if o.Progress != nil {
-		r.OnProgress(o.Progress)
-	}
-	return r
 }
 
 // maxScale is the coarsest memory scale every registered experiment runs at:
@@ -107,7 +99,7 @@ func (o Options) clusterConfig(specs []workload.Spec, n int, shared bool) Cluste
 		SharedClasses: shared,
 		Knobs:         o.Knobs,
 		BaseSeed:      o.Seed,
-		EnableMetrics: o.Telemetry != nil,
+		EnableMetrics: o.Telemetry,
 	}
 	if o.Quick {
 		cfg.SteadyRounds = 15
@@ -115,36 +107,106 @@ func (o Options) clusterConfig(specs []workload.Spec, n int, shared bool) Cluste
 	return cfg
 }
 
-// figureCluster builds the single cluster of a breakdown figure and files its
-// metrics registry with the telemetry collector.
-func (o Options) figureCluster(name string, n int, shared bool, specs ...workload.Spec) *Cluster {
-	c := BuildCluster(o.clusterConfig(specs, n, shared))
-	o.Telemetry.Collect(fmt.Sprintf("%s x%d shared=%v", name, n, shared), c.Metrics)
-	return c
+// cell is one independent unit of an experiment: it builds one cluster (or
+// one PowerVM machine), measures it and returns plain values — nothing in a
+// cellValue points into what it built. Its label is its key within an
+// invocation: cells with equal labels have equal configs (runCells panics
+// otherwise), and the label heads the cell's telemetry sections.
+type cell struct {
+	label string
+	cfg   any // what the label keys beyond the invocation's options
+	run   func() cellValue
 }
 
-// cell is one point of a sweep: an independent cluster run and the
-// measurement that turns the built cluster into the sweep's row.
-type cell[R any] struct {
-	label   string
-	cfg     ClusterConfig
-	measure func(*Cluster) R
+// cellValue is what a cell leaves behind: its measured value and, under
+// telemetry, its rendered timeline and metrics CSV sections.
+type cellValue struct {
+	v                any
+	timeline, series string
 }
 
-// runCells builds every cell's cluster, files its registry under the cell's
-// submission index and measures it, fanned out across the options' runner;
-// rows come back in submission order, so a sweep is byte-identical at every
-// Jobs width.
-func runCells[R any](o Options, cells []cell[R]) []R {
-	jobs := make([]Job[R], len(cells))
-	for i, cl := range cells {
-		jobs[i] = Job[R]{Label: cl.label, Run: func() R {
-			c := BuildCluster(cl.cfg)
-			o.Telemetry.CollectAt(i, cl.label, c.Metrics)
-			return cl.measure(c)
-		}}
+// clusterCell is the cell that builds cfg's cluster and measures it.
+func clusterCell[R any](label string, cfg ClusterConfig, measure func(*Cluster) R) cell {
+	return cell{label, cfg, func() cellValue {
+		c := BuildCluster(cfg)
+		out := cellValue{v: measure(c)}
+		if c.Metrics != nil {
+			out.timeline = RenderTimeline(label, c.Metrics) + "\n"
+			out.series = "# " + label + "\n" + c.Metrics.CSV()
+		}
+		return out
+	}}
+}
+
+// invocation is one run of tpsim: the options every experiment runs at, one
+// pool of width Jobs, and the cells already run with their configs. Its
+// experiments run one after another, each handing its cells to runCells, so
+// no pool runs inside another and a cell that several experiments read
+// (fig2 and fig3a, every figure check evaluates) runs once.
+type invocation struct {
+	o      Options
+	runner *Runner
+	memo   map[string]cellValue
+	cfgs   map[string]any
+	// read is the current experiment's cells in first-read order: the
+	// telemetry sections its Result carries.
+	read []string
+	// dry enumerates cells without running them: runCells files each
+	// cell's config under its label and returns zero values.
+	dry bool
+}
+
+func newInvocation(o Options) *invocation {
+	r := NewRunner(o.Jobs)
+	r.OnProgress(o.Progress)
+	return &invocation{o: o, runner: r, memo: map[string]cellValue{}, cfgs: map[string]any{}}
+}
+
+// NewInvocation starts one tpsim invocation at options o and returns the
+// function that runs an experiment in it. Experiments share the invocation's
+// pool and cells, and each Result carries the telemetry of every cell its
+// experiment read.
+func NewInvocation(o Options) func(Experiment) (Result, error) {
+	inv := newInvocation(o)
+	return func(e Experiment) (Result, error) {
+		inv.read = inv.read[:0]
+		res, err := e.run(inv)
+		for _, label := range inv.read {
+			res.Timelines += inv.memo[label].timeline
+			res.MetricsCSV += inv.memo[label].series
+		}
+		return res, err
 	}
-	return RunAll(o.runner(), jobs)
+}
+
+// runCells returns every cell's value in submission order. The cells not run
+// yet run in one RunAll on the invocation's pool; the rest are read from the
+// memo.
+func runCells[R any](inv *invocation, cells []cell) []R {
+	var jobs []Job[cellValue]
+	for _, c := range cells {
+		if cfg, ok := inv.cfgs[c.label]; ok {
+			if !reflect.DeepEqual(cfg, c.cfg) {
+				panic(fmt.Sprintf("core: two configs under cell label %q", c.label))
+			}
+			continue
+		}
+		inv.cfgs[c.label] = c.cfg
+		if !inv.dry {
+			jobs = append(jobs, Job[cellValue]{Label: c.label, Run: c.run})
+		}
+	}
+	for i, v := range RunAll(inv.runner, jobs) {
+		inv.memo[jobs[i].Label] = v
+	}
+	out := make([]R, len(cells))
+	for i, c := range cells {
+		out[i], _ = inv.memo[c.label].v.(R)
+		if !slices.Contains(inv.read, c.label) {
+			inv.read = append(inv.read, c.label)
+		}
+	}
+	return out
 }
 
 // MemFigure is a Fig. 2 / Fig. 4 result: per-VM physical memory breakdown
@@ -227,9 +289,9 @@ func mb(bytes int64, scale int) float64 {
 	return float64(bytes) * float64(scale) / (1 << 20)
 }
 
-// memFigureFrom converts an analysis into a MemFigure.
-func memFigureFrom(id, title string, a *memanalysis.Analysis, scale int) MemFigure {
-	fig := MemFigure{ID: id, Title: title}
+// memFigureFrom converts an analysis into an untitled MemFigure.
+func memFigureFrom(a *memanalysis.Analysis, scale int) MemFigure {
+	var fig MemFigure
 	for _, b := range a.VMBreakdowns() {
 		fig.VMs = append(fig.VMs, VMRow{
 			Name:       b.VMName,
@@ -245,11 +307,11 @@ func memFigureFrom(id, title string, a *memanalysis.Analysis, scale int) MemFigu
 	return fig
 }
 
-// javaFigureFrom converts an analysis into a JavaFigure, one bar per Java
-// process, ordered by VM. Labels follow the paper ("JVM1".."JVM4" for the
-// DayTrader figures; workload names for Fig. 3(b)/5(b)).
-func javaFigureFrom(id, title string, a *memanalysis.Analysis, scale int, labels []string) JavaFigure {
-	fig := JavaFigure{ID: id, Title: title}
+// javaFigureFrom converts an analysis into an untitled JavaFigure, one bar
+// per Java process, ordered by VM. Labels follow the paper ("JVM1".."JVM4"
+// for the DayTrader figures; workload names for Fig. 3(b)/5(b)).
+func javaFigureFrom(a *memanalysis.Analysis, scale int, labels []string) JavaFigure {
+	var fig JavaFigure
 	jbs := a.JavaBreakdowns()
 	cats := figureCategories(jbs)
 	for i, jb := range jbs {
@@ -294,79 +356,114 @@ func figureCategories(jbs []memanalysis.JavaBreakdown) []string {
 	return cats
 }
 
-// dayTraderCluster builds the §2.C measurement scenario: four 1 GB guests
-// each running WAS + DayTrader on a 6 GB host.
-func dayTraderCluster(o Options, shared bool) *Cluster {
-	return o.figureCluster("daytrader", 4, shared, workload.DayTrader())
+// scenario is a breakdown figure's cluster: n guests running specs, whose
+// Java bars the figures label in VM order.
+type scenario struct {
+	name  string
+	n     int
+	specs []workload.Spec
+	bars  []string
 }
+
+// dayTrader is the §2.C measurement scenario of Fig. 2-5(a): four 1 GB
+// guests each running WAS + DayTrader on a 6 GB host.
+func dayTrader() scenario {
+	return scenario{"daytrader", 4, []workload.Spec{workload.DayTrader()}, []string{"JVM1", "JVM2", "JVM3", "JVM4"}}
+}
+
+// mixed is the Fig. 3(b)/5(b) scenario: three guests running DayTrader,
+// SPECjEnterprise 2010 and TPC-W in the same WAS version.
+func mixed() scenario {
+	return scenario{"mixed", 3, []workload.Spec{workload.DayTrader(), workload.SPECjEnterprise(), workload.TPCW()},
+		[]string{"DayTrader", "SPECjEnterprise", "TPC-W"}}
+}
+
+// tuscany is the Fig. 3(c)/5(c) scenario: three Tuscany bigbank guests.
+func tuscany() scenario {
+	return scenario{"tuscany", 3, []workload.Spec{workload.Tuscany()}, []string{"JVM1", "JVM2", "JVM3"}}
+}
+
+// breakdown is a breakdown cell's value: the per-VM and the per-JVM view of
+// one measured run, which the figures title (Fig. 2 and 3(a) are the two
+// views of one cell, Fig. 4 and 5(a) of another).
+type breakdown struct {
+	mem  MemFigure
+	java JavaFigure
+}
+
+// cellAt is the scenario's cell, with or without the copied shared class
+// cache. A counterfactual cell turns one knob of its config with set and
+// names it, which keeps its label apart from the factual one.
+func (s scenario) cellAt(o Options, shared bool, knob string, set func(*ClusterConfig)) cell {
+	cfg := o.clusterConfig(s.specs, s.n, shared)
+	label := fmt.Sprintf("%s x%d shared=%v", s.name, s.n, shared)
+	if set != nil {
+		set(&cfg)
+		label += " " + knob
+	}
+	return clusterCell(label, cfg, func(c *Cluster) breakdown {
+		c.Run()
+		a := c.Analyze()
+		return breakdown{memFigureFrom(a, c.Cfg.Scale), javaFigureFrom(a, c.Cfg.Scale, s.bars)}
+	})
+}
+
+// memView and javaView are the registry's views of a breakdown scenario's
+// factual cell, titled as figure id.
+func memView(s func() scenario, shared bool, id, title string) func(*invocation) MemFigure {
+	return func(inv *invocation) MemFigure {
+		f := runCells[breakdown](inv, []cell{s().cellAt(inv.o, shared, "", nil)})[0].mem
+		f.ID, f.Title = id, title
+		return f
+	}
+}
+
+func javaView(s func() scenario, shared bool, id, title string) func(*invocation) JavaFigure {
+	return func(inv *invocation) JavaFigure {
+		f := runCells[breakdown](inv, []cell{s().cellAt(inv.o, shared, "", nil)})[0].java
+		f.ID, f.Title = id, title
+		return f
+	}
+}
+
+// The breakdown figures, each a view of its scenario's factual cell.
+var (
+	fig2  = memView(dayTrader, false, "fig2", "Physical memory usage and TPS savings (baseline)")
+	fig3a = javaView(dayTrader, false, "fig3a", "Java memory breakdown per WAS process (baseline)")
+	fig4  = memView(dayTrader, true, "fig4", "Physical memory usage and TPS savings (classes preloaded)")
+	fig5a = javaView(dayTrader, true, "fig5a", "Java memory breakdown per WAS process (classes preloaded)")
+	fig3b = javaView(mixed, false, "fig3b", "Java breakdown: DayTrader / SPECjEnterprise / TPC-W in WAS (baseline)")
+	fig5b = javaView(mixed, true, "fig5b", "Java breakdown: DayTrader / SPECjEnterprise / TPC-W in WAS (preloaded)")
+	fig3c = javaView(tuscany, false, "fig3c", "Java breakdown: three Tuscany bigbank servers (baseline)")
+	fig5c = javaView(tuscany, true, "fig5c", "Java breakdown: three Tuscany bigbank servers (preloaded)")
+)
 
 // Fig2 runs the baseline (no preloading) DayTrader scenario and returns the
 // Fig. 2 VM breakdown together with the Fig. 3(a) Java breakdown from the
 // same run, exactly as in the paper.
 func Fig2(o Options) (MemFigure, JavaFigure) {
-	c := dayTraderCluster(o, false)
-	c.Run()
-	a := c.Analyze()
-	labels := []string{"JVM1", "JVM2", "JVM3", "JVM4"}
-	return memFigureFrom("fig2", "Physical memory usage and TPS savings (baseline)", a, c.Cfg.Scale),
-		javaFigureFrom("fig3a", "Java memory breakdown per WAS process (baseline)", a, c.Cfg.Scale, labels)
+	inv := newInvocation(o)
+	return fig2(inv), fig3a(inv)
 }
 
 // Fig4 runs the same scenario with the shared class cache copied into every
 // guest and returns the Fig. 4 VM breakdown and Fig. 5(a) Java breakdown.
 func Fig4(o Options) (MemFigure, JavaFigure) {
-	c := dayTraderCluster(o, true)
-	c.Run()
-	a := c.Analyze()
-	labels := []string{"JVM1", "JVM2", "JVM3", "JVM4"}
-	return memFigureFrom("fig4", "Physical memory usage and TPS savings (classes preloaded)", a, c.Cfg.Scale),
-		javaFigureFrom("fig5a", "Java memory breakdown per WAS process (classes preloaded)", a, c.Cfg.Scale, labels)
-}
-
-// mixedCluster is the Fig. 3(b)/5(b) scenario: three guests running
-// DayTrader, SPECjEnterprise 2010 and TPC-W in the same WAS version.
-func mixedCluster(o Options, shared bool) *Cluster {
-	return o.figureCluster("mixed", 3, shared,
-		workload.DayTrader(), workload.SPECjEnterprise(), workload.TPCW())
+	inv := newInvocation(o)
+	return fig4(inv), fig5a(inv)
 }
 
 // Fig3b runs the mixed-workload baseline breakdown.
-func Fig3b(o Options) JavaFigure {
-	c := mixedCluster(o, false)
-	c.Run()
-	return javaFigureFrom("fig3b", "Java breakdown: DayTrader / SPECjEnterprise / TPC-W in WAS (baseline)",
-		c.Analyze(), c.Cfg.Scale, []string{"DayTrader", "SPECjEnterprise", "TPC-W"})
-}
+func Fig3b(o Options) JavaFigure { return fig3b(newInvocation(o)) }
 
 // Fig5b runs the mixed-workload breakdown with per-application shared
 // caches (§4.B: a separate cache name per Java program; here all three use
 // the WAS cache populated with their own stacks — the WAS classes dominate,
 // which is the paper's point).
-func Fig5b(o Options) JavaFigure {
-	c := mixedCluster(o, true)
-	c.Run()
-	return javaFigureFrom("fig5b", "Java breakdown: DayTrader / SPECjEnterprise / TPC-W in WAS (preloaded)",
-		c.Analyze(), c.Cfg.Scale, []string{"DayTrader", "SPECjEnterprise", "TPC-W"})
-}
-
-// tuscanyCluster is the Fig. 3(c)/5(c) scenario: three Tuscany bigbank
-// guests.
-func tuscanyCluster(o Options, shared bool) *Cluster {
-	return o.figureCluster("tuscany", 3, shared, workload.Tuscany())
-}
+func Fig5b(o Options) JavaFigure { return fig5b(newInvocation(o)) }
 
 // Fig3c runs the Tuscany baseline breakdown.
-func Fig3c(o Options) JavaFigure {
-	c := tuscanyCluster(o, false)
-	c.Run()
-	return javaFigureFrom("fig3c", "Java breakdown: three Tuscany bigbank servers (baseline)",
-		c.Analyze(), c.Cfg.Scale, []string{"JVM1", "JVM2", "JVM3"})
-}
+func Fig3c(o Options) JavaFigure { return fig3c(newInvocation(o)) }
 
 // Fig5c runs the Tuscany breakdown with the 25 MB shared cache.
-func Fig5c(o Options) JavaFigure {
-	c := tuscanyCluster(o, true)
-	c.Run()
-	return javaFigureFrom("fig5c", "Java breakdown: three Tuscany bigbank servers (preloaded)",
-		c.Analyze(), c.Cfg.Scale, []string{"JVM1", "JVM2", "JVM3"})
-}
+func Fig5c(o Options) JavaFigure { return fig5c(newInvocation(o)) }

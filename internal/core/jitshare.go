@@ -62,7 +62,9 @@ type JITShareFigure struct {
 // make JIT output position-independent. Class preloading is on in every
 // cell so the only axis is the code area. The sharing mode (Knobs.JITShare)
 // is the sweep's own axis; every other knob applies.
-func JITShareSweep(o Options) JITShareFigure {
+func JITShareSweep(o Options) JITShareFigure { return jitShareSweep(newInvocation(o)) }
+
+func jitShareSweep(inv *invocation) JITShareFigure {
 	fig := JITShareFigure{
 		ID:    "jitshare",
 		Title: "Code-area TPS sharing: private JIT output vs ShareJIT PIC archive",
@@ -85,20 +87,17 @@ func JITShareSweep(o Options) JITShareFigure {
 		{"off", false},
 		{"pic", true},
 	}
-	var cells []cell[JITShareRow]
+	var cells []cell
 	for _, sc := range scenarios {
 		for _, mode := range modes {
-			cfg := o.clusterConfig([]workload.Spec{sc.spec}, sc.guests, true)
+			cfg := inv.o.clusterConfig([]workload.Spec{sc.spec}, sc.guests, true)
 			cfg.JVMsPerGuest = sc.jvms
 			cfg.JITShare = mode.share
-			cells = append(cells, cell[JITShareRow]{
-				label:   fmt.Sprintf("jitshare %s x%d mode=%s", sc.name, sc.guests, mode.label),
-				cfg:     cfg,
-				measure: func(c *Cluster) JITShareRow { return jitShareRow(c, sc.name, mode.label) },
-			})
+			cells = append(cells, clusterCell(fmt.Sprintf("jitshare %s x%d mode=%s", sc.name, sc.guests, mode.label), cfg,
+				func(c *Cluster) JITShareRow { return jitShareRow(c, sc.name, mode.label) }))
 		}
 	}
-	fig.Rows = runCells(o, cells)
+	fig.Rows = runCells[JITShareRow](inv, cells)
 	return fig
 }
 

@@ -84,7 +84,7 @@ func TestJITShareFigureSplitsJITData(t *testing.T) {
 			SteadyRounds:  5,
 		})
 		c.RunWarmup()
-		return javaFigureFrom("fig-t", "t", c.Analyze(), c.Cfg.Scale, nil)
+		return javaFigureFrom(c.Analyze(), c.Cfg.Scale, nil)
 	}
 
 	catsOf := func(f JavaFigure) []string {

@@ -199,32 +199,11 @@ type SweepFigure struct {
 	Points []SweepPoint
 }
 
-// sweepSample is one fanned-out cluster run of a sweep: a single
-// (VM count, configuration, repetition) cell.
-type sweepSample struct {
-	value    float64
-	violated bool
-}
-
-// sweep runs the VM-count sweep for one workload and aggregation mode.
-// Every (count, configuration, repetition) cell is an independent cluster
-// run whose seed depends only on the repetition, so the cells fan out across
-// the runner's pool; the reduction below walks them in submission order and
-// the figure is identical at every pool width.
-func sweep(o Options, id, title, unit string, spec workload.Spec, counts []int, reps int, aggregate bool) SweepFigure {
-	fig := SweepFigure{ID: id, Title: title, Unit: unit}
-	measure := func(c *Cluster) sweepSample {
-		c.Run()
-		perf := c.MeasurePerf(20)
-		s := sweepSample{violated: AnySLAViolated(perf)}
-		if aggregate {
-			s.value = Aggregate(perf)
-		} else {
-			s.value = MeanScore(perf)
-		}
-		return s
-	}
-	var cells []cell[sweepSample]
+// sweepCells are a VM-count sweep's (count, configuration, repetition) cells
+// in submission order. A cell's seed depends only on its repetition, so a
+// cell is the same whichever sweep lists it.
+func (o Options) sweepCells(id string, spec workload.Spec, counts []int, reps int) []cell {
+	var cells []cell
 	for _, n := range counts {
 		for _, shared := range []bool{false, true} {
 			for rep := 0; rep < reps; rep++ {
@@ -234,15 +213,24 @@ func sweep(o Options, id, title, unit string, spec workload.Spec, counts []int, 
 				// VM: the collector's whole-heap touch is what exposes
 				// over-commitment as faults.
 				cfg.SteadyRounds, cfg.IterationsPerRound = 8, 25
-				cells = append(cells, cell[sweepSample]{
-					label: fmt.Sprintf("%s n=%d shared=%v rep=%d", id, n, shared, rep+1),
-					cfg:   cfg, measure: measure,
-				})
+				cells = append(cells, clusterCell(fmt.Sprintf("%s n=%d shared=%v rep=%d", id, n, shared, rep+1), cfg,
+					func(c *Cluster) []VMPerf { c.Run(); return c.MeasurePerf(20) }))
 			}
 		}
 	}
-	results := runCells(o, cells)
+	return cells
+}
 
+// sweep runs the VM-count sweep for one workload and aggregation mode. The
+// reduction walks the cells in submission order, so the figure is identical
+// at every pool width.
+func sweep(inv *invocation, id, title, unit string, spec workload.Spec, counts []int, reps int, aggregate bool) SweepFigure {
+	fig := SweepFigure{ID: id, Title: title, Unit: unit}
+	results := runCells[[]VMPerf](inv, inv.o.sweepCells(id, spec, counts, reps))
+	score := MeanScore
+	if aggregate {
+		score = Aggregate
+	}
 	i := 0
 	for _, n := range counts {
 		pt := SweepPoint{NumVMs: n}
@@ -250,8 +238,8 @@ func sweep(o Options, id, title, unit string, spec workload.Spec, counts []int, 
 			var samples []float64
 			viol := false
 			for rep := 0; rep < reps; rep++ {
-				samples = append(samples, results[i].value)
-				viol = viol || results[i].violated
+				samples = append(samples, score(results[i]))
+				viol = viol || AnySLAViolated(results[i])
 				i++
 			}
 			if shared {
@@ -271,26 +259,30 @@ func sweep(o Options, id, title, unit string, spec workload.Spec, counts []int, 
 // Fig7 sweeps DayTrader from 1 to 9 guest VMs (Quick: fewer points, one
 // repetition) and reports aggregate requests/sec for the default and
 // preloaded configurations.
-func Fig7(o Options) SweepFigure {
+func Fig7(o Options) SweepFigure { return fig7(newInvocation(o)) }
+
+func fig7(inv *invocation) SweepFigure {
 	counts := []int{1, 2, 3, 4, 5, 6, 7, 8, 9}
 	reps := 3
-	if o.Quick {
+	if inv.o.Quick {
 		counts = []int{2, 7, 8, 9}
 		reps = 1
 	}
-	return sweep(o, "fig7", "DayTrader throughput vs number of guest VMs", "req/s",
+	return sweep(inv, "fig7", "DayTrader throughput vs number of guest VMs", "req/s",
 		workload.DayTrader(), counts, reps, true)
 }
 
 // Fig8 sweeps SPECjEnterprise 2010 from 5 to 8 guest VMs at injection rate
 // 15 with the gencon policy and reports the per-VM EjOPS score.
-func Fig8(o Options) SweepFigure {
+func Fig8(o Options) SweepFigure { return fig8(newInvocation(o)) }
+
+func fig8(inv *invocation) SweepFigure {
 	counts := []int{5, 6, 7, 8}
 	reps := 3
-	if o.Quick {
+	if inv.o.Quick {
 		counts = []int{6, 7}
 		reps = 1
 	}
-	return sweep(o, "fig8", "SPECjEnterprise 2010 score vs number of guest VMs (IR=15)", "EjOPS",
+	return sweep(inv, "fig8", "SPECjEnterprise 2010 score vs number of guest VMs (IR=15)", "EjOPS",
 		workload.SPECjEnterprise(), counts, reps, false)
 }

@@ -47,21 +47,28 @@ func (f PowerFigure) DeltaMB() float64 {
 // Fig6 runs the PowerVM experiment: three 3.5 GB AIX partitions each
 // running WAS + DayTrader (25 client threads, 1 GB heap), measured before
 // and after the hypervisor's page sharing, without and with the preloaded
-// shared class cache. The two configurations build independent machines, so
-// they fan out across the runner's pool.
-func Fig6(o Options) PowerFigure {
-	fig := PowerFigure{ID: "fig6", Title: "PowerVM: physical memory of three guest VMs, before/after sharing"}
-	pairs := RunAll(o.runner(), []Job[PowerPair]{
-		{Label: "fig6 preload=false", Run: func() PowerPair { return powerRun(o, false, mem.DefaultPageSize) }},
-		{Label: "fig6 preload=true", Run: func() PowerPair { return powerRun(o, true, mem.DefaultPageSize) }},
-	})
-	fig.NoPreload, fig.Preload = pairs[0], pairs[1]
-	return fig
+// shared class cache.
+func Fig6(o Options) PowerFigure { return fig6(newInvocation(o)) }
+
+func fig6(inv *invocation) PowerFigure {
+	pairs := runCells[PowerPair](inv, []cell{powerCell(inv.o, false, mem.DefaultPageSize), powerCell(inv.o, true, mem.DefaultPageSize)})
+	return PowerFigure{ID: "fig6", Title: "PowerVM: physical memory of three guest VMs, before/after sharing",
+		NoPreload: pairs[0], Preload: pairs[1]}
 }
 
-// powerRun executes one Fig. 6 configuration on pages of pageSize bytes and
-// returns its bar pair. The figure runs 4 KiB pages; the
-// 64k-pages-keep-sharing claim reruns the preloaded one on POWER's 64 KiB.
+// powerCell is one Fig. 6 configuration on pages of pageSize bytes. The
+// figure runs 4 KiB pages; the 64k-pages-keep-sharing claim reruns the
+// preloaded one on POWER's 64 KiB. The rest of its config is the
+// invocation's options.
+func powerCell(o Options, preload bool, pageSize int) cell {
+	label := fmt.Sprintf("fig6 preload=%v", preload)
+	if pageSize != mem.DefaultPageSize {
+		label += fmt.Sprintf(" %dK pages", pageSize>>10)
+	}
+	return cell{label, [2]any{preload, pageSize}, func() cellValue { return cellValue{v: powerRun(o, preload, pageSize)} }}
+}
+
+// powerRun executes one Fig. 6 configuration and returns its bar pair.
 func powerRun(o Options, preload bool, pageSize int) PowerPair {
 	scale := o.scale()
 	clock := simclock.New()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -16,56 +17,83 @@ import (
 const testScale = 48
 
 // testOptions are the canonical options of the memoized registry runs.
-func testOptions(id string, jobs int) Options {
-	o := Options{Scale: testScale, Quick: true, Jobs: jobs, ChaosSeed: 7}
-	if id == "fig7" || id == "fig8" {
-		o.Scale = 2 * testScale // the VM-count sweeps build up to nine guests per cell
-	}
-	return o
+func testOptions(jobs int) Options {
+	return Options{Scale: testScale, Quick: true, Jobs: jobs, ChaosSeed: 7}
 }
 
-// registryRun is one memoized run of a registry row: its result and the
-// rendered telemetry (timelines + metrics CSV) of every cluster it built.
-type registryRun struct {
-	Result
-	telemetry string
+// memoWidths are the pool widths the registry is memoized at.
+var memoWidths = [2]int{1, 4}
+
+// memo runs the registry as one invocation per width, with telemetry on,
+// always in print order: a test asking for a row first runs every row
+// before it that has not run yet. Each cell thus runs once per width and
+// test binary, however many experiments read it, and the wide invocation's
+// cells are started in one order whichever test comes first. The
+// determinism test compares the two widths' results; the qualitative tests
+// read the Jobs 1 figure.
+var memo struct {
+	invocations [2]func(Experiment) (Result, error)
+	rows        [2][]Result // per width, the rows run so far
+	// started holds the wide invocation's cell starts by the row that
+	// started them, and peak the most cells it had in flight, both seen
+	// through Options.Progress.
+	current        string
+	started        map[string][]string
+	inFlight, peak int
 }
 
-// memo holds every registry run the tests asked for, so each experiment runs
-// at most once per width and test binary: the determinism test compares the
-// Jobs 1 and Jobs 4 entries, the qualitative tests read the Jobs 1 figure.
-var memo = map[string][2]registryRun{}
-
-// runMemo returns experiment id's memoized runs at Jobs 1 and Jobs 4. Both
-// are computed on first use, concurrently: they are independent for the same
-// reason the Runner's jobs are, and overlapping the single-threaded run with
-// the wide one is what keeps this suite's wall time down.
-func runMemo(t *testing.T, id string) (seq, par registryRun) {
+// runMemo returns experiment id's memoized results at Jobs 1 and Jobs 4.
+// The two invocations share nothing and advance concurrently: overlapping
+// the single-threaded one with the wide one is what keeps this suite's wall
+// time down.
+func runMemo(t *testing.T, id string) (seq, par Result) {
 	t.Helper()
-	runs, ok := memo[id]
-	if !ok {
-		exps, err := Lookup(id)
-		if err != nil || len(exps) != 1 {
-			t.Fatalf("Lookup(%q) = %d experiments, %v", id, len(exps), err)
-		}
-		var wg sync.WaitGroup
-		for i, jobs := range []int{1, 4} {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				o := testOptions(id, jobs)
-				o.Telemetry = NewTelemetry()
-				res, err := exps[0].Run(o)
-				if err != nil {
-					t.Errorf("%s at Jobs %d: %v", id, jobs, err)
-				}
-				runs[i] = registryRun{res, o.Telemetry.RenderTimelines() + o.Telemetry.CSV()}
-			}()
-		}
-		wg.Wait()
-		memo[id] = runs
+	rows := Experiments()
+	at := slices.IndexFunc(rows, func(e Experiment) bool { return e.ID == id })
+	if at < 0 {
+		t.Fatalf("no experiment %q", id)
 	}
-	return runs[0], runs[1]
+	if memo.invocations[0] == nil {
+		memo.started = map[string][]string{}
+		for w, jobs := range memoWidths {
+			o := testOptions(jobs)
+			o.Telemetry = true
+			if w == 1 {
+				// The runner serializes the callback and the rows run one
+				// after another, so current names every event's experiment.
+				o.Progress = func(ev JobEvent) {
+					if ev.Done {
+						memo.inFlight--
+						return
+					}
+					memo.inFlight++
+					memo.peak = max(memo.peak, memo.inFlight)
+					memo.started[memo.current] = append(memo.started[memo.current], ev.Label)
+				}
+			}
+			memo.invocations[w] = NewInvocation(o)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := range memoWidths {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for len(memo.rows[w]) <= at {
+				e := rows[len(memo.rows[w])]
+				if w == 1 {
+					memo.current = e.ID
+				}
+				res, err := memo.invocations[w](e)
+				if err != nil {
+					t.Errorf("%s at Jobs %d: %v", e.ID, memoWidths[w], err)
+				}
+				memo.rows[w] = append(memo.rows[w], res)
+			}
+		}()
+	}
+	wg.Wait()
+	return memo.rows[0][at], memo.rows[1][at]
 }
 
 // figureOf returns experiment id's typed figure from the memoized
@@ -78,19 +106,12 @@ func figureOf[F any](t *testing.T, id string) F {
 
 // TestRegistryDeterministicAcrossJobs is the one determinism contract of the
 // parallel runner: every registered experiment's text, CSV and telemetry must
-// be byte-identical whether its cluster runs execute sequentially or on four
+// be byte-identical whether its cells execute sequentially or on four
 // workers.
 func TestRegistryDeterministicAcrossJobs(t *testing.T) {
 	for _, e := range Experiments() {
 		t.Run(e.ID, func(t *testing.T) {
-			switch {
-			case e.ID == "check":
-				// Its claims are pure functions of the rows above:
-				// TestClaimsHoldAtTestScale evaluates them on these memoized
-				// figures, and TestRunClaimsBuildsEachClusterOnce runs
-				// RunClaims end to end.
-				t.Skip("composed of rows already compared")
-			case testing.Short() && (e.ID == "fig7" || e.ID == "fig8"):
+			if testing.Short() && (e.ID == "fig7" || e.ID == "fig8") {
 				t.Skip("sweep is slow")
 			}
 			seq, par := runMemo(t, e.ID)
@@ -100,7 +121,7 @@ func TestRegistryDeterministicAcrossJobs(t *testing.T) {
 			if seq.CSV != par.CSV {
 				t.Errorf("CSV differs between -jobs 1 and -jobs 4:\n%s\n---\n%s", seq.CSV, par.CSV)
 			}
-			if seq.telemetry != par.telemetry {
+			if seq.Timelines != par.Timelines || seq.MetricsCSV != par.MetricsCSV {
 				t.Error("telemetry differs between -jobs 1 and -jobs 4")
 			}
 			if seq.Text == "" || seq.CSV == "" {
@@ -108,6 +129,89 @@ func TestRegistryDeterministicAcrossJobs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestInvocationRunsEachCellOnce watches the memo's wide invocation — quick,
+// on four workers, over every registered row, check last — through
+// Options.Progress: every cell starts exactly once, fig3a and fig5a start
+// none (they read fig2's and fig4's), the rows of all run 30 distinct cells,
+// check starts only its three counterfactual ones, and no more than Jobs
+// cells are ever in flight.
+func TestInvocationRunsEachCellOnce(t *testing.T) {
+	runMemo(t, "check")
+	started, count := memo.started, map[string]int{}
+	for _, labels := range started {
+		for _, label := range labels {
+			count[label]++
+		}
+	}
+	for label, n := range count {
+		if n != 1 {
+			t.Errorf("cell %q started %d times, want once", label, n)
+		}
+	}
+	if len(started["fig3a"])+len(started["fig5a"]) != 0 {
+		t.Errorf("fig3a started %q and fig5a %q, want none", started["fig3a"], started["fig5a"])
+	}
+	all, _ := Lookup("all")
+	n := 0
+	for _, e := range all {
+		n += len(started[e.ID])
+	}
+	if n != 30 {
+		t.Errorf("all ran %d distinct cells, want 30", n)
+	}
+	// Sorted: workers may report their starts in any order.
+	got := started["check"]
+	slices.Sort(got)
+	if want := []string{"daytrader x4 shared=false nio-salt", "daytrader x4 shared=true per-vm-layout",
+		"fig6 preload=true 64K pages"}; !slices.Equal(got, want) {
+		t.Errorf("check started %q, want only its counterfactual cells %q", got, want)
+	}
+	// The factual cells the claims read, each run by the row that owns it.
+	for _, label := range []string{"daytrader x4 shared=false", "daytrader x4 shared=true", "mixed x3 shared=false",
+		"mixed x3 shared=true", "tuscany x3 shared=false", "tuscany x3 shared=true", "fig6 preload=false",
+		"fig6 preload=true", "fig7 n=8 shared=false rep=1", "fig7 n=8 shared=true rep=1"} {
+		if count[label] != 1 {
+			t.Errorf("claim cell %q started %d times, want once", label, count[label])
+		}
+	}
+	if memo.peak > memoWidths[1] {
+		t.Errorf("%d cells in flight at once, want at most %d", memo.peak, memoWidths[1])
+	}
+}
+
+// TestCellLabelsKeyConfigs enumerates every registered experiment's cells in
+// one dry invocation — at the default options and under -incremental -thp
+// fhpm — where runCells files each label's config and panics on a second,
+// different config under the same label: a label is a cell's key only if
+// equal labels mean equal configs.
+func TestCellLabelsKeyConfigs(t *testing.T) {
+	for _, o := range []Options{{}, {Knobs: Knobs{IncrementalScan: true, THPPolicy: thp.PolicyFHPM}}} {
+		inv := newInvocation(o)
+		inv.dry = true
+		for _, e := range Experiments() {
+			e.run(inv)
+		}
+		// fig2-5: 6, fig6: 2, fig7: 9 counts × 2 × 3 reps, fig8: 4 × 2 × 3,
+		// thp-tradeoff 10, dirtylog 12, jitshare 4, chaos 4, check's own 3.
+		if n := len(inv.cfgs); n != 119 {
+			t.Errorf("%+v: %d distinct cells, want 119", o.Knobs, n)
+		}
+	}
+	// The guard itself: one label, two configs.
+	defer func() {
+		if recover() == nil {
+			t.Error("two configs under one label went unnoticed")
+		}
+	}()
+	inv := newInvocation(Options{})
+	inv.dry = true
+	a := dayTrader().cellAt(inv.o, false, "", nil)
+	b, cfg := a, a.cfg.(ClusterConfig)
+	cfg.PerVMNIOSalt = true
+	b.cfg = cfg
+	runCells[breakdown](inv, []cell{a, b})
 }
 
 // TestRegistryLookup pins id resolution: ids are unique, "all" expands to the
@@ -150,7 +254,7 @@ func TestKnobsReachEveryCluster(t *testing.T) {
 			t.Fatalf("Knobs.%s still zero", v.Type().Field(i).Name)
 		}
 	}
-	o := Options{Scale: 32, Seed: 9, Quick: true, Telemetry: NewTelemetry(), Knobs: k}
+	o := Options{Scale: 32, Seed: 9, Quick: true, Telemetry: true, Knobs: k}
 	cfg := o.clusterConfig([]workload.Spec{workload.Tuscany()}, 3, true)
 	if cfg.Knobs != k {
 		t.Fatalf("knobs dropped:\n got  %+v\n want %+v", cfg.Knobs, k)

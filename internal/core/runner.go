@@ -16,7 +16,9 @@ import (
 // With Jobs == 1 the jobs execute inline on the calling goroutine — exactly
 // today's sequential behaviour, with no goroutines involved. A pool worker
 // collects the heap after each job, so at most Jobs clusters' worth of memory
-// is held at a time.
+// is held at a time — provided no job runs a RunAll of its own. An
+// invocation (NewInvocation) keeps to that: it hands each experiment's cells
+// to one RunAll, and experiments run one after another.
 type Runner struct {
 	jobs int
 

@@ -127,7 +127,7 @@ func TestSweepDeterministicAcrossJobWidths(t *testing.T) {
 	var text, csv []string
 	for _, jobs := range []int{1, 4} {
 		o := Options{Scale: 64, Seed: 42, Jobs: jobs}
-		f := sweep(o, "fig7", "determinism probe", "req/s",
+		f := sweep(newInvocation(o), "fig7", "determinism probe", "req/s",
 			workload.DayTrader(), []int{1, 2}, 2, true)
 		text = append(text, RenderSweepFigure(f))
 		csv = append(csv, SweepFigureTable(f).CSV())

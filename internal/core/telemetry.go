@@ -2,77 +2,11 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/metrics"
 	"repro/internal/report"
 )
-
-// Telemetry collects the metrics registries of fanned-out cluster runs so
-// their series can be rendered after the fan-out completes, without
-// interleaving on stdout. Collection is keyed by an explicit submission
-// sequence (or call order for sequential builders), and Entries sorts by
-// it, so rendered timelines are byte-identical at every -jobs width — the
-// same contract the Runner gives figure output.
-//
-// A nil *Telemetry is the disabled state: Collect is a no-op, matching the
-// nil-safety of the metrics package.
-type Telemetry struct {
-	mu      sync.Mutex
-	entries []TelemetryEntry
-}
-
-// TelemetryEntry is one collected run.
-type TelemetryEntry struct {
-	Seq      int
-	Label    string
-	Registry *metrics.Registry
-}
-
-// NewTelemetry creates an empty collector.
-func NewTelemetry() *Telemetry { return &Telemetry{} }
-
-// Collect stores a run's registry with the next sequence number. Use it
-// from sequential builders, where call order is deterministic; parallel
-// fan-outs must use CollectAt with the job's submission index.
-func (t *Telemetry) Collect(label string, r *metrics.Registry) {
-	if t == nil || r == nil {
-		return
-	}
-	t.mu.Lock()
-	t.entries = append(t.entries, TelemetryEntry{Seq: len(t.entries), Label: label, Registry: r})
-	t.mu.Unlock()
-}
-
-// CollectAt stores a run's registry under an explicit sequence number.
-func (t *Telemetry) CollectAt(seq int, label string, r *metrics.Registry) {
-	if t == nil || r == nil {
-		return
-	}
-	t.mu.Lock()
-	t.entries = append(t.entries, TelemetryEntry{Seq: seq, Label: label, Registry: r})
-	t.mu.Unlock()
-}
-
-// Entries returns the collected runs ordered by (Seq, Label).
-func (t *Telemetry) Entries() []TelemetryEntry {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	out := make([]TelemetryEntry, len(t.entries))
-	copy(out, t.entries)
-	t.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Seq != out[j].Seq {
-			return out[i].Seq < out[j].Seq
-		}
-		return out[i].Label < out[j].Label
-	})
-	return out
-}
 
 // sparkWidth is the timeline column width of RenderTimeline.
 const sparkWidth = 48
@@ -98,26 +32,5 @@ func RenderTimeline(label string, r *metrics.Registry) string {
 			fmt.Sprintf("%g", s.Min()), fmt.Sprintf("%g", s.Max()))
 	}
 	b.WriteString(tab.String())
-	return b.String()
-}
-
-// RenderTimelines renders every collected run in sequence order.
-func (t *Telemetry) RenderTimelines() string {
-	var b strings.Builder
-	for _, e := range t.Entries() {
-		b.WriteString(RenderTimeline(e.Label, e.Registry))
-		b.WriteString("\n")
-	}
-	return b.String()
-}
-
-// CSV renders every collected run's wide CSV, each preceded by a comment
-// line naming the run.
-func (t *Telemetry) CSV() string {
-	var b strings.Builder
-	for _, e := range t.Entries() {
-		fmt.Fprintf(&b, "# %s\n", e.Label)
-		b.WriteString(e.Registry.CSV())
-	}
 	return b.String()
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,7 +16,7 @@ import (
 // metrics-on run must be byte-identical to a metrics-off run at the same
 // seed.
 func TestFiguresByteIdenticalWithMetrics(t *testing.T) {
-	memOff, javaOff := Fig2(testOptions("fig2", 1))
+	memOff, javaOff := Fig2(testOptions(1))
 	on, _ := runMemo(t, "fig2") // memoized runs collect telemetry
 	javaOn, _ := runMemo(t, "fig3a")
 	if RenderMemFigure(memOff)+"\n" != on.Text {
@@ -24,7 +25,7 @@ func TestFiguresByteIdenticalWithMetrics(t *testing.T) {
 	if RenderJavaFigure(javaOff)+"\n" != javaOn.Text {
 		t.Fatal("JavaFigure differs with metrics enabled")
 	}
-	if n := strings.Count(on.telemetry, "TIMELINE — "); n != 1 {
+	if n := strings.Count(on.Timelines, "TIMELINE — "); n != 1 {
 		t.Fatalf("collected %d registries, want 1", n)
 	}
 }
@@ -76,22 +77,31 @@ func convergedAt(s *metrics.Series) (at simclock.Time, ok bool) {
 }
 
 // TestTelemetryIdenticalAcrossJobs reads the Fig. 7 sweep memoized at two
-// pool widths, telemetry collected from the concurrent workers: the rendered
-// timelines and CSV must be byte-identical (and under -race this doubles as
-// the concurrent-collection safety check).
+// pool widths, each cell's series rendered on its worker: the timelines and
+// CSV must be byte-identical, one section per cell in submission order.
 func TestTelemetryIdenticalAcrossJobs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep is slow")
 	}
 	seq, par := runMemo(t, "fig7")
-	if seq.telemetry != par.telemetry {
+	if seq.Timelines != par.Timelines || seq.MetricsCSV != par.MetricsCSV {
 		t.Fatal("timelines or metrics CSV differ between -jobs 1 and -jobs 4")
 	}
-	// Quick Fig. 7 is four VM counts × two configurations, one registry each.
-	for _, header := range []string{"TIMELINE — fig7 n=", "# fig7 n="} {
-		if n := strings.Count(seq.telemetry, header); n != 8 {
-			t.Fatalf("%d %q sections, want 8:\n%.200s", n, header, seq.telemetry)
+	// Quick Fig. 7 is four VM counts × two configurations, one cell each,
+	// and their sections follow the cells' submission order.
+	var want, timelines, series []string
+	for _, c := range testOptions(1).sweepCells("fig7", workload.DayTrader(), []int{2, 7, 8, 9}, 1) {
+		want = append(want, c.label)
+	}
+	for _, line := range strings.Split(seq.Timelines+seq.MetricsCSV, "\n") {
+		if rest, ok := strings.CutPrefix(line, "TIMELINE — "); ok {
+			timelines = append(timelines, strings.SplitN(rest, "  ", 2)[0])
+		} else if rest, ok := strings.CutPrefix(line, "# "); ok {
+			series = append(series, rest)
 		}
+	}
+	if !slices.Equal(timelines, want) || !slices.Equal(series, want) {
+		t.Fatalf("sections %q and %q, want %q", timelines, series, want)
 	}
 }
 
@@ -140,31 +150,6 @@ func TestClusterGaugeSanity(t *testing.T) {
 	}
 	if csv := c.Metrics.CSV(); !strings.HasPrefix(csv, "time_s,") {
 		t.Fatalf("CSV header: %.60s", csv)
-	}
-}
-
-// TestTelemetryCollectorOrdering pins the (Seq, Label) ordering and
-// nil-safety of the cross-run collector.
-func TestTelemetryCollectorOrdering(t *testing.T) {
-	var nilT *Telemetry
-	nilT.Collect("x", nil) // must not panic
-	if nilT.Entries() != nil {
-		t.Fatal("nil collector not inert")
-	}
-	tel := NewTelemetry()
-	c := BuildCluster(ClusterConfig{
-		Scale:         testScale,
-		Specs:         []workload.Spec{workload.DayTrader()},
-		NumVMs:        1,
-		SteadyRounds:  15,
-		EnableMetrics: true,
-	})
-	tel.CollectAt(2, "later", c.Metrics)
-	tel.CollectAt(0, "earlier", c.Metrics)
-	tel.Collect("ignored-nil", nil) // nil registry entries are skipped
-	got := tel.Entries()
-	if len(got) != 2 || got[0].Label != "earlier" || got[1].Label != "later" {
-		t.Fatalf("entries = %+v", got)
 	}
 }
 

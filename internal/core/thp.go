@@ -68,24 +68,23 @@ var thpPolicies = []struct {
 // sharing back by dissolving huge pages over verified duplicates. The policy
 // (Knobs.THPPolicy and THPKSMSplit) is the sweep's own axis; every other
 // knob applies.
-func THPTradeoff(o Options) THPFigure {
+func THPTradeoff(o Options) THPFigure { return thpTradeoff(newInvocation(o)) }
+
+func thpTradeoff(inv *invocation) THPFigure {
 	fig := THPFigure{
 		ID:    "thp-tradeoff",
 		Title: "THP huge-page coverage vs KSM sharing (DayTrader guests)",
 	}
-	var cells []cell[THPRow]
+	var cells []cell
 	for _, n := range []int{2, 4} {
 		for _, pol := range thpPolicies {
-			cfg := o.clusterConfig([]workload.Spec{workload.DayTrader()}, n, true)
+			cfg := inv.o.clusterConfig([]workload.Spec{workload.DayTrader()}, n, true)
 			cfg.THPPolicy, cfg.THPKSMSplit = pol.policy, pol.split
-			cells = append(cells, cell[THPRow]{
-				label:   fmt.Sprintf("thp-tradeoff n=%d policy=%s", n, pol.label),
-				cfg:     cfg,
-				measure: func(c *Cluster) THPRow { return thpRow(c, pol.label) },
-			})
+			cells = append(cells, clusterCell(fmt.Sprintf("thp-tradeoff n=%d policy=%s", n, pol.label), cfg,
+				func(c *Cluster) THPRow { return thpRow(c, pol.label) }))
 		}
 	}
-	fig.Rows = runCells(o, cells)
+	fig.Rows = runCells[THPRow](inv, cells)
 	return fig
 }
 

@@ -20,7 +20,7 @@
 //
 // The registry itself is single-threaded like the rest of a cluster
 // (one clock, one goroutine); concurrent *cluster runs* each own a private
-// registry, and cross-run collection is synchronized by core.Telemetry.
+// registry, rendered to text before the run's cluster is dropped.
 package metrics
 
 import (

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Byte-identity check of the working tree's tpsim against another commit's:
-# stdout of every registered experiment, as text and as -csv, at -jobs 1 and
-# -jobs 8, must compare equal; where it does not, the first lines of the diff
+# stdout of every registered experiment, as text and as -csv, at -jobs 1, 2
+# and 8, must compare equal; where it does not, the first lines of the diff
 # are printed. Usage: scripts/byteidentity.sh [ref] [workdir] [tpsim flags...]
 # (ref defaults to HEAD~1; a workdir that already holds the ref's outputs
 # skips re-running them; flags after the workdir go to both binaries, e.g.
@@ -16,7 +16,7 @@ git archive "$ref" | tar -x -C "$work/src"
 (cd "$work/src" && go build -o "$work/old" ./cmd/tpsim)
 go build -o "$work/new" ./cmd/tpsim
 status=0
-for tag in "-jobs 1" "-jobs 1 -csv" "-jobs 8" "-jobs 8 -csv"; do
+for tag in "-jobs 1" "-jobs 1 -csv" "-jobs 2" "-jobs 2 -csv" "-jobs 8" "-jobs 8 -csv"; do
   tag="$tag${extra:+ $extra}"
   for bin in old new; do
     out="$work/$bin${tag// /}.out"

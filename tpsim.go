@@ -155,9 +155,8 @@ const (
 var ParseTHPPolicy = thp.ParsePolicy
 
 // Telemetry: time-series sampling of a running cluster. Enable with
-// ClusterConfig.EnableMetrics (or Options.Telemetry for the paper
-// experiments); the registry on Cluster.Metrics holds one ring-buffer
-// series per gauge. Sampling is read-only and clock-driven, so results are
+// ClusterConfig.EnableMetrics; the registry on Cluster.Metrics holds one
+// ring-buffer series per gauge. Sampling is read-only and clock-driven, so results are
 // bit-identical with it on or off.
 type (
 	// Metrics is a cluster's telemetry registry (Cluster.Metrics).
@@ -166,20 +165,10 @@ type (
 	Series = metrics.Series
 	// Sample is one (virtual time, value) observation.
 	Sample = metrics.Sample
-	// Telemetry collects the registries of fanned-out experiment runs in
-	// submission order for post-run rendering.
-	Telemetry = core.Telemetry
-	// TelemetryEntry is one collected run inside a Telemetry.
-	TelemetryEntry = core.TelemetryEntry
 )
 
-// Telemetry helpers.
-var (
-	// NewTelemetry creates an empty cross-run collector (Options.Telemetry).
-	NewTelemetry = core.NewTelemetry
-	// RenderTimeline renders one registry as an ASCII sparkline timeline.
-	RenderTimeline = core.RenderTimeline
-)
+// RenderTimeline renders one registry as an ASCII sparkline timeline.
+var RenderTimeline = core.RenderTimeline
 
 // DefaultScale is the default memory scale (all results are scaled back to
 // paper units automatically).
