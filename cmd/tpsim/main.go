@@ -51,7 +51,7 @@ func main() {
 	flag.BoolVar(&v.timeline, "timeline", false, "append an ASCII timeline of sampled metrics after each experiment")
 	flag.BoolVar(&v.metricsCSV, "metrics-csv", false, "append the sampled metrics series as CSV after each experiment")
 	thpFlag := flag.String("thp", "never", "transparent huge page policy: never|madvise|always|fhpm (fhpm splits and re-promotes per subpage)")
-	flag.BoolVar(&opts.THPKSMSplit, "thp-ksm-split", false, "let KSM split huge pages over verified duplicate content (not with -thp fhpm)")
+	flag.BoolVar(&opts.THPKSMSplit, "thp-ksm-split", false, "let KSM split huge pages over verified duplicate content (needs -thp madvise or always)")
 	flag.IntVar(&opts.THPMaxPtesNone, "thp-max-ptes-none", 0, "khugepaged max_ptes_none collapse budget, 0..511 (0 = default 64)")
 	flag.IntVar(&opts.TLBEntries, "tlb-entries", 0, "modeled TLB size for the reach estimate (0 = default 1024)")
 	flag.Uint64Var(&opts.ChaosSeed, "chaos-seed", 0, "fault schedule seed of chaos (fixed seed = byte-identical output)")

@@ -150,10 +150,8 @@ func (m *Manager) reclaimColdestFirst(n int) int {
 	order := make([]ranked, 0, len(m.kernels))
 	for i, k := range m.kernels {
 		ws := int(^uint(0) >> 1) // unknown: hottest possible
-		if vm, ok := k.VM().(*hypervisor.VMProcess); ok {
-			if est, valid := vm.WorkingSetPages(); valid {
-				ws = est
-			}
+		if est, valid := k.VM().WorkingSetPages(); valid {
+			ws = est
 		}
 		order = append(order, ranked{idx: i, ws: ws})
 	}

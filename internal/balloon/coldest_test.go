@@ -33,11 +33,7 @@ func buildDirty(t *testing.T, hostPages, guestPages, cachePages int) (*hyperviso
 // working-set estimate reads as the given page count.
 func setWorkingSet(t *testing.T, k *guestos.Kernel, pages int) {
 	t.Helper()
-	vm, ok := k.VM().(*hypervisor.VMProcess)
-	if !ok {
-		t.Fatalf("kernel VM is %T, want *hypervisor.VMProcess", k.VM())
-	}
-	vm.ObserveDirtyDrain(pages)
+	k.VM().ObserveDirtyDrain(pages)
 }
 
 func TestReclaimPagesDrainsColdestFirst(t *testing.T) {

@@ -250,7 +250,7 @@ func BuildCluster(cfg ClusterConfig) *Cluster {
 		c.THP.Start()
 	}
 	if cfg.EnableMetrics {
-		c.Metrics = metrics.New(clock, metrics.Config{})
+		c.Metrics = metrics.New(clock)
 		c.instrument()
 		// Started before the first guest boots so the series cover the
 		// provisioning ramp, not just warm-up and steady state.

@@ -193,6 +193,24 @@ func TestCSVTables(t *testing.T) {
 	}
 }
 
+// TestFig6Pinned holds Fig. 6 and the 64 KiB counterfactual cell at test
+// scale to the totals a separate system-VM model with its own share pass
+// produced: KSM on the KVM host must not change them. At scale 48 a page is
+// 0.1875 MB, so the CSV's 0.1 MB resolution shows a single page.
+func TestFig6Pinned(t *testing.T) {
+	f := figureOf[PowerFigure](t, "fig6")
+	const wantCSV = "configuration,before_mb,after_mb,saving_mb\n" +
+		"preloaded,4005.6,3497.2,508.3\n" +
+		"not_preloaded,4014.2,3717.9,296.2\n" +
+		"delta,,,212.1\n"
+	if got := PowerFigureTable(f).CSV(); got != wantCSV {
+		t.Errorf("fig6 csv:\n%s\nwant:\n%s", got, wantCSV)
+	}
+	if got, want := powerRun(testOptions(1), true, 64<<10), (PowerPair{4041, 3516}); got != want {
+		t.Errorf("preloaded on 64 KiB pages = %+v, want %+v", got, want)
+	}
+}
+
 func TestStatOfAndMeanScore(t *testing.T) {
 	s := statOf([]float64{3, 1, 2})
 	if s.Min != 1 || s.Max != 3 || s.Mean != 2 {

@@ -81,8 +81,8 @@ func (o Options) Validate() error {
 	if o.THPMaxPtesNone >= mem.HugePages {
 		return fmt.Errorf("-thp-max-ptes-none must be in 0..%d (got %d)", mem.HugePages-1, o.THPMaxPtesNone)
 	}
-	if o.THPPolicy == thp.PolicyFHPM && o.THPKSMSplit {
-		return fmt.Errorf("-thp-ksm-split cannot be combined with -thp fhpm (fhpm splits per subpage itself)")
+	if o.THPKSMSplit && o.THPPolicy != thp.PolicyMadvise && o.THPPolicy != thp.PolicyAlways {
+		return fmt.Errorf("-thp-ksm-split needs -thp madvise or always (got -thp %v; never has no huge pages to split, fhpm splits per subpage itself)", o.THPPolicy)
 	}
 	return nil
 }
@@ -108,8 +108,8 @@ func (o Options) clusterConfig(specs []workload.Spec, n int, shared bool) Cluste
 }
 
 // cell is one independent unit of an experiment: it builds one cluster (or
-// one PowerVM machine), measures it and returns plain values — nothing in a
-// cellValue points into what it built. Its label is its key within an
+// Fig. 6's host and scanner), measures it and returns plain values — nothing
+// in a cellValue points into what it built. Its label is its key within an
 // invocation: cells with equal labels have equal configs (runCells panics
 // otherwise), and the label heads the cell's telemetry sections.
 type cell struct {

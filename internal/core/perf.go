@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/hypervisor"
 	"repro/internal/mem"
 	"repro/internal/workload"
 )
@@ -83,11 +82,7 @@ func (c *Cluster) MeasurePerf(rounds int) []VMPerf {
 // majorFaultsOf reads the hypervisor-level major-fault counter of the VM an
 // instance runs in.
 func majorFaultsOf(w *workload.Instance) uint64 {
-	vm, ok := w.Kernel().VM().(*hypervisor.VMProcess)
-	if !ok {
-		panic("core: perf measurement requires a KVM (process-VM) guest")
-	}
-	return vm.Stats().MajorFaults
+	return w.Kernel().VM().Stats().MajorFaults
 }
 
 // solveThroughput finds the fixed point of the shared-disk congestion model

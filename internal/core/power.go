@@ -5,9 +5,10 @@ import (
 
 	"repro/internal/classlib"
 	"repro/internal/guestos"
+	"repro/internal/hypervisor"
 	"repro/internal/jvm"
+	"repro/internal/ksm"
 	"repro/internal/mem"
-	"repro/internal/powervm"
 	"repro/internal/simclock"
 	"repro/internal/workload"
 )
@@ -69,26 +70,31 @@ func powerCell(o Options, preload bool, pageSize int) cell {
 }
 
 // powerRun executes one Fig. 6 configuration and returns its bar pair.
+// PowerVM's Active Memory Sharing is modelled as the KVM host with no host
+// kernel reserve and no VM-process overhead, swept by one full KSM pass per
+// round. Only the host's total frames in use are read, the one quantity
+// AIX's monitoring gave the paper; totals cannot see the memslot layer.
 func powerRun(o Options, preload bool, pageSize int) PowerPair {
 	scale := o.scale()
-	clock := simclock.New()
-	machine := powervm.New(powervm.Config{
+	host := hypervisor.NewHost(hypervisor.Config{
 		Name:     "BladeCenter-PS701",
 		RAMBytes: PowerRAMBytes / int64(scale),
 		PageSize: pageSize,
-	}, clock)
+	}, simclock.New())
 	corpus := classlib.NewCorpus(jvm.RuntimeVersion, scale)
 	spec := workload.DayTraderPOWER()
 
 	var img = workload.BuildCache(corpus, spec, scale)
 	var instances []*workload.Instance
+	pages := 0
 	for i := 0; i < 3; i++ {
-		lp := machine.NewLPAR(powervm.LPARConfig{
+		vm := host.NewVM(hypervisor.VMConfig{
 			Name:          fmt.Sprintf("LPAR %d", i+1),
 			GuestMemBytes: spec.GuestMemBytes / int64(scale),
 			Seed:          mem.Combine(o.Seed, mem.HashString("lpar"), mem.Seed(i+1)),
 		})
-		k := guestos.Boot(lp, guestos.KernelConfig{
+		pages += vm.GuestPages()
+		k := guestos.Boot(vm, guestos.KernelConfig{
 			Version:   AIXKernelVersion,
 			TextBytes: (24 << 20) / int64(scale),
 			DataBytes: (48 << 20) / int64(scale),
@@ -103,10 +109,12 @@ func powerRun(o Options, preload bool, pageSize int) PowerPair {
 		}
 		instances = append(instances, workload.Deploy(k, corpus, spec, dcfg))
 	}
+	scanner := ksm.New(host, ksm.DefaultConfig())
+	scanner.RegisterAll()
 
-	before := machine.PhysicalInUse()
-	// The hypervisor scanner converges while the system serves load: the
-	// volatility gate needs consecutive quiet observations of each page.
+	before := host.Phys().BytesInUse()
+	// The scanner converges while the system serves load: the volatility
+	// gate needs consecutive quiet observations of each page.
 	rounds := 6
 	if o.Quick {
 		rounds = 4
@@ -115,9 +123,9 @@ func powerRun(o Options, preload bool, pageSize int) PowerPair {
 		for _, in := range instances {
 			in.RunSteadyState(4)
 		}
-		machine.SharePass()
+		scanner.ScanChunk(pages)
 	}
-	after := machine.PhysicalInUse()
+	after := host.Phys().BytesInUse()
 
 	toMB := func(b int64) float64 { return float64(b) * float64(scale) / (1 << 20) }
 	return PowerPair{BeforeMB: toMB(before), AfterMB: toMB(after)}

@@ -291,6 +291,7 @@ func TestOptionsValidate(t *testing.T) {
 		{"-thp-max-ptes-none", Options{Knobs: Knobs{THPMaxPtesNone: mem.HugePages}}},
 		{"-tlb-entries", Options{Knobs: Knobs{TLBEntries: -1}}},
 		{"-thp-ksm-split", Options{Knobs: Knobs{THPPolicy: thp.PolicyFHPM, THPKSMSplit: true}}},
+		{"-thp-ksm-split", Options{Knobs: Knobs{THPKSMSplit: true}}},
 	} {
 		err := tc.o.Validate()
 		if err == nil || !strings.Contains(err.Error(), tc.want) || strings.Contains(err.Error(), "\n") {

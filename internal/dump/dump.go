@@ -87,8 +87,8 @@ type VMADump struct {
 	File       string
 }
 
-// Capture freezes the cluster state. The host must be a process-VM
-// (KVM-style) machine for every guest.
+// Capture freezes the cluster state: the host's frames and every kernel's
+// VM process on it.
 func Capture(host *hypervisor.Host, kernels []*guestos.Kernel) *Dump {
 	d := &Dump{
 		Version:        FormatVersion,
@@ -98,10 +98,7 @@ func Capture(host *hypervisor.Host, kernels []*guestos.Kernel) *Dump {
 	}
 	pm := host.Phys()
 	for _, k := range kernels {
-		vm, ok := k.VM().(*hypervisor.VMProcess)
-		if !ok {
-			panic("dump: guest is not on a process-VM machine")
-		}
+		vm := k.VM()
 		gd := GuestDump{
 			Name:        vm.Name(),
 			ID:          vm.ID(),

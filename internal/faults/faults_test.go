@@ -190,7 +190,7 @@ func TestInstrumentExportsGauges(t *testing.T) {
 	clock := simclock.New()
 	ft := newFakeTarget(3)
 	inj := New(clock, Config{Seed: 11, Horizon: time(60), KillEvery: time(5)}, ft)
-	r := metrics.New(clock, metrics.Config{})
+	r := metrics.New(clock)
 	inj.Instrument(r)
 	inj.Instrument(nil) // nil-safe
 	inj.Start()

@@ -1,33 +1,18 @@
 // Package guestos models the guest operating system layer: a kernel with
 // text/data/slab memory and a page cache, a file system backed by the VM's
 // disk image, and user processes with virtual memory areas and guest page
-// tables. It provides the first of the paper's three translation layers
-// (guest virtual → guest physical); the hypervisor provides the rest.
+// tables. A kernel boots on a hypervisor.VMProcess, whose guest physical
+// memory it manages. It provides the first of the paper's three
+// translation layers (guest virtual → guest physical); the hypervisor
+// provides the rest.
 package guestos
 
 import (
 	"fmt"
 
+	"repro/internal/hypervisor"
 	"repro/internal/mem"
 )
-
-// Machine is the virtual hardware a guest kernel boots on: guest physical
-// memory backed by some hypervisor. Two implementations exist, matching the
-// paper's Fig. 1: the process-VM hypervisor (internal/hypervisor, KVM-style,
-// three translation layers) and the system-VM hypervisor
-// (internal/powervm, PowerVM-style, two layers).
-type Machine interface {
-	Name() string
-	Seed() mem.Seed
-	PageSize() int
-	GuestPages() int
-	TouchGuestPage(gpfn uint64, write bool)
-	ReadGuestPage(gpfn uint64) []byte
-	WriteGuestPage(gpfn uint64, off int, data []byte)
-	FillGuestPage(gpfn uint64, seed mem.Seed)
-	ZeroGuestPage(gpfn uint64)
-	ReleaseGuestPage(gpfn uint64)
-}
 
 // KernelConfig sizes the guest kernel's own memory at boot.
 type KernelConfig struct {
@@ -63,7 +48,7 @@ type cacheKey struct {
 
 // Kernel is the guest operating system instance of one VM.
 type Kernel struct {
-	vm       Machine
+	vm       *hypervisor.VMProcess
 	fs       *FS
 	pageSize int
 
@@ -97,7 +82,7 @@ type KernelStats struct {
 
 // Boot initializes a guest OS on the VM, populating kernel text, data and
 // slab memory and creating the file system.
-func Boot(vm Machine, cfg KernelConfig) *Kernel {
+func Boot(vm *hypervisor.VMProcess, cfg KernelConfig) *Kernel {
 	k := &Kernel{
 		vm:        vm,
 		fs:        NewFS(),
@@ -131,8 +116,9 @@ func Boot(vm Machine, cfg KernelConfig) *Kernel {
 	return k
 }
 
-// VM returns the underlying virtual machine.
-func (k *Kernel) VM() Machine { return k.vm }
+// VM returns the VM process the kernel boots on: its guest physical memory
+// is the process's memslot on a hypervisor.Host.
+func (k *Kernel) VM() *hypervisor.VMProcess { return k.vm }
 
 // FS returns the guest file system.
 func (k *Kernel) FS() *FS { return k.fs }

@@ -126,7 +126,7 @@ func (vm *VMProcess) Seed() mem.Seed { return vm.cfg.Seed }
 // Host returns the host machine.
 func (vm *VMProcess) Host() *Host { return vm.host }
 
-// PageSize reports the page size in bytes (guestos.Machine interface).
+// PageSize reports the host's page size in bytes.
 func (vm *VMProcess) PageSize() int { return vm.host.PageSize() }
 
 // GuestPages reports the guest physical memory size in pages.

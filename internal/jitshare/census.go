@@ -37,10 +37,7 @@ func Census(host *hypervisor.Host, areas []Area) Counts {
 		if a.Proc == nil || a.Pages <= 0 {
 			continue
 		}
-		vm, ok := a.Proc.Kernel().VM().(*hypervisor.VMProcess)
-		if !ok {
-			continue
-		}
+		vm := a.Proc.Kernel().VM()
 		pt := a.Proc.PageTable()
 		for i := 0; i < a.Pages; i++ {
 			pte, ok := pt.Lookup(a.Start + mem.VPN(i))

@@ -255,8 +255,7 @@ func TestReJITCOWBreaksMergedArchivePage(t *testing.T) {
 	scanner.RegisterAll()
 	pagesPerPass := 0
 	for _, j := range jvms {
-		vm := j.Process().Kernel().VM().(*hypervisor.VMProcess)
-		pagesPerPass += vm.GuestPages()
+		pagesPerPass += j.Process().Kernel().VM().GuestPages()
 	}
 	scanner.ScanChunk(pagesPerPass*3 + 1)
 
@@ -276,7 +275,7 @@ func TestReJITCOWBreaksMergedArchivePage(t *testing.T) {
 	// Find an archived tier-1 method in JVM 1 whose first canonical page the
 	// scanner actually merged.
 	j := jvms[0]
-	vm := j.Process().Kernel().VM().(*hypervisor.VMProcess)
+	vm := j.Process().Kernel().VM()
 	var ms *methodState
 	for _, m := range j.jit.methodList {
 		if !m.archived || m.tier != 1 {

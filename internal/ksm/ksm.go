@@ -67,9 +67,8 @@ type Config struct {
 	PagesToScan int
 	// SleepMillis is the sleep between wake-ups (paper: 100 ms).
 	SleepMillis int
-	// ChecksumGate enables the volatility filter (Linux behaviour). The
-	// ablation benchmarks turn it off to show wasted merges on volatile
-	// pages.
+	// ChecksumGate enables the volatility filter (Linux behaviour). Only
+	// tests turn it off.
 	ChecksumGate bool
 	// ScanCostNanos is the CPU cost charged per scanned page, used only for
 	// the duty-cycle estimate. 2 500 ns reproduces the paper's ≈25 % CPU at

@@ -20,13 +20,19 @@ type fixture struct {
 
 func newFixture(t testing.TB, ramPages, nVMs, guestPages int, cfg Config) *fixture {
 	t.Helper()
+	return newPagedFixture(t, pg, ramPages, nVMs, guestPages, cfg)
+}
+
+// newPagedFixture is newFixture on a host with pages of pageSize bytes.
+func newPagedFixture(t testing.TB, pageSize, ramPages, nVMs, guestPages int, cfg Config) *fixture {
+	t.Helper()
 	clock := simclock.New()
-	host := hypervisor.NewHost(hypervisor.Config{Name: "t", RAMBytes: int64(ramPages) * pg}, clock)
+	host := hypervisor.NewHost(hypervisor.Config{Name: "t", RAMBytes: int64(ramPages * pageSize), PageSize: pageSize}, clock)
 	f := &fixture{clock: clock, host: host}
 	for i := 0; i < nVMs; i++ {
 		f.vms = append(f.vms, host.NewVM(hypervisor.VMConfig{
 			Name:          "vm",
-			GuestMemBytes: int64(guestPages) * pg,
+			GuestMemBytes: int64(guestPages * pageSize),
 			Seed:          mem.Seed(i + 1),
 		}))
 	}
@@ -44,22 +50,26 @@ func (f *fixture) scanPasses(n int) {
 	f.k.ScanChunk(pagesPerPass*n + 1)
 }
 
+// TestIdenticalPagesMergeAcrossVMs runs on 4 KiB pages and on POWER's
+// 64 KiB, which Fig. 6's 64 KiB counterfactual relies on.
 func TestIdenticalPagesMergeAcrossVMs(t *testing.T) {
-	f := newFixture(t, 256, 2, 16, DefaultConfig())
-	for i := uint64(0); i < 8; i++ {
-		f.vms[0].FillGuestPage(i, mem.Seed(1000+i))
-		f.vms[1].FillGuestPage(i, mem.Seed(1000+i))
-	}
-	f.scanPasses(3) // gate needs 2 visits; merges on the 3rd
-	s := f.k.Stats()
-	if s.PagesShared != 8 {
-		t.Fatalf("PagesShared = %d, want 8", s.PagesShared)
-	}
-	if s.PagesSharing != 16 {
-		t.Fatalf("PagesSharing = %d, want 16", s.PagesSharing)
-	}
-	if want := int64(8) * pg; s.SavedBytes != want {
-		t.Fatalf("SavedBytes = %d, want %d", s.SavedBytes, want)
+	for _, pageSize := range []int{pg, 64 << 10} {
+		f := newPagedFixture(t, pageSize, 256, 2, 16, DefaultConfig())
+		for i := uint64(0); i < 8; i++ {
+			f.vms[0].FillGuestPage(i, mem.Seed(1000+i))
+			f.vms[1].FillGuestPage(i, mem.Seed(1000+i))
+		}
+		f.scanPasses(3) // gate needs 2 visits; merges on the 3rd
+		s := f.k.Stats()
+		if s.PagesShared != 8 || s.PagesSharing != 16 {
+			t.Fatalf("%d-byte pages: PagesShared = %d, PagesSharing = %d, want 8 and 16", pageSize, s.PagesShared, s.PagesSharing)
+		}
+		if want := int64(8 * pageSize); s.SavedBytes != want {
+			t.Fatalf("%d-byte pages: SavedBytes = %d, want %d", pageSize, s.SavedBytes, want)
+		}
+		if err := f.k.Verify(); err != nil {
+			t.Fatalf("%d-byte pages: %v", pageSize, err)
+		}
 	}
 }
 

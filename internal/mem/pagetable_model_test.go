@@ -354,7 +354,7 @@ func (d *ptDriver) check() {
 		t.Fatalf("SortedVPNs = %v, model %v", got, stored)
 	}
 	// Range visits the same keys in the same order, and survives a Set on
-	// the entry being visited (powervm's share pass does exactly that).
+	// the entry being visited (Range's contract allows it).
 	k := 0
 	pt.Range(func(v VPN, e PTE) bool {
 		if k >= len(stored) || v != stored[k] || e != m.pages[v] {

@@ -90,14 +90,10 @@ func Analyze(host *hypervisor.Host, kernels []*guestos.Kernel, opts ...Option) *
 	return a
 }
 
-// walkGuest records every mapper within one guest VM. The analyzer is the
-// KVM-side tool (it walks the memslot and host page table layers), so the
-// kernel must be running on a process-VM machine.
+// walkGuest records every mapper within one guest VM, walking the memslot
+// and host page table layers of the kernel's VM process.
 func (a *Analysis) walkGuest(k *guestos.Kernel) {
-	vm, ok := k.VM().(*hypervisor.VMProcess)
-	if !ok {
-		panic("memanalysis: guest is not running on a process-VM (KVM) machine")
-	}
+	vm := k.VM()
 
 	// Kernel-owned pages (text/data/slab/unmapped page cache).
 	for _, kp := range k.KernelOwnedPages() {

@@ -1,6 +1,6 @@
 // Package metrics is the simulator's time-series telemetry subsystem: a
-// registry of named counters and gauges sampled on a fixed virtual-time
-// cadence into bounded ring-buffer series.
+// registry of named gauges sampled on a fixed virtual-time cadence into
+// bounded ring-buffer series.
 //
 // The paper's §2.C methodology depends on *when* measurements happen — KSM
 // scans at 10 000 pages/100 ms until sharing converges and the breakdowns
@@ -16,7 +16,7 @@
 //   - allocation-bounded: every series is a fixed-capacity ring
 //     (oldest samples are dropped, with a retained drop count);
 //   - zero overhead when disabled: a nil *Registry is inert — every method
-//     is a no-op and counters handed out by a nil registry discard Add.
+//     is a no-op.
 //
 // The registry itself is single-threaded like the rest of a cluster
 // (one clock, one goroutine); concurrent *cluster runs* each own a private
@@ -31,59 +31,14 @@ import (
 	"repro/internal/simclock"
 )
 
-// DefaultInterval is the virtual time between samples when Config leaves it
-// zero: 500 ms spans five KSM wake-ups per sample at the paper's 100 ms
-// sleep interval.
+// DefaultInterval is the virtual time between samples: 500 ms spans five
+// KSM wake-ups per sample at the paper's 100 ms sleep interval.
 const DefaultInterval = 500 * simclock.Millisecond
 
-// DefaultCapacity is the per-series ring capacity when Config leaves it
-// zero: at the default cadence it retains a bit over half an hour of
-// virtual time, which covers every experiment in the paper.
+// DefaultCapacity is the per-series ring capacity: at the default cadence
+// it retains a bit over half an hour of virtual time, which covers every
+// experiment in the paper.
 const DefaultCapacity = 4096
-
-// Config tunes a registry.
-type Config struct {
-	// Interval is the virtual time between samples (0 = DefaultInterval).
-	Interval simclock.Time
-	// Capacity is the fixed ring capacity per series (0 = DefaultCapacity).
-	Capacity int
-}
-
-func (c Config) withDefaults() Config {
-	if c.Interval <= 0 {
-		c.Interval = DefaultInterval
-	}
-	if c.Capacity <= 0 {
-		c.Capacity = DefaultCapacity
-	}
-	return c
-}
-
-// Counter is a monotonically accumulating metric. Counters handed out by a
-// nil registry are nil and ignore Add/Inc, so instrumented code needs no
-// "is telemetry on" branches.
-type Counter struct {
-	v float64
-}
-
-// Add accumulates d. A nil counter is a no-op.
-func (c *Counter) Add(d float64) {
-	if c == nil {
-		return
-	}
-	c.v += d
-}
-
-// Inc accumulates 1. A nil counter is a no-op.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Value reports the accumulated total (0 for a nil counter).
-func (c *Counter) Value() float64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
 
 // probe is one registered metric: a read-only sampling function plus the
 // series its samples land in.
@@ -97,7 +52,6 @@ type probe struct {
 // of the type is not used; a nil *Registry is the disabled state.
 type Registry struct {
 	clock   *simclock.Clock
-	cfg     Config
 	probes  []*probe // sorted by name; registration keeps the order
 	running bool
 	ticks   int
@@ -105,11 +59,11 @@ type Registry struct {
 
 // New creates a registry bound to a clock. Sampling does not start until
 // Start is called.
-func New(clock *simclock.Clock, cfg Config) *Registry {
+func New(clock *simclock.Clock) *Registry {
 	if clock == nil {
 		panic("metrics: nil clock")
 	}
-	return &Registry{clock: clock, cfg: cfg.withDefaults()}
+	return &Registry{clock: clock}
 }
 
 // register adds a probe, keeping probes sorted by name so sample order and
@@ -122,21 +76,10 @@ func (r *Registry) register(name string, fn func() float64) {
 	if i < len(r.probes) && r.probes[i].name == name {
 		panic(fmt.Sprintf("metrics: duplicate metric %q", name))
 	}
-	p := &probe{name: name, fn: fn, series: newSeries(name, r.cfg.Capacity)}
+	p := &probe{name: name, fn: fn, series: newSeries(name, DefaultCapacity)}
 	r.probes = append(r.probes, nil)
 	copy(r.probes[i+1:], r.probes[i:])
 	r.probes[i] = p
-}
-
-// Counter registers a named counter and returns it. On a nil registry it
-// returns a nil (inert) counter.
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	c := &Counter{}
-	r.register(name, c.Value)
-	return c
 }
 
 // Gauge registers a pull-style metric: fn is invoked at every sample tick
@@ -153,7 +96,7 @@ func (r *Registry) Interval() simclock.Time {
 	if r == nil {
 		return 0
 	}
-	return r.cfg.Interval
+	return DefaultInterval
 }
 
 // Ticks reports how many sample ticks have fired.
@@ -172,7 +115,7 @@ func (r *Registry) Start() {
 	}
 	r.running = true
 	r.Sample()
-	r.clock.Every(r.cfg.Interval, func(now simclock.Time) bool {
+	r.clock.Every(DefaultInterval, func(now simclock.Time) bool {
 		if !r.running {
 			return false
 		}

@@ -37,42 +37,32 @@ func TestSeriesRingBounded(t *testing.T) {
 
 func TestNilRegistryInert(t *testing.T) {
 	var r *Registry
-	c := r.Counter("anything")
-	c.Add(5) // must not panic
-	c.Inc()
 	r.Gauge("g", func() float64 { return 1 })
 	r.Start()
 	r.Sample()
 	r.Stop()
-	if c.Value() != 0 || r.Get("g") != nil || r.All() != nil ||
-		r.CSV() != "" || r.Ticks() != 0 {
+	if r.Get("g") != nil || r.All() != nil || r.CSV() != "" || r.Ticks() != 0 || r.Interval() != 0 {
 		t.Fatal("nil registry not inert")
 	}
 }
 
 func TestRegistrySamplesOnCadence(t *testing.T) {
 	clock := simclock.New()
-	r := New(clock, Config{Interval: simclock.Second, Capacity: 64})
+	r := New(clock)
 	n := 0.0
 	r.Gauge("ticker", func() float64 { n++; return n })
-	cnt := r.Counter("events")
 	r.Start()
-	cnt.Add(3)
-	clock.RunFor(5 * simclock.Second)
+	clock.RunFor(5 * DefaultInterval)
 	s := r.Get("ticker")
 	// One baseline sample at Start plus five periodic samples.
 	if s.Len() != 6 {
 		t.Fatalf("samples = %d, want 6", s.Len())
 	}
-	if s.At(0).At != 0 || s.At(5).At != 5*simclock.Second {
+	if s.At(0).At != 0 || s.At(5).At != 5*DefaultInterval {
 		t.Fatalf("sample times: %v .. %v", s.At(0).At, s.At(5).At)
 	}
-	ev := r.Get("events")
-	if ev.At(0).V != 0 || ev.At(1).V != 3 {
-		t.Fatalf("counter series: baseline %g then %g", ev.At(0).V, ev.At(1).V)
-	}
 	r.Stop()
-	clock.RunFor(5 * simclock.Second)
+	clock.RunFor(5 * DefaultInterval)
 	if s.Len() != 6 { // the pending tick sees the stop and takes no sample
 		t.Fatalf("samples after stop = %d, want 6", s.Len())
 	}
@@ -80,15 +70,15 @@ func TestRegistrySamplesOnCadence(t *testing.T) {
 
 func TestRegistryDeterministicOrder(t *testing.T) {
 	clock := simclock.New()
-	r := New(clock, Config{})
+	r := New(clock)
 	r.Gauge("zebra", func() float64 { return 1 })
 	r.Gauge("alpha", func() float64 { return 2 })
-	r.Counter("mid.counter")
+	r.Gauge("mid.gauge", func() float64 { return 3 })
 	names := []string{}
 	for _, s := range r.All() {
 		names = append(names, s.Name())
 	}
-	if strings.Join(names, " ") != "alpha mid.counter zebra" {
+	if strings.Join(names, " ") != "alpha mid.gauge zebra" {
 		t.Fatalf("series order = %v", names)
 	}
 }
@@ -99,23 +89,23 @@ func TestDuplicateNamePanics(t *testing.T) {
 			t.Fatal("no panic on duplicate metric")
 		}
 	}()
-	r := New(simclock.New(), Config{})
+	r := New(simclock.New())
 	r.Gauge("dup", func() float64 { return 0 })
-	r.Counter("dup")
+	r.Gauge("dup", func() float64 { return 1 })
 }
 
 func TestCSVWideFormat(t *testing.T) {
 	clock := simclock.New()
-	r := New(clock, Config{Interval: simclock.Second})
+	r := New(clock)
 	r.Gauge("b.second", func() float64 { return 2 })
-	r.Gauge("a.first", func() float64 { return float64(clock.Now() / simclock.Second) })
+	r.Gauge("a.first", func() float64 { return float64(clock.Now() / DefaultInterval) })
 	r.Start()
-	clock.RunFor(2 * simclock.Second)
+	clock.RunFor(2 * DefaultInterval)
 	got := r.CSV()
 	want := "time_s,a.first,b.second\n" +
 		"0.000,0,2\n" +
-		"1.000,1,2\n" +
-		"2.000,2,2\n"
+		"0.500,1,2\n" +
+		"1.000,2,2\n"
 	if got != want {
 		t.Fatalf("CSV:\n%s\nwant:\n%s", got, want)
 	}
@@ -123,17 +113,17 @@ func TestCSVWideFormat(t *testing.T) {
 
 func TestCSVLateRegisteredSeries(t *testing.T) {
 	clock := simclock.New()
-	r := New(clock, Config{Interval: simclock.Second})
+	r := New(clock)
 	r.Gauge("early", func() float64 { return 1 })
 	r.Start()
-	clock.RunFor(simclock.Second)
+	clock.RunFor(DefaultInterval)
 	r.Gauge("late", func() float64 { return 9 })
-	clock.RunFor(simclock.Second)
+	clock.RunFor(DefaultInterval)
 	got := r.CSV()
 	want := "time_s,early,late\n" +
 		"0.000,1,\n" +
-		"1.000,1,\n" +
-		"2.000,1,9\n"
+		"0.500,1,\n" +
+		"1.000,1,9\n"
 	if got != want {
 		t.Fatalf("CSV:\n%s\nwant:\n%s", got, want)
 	}
@@ -141,19 +131,20 @@ func TestCSVLateRegisteredSeries(t *testing.T) {
 
 func TestSamplingIsAllocationBounded(t *testing.T) {
 	clock := simclock.New()
-	r := New(clock, Config{Interval: simclock.Millisecond, Capacity: 8})
+	r := New(clock)
 	r.Gauge("g", func() float64 { return 1 })
 	r.Start()
-	clock.RunFor(simclock.Second) // 1000 ticks into a ring of 8
+	const ticks = DefaultCapacity + 1000
+	clock.RunFor(ticks * DefaultInterval) // into a ring of DefaultCapacity
 	s := r.Get("g")
-	if s.Len() != 8 {
-		t.Fatalf("len = %d, want 8", s.Len())
+	if s.Len() != DefaultCapacity {
+		t.Fatalf("len = %d, want %d", s.Len(), DefaultCapacity)
 	}
-	if s.Dropped() != 1000+1-8 {
-		t.Fatalf("dropped = %d, want %d", s.Dropped(), 1000+1-8)
+	if s.Dropped() != ticks+1-DefaultCapacity {
+		t.Fatalf("dropped = %d, want %d", s.Dropped(), ticks+1-DefaultCapacity)
 	}
 	// The retained window is the most recent one.
-	if first := s.At(0).At; first != simclock.Time(993)*simclock.Millisecond {
+	if first := s.At(0).At; first != (ticks+1-DefaultCapacity)*DefaultInterval {
 		t.Fatalf("oldest retained at %v", first)
 	}
 }

@@ -22,7 +22,7 @@ for tag in "-jobs 1" "-jobs 1 -csv" "-jobs 2" "-jobs 2 -csv" "-jobs 8" "-jobs 8 
     out="$work/$bin${tag// /}.out"
     if [ "$bin" = new ] || [ ! -s "$out" ]; then
       # shellcheck disable=SC2086
-      "$work/$bin" -quick -chaos-seed 7 $tag all dirtylog jitshare chaos >"$out" 2>/dev/null
+      "$work/$bin" -quick -chaos-seed 7 $tag all dirtylog jitshare chaos check >"$out" 2>/dev/null
     fi
   done
   # pipefail: the pipeline fails when diff found differences (or head closed
