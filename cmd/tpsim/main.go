@@ -52,8 +52,6 @@ func main() {
 	flag.BoolVar(&v.metricsCSV, "metrics-csv", false, "append the sampled metrics series as CSV after each experiment")
 	thpFlag := flag.String("thp", "never", "transparent huge page policy: never|madvise|always|fhpm (fhpm splits and re-promotes per subpage)")
 	flag.BoolVar(&opts.THPKSMSplit, "thp-ksm-split", false, "let KSM split huge pages over verified duplicate content (needs -thp madvise or always)")
-	flag.IntVar(&opts.THPMaxPtesNone, "thp-max-ptes-none", 0, "khugepaged max_ptes_none collapse budget, 0..511 (0 = default 64)")
-	flag.IntVar(&opts.TLBEntries, "tlb-entries", 0, "modeled TLB size for the reach estimate (0 = default 1024)")
 	flag.Uint64Var(&opts.ChaosSeed, "chaos-seed", 0, "fault schedule seed of chaos (fixed seed = byte-identical output)")
 	flag.BoolVar(&opts.IncrementalScan, "incremental", false, "enable dirty-ring incremental KSM rescans")
 	flag.BoolVar(&opts.JITShare, "jitshare", false, "attach the ShareJIT-style shared code archive to every JVM")
@@ -116,11 +114,10 @@ experiments (* = run by "all"):
 	fmt.Fprintf(w, "    %-13s every experiment marked *\n\nflags (before the experiment ids):\n", "all")
 	flag.PrintDefaults()
 	fmt.Fprint(w, `
-The knob flags (-thp, -thp-ksm-split, -thp-max-ptes-none, -tlb-entries,
--incremental, -jitshare) apply to every cluster of every experiment. A sweep
-ignores only the knob that is its own axis: thp-tradeoff the THP policy,
-dirtylog -incremental, jitshare -jitshare. Figures are byte-identical at
-every -jobs value.
+The knob flags (-thp, -thp-ksm-split, -incremental, -jitshare) apply to
+every cluster of every experiment. A sweep ignores only the knob that is its
+own axis: thp-tradeoff the THP policy, dirtylog -incremental, jitshare
+-jitshare. Figures are byte-identical at every -jobs value.
 `)
 }
 

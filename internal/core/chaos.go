@@ -109,7 +109,9 @@ func chaosCell(c *Cluster, chaosSeed uint64, p chaosProfile, label string) Chaos
 		StallEvery: p.stallEvery,
 		SpikePages: c.Host.Phys().TotalFrames() / p.spikeFrac,
 	}, h)
-	inj.Instrument(c.Metrics)
+	if c.telemetry != nil {
+		inj.Instrument(c.telemetry.gauge)
+	}
 	inj.Start()
 	c.Run()
 

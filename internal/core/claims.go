@@ -21,7 +21,7 @@ type Claim struct {
 	ID        string
 	Statement string
 	// Check reads the figures and returns a measured summary plus whether
-	// the claim held. It runs nothing: RunClaims computes every cell once,
+	// the claim held. It runs nothing: runClaims computes every cell once,
 	// before any claim is evaluated.
 	Check func(f *claimFigures) (string, bool)
 }
@@ -307,8 +307,3 @@ func evalClaims(f *claimFigures) (res Result, ok bool) {
 	}
 	return Result{Text: b.String(), CSV: t.CSV(), Figure: t}, ok
 }
-
-// RunClaims runs the claim suite as one invocation: every cell the claims
-// read runs once, then each claim is evaluated. ok is true only if all
-// claims held.
-func RunClaims(o Options) (Result, bool) { return runClaims(newInvocation(o)) }

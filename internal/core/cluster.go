@@ -17,7 +17,6 @@ import (
 	"repro/internal/ksm"
 	"repro/internal/mem"
 	"repro/internal/memanalysis"
-	"repro/internal/metrics"
 	"repro/internal/simclock"
 	"repro/internal/thp"
 	"repro/internal/workload"
@@ -65,14 +64,6 @@ type Knobs struct {
 	// thp.PolicyFHPM, which carries its own per-subpage splitting
 	// (ksm.Config.PartialSplitHuge); Options.Validate rejects the pair.
 	THPKSMSplit bool
-	// THPMaxPtesNone overrides khugepaged's max_ptes_none collapse budget
-	// (tpsim -thp-max-ptes-none, 0 = the thp package default of 64). Under
-	// FHPM it also bounds how many absent carved subpages a re-absorption
-	// may zero-fill.
-	THPMaxPtesNone int
-	// TLBEntries overrides the modeled TLB size used by the analyzer's
-	// TLB-reach estimate (tpsim -tlb-entries, 0 = memanalysis.TLBEntries).
-	TLBEntries int
 	// IncrementalScan turns on the host's PML-style dirty-page rings and
 	// switches the KSM scanner to dirty-ring driven incremental rescans once
 	// warm-up converges (tpsim -incremental). The working-set estimates the
@@ -132,7 +123,7 @@ type ClusterConfig struct {
 	// RoundDuration is the virtual time per steady round (0 = 1 s).
 	RoundDuration simclock.Time
 
-	// EnableMetrics attaches a telemetry registry (Cluster.Metrics) sampling
+	// EnableMetrics attaches the cluster's telemetry sampler, which reads
 	// KSM, physical-memory, JVM and swap gauges on a virtual-time cadence.
 	// Every probe is read-only, so results are identical with it on or off.
 	EnableMetrics bool
@@ -177,10 +168,9 @@ type Cluster struct {
 	// THP is the huge-page collapse daemon (nil unless THPPolicy is madvise
 	// or always; the thp API is nil-safe).
 	THP *thp.Daemon
-	// Metrics is the telemetry registry (nil unless EnableMetrics). All the
-	// metrics API is nil-safe, so callers never branch on it.
-	Metrics *metrics.Registry
 
+	// telemetry is nil unless EnableMetrics.
+	telemetry   *sampler
 	images      map[string]*cds.Image
 	jitArchives map[string]*jitshare.Archive
 	warmupEnded simclock.Time
@@ -243,18 +233,15 @@ func BuildCluster(cfg ClusterConfig) *Cluster {
 	if cfg.THPPolicy != thp.PolicyNever {
 		tcfg := thp.DefaultConfig()
 		tcfg.Policy = cfg.THPPolicy
-		if cfg.THPMaxPtesNone > 0 {
-			tcfg.MaxPtesNone = cfg.THPMaxPtesNone
-		}
 		c.THP = thp.New(host, tcfg)
 		c.THP.Start()
 	}
 	if cfg.EnableMetrics {
-		c.Metrics = metrics.New(clock)
+		c.telemetry = &sampler{clock: clock}
 		c.instrument()
 		// Started before the first guest boots so the series cover the
 		// provisioning ramp, not just warm-up and steady state.
-		c.Metrics.Start()
+		c.telemetry.start()
 	}
 	for i := 0; i < cfg.NumVMs; i++ {
 		spec := cfg.Specs[i%len(cfg.Specs)]
@@ -495,62 +482,62 @@ func (c *Cluster) totalGuestPages() int {
 	return total
 }
 
-// instrument registers the cluster's gauges on the metrics registry. All
-// probes are read-only views of simulation state; none may mutate it, which
-// is what keeps a metrics-on run bit-identical to a metrics-off run.
+// instrument registers the cluster's gauges on its sampler. All probes are
+// read-only views of simulation state; none may mutate it, which is what
+// keeps a telemetry-on run bit-identical to a telemetry-off run.
 func (c *Cluster) instrument() {
-	r := c.Metrics
+	gauge := c.telemetry.gauge
 	pm := c.Host.Phys()
-	r.Gauge("mem.frames_in_use", func() float64 { return float64(pm.FramesInUse()) })
-	r.Gauge("mem.frames_free", func() float64 { return float64(pm.FreeFrames()) })
-	r.Gauge("mem.frames_ksm", func() float64 { return float64(pm.KSMFrames()) })
-	r.Gauge("mem.frames_zero", func() float64 { return float64(pm.ZeroFrames()) })
-	r.Gauge("host.free_bytes", func() float64 { return float64(c.Host.FreeBytes()) })
-	r.Gauge("host.swap_used_bytes", func() float64 { return float64(c.Host.SwapUsedBytes()) })
-	r.Gauge("host.major_faults", func() float64 { return float64(c.Host.Stats().MajorFaults) })
-	r.Gauge("host.swap_outs", func() float64 { return float64(c.Host.Stats().SwapOuts) })
-	r.Gauge("host.cow_breaks", func() float64 { return float64(c.Host.Stats().COWBreaks) })
-	r.Gauge("mem.frames_huge", func() float64 { return float64(pm.HugeFrames()) })
-	c.Scanner.Instrument(r)
-	c.THP.Instrument(r)
+	gauge("mem.frames_in_use", func() float64 { return float64(pm.FramesInUse()) })
+	gauge("mem.frames_free", func() float64 { return float64(pm.FreeFrames()) })
+	gauge("mem.frames_ksm", func() float64 { return float64(pm.KSMFrames()) })
+	gauge("mem.frames_zero", func() float64 { return float64(pm.ZeroFrames()) })
+	gauge("host.free_bytes", func() float64 { return float64(c.Host.FreeBytes()) })
+	gauge("host.swap_used_bytes", func() float64 { return float64(c.Host.SwapUsedBytes()) })
+	gauge("host.major_faults", func() float64 { return float64(c.Host.Stats().MajorFaults) })
+	gauge("host.swap_outs", func() float64 { return float64(c.Host.Stats().SwapOuts) })
+	gauge("host.cow_breaks", func() float64 { return float64(c.Host.Stats().COWBreaks) })
+	gauge("mem.frames_huge", func() float64 { return float64(pm.HugeFrames()) })
+	c.Scanner.Instrument(gauge)
+	c.THP.Instrument(gauge)
 	// JVM gauges aggregate over c.Workers through the closure, so instances
 	// deployed after Start are picked up by the next sample automatically.
-	r.Gauge("jvm.heap_used_bytes", func() float64 {
+	gauge("jvm.heap_used_bytes", func() float64 {
 		var total int64
 		for _, w := range c.Workers {
 			total += w.JVM.Heap().UsedBytes()
 		}
 		return float64(total)
 	})
-	r.Gauge("jvm.heap_capacity_bytes", func() float64 {
+	gauge("jvm.heap_capacity_bytes", func() float64 {
 		var total int64
 		for _, w := range c.Workers {
 			total += w.JVM.Heap().CapacityBytes()
 		}
 		return float64(total)
 	})
-	r.Gauge("jvm.minor_gcs", func() float64 {
+	gauge("jvm.minor_gcs", func() float64 {
 		var total uint64
 		for _, w := range c.Workers {
 			total += w.JVM.Heap().Stats().MinorGCs
 		}
 		return float64(total)
 	})
-	r.Gauge("jvm.major_gcs", func() float64 {
+	gauge("jvm.major_gcs", func() float64 {
 		var total uint64
 		for _, w := range c.Workers {
 			total += w.JVM.Heap().Stats().MajorGCs
 		}
 		return float64(total)
 	})
-	r.Gauge("jvm.classes_loaded", func() float64 {
+	gauge("jvm.classes_loaded", func() float64 {
 		total := 0
 		for _, w := range c.Workers {
 			total += w.JVM.LoadStats().ClassesLoaded
 		}
 		return float64(total)
 	})
-	r.Gauge("jvm.live_objects", func() float64 {
+	gauge("jvm.live_objects", func() float64 {
 		total := 0
 		for _, w := range c.Workers {
 			total += w.JVM.Heap().LiveObjects()
@@ -571,16 +558,16 @@ func (c *Cluster) instrument() {
 			}
 			return censusVal
 		}
-		r.Gauge("jitshare.code_pages_shareable", func() float64 { return float64(census().Shareable) })
-		r.Gauge("jitshare.code_pages_merged", func() float64 { return float64(census().Merged) })
-		r.Gauge("jitshare.code_pages_cow_broken", func() float64 {
+		gauge("jitshare.code_pages_shareable", func() float64 { return float64(census().Shareable) })
+		gauge("jitshare.code_pages_merged", func() float64 { return float64(census().Merged) })
+		gauge("jitshare.code_pages_cow_broken", func() float64 {
 			total := 0
 			for _, w := range c.Workers {
 				total += w.JVM.JIT().Stats().CanonicalPagesInvalidated
 			}
 			return float64(total)
 		})
-		r.Gauge("jitshare.rejits", func() float64 {
+		gauge("jitshare.rejits", func() float64 {
 			total := 0
 			for _, w := range c.Workers {
 				total += w.JVM.JIT().Stats().ReJITs
@@ -636,8 +623,7 @@ func (c *Cluster) Run() {
 
 // Analyze freezes the current memory state through the §2 methodology.
 func (c *Cluster) Analyze() *memanalysis.Analysis {
-	return memanalysis.Analyze(c.Host, c.Kernels,
-		memanalysis.WithTLBEntries(c.Cfg.TLBEntries))
+	return memanalysis.Analyze(c.Host, c.Kernels)
 }
 
 // ScaleBytes converts simulated bytes back into paper units.

@@ -47,7 +47,7 @@ type DirtyLogFigure struct {
 // measurement averages over.
 const dirtyLogMeasureIntervals = 5
 
-// DirtyLogSweep compares the converged rescan cost of the linear scanner
+// dirtyLogSweep compares the converged rescan cost of the linear scanner
 // against dirty-ring incremental mode across guest count × churn rate on the
 // DayTrader scenario. After the standard warm-up and steady phases each cell
 // runs idle-plus-churn measurement intervals: a churn writer rewrites the
@@ -56,8 +56,6 @@ const dirtyLogMeasureIntervals = 5
 // all registered pages regardless of churn; incremental mode's cost tracks
 // the dirtied set. The scan mode (Knobs.IncrementalScan) is the sweep's own
 // axis; every other knob applies.
-func DirtyLogSweep(o Options) DirtyLogFigure { return dirtyLogSweep(newInvocation(o)) }
-
 func dirtyLogSweep(inv *invocation) DirtyLogFigure {
 	fig := DirtyLogFigure{
 		ID:    "dirtylog",

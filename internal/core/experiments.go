@@ -37,9 +37,8 @@ type Options struct {
 	// them. Sampling is read-only, so figures are unchanged by it.
 	Telemetry bool
 	// Knobs are the subsystem switches applied to every cluster the
-	// experiment builds (tpsim -thp, -thp-ksm-split, -thp-max-ptes-none,
-	// -tlb-entries, -incremental, -jitshare). A sweep ignores only the knob
-	// that is its own axis.
+	// experiment builds (tpsim -thp, -thp-ksm-split, -incremental,
+	// -jitshare). A sweep ignores only the knob that is its own axis.
 	Knobs
 	// ChaosSeed derives the chaos experiment's fault schedules (tpsim
 	// -chaos-seed). Fixed seed ⇒ byte-identical sweep output at any Jobs
@@ -64,12 +63,10 @@ const maxScale = 64
 func (o Options) Validate() error {
 	for _, f := range []struct {
 		flag string
-		v    float64
+		v    int
 	}{
-		{"-scale", float64(o.Scale)},
-		{"-jobs", float64(o.Jobs)},
-		{"-thp-max-ptes-none", float64(o.THPMaxPtesNone)},
-		{"-tlb-entries", float64(o.TLBEntries)},
+		{"-scale", o.Scale},
+		{"-jobs", o.Jobs},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("%s must not be negative (got %v; 0 selects the default)", f.flag, f.v)
@@ -77,9 +74,6 @@ func (o Options) Validate() error {
 	}
 	if o.Scale > maxScale {
 		return fmt.Errorf("-scale must be in 0..%d (got %d; coarser scales run the guests out of memory)", maxScale, o.Scale)
-	}
-	if o.THPMaxPtesNone >= mem.HugePages {
-		return fmt.Errorf("-thp-max-ptes-none must be in 0..%d (got %d)", mem.HugePages-1, o.THPMaxPtesNone)
 	}
 	if o.THPKSMSplit && o.THPPolicy != thp.PolicyMadvise && o.THPPolicy != thp.PolicyAlways {
 		return fmt.Errorf("-thp-ksm-split needs -thp madvise or always (got -thp %v; never has no huge pages to split, fhpm splits per subpage itself)", o.THPPolicy)
@@ -130,9 +124,9 @@ func clusterCell[R any](label string, cfg ClusterConfig, measure func(*Cluster) 
 	return cell{label, cfg, func() cellValue {
 		c := BuildCluster(cfg)
 		out := cellValue{v: measure(c)}
-		if c.Metrics != nil {
-			out.timeline = RenderTimeline(label, c.Metrics) + "\n"
-			out.series = "# " + label + "\n" + c.Metrics.CSV()
+		if c.telemetry != nil {
+			out.timeline = c.telemetry.timeline(label) + "\n"
+			out.series = "# " + label + "\n" + c.telemetry.csv()
 		}
 		return out
 	}}

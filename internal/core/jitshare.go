@@ -56,14 +56,12 @@ type JITShareFigure struct {
 	Rows  []JITShareRow
 }
 
-// JITShareSweep measures the code-area sharing ratio with and without the
+// jitShareSweep measures the code-area sharing ratio with and without the
 // ShareJIT archive on the DayTrader and Tuscany multi-JVM scenarios — the
 // experiment the paper couldn't run, since the measured J9 had no way to
 // make JIT output position-independent. Class preloading is on in every
 // cell so the only axis is the code area. The sharing mode (Knobs.JITShare)
 // is the sweep's own axis; every other knob applies.
-func JITShareSweep(o Options) JITShareFigure { return jitShareSweep(newInvocation(o)) }
-
 func jitShareSweep(inv *invocation) JITShareFigure {
 	fig := JITShareFigure{
 		ID:    "jitshare",

@@ -1,12 +1,12 @@
-// Package powervm holds the tests of the PowerVM platform that Fig. 6
-// (paper §5.B) runs on. PowerVM with Active Memory Sharing is modelled by
-// core.powerRun as a hypervisor.Host with no host-kernel reserve, whose
-// LPARs are VM processes with no overhead, swept by one full KSM pass per
-// sharing round. These tests drive that configuration directly and pin the
-// behaviour the figure's totals depend on: demand paging, merging of
-// identical pages across LPARs, the copy-on-write break, the volatility
-// gate and frame conservation. The package has no code of its own.
-package powervm
+package core
+
+// The tests of the PowerVM platform that Fig. 6 (paper §5.B) runs on.
+// PowerVM with Active Memory Sharing is modelled by powerRun as a
+// hypervisor.Host with no host-kernel reserve, whose LPARs are VM processes
+// with no overhead, swept by one full KSM pass per sharing round. These tests
+// drive that configuration directly and pin the behaviour the figure's
+// totals depend on: demand paging, merging of identical pages across LPARs,
+// the copy-on-write break, the volatility gate and frame conservation.
 
 import (
 	"fmt"
@@ -20,26 +20,26 @@ import (
 	"repro/internal/simclock"
 )
 
-const pg = mem.DefaultPageSize
+const lparPage = mem.DefaultPageSize
 
-// machine is the POWER host of Fig. 6 and its page-sharing scanner.
-type machine struct {
+// powerHost is the POWER host of Fig. 6 and its page-sharing scanner.
+type powerHost struct {
 	host *hypervisor.Host
 	ksm  *ksm.KSM
 }
 
-func newMachine(t testing.TB, ramPages int) *machine {
+func newPowerHost(t testing.TB, ramPages int) *powerHost {
 	t.Helper()
-	host := hypervisor.NewHost(hypervisor.Config{Name: "PS701", RAMBytes: int64(ramPages) * pg}, simclock.New())
-	return &machine{host: host, ksm: ksm.New(host, ksm.DefaultConfig())}
+	host := hypervisor.NewHost(hypervisor.Config{Name: "PS701", RAMBytes: int64(ramPages) * lparPage}, simclock.New())
+	return &powerHost{host: host, ksm: ksm.New(host, ksm.DefaultConfig())}
 }
 
 // newLPAR boots a partition of guestPages pages, as powerRun does: a VM
 // process with no overhead of its own, registered with the scanner.
-func (m *machine) newLPAR(guestPages int, seed mem.Seed) *hypervisor.VMProcess {
+func (m *powerHost) newLPAR(guestPages int, seed mem.Seed) *hypervisor.VMProcess {
 	vm := m.host.NewVM(hypervisor.VMConfig{
 		Name:          fmt.Sprintf("LPAR %d", len(m.host.VMs())+1),
-		GuestMemBytes: int64(guestPages) * pg,
+		GuestMemBytes: int64(guestPages) * lparPage,
 		Seed:          seed,
 	})
 	m.ksm.Register(vm)
@@ -48,7 +48,7 @@ func (m *machine) newLPAR(guestPages int, seed mem.Seed) *hypervisor.VMProcess {
 
 // sharePass runs one full scan over every registered guest page: one
 // sharing round of Fig. 6.
-func (m *machine) sharePass() {
+func (m *powerHost) sharePass() {
 	pages := 0
 	for _, vm := range m.host.VMs() {
 		pages += vm.GuestPages()
@@ -58,16 +58,16 @@ func (m *machine) sharePass() {
 
 // inUse is the host's total physical memory in use, the one quantity
 // Fig. 6 reads.
-func (m *machine) inUse() int64 { return m.host.Phys().BytesInUse() }
+func (m *powerHost) inUse() int64 { return m.host.Phys().BytesInUse() }
 
 // merges counts the pages the scanner has merged onto a shared frame.
-func (m *machine) merges() uint64 {
+func (m *powerHost) merges() uint64 {
 	s := m.ksm.Stats()
 	return s.StableMerges + s.UnstableMerges
 }
 
 // verify checks the scanner's index and the host's frame ownership.
-func (m *machine) verify(t testing.TB) {
+func (m *powerHost) verify(t testing.TB) {
 	t.Helper()
 	if err := m.ksm.Verify(); err != nil {
 		t.Fatal(err)
@@ -78,16 +78,16 @@ func (m *machine) verify(t testing.TB) {
 }
 
 func TestLPARDemandPaging(t *testing.T) {
-	m := newMachine(t, 128)
+	m := newPowerHost(t, 128)
 	lp := m.newLPAR(32, 1)
 	if m.inUse() != 0 {
 		t.Fatal("eager allocation")
 	}
 	lp.FillGuestPage(3, 42)
-	if m.inUse() != pg {
+	if m.inUse() != lparPage {
 		t.Fatalf("in use = %d", m.inUse())
 	}
-	want := mem.FillBytes(pg, 42)
+	want := mem.FillBytes(lparPage, 42)
 	got := lp.ReadGuestPage(3)
 	for i := range want {
 		if got[i] != want[i] {
@@ -97,7 +97,7 @@ func TestLPARDemandPaging(t *testing.T) {
 }
 
 func TestSharePassMergesIdenticalPages(t *testing.T) {
-	m := newMachine(t, 256)
+	m := newPowerHost(t, 256)
 	lp1 := m.newLPAR(32, 1)
 	lp2 := m.newLPAR(32, 2)
 	for i := uint64(0); i < 8; i++ {
@@ -108,20 +108,20 @@ func TestSharePassMergesIdenticalPages(t *testing.T) {
 	m.sharePass() // records checksums (volatility gate)
 	m.sharePass() // merges
 	after := m.inUse()
-	if want := before - 8*pg; after != want {
+	if want := before - 8*lparPage; after != want {
 		t.Fatalf("after sharing = %d, want %d", after, want)
 	}
 	if m.merges() != 8 {
 		t.Fatalf("merged = %d", m.merges())
 	}
-	if s := m.ksm.Stats(); s.PagesShared != 8 || s.SavedBytes != 8*pg {
+	if s := m.ksm.Stats(); s.PagesShared != 8 || s.SavedBytes != 8*lparPage {
 		t.Fatalf("shared frames = %d, saved = %d", s.PagesShared, s.SavedBytes)
 	}
 	m.verify(t)
 }
 
 func TestSharePassThreeWay(t *testing.T) {
-	m := newMachine(t, 256)
+	m := newPowerHost(t, 256)
 	var lps []*hypervisor.VMProcess
 	for i := 0; i < 3; i++ {
 		lps = append(lps, m.newLPAR(16, mem.Seed(i+1)))
@@ -132,14 +132,14 @@ func TestSharePassThreeWay(t *testing.T) {
 	m.sharePass()
 	m.sharePass()
 	// 3 copies collapse to 1: two pages saved.
-	if m.inUse() != pg {
+	if m.inUse() != lparPage {
 		t.Fatalf("in use = %d, want one page", m.inUse())
 	}
 	m.verify(t)
 }
 
 func TestCOWBreakAfterSharing(t *testing.T) {
-	m := newMachine(t, 256)
+	m := newPowerHost(t, 256)
 	lp1 := m.newLPAR(16, 1)
 	lp2 := m.newLPAR(16, 2)
 	lp1.FillGuestPage(0, 7)
@@ -159,9 +159,9 @@ func TestCOWBreakAfterSharing(t *testing.T) {
 }
 
 func TestGuestOSBootsOnLPAR(t *testing.T) {
-	m := newMachine(t, 1024)
+	m := newPowerHost(t, 1024)
 	lp := m.newLPAR(256, 1)
-	k := guestos.Boot(lp, guestos.KernelConfig{Version: "AIX-6.1-TL6", TextBytes: 8 * pg, DataBytes: 4 * pg})
+	k := guestos.Boot(lp, guestos.KernelConfig{Version: "AIX-6.1-TL6", TextBytes: 8 * lparPage, DataBytes: 4 * lparPage})
 	p := k.Spawn("java", true)
 	v := p.MapAnon(8, "heap", "h")
 	p.TouchAll(v, true)
@@ -170,7 +170,7 @@ func TestGuestOSBootsOnLPAR(t *testing.T) {
 	}
 	// Identical kernels on two LPARs share after a pass.
 	lp2 := m.newLPAR(256, 2)
-	guestos.Boot(lp2, guestos.KernelConfig{Version: "AIX-6.1-TL6", TextBytes: 8 * pg, DataBytes: 4 * pg})
+	guestos.Boot(lp2, guestos.KernelConfig{Version: "AIX-6.1-TL6", TextBytes: 8 * lparPage, DataBytes: 4 * lparPage})
 	m.sharePass()
 	m.sharePass()
 	if m.merges() < 8 {
@@ -180,7 +180,7 @@ func TestGuestOSBootsOnLPAR(t *testing.T) {
 }
 
 func TestReleaseGuestPage(t *testing.T) {
-	m := newMachine(t, 128)
+	m := newPowerHost(t, 128)
 	lp := m.newLPAR(16, 1)
 	lp.FillGuestPage(0, 5)
 	lp.ReleaseGuestPage(0)
@@ -190,7 +190,7 @@ func TestReleaseGuestPage(t *testing.T) {
 }
 
 func TestSharePassIdempotent(t *testing.T) {
-	m := newMachine(t, 256)
+	m := newPowerHost(t, 256)
 	lp1 := m.newLPAR(16, 1)
 	lp2 := m.newLPAR(16, 2)
 	for i := uint64(0); i < 4; i++ {
@@ -210,7 +210,7 @@ func TestSharePassIdempotent(t *testing.T) {
 }
 
 func TestVolatilityGateSkipsChangingPages(t *testing.T) {
-	m := newMachine(t, 256)
+	m := newPowerHost(t, 256)
 	lp1 := m.newLPAR(16, 1)
 	lp2 := m.newLPAR(16, 2)
 	for pass := 0; pass < 4; pass++ {
@@ -230,7 +230,7 @@ func TestVolatilityGateSkipsChangingPages(t *testing.T) {
 // and never lose page content.
 func TestPropertySharePassConservation(t *testing.T) {
 	f := func(ops []uint8) bool {
-		m := newMachine(t, 1024)
+		m := newPowerHost(t, 1024)
 		lps := []*hypervisor.VMProcess{m.newLPAR(32, 1), m.newLPAR(32, 2)}
 		content := map[[2]int]mem.Seed{}
 		for i, op := range ops {
@@ -263,7 +263,7 @@ func TestPropertySharePassConservation(t *testing.T) {
 		// Every page still reads back its last written content.
 		for key, seed := range content {
 			got := lps[key[0]].ReadGuestPage(uint64(key[1]))
-			want := mem.FillBytes(pg, seed)
+			want := mem.FillBytes(lparPage, seed)
 			for i := range want {
 				if got[i] != want[i] {
 					return false

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/mem"
 	"repro/internal/thp"
 	"repro/internal/workload"
 )
@@ -276,7 +275,7 @@ func TestOptionsValidate(t *testing.T) {
 		t.Fatalf("zero Options rejected: %v", err)
 	}
 	ok := Options{Scale: 64, Jobs: 8,
-		Knobs: Knobs{THPPolicy: thp.PolicyAlways, THPKSMSplit: true, THPMaxPtesNone: mem.HugePages - 1, TLBEntries: 64}}
+		Knobs: Knobs{THPPolicy: thp.PolicyAlways, THPKSMSplit: true}}
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("valid Options rejected: %v", err)
 	}
@@ -287,9 +286,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"-scale", Options{Scale: -4}},
 		{"-scale", Options{Scale: 65}},
 		{"-jobs", Options{Jobs: -1}},
-		{"-thp-max-ptes-none", Options{Knobs: Knobs{THPMaxPtesNone: -1}}},
-		{"-thp-max-ptes-none", Options{Knobs: Knobs{THPMaxPtesNone: mem.HugePages}}},
-		{"-tlb-entries", Options{Knobs: Knobs{TLBEntries: -1}}},
 		{"-thp-ksm-split", Options{Knobs: Knobs{THPPolicy: thp.PolicyFHPM, THPKSMSplit: true}}},
 		{"-thp-ksm-split", Options{Knobs: Knobs{THPKSMSplit: true}}},
 	} {

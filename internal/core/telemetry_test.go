@@ -1,12 +1,13 @@
 package core
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"slices"
 	"strings"
 	"testing"
 
-	"repro/internal/metrics"
 	"repro/internal/simclock"
 	"repro/internal/workload"
 )
@@ -26,7 +27,7 @@ func TestFiguresByteIdenticalWithMetrics(t *testing.T) {
 		t.Fatal("JavaFigure differs with metrics enabled")
 	}
 	if n := strings.Count(on.Timelines, "TIMELINE — "); n != 1 {
-		t.Fatalf("collected %d registries, want 1", n)
+		t.Fatalf("collected %d timelines, want 1", n)
 	}
 }
 
@@ -43,11 +44,11 @@ func TestConvergenceWithinWarmup(t *testing.T) {
 		EnableMetrics: true,
 	})
 	c.Run()
-	s := c.Metrics.Get("ksm.pages_merged")
-	if s == nil || s.Len() == 0 {
-		t.Fatal("no merged-pages series")
+	times, merged := gaugeColumn(t, c.telemetry, "ksm.pages_merged")
+	if len(merged) == 0 {
+		t.Fatal("no merged-pages samples")
 	}
-	at, ok := convergedAt(s)
+	at, ok := convergedAt(times, merged)
 	if !ok {
 		t.Fatal("merged-pages series never flattened")
 	}
@@ -56,21 +57,29 @@ func TestConvergenceWithinWarmup(t *testing.T) {
 	}
 }
 
-// convergedAt scans a series for its earliest flat window — 16 consecutive
+// gaugeColumn returns a gauge's sample times and values: the sampler's ticks from
+// the one at which the gauge joined.
+func gaugeColumn(t testing.TB, s *sampler, name string) ([]simclock.Time, []float64) {
+	t.Helper()
+	i, found := slices.BinarySearch(s.names, name)
+	if !found {
+		t.Fatalf("no gauge %q", name)
+	}
+	return s.times[s.joined[i]:], s.cols[i]
+}
+
+// convergedAt scans a column for its earliest flat window — 16 consecutive
 // samples whose spread stays within 2 % of the window maximum (or of 1, for
-// a near-zero series) — and returns the time of that window's first sample.
-// At the registry's 500 ms cadence the window spans 8 s of virtual time,
+// a near-zero column) — and returns the time of that window's first sample.
+// At the sampler's 500 ms cadence the window spans 8 s of virtual time,
 // long enough to bridge the idle gaps between KSM wake-ups and between
-// sequential guest boots. ok is false when the series never flattens.
-func convergedAt(s *metrics.Series) (at simclock.Time, ok bool) {
-	const window, tolerance = 16, 0.02
-	for i := 0; i+window <= s.Len(); i++ {
-		lo, hi := s.At(i).V, s.At(i).V
-		for j := i + 1; j < i+window; j++ {
-			lo, hi = math.Min(lo, s.At(j).V), math.Max(hi, s.At(j).V)
-		}
-		if hi-lo <= tolerance*math.Max(math.Abs(hi), 1) {
-			return s.At(i).At, true
+// sequential guest boots. ok is false when the column never flattens.
+func convergedAt(times []simclock.Time, vs []float64) (at simclock.Time, ok bool) {
+	const window = 16
+	for i := 0; i+window <= len(vs); i++ {
+		lo, hi := slices.Min(vs[i:i+window]), slices.Max(vs[i:i+window])
+		if hi-lo <= 0.02*math.Max(math.Abs(hi), 1) {
+			return times[i], true
 		}
 	}
 	return 0, false
@@ -116,17 +125,10 @@ func TestClusterGaugeSanity(t *testing.T) {
 		EnableMetrics: true,
 	})
 	c.Run()
-	c.Metrics.Sample() // align the final sample with the accessors
+	c.telemetry.sample() // align the final sample with the accessors
 	last := func(name string) float64 {
-		s := c.Metrics.Get(name)
-		if s == nil {
-			t.Fatalf("missing series %q", name)
-		}
-		v, ok := s.Last()
-		if !ok {
-			t.Fatalf("empty series %q", name)
-		}
-		return v.V
+		_, vs := gaugeColumn(t, c.telemetry, name)
+		return vs[len(vs)-1]
 	}
 	pm := c.Host.Phys()
 	if got := last("mem.frames_in_use"); got != float64(pm.FramesInUse()) {
@@ -148,13 +150,13 @@ func TestClusterGaugeSanity(t *testing.T) {
 	if last("mem.frames_ksm") == 0 {
 		t.Fatal("no KSM frames at end of run")
 	}
-	if csv := c.Metrics.CSV(); !strings.HasPrefix(csv, "time_s,") {
+	if csv := c.telemetry.csv(); !strings.HasPrefix(csv, "time_s,") {
 		t.Fatalf("CSV header: %.60s", csv)
 	}
 }
 
 // benchSamplingCluster runs the DayTrader pair scenario with or without the
-// metrics registry attached; the Off/On pair below quantifies the sampling
+// telemetry sampler attached; the Off/On pair below quantifies the sampling
 // overhead (the subsystem's budget is "negligible when off, cheap when on").
 func benchSamplingCluster(b *testing.B, enabled bool) {
 	for i := 0; i < b.N; i++ {
@@ -163,15 +165,147 @@ func benchSamplingCluster(b *testing.B, enabled bool) {
 			NumVMs: 2, SteadyRounds: 15, EnableMetrics: enabled,
 		})
 		c.Run()
-		if enabled && c.Metrics.Ticks() == 0 {
+		if enabled && len(c.telemetry.times) == 0 {
 			b.Fatal("no samples taken")
 		}
 	}
 }
 
-// BenchmarkSamplingOverheadOff is the metrics-disabled baseline.
+// BenchmarkSamplingOverheadOff is the telemetry-disabled baseline.
 func BenchmarkSamplingOverheadOff(b *testing.B) { benchSamplingCluster(b, false) }
 
-// BenchmarkSamplingOverheadOn runs the same cluster with the registry
-// sampling every gauge at the default 500 ms cadence.
+// BenchmarkSamplingOverheadOn runs the same cluster with the sampler reading
+// every gauge at its 500 ms cadence.
 func BenchmarkSamplingOverheadOn(b *testing.B) { benchSamplingCluster(b, true) }
+
+// TestTelemetryPinned holds the -timeline and -metrics-csv sections of a
+// fig2 cell and a chaos cell at test scale to SHA-256 digests read off the
+// general-purpose metrics registry the cluster's sampler replaced. The chaos
+// cell registers its eight faults.* gauges after the cluster's t=0 sample,
+// so its first CSV row leaves those columns empty and their timelines are
+// one sample short.
+func TestTelemetryPinned(t *testing.T) {
+	o := testOptions(1)
+	o.Telemetry = true
+	const chaosLabel = "chaos n=2 profile=stormy"
+	cases := []struct {
+		cell             cell
+		samples          int
+		firstRow         string // the t=0 row's leading cells
+		timeline, series string
+	}{
+		{dayTrader().cellAt(o, false, "", nil), 35, "0.000,0,1.06258432e+08,0,",
+			"d9f7ad7e29c274100453f914c8d8f6056287ee63476c6cd8b67f11b67a6e4f6e",
+			"0b6f9a2470850e89ab20455f9d51ed01af2b9641cde5daee3955076023095276"},
+		{clusterCell(chaosLabel, o.clusterConfig([]workload.Spec{workload.DayTrader()}, 2, true),
+			func(c *Cluster) ChaosRow { return chaosCell(c, o.ChaosSeed, chaosProfiles[1], chaosLabel) }), 34, "0.000,,,,,,,,,0,1.06258432e+08,0,",
+			"56f0139ca46d3bf7bf22eb5b09bd9ebd7a09613ce25c1224b9699093bf1f53a5",
+			"394a5ac7444e130db992b713638c0d49f38793c0c9d5c01f657085b0655be4dc"},
+	}
+	for _, tc := range cases {
+		v := tc.cell.run()
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(v.timeline))); got != tc.timeline {
+			t.Errorf("%s: timeline digest %s, want %s:\n%s", tc.cell.label, got, tc.timeline, v.timeline)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(v.series))); got != tc.series {
+			t.Errorf("%s: series digest %s, want %s:\n%s", tc.cell.label, got, tc.series, v.series)
+		}
+		// "# label", the header, then one row per sample.
+		if rows := strings.Count(v.series, "\n") - 2; rows != tc.samples {
+			t.Errorf("%s: %d CSV rows, want %d", tc.cell.label, rows, tc.samples)
+		}
+		if !strings.Contains(v.series, "\n"+tc.firstRow) {
+			t.Errorf("%s: no CSV row starts %q", tc.cell.label, tc.firstRow)
+		}
+	}
+}
+
+// newTestSampler is a sampler on a fresh clock.
+func newTestSampler() (*simclock.Clock, *sampler) {
+	clock := simclock.New()
+	return clock, &sampler{clock: clock}
+}
+
+func TestSamplerNameOrder(t *testing.T) {
+	_, s := newTestSampler()
+	s.gauge("zebra", func() float64 { return 1 })
+	s.gauge("alpha", func() float64 { return 2 })
+	s.gauge("mid.gauge", func() float64 { return 3 })
+	if got := strings.Join(s.names, " "); got != "alpha mid.gauge zebra" {
+		t.Fatalf("gauge order = %s", got)
+	}
+	s.sample()
+	if got := fmt.Sprint(s.cols); got != "[[2] [3] [1]]" {
+		t.Fatalf("columns = %s, want each probe under its own name", got)
+	}
+}
+
+func TestSamplerDuplicateGaugePanics(t *testing.T) {
+	for _, name := range []string{"dup", ""} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("no panic registering %q twice", name)
+				}
+			}()
+			_, s := newTestSampler()
+			s.gauge("dup", func() float64 { return 0 })
+			s.gauge(name, func() float64 { return 1 })
+		}()
+	}
+}
+
+func TestSamplerCadence(t *testing.T) {
+	clock, s := newTestSampler()
+	n := 0.0
+	s.gauge("ticker", func() float64 { n++; return n })
+	s.start()
+	clock.RunFor(5 * sampleInterval)
+	// One sample at start plus five periodic ones, each reading the probe once.
+	times, vs := gaugeColumn(t, s, "ticker")
+	if len(times) != 6 || times[0] != 0 || times[5] != 5*sampleInterval {
+		t.Fatalf("sample times = %v", times)
+	}
+	if !slices.Equal(vs, []float64{1, 2, 3, 4, 5, 6}) {
+		t.Fatalf("samples = %v", vs)
+	}
+}
+
+func TestSamplerCSVWide(t *testing.T) {
+	clock, s := newTestSampler()
+	s.gauge("b.second", func() float64 { return 2 })
+	s.gauge("a.first", func() float64 { return float64(clock.Now() / sampleInterval) })
+	s.start()
+	clock.RunFor(2 * sampleInterval)
+	want := "time_s,a.first,b.second\n" +
+		"0.000,0,2\n" +
+		"0.500,1,2\n" +
+		"1.000,2,2\n"
+	if got := s.csv(); got != want {
+		t.Fatalf("CSV:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestSamplerCSVLateGauge registers a gauge after two ticks: its leading
+// cells stay empty and its timeline row covers only its own samples.
+func TestSamplerCSVLateGauge(t *testing.T) {
+	clock, s := newTestSampler()
+	s.gauge("early", func() float64 { return 1 })
+	s.start()
+	clock.RunFor(sampleInterval)
+	s.gauge("late", func() float64 { return 9 })
+	s.gauge("later", func() float64 { return 5 })
+	clock.RunFor(sampleInterval)
+	want := "time_s,early,late,later\n" +
+		"0.000,1,,\n" +
+		"0.500,1,,\n" +
+		"1.000,1,9,5\n"
+	if got := s.csv(); got != want {
+		t.Fatalf("CSV:\n%s\nwant:\n%s", got, want)
+	}
+	s.gauge("unsampled", func() float64 { return 0 })
+	tl := s.timeline("late")
+	if !strings.Contains(tl, "3 samples") || strings.Contains(tl, "unsampled") {
+		t.Fatalf("timeline:\n%s", tl)
+	}
+}

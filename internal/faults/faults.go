@@ -13,7 +13,6 @@ package faults
 import (
 	"fmt"
 
-	"repro/internal/metrics"
 	"repro/internal/simclock"
 )
 
@@ -205,20 +204,17 @@ func (in *Injector) fireStall(now simclock.Time) {
 	in.stats.Stalls++
 }
 
-// Instrument registers per-event counters as gauges on the registry (the
-// metrics convention for monotone simulator counters). Nil-safe.
-func (in *Injector) Instrument(r *metrics.Registry) {
-	if r == nil {
-		return
-	}
-	r.Gauge("faults.kills", func() float64 { return float64(in.stats.Kills) })
-	r.Gauge("faults.kills_skipped", func() float64 { return float64(in.stats.KillsSkipped) })
-	r.Gauge("faults.restarts", func() float64 { return float64(in.stats.Restarts) })
-	r.Gauge("faults.spikes", func() float64 { return float64(in.stats.Spikes) })
-	r.Gauge("faults.stalls", func() float64 { return float64(in.stats.Stalls) })
-	r.Gauge("faults.oom_kills", func() float64 { return float64(in.stats.OOMKills) })
-	r.Gauge("faults.balloon_pages", func() float64 { return float64(in.stats.BalloonPages) })
-	r.Gauge("faults.claimed_pages", func() float64 { return float64(in.stats.ClaimedPages) })
+// Instrument registers the per-event counters as gauges through gauge,
+// which reads each read-only probe at every sample tick.
+func (in *Injector) Instrument(gauge func(name string, fn func() float64)) {
+	gauge("faults.kills", func() float64 { return float64(in.stats.Kills) })
+	gauge("faults.kills_skipped", func() float64 { return float64(in.stats.KillsSkipped) })
+	gauge("faults.restarts", func() float64 { return float64(in.stats.Restarts) })
+	gauge("faults.spikes", func() float64 { return float64(in.stats.Spikes) })
+	gauge("faults.stalls", func() float64 { return float64(in.stats.Stalls) })
+	gauge("faults.oom_kills", func() float64 { return float64(in.stats.OOMKills) })
+	gauge("faults.balloon_pages", func() float64 { return float64(in.stats.BalloonPages) })
+	gauge("faults.claimed_pages", func() float64 { return float64(in.stats.ClaimedPages) })
 }
 
 // splitmix is a splitmix64 stream: tiny, seedable, and — unlike the global

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/metrics"
 	"repro/internal/simclock"
 )
 
@@ -190,18 +189,18 @@ func TestInstrumentExportsGauges(t *testing.T) {
 	clock := simclock.New()
 	ft := newFakeTarget(3)
 	inj := New(clock, Config{Seed: 11, Horizon: time(60), KillEvery: time(5)}, ft)
-	r := metrics.New(clock)
-	inj.Instrument(r)
-	inj.Instrument(nil) // nil-safe
+	gauges := map[string]func() float64{}
+	inj.Instrument(func(name string, fn func() float64) { gauges[name] = fn })
 	inj.Start()
 	clock.RunFor(time(90))
-	r.Sample()
-	s := r.Get("faults.kills")
-	if s == nil {
+	if len(gauges) != 8 {
+		t.Fatalf("%d gauges registered, want 8", len(gauges))
+	}
+	kills := gauges["faults.kills"]
+	if kills == nil {
 		t.Fatal("faults.kills gauge not registered")
 	}
-	last, ok := s.Last()
-	if !ok || uint64(last.V) != inj.Stats().Kills {
-		t.Fatalf("gauge %v != stats %d", last.V, inj.Stats().Kills)
+	if got := kills(); inj.Stats().Kills == 0 || uint64(got) != inj.Stats().Kills {
+		t.Fatalf("gauge %v != stats %d", got, inj.Stats().Kills)
 	}
 }

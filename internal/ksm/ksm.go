@@ -55,7 +55,6 @@ import (
 
 	"repro/internal/hypervisor"
 	"repro/internal/mem"
-	"repro/internal/metrics"
 	"repro/internal/simclock"
 )
 
@@ -730,17 +729,14 @@ func (k *KSM) splitHugeFor(vm *hypervisor.VMProcess, vpn mem.VPN) bool {
 	return true
 }
 
-// Instrument registers the scanner's telemetry gauges on the registry.
-// Cumulative counters come straight from the stats block; "ksm.pass.*"
-// gauges report activity within the current pass (counter minus the
-// end-of-last-pass snapshot), so a timeline shows per-pass effort even
-// after the cumulative totals dwarf it. The sharing totals need a stable
-// index walk, so they share one Stats snapshot per sample timestamp.
-// A nil registry is a no-op, matching the rest of the metrics API.
-func (k *KSM) Instrument(r *metrics.Registry) {
-	if r == nil {
-		return
-	}
+// Instrument registers the scanner's telemetry gauges through gauge, which
+// reads each read-only probe at every sample tick. Cumulative counters come
+// straight from the stats block; "ksm.pass.*" gauges report activity within
+// the current pass (counter minus the end-of-last-pass snapshot), so a
+// timeline shows per-pass effort even after the cumulative totals dwarf it.
+// The sharing totals need a stable index walk, so they share one Stats
+// snapshot per sample timestamp.
+func (k *KSM) Instrument(gauge func(name string, fn func() float64)) {
 	var (
 		snapAt    simclock.Time = -1
 		snapStats Stats
@@ -752,44 +748,44 @@ func (k *KSM) Instrument(r *metrics.Registry) {
 		}
 		return snapStats
 	}
-	r.Gauge("ksm.pages_scanned", func() float64 { return float64(k.stats.PagesScanned) })
-	r.Gauge("ksm.pages_merged", func() float64 {
+	gauge("ksm.pages_scanned", func() float64 { return float64(k.stats.PagesScanned) })
+	gauge("ksm.pages_merged", func() float64 {
 		return float64(k.stats.StableMerges + k.stats.UnstableMerges)
 	})
-	r.Gauge("ksm.pages_unmerged", func() float64 { return float64(k.stats.COWBreaks) })
-	r.Gauge("ksm.pages_volatile", func() float64 { return float64(k.stats.ChecksumSkips) })
-	r.Gauge("ksm.full_scans", func() float64 { return float64(k.stats.FullScans) })
-	r.Gauge("ksm.stable_tree_size", func() float64 { return float64(k.index.stableN) })
-	r.Gauge("ksm.unstable_entries", func() float64 { return float64(k.index.unstableN) })
-	r.Gauge("ksm.pages_shared", func() float64 { return float64(snapshot().PagesShared) })
-	r.Gauge("ksm.pages_sharing", func() float64 { return float64(snapshot().PagesSharing) })
-	r.Gauge("ksm.saved_bytes", func() float64 { return float64(snapshot().SavedBytes) })
-	r.Gauge("ksm.pass.pages_scanned", func() float64 {
+	gauge("ksm.pages_unmerged", func() float64 { return float64(k.stats.COWBreaks) })
+	gauge("ksm.pages_volatile", func() float64 { return float64(k.stats.ChecksumSkips) })
+	gauge("ksm.full_scans", func() float64 { return float64(k.stats.FullScans) })
+	gauge("ksm.stable_tree_size", func() float64 { return float64(k.index.stableN) })
+	gauge("ksm.unstable_entries", func() float64 { return float64(k.index.unstableN) })
+	gauge("ksm.pages_shared", func() float64 { return float64(snapshot().PagesShared) })
+	gauge("ksm.pages_sharing", func() float64 { return float64(snapshot().PagesSharing) })
+	gauge("ksm.saved_bytes", func() float64 { return float64(snapshot().SavedBytes) })
+	gauge("ksm.pass.pages_scanned", func() float64 {
 		return float64(k.stats.PagesScanned - k.passStart.PagesScanned)
 	})
-	r.Gauge("ksm.pass.pages_merged", func() float64 {
+	gauge("ksm.pass.pages_merged", func() float64 {
 		return float64(k.stats.StableMerges + k.stats.UnstableMerges -
 			k.passStart.StableMerges - k.passStart.UnstableMerges)
 	})
-	r.Gauge("ksm.pass.pages_volatile", func() float64 {
+	gauge("ksm.pass.pages_volatile", func() float64 {
 		return float64(k.stats.ChecksumSkips - k.passStart.ChecksumSkips)
 	})
-	r.Gauge("ksm.huge_skips", func() float64 { return float64(k.stats.HugeSkips) })
-	r.Gauge("ksm.huge_splits", func() float64 { return float64(k.stats.HugeSplits) })
-	r.Gauge("ksm.huge_partial_splits", func() float64 { return float64(k.stats.HugePartialSplits) })
-	r.Gauge("ksm.pass.sharing_lost_pages", func() float64 {
+	gauge("ksm.huge_skips", func() float64 { return float64(k.stats.HugeSkips) })
+	gauge("ksm.huge_splits", func() float64 { return float64(k.stats.HugeSplits) })
+	gauge("ksm.huge_partial_splits", func() float64 { return float64(k.stats.HugePartialSplits) })
+	gauge("ksm.pass.sharing_lost_pages", func() float64 {
 		return float64(k.stats.HugeSkips - k.passStart.HugeSkips)
 	})
-	r.Gauge("ksm.dirty_ring_depth", func() float64 { return float64(k.DirtyRingDepth()) })
-	r.Gauge("ksm.dirty_ring_overflows", func() float64 { return float64(k.stats.RingOverflows) })
-	r.Gauge("ksm.dirty_drained", func() float64 { return float64(k.stats.DirtyDrained) })
-	r.Gauge("ksm.pages_scanned_incremental", func() float64 {
+	gauge("ksm.dirty_ring_depth", func() float64 { return float64(k.DirtyRingDepth()) })
+	gauge("ksm.dirty_ring_overflows", func() float64 { return float64(k.stats.RingOverflows) })
+	gauge("ksm.dirty_drained", func() float64 { return float64(k.stats.DirtyDrained) })
+	gauge("ksm.pages_scanned_incremental", func() float64 {
 		return float64(k.stats.IncrementalScanned)
 	})
-	r.Gauge("ksm.pages_scanned_full", func() float64 {
+	gauge("ksm.pages_scanned_full", func() float64 {
 		return float64(k.stats.PagesScanned - k.stats.IncrementalScanned)
 	})
-	r.Gauge("ksm.incremental_rounds", func() float64 { return float64(k.stats.IncrementalRounds) })
+	gauge("ksm.incremental_rounds", func() float64 { return float64(k.stats.IncrementalRounds) })
 }
 
 // onCOWBreak keeps break statistics; frame lifecycle is handled by refcounts

@@ -47,41 +47,23 @@ func (u PageUser) isJava() bool { return u.Kind == KindProcess && u.Proc.IsJava 
 
 // Analysis is a frozen snapshot of frame attribution.
 type Analysis struct {
-	pageSize   int
-	tlbEntries int
-	phys       *mem.PhysMem
+	pageSize int
+	phys     *mem.PhysMem
 	// users lists every (frame, user) mapping pair.
 	users map[mem.FrameID][]PageUser
 	// owner[frame] is the index into users[frame] of the owning mapper.
 	owner map[mem.FrameID]int
 }
 
-// Option configures an Analyze run.
-type Option func(*Analysis)
-
-// WithTLBEntries sizes the modeled TLB for EstimatedTLBReachBytes. Values
-// <= 0 keep the TLBEntries default.
-func WithTLBEntries(n int) Option {
-	return func(a *Analysis) {
-		if n > 0 {
-			a.tlbEntries = n
-		}
-	}
-}
-
 // Analyze walks every translation layer of every guest and attributes every
 // resident host frame. The kernels slice supplies the guest-OS view of each
 // VM (in the same order as host.VMs()).
-func Analyze(host *hypervisor.Host, kernels []*guestos.Kernel, opts ...Option) *Analysis {
+func Analyze(host *hypervisor.Host, kernels []*guestos.Kernel) *Analysis {
 	a := &Analysis{
-		pageSize:   host.PageSize(),
-		tlbEntries: TLBEntries,
-		phys:       host.Phys(),
-		users:      make(map[mem.FrameID][]PageUser),
-		owner:      make(map[mem.FrameID]int),
-	}
-	for _, opt := range opts {
-		opt(a)
+		pageSize: host.PageSize(),
+		phys:     host.Phys(),
+		users:    make(map[mem.FrameID][]PageUser),
+		owner:    make(map[mem.FrameID]int),
 	}
 	for _, k := range kernels {
 		a.walkGuest(k)
@@ -198,19 +180,8 @@ func (a *Analysis) FrameSizeCounts() (hugeBacked, base int) {
 	return hugeBacked, base
 }
 
-// HugeCoverage reports the fraction of attributed guest frames backed by
-// huge mappings — the benefit axis of the THP-vs-KSM tradeoff.
-func (a *Analysis) HugeCoverage() float64 {
-	huge, base := a.FrameSizeCounts()
-	if huge+base == 0 {
-		return 0
-	}
-	return float64(huge) / float64(huge+base)
-}
-
-// TLBEntries is the default modeled TLB size for the reach estimate: 1024
-// entries, the order of a unified L2 TLB on the paper's era of x86 hosts.
-// Override per run with WithTLBEntries.
+// TLBEntries is the modeled TLB size for the reach estimate: 1024 entries,
+// the order of a unified L2 TLB on the paper's era of x86 hosts.
 const TLBEntries = 1024
 
 // EstimatedTLBReachBytes estimates how much of the attributed memory the
@@ -234,7 +205,7 @@ func (a *Analysis) EstimatedTLBReachBytes() int64 {
 		return 0
 	}
 	totalBytes := int64(huge+base) * int64(a.pageSize)
-	return int64(a.tlbEntries) * totalBytes / int64(entries)
+	return TLBEntries * totalBytes / int64(entries)
 }
 
 // TotalSavingsBytes reports cluster-wide TPS savings: for each shared frame,

@@ -300,23 +300,3 @@ func TestCachePagesStaySharedAfterUnload(t *testing.T) {
 		t.Fatalf("class metadata sharing shrank on unload: %d -> %d", sharedBefore, sharedAfter)
 	}
 }
-
-func TestTLBEntriesOptionScalesReach(t *testing.T) {
-	c := buildCluster(t, 2, false)
-	base := Analyze(c.host, c.kernels).EstimatedTLBReachBytes()
-	if base == 0 {
-		t.Fatal("no TLB reach on a populated cluster")
-	}
-	// Reach is linear in the entry count: doubling the modeled TLB doubles
-	// the estimate exactly.
-	doubled := Analyze(c.host, c.kernels, WithTLBEntries(2*TLBEntries)).EstimatedTLBReachBytes()
-	if doubled != 2*base {
-		t.Fatalf("2x entries reach = %d, want %d", doubled, 2*base)
-	}
-	// Zero and negative keep the default.
-	for _, n := range []int{0, -5} {
-		if got := Analyze(c.host, c.kernels, WithTLBEntries(n)).EstimatedTLBReachBytes(); got != base {
-			t.Fatalf("WithTLBEntries(%d) reach = %d, want default %d", n, got, base)
-		}
-	}
-}

@@ -26,7 +26,6 @@ import (
 
 	"repro/internal/hypervisor"
 	"repro/internal/mem"
-	"repro/internal/metrics"
 	"repro/internal/simclock"
 )
 
@@ -89,11 +88,12 @@ type Config struct {
 	ScanPages int
 	// SleepMillis is the sleep between wake-ups (scan_sleep_millisecs).
 	SleepMillis int
-	// MaxPtesNone is the per-run budget of absent pages a collapse may
-	// zero-fill (khugepaged's max_ptes_none; Linux defaults to 511, we
-	// default tighter to keep the bloat honest at simulation scale).
-	MaxPtesNone int
 }
+
+// maxPtesNone is the per-run budget of absent pages a collapse may zero-fill
+// (khugepaged's max_ptes_none; Linux defaults to 511, this is tighter to
+// keep the bloat honest at simulation scale).
+const maxPtesNone = 64
 
 // DefaultConfig returns the simulator's defaults; see the package comment
 // for why the scan rate deviates from Linux.
@@ -102,7 +102,6 @@ func DefaultConfig() Config {
 		Policy:      PolicyNever,
 		ScanPages:   8192,
 		SleepMillis: 100,
-		MaxPtesNone: 64,
 	}
 }
 
@@ -171,9 +170,6 @@ func New(host *hypervisor.Host, cfg Config) *Daemon {
 	}
 	if cfg.SleepMillis <= 0 {
 		panic(fmt.Sprintf("thp: SleepMillis = %d", cfg.SleepMillis))
-	}
-	if cfg.MaxPtesNone < 0 || cfg.MaxPtesNone >= mem.HugePages {
-		panic(fmt.Sprintf("thp: MaxPtesNone = %d (want 0..%d)", cfg.MaxPtesNone, mem.HugePages-1))
 	}
 	d := &Daemon{host: host, cfg: cfg}
 	host.OnHugeSplit = func(*hypervisor.VMProcess, mem.VPN) { d.stats.Splits++ }
@@ -308,7 +304,7 @@ func (d *Daemon) ScanChunk(n int) {
 		if d.cfg.Policy == PolicyFHPM {
 			d.fhpmVisit(reg.vm, head)
 		} else {
-			switch reg.vm.CollapseHuge(head, d.cfg.MaxPtesNone) {
+			switch reg.vm.CollapseHuge(head, maxPtesNone) {
 			case hypervisor.CollapseOK:
 				d.stats.Collapses++
 			case hypervisor.CollapseAlreadyHuge:
@@ -338,7 +334,7 @@ func (d *Daemon) ScanChunk(n int) {
 func (d *Daemon) fhpmVisit(vm *hypervisor.VMProcess, head mem.VPN) {
 	pte, ok := vm.ResidentPTE(head)
 	if !ok || !pte.Huge {
-		switch vm.CollapseHuge(head, d.cfg.MaxPtesNone) {
+		switch vm.CollapseHuge(head, maxPtesNone) {
 		case hypervisor.CollapseOK:
 			d.stats.Collapses++
 		case hypervisor.CollapseAlreadyHuge:
@@ -369,7 +365,7 @@ func (d *Daemon) fhpmVisit(vm *hypervisor.VMProcess, head mem.VPN) {
 		}
 	}
 	if quiet >= fhpmQuietPromote && pt.CarvedCount(head) > 0 {
-		if vm.CollapseHuge(head, d.cfg.MaxPtesNone) == hypervisor.CollapseOK {
+		if vm.CollapseHuge(head, maxPtesNone) == hypervisor.CollapseOK {
 			d.stats.Reabsorbs++
 		}
 		// A refused re-absorption (carved subpages still shared) is the
@@ -398,21 +394,22 @@ func (d *Daemon) advanceRegion() {
 	}
 }
 
-// Instrument registers the daemon's telemetry gauges. Both a nil Daemon and
-// a nil registry are no-ops, matching the metrics API.
-func (d *Daemon) Instrument(r *metrics.Registry) {
-	if d == nil || r == nil {
+// Instrument registers the daemon's telemetry gauges through gauge, which
+// reads each read-only probe at every sample tick. A nil Daemon registers
+// none.
+func (d *Daemon) Instrument(gauge func(name string, fn func() float64)) {
+	if d == nil {
 		return
 	}
-	r.Gauge("thp.pages_scanned", func() float64 { return float64(d.stats.PagesScanned) })
-	r.Gauge("thp.collapses", func() float64 { return float64(d.stats.Collapses) })
-	r.Gauge("thp.collapse_failed", func() float64 { return float64(d.stats.CollapseFailed) })
-	r.Gauge("thp.splits", func() float64 { return float64(d.stats.Splits) })
-	r.Gauge("thp.partial_splits", func() float64 { return float64(d.stats.PartialSplits) })
-	r.Gauge("thp.demotions", func() float64 { return float64(d.stats.Demotions) })
-	r.Gauge("thp.reabsorbs", func() float64 { return float64(d.stats.Reabsorbs) })
-	r.Gauge("thp.huge_frames", func() float64 { return float64(d.host.Phys().HugeFrames()) })
-	r.Gauge("thp.huge_coverage", func() float64 {
+	gauge("thp.pages_scanned", func() float64 { return float64(d.stats.PagesScanned) })
+	gauge("thp.collapses", func() float64 { return float64(d.stats.Collapses) })
+	gauge("thp.collapse_failed", func() float64 { return float64(d.stats.CollapseFailed) })
+	gauge("thp.splits", func() float64 { return float64(d.stats.Splits) })
+	gauge("thp.partial_splits", func() float64 { return float64(d.stats.PartialSplits) })
+	gauge("thp.demotions", func() float64 { return float64(d.stats.Demotions) })
+	gauge("thp.reabsorbs", func() float64 { return float64(d.stats.Reabsorbs) })
+	gauge("thp.huge_frames", func() float64 { return float64(d.host.Phys().HugeFrames()) })
+	gauge("thp.huge_coverage", func() float64 {
 		pm := d.host.Phys()
 		if pm.FramesInUse() == 0 {
 			return 0

@@ -49,7 +49,7 @@ func TestNilDaemonIsInert(t *testing.T) {
 	d.Start()
 	d.Stop()
 	d.ScanChunk(100)
-	d.Instrument(nil)
+	d.Instrument(func(name string, _ func() float64) { t.Fatalf("nil daemon registered %q", name) })
 	if d.Stats() != (Stats{}) {
 		t.Fatal("nil daemon has stats")
 	}

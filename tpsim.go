@@ -29,7 +29,6 @@ package tpsim
 import (
 	"repro/internal/core"
 	"repro/internal/mem"
-	"repro/internal/metrics"
 	"repro/internal/report"
 	"repro/internal/thp"
 	"repro/internal/workload"
@@ -153,22 +152,6 @@ const (
 
 // ParseTHPPolicy converts a sysfs spelling into a THPPolicy.
 var ParseTHPPolicy = thp.ParsePolicy
-
-// Telemetry: time-series sampling of a running cluster. Enable with
-// ClusterConfig.EnableMetrics; the registry on Cluster.Metrics holds one
-// ring-buffer series per gauge. Sampling is read-only and clock-driven, so results are
-// bit-identical with it on or off.
-type (
-	// Metrics is a cluster's telemetry registry (Cluster.Metrics).
-	Metrics = metrics.Registry
-	// Series is one bounded time series of samples.
-	Series = metrics.Series
-	// Sample is one (virtual time, value) observation.
-	Sample = metrics.Sample
-)
-
-// RenderTimeline renders one registry as an ASCII sparkline timeline.
-var RenderTimeline = core.RenderTimeline
 
 // DefaultScale is the default memory scale (all results are scaled back to
 // paper units automatically).
