@@ -19,9 +19,15 @@
 // evaluates) runs once. Results are collected in submission order, so
 // stdout is byte-identical at every -jobs width; progress and timing go to
 // stderr.
+//
+// Exit status: 0 when everything ran, 1 when a check claim failed, 2 for
+// bad flags or ids (before anything runs), 3 when a cell's host failed
+// verification before it was dropped; stderr then has one line naming the
+// cell and the broken law.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -54,7 +60,7 @@ func main() {
 	flag.BoolVar(&opts.THPKSMSplit, "thp-ksm-split", false, "let KSM split huge pages over verified duplicate content (needs -thp madvise or always)")
 	flag.Uint64Var(&opts.ChaosSeed, "chaos-seed", 0, "fault schedule seed of chaos (fixed seed = byte-identical output)")
 	flag.BoolVar(&opts.IncrementalScan, "incremental", false, "enable dirty-ring incremental KSM rescans")
-	flag.BoolVar(&opts.JITShare, "jitshare", false, "attach the ShareJIT-style shared code archive to every JVM")
+	flag.BoolVar(&opts.JITShare, "jitshare", false, "attach the ShareJIT-style shared code archive to every JVM (needs -scale 0..32)")
 	flag.Usage = usage
 	flag.Parse()
 	ids := flag.Args()
@@ -84,6 +90,13 @@ func main() {
 		start := time.Now()
 		for _, e := range groups[i] {
 			res, err := run(e)
+			// A cell whose host broke a law leaves figures nobody should
+			// read: its one line replaces the report.
+			var broken *core.CellError
+			if errors.As(err, &broken) {
+				fmt.Fprintf(os.Stderr, "tpsim: %v\n", err)
+				os.Exit(3)
+			}
 			fmt.Print(v.render(res))
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "tpsim: %v\n", err)

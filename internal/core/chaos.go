@@ -69,7 +69,7 @@ var chaosProfiles = []chaosProfile{
 		stallEvery: 10 * simclock.Second, spikeFrac: 8},
 }
 
-// Chaos sweeps fault profiles × guest counts on the DayTrader scenario with
+// chaos sweeps fault profiles × guest counts on the DayTrader scenario with
 // shared class caches: guests are killed and restarted, the host absorbs
 // memory-demand spikes through the balloon → swap/huge-split → OOM-kill
 // degradation, and the KSM daemon is stalled — all on a deterministic,
@@ -77,8 +77,6 @@ var chaosProfiles = []chaosProfile{
 // leak invariant is checked; the row records any failure. Cells are
 // independent cluster runs and fan out across Options.Jobs with
 // submission-order collection, so output is byte-identical at every width.
-func Chaos(o Options) ChaosFigure { return chaos(newInvocation(o)) }
-
 func chaos(inv *invocation) ChaosFigure {
 	o := inv.o
 	fig := ChaosFigure{

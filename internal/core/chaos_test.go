@@ -44,7 +44,7 @@ func TestChaosInjectsAndNeverLeaks(t *testing.T) {
 func TestChaosSeedChangesHistory(t *testing.T) {
 	o := testOptions(1)
 	o.ChaosSeed++
-	if seq, _ := runMemo(t, "chaos"); seq.CSV == ChaosFigureTable(Chaos(o)).CSV() {
+	if seq, _ := runMemo(t, "chaos"); seq.CSV == ChaosFigureTable(chaos(newInvocation(o))).CSV() {
 		t.Fatalf("seeds %d and %d produced identical chaos sweeps", o.ChaosSeed-1, o.ChaosSeed)
 	}
 }

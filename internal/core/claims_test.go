@@ -3,6 +3,8 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/jvm"
 )
 
 func TestClaimsWellFormed(t *testing.T) {
@@ -29,22 +31,47 @@ func TestClaimsHoldAtTestScale(t *testing.T) {
 	}
 }
 
+// claimNamed returns the claim with the given id.
+func claimNamed(t *testing.T, id string) Claim {
+	t.Helper()
+	for _, c := range Claims() {
+		if c.ID == id {
+			return c
+		}
+	}
+	t.Fatalf("no claim %q", id)
+	return Claim{}
+}
+
 // holdClaims evaluates the named claims against f, which needs only the
 // figures those claims read, and fails on any that does not hold.
 func holdClaims(t *testing.T, f *claimFigures, ids ...string) {
 	t.Helper()
-	byID := map[string]Claim{}
-	for _, c := range Claims() {
-		byID[c.ID] = c
-	}
 	for _, id := range ids {
-		c, ok := byID[id]
-		if !ok {
-			t.Fatalf("no claim %q", id)
-		}
-		if detail, held := c.Check(f); !held {
+		if detail, held := claimNamed(t, id).Check(f); !held {
 			t.Errorf("%s: %s", id, detail)
 		}
+	}
+}
+
+// TestGCPolicyClaimReadsOwnerFromPIDs evaluates gc-policy-independent on the
+// class-metadata rows of quick fig5b at seed 1, where SPECjEnterprise has the
+// smallest PID and so owns the merged frames: the claim holds. Were the owner
+// to share more than 60 % itself, it must fail.
+func TestGCPolicyClaimReadsOwnerFromPIDs(t *testing.T) {
+	bar := func(label string, pid int, mapped, shared float64) JavaBar {
+		return JavaBar{Label: label, PID: pid, Cats: []CatRow{{jvm.CatClassMeta, mapped, shared}}}
+	}
+	f := &claimFigures{fig5b: JavaFigure{Bars: []JavaBar{
+		bar("DayTrader", 492, 127.0, 111.3), bar("SPECjEnterprise", 380, 131.4, 0.3), bar("TPC-W", 392, 128.2, 111.3),
+	}}}
+	c := claimNamed(t, "gc-policy-independent")
+	if detail, held := c.Check(f); !held || !strings.Contains(detail, "SPECjEnterprise (owner) 0.2%") {
+		t.Errorf("seed 1's fig5b: held=%v, %s; want a pass naming SPECjEnterprise the owner", held, detail)
+	}
+	f.fig5b.Bars[1].Cats[0].SharedMB = 80
+	if detail, held := c.Check(f); held {
+		t.Errorf("owner sharing 61%% passed: %s", detail)
 	}
 }
 

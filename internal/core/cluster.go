@@ -173,6 +173,7 @@ type Cluster struct {
 	telemetry   *sampler
 	images      map[string]*cds.Image
 	jitArchives map[string]*jitshare.Archive
+	// warmupEnded is the virtual time RunWarmup returned at (zero before).
 	warmupEnded simclock.Time
 
 	// guests tracks per-slot lifecycle state for the chaos experiments. With
@@ -407,6 +408,21 @@ func (c *Cluster) CheckLeaks() error {
 	return c.Host.CheckLeaks(c.Scanner.StableFrames())
 }
 
+// Verify checks the cluster at a quiescent point against §2's accounting
+// law, every host frame reference explained by live state (CheckLeaks), and
+// then against the scanner's own laws (ksm.Verify). It reports the first
+// law broken; nil means both hold.
+func (c *Cluster) Verify() error { return verifyHost(c.Host, c.Scanner) }
+
+// verifyHost is Verify for any host and its scanner; Fig. 6's cells, which
+// build no Cluster, run it too.
+func verifyHost(h *hypervisor.Host, k *ksm.KSM) error {
+	if err := h.CheckLeaks(k.StableFrames()); err != nil {
+		return err
+	}
+	return k.Verify()
+}
+
 // cacheImage returns the cold-run cache for a workload, built once per
 // cache name and reused for every guest — the "copy the file to all of the
 // VMs" step of §4.B.
@@ -576,10 +592,6 @@ func (c *Cluster) instrument() {
 		})
 	}
 }
-
-// WarmupEnded reports the virtual time at which RunWarmup returned (zero
-// before warm-up completes).
-func (c *Cluster) WarmupEnded() simclock.Time { return c.warmupEnded }
 
 // RunWarmup runs the paper's warm-up phase: scenario initialization traffic
 // on every guest, interleaved with KSM at the fast 10 000 pages/100 ms

@@ -54,8 +54,12 @@ func (o Options) scale() int {
 }
 
 // maxScale is the coarsest memory scale every registered experiment runs at:
-// at -scale 80 a guest already runs out of memory.
-const maxScale = 64
+// at -scale 80 a guest already runs out of memory. Under -jitshare the bound
+// is maxJITShareScale: each tier-2 recompilation adds a body to the private
+// code cache, bodies do not shrink with the scale and the re-JIT rate does
+// not either, so at -scale 38 a quick fig7 guest runs out of memory; 32
+// leaves a margin for other seeds and knobs.
+const maxScale, maxJITShareScale = 64, 32
 
 // Validate rejects option values the simulator would otherwise panic on or
 // silently replace with a default. cmd/tpsim calls it once before anything
@@ -74,6 +78,9 @@ func (o Options) Validate() error {
 	}
 	if o.Scale > maxScale {
 		return fmt.Errorf("-scale must be in 0..%d (got %d; coarser scales run the guests out of memory)", maxScale, o.Scale)
+	}
+	if o.JITShare && o.scale() > maxJITShareScale {
+		return fmt.Errorf("-jitshare needs -scale 0..%d (got %d; tier-2 recompilation runs coarser guests out of memory)", maxJITShareScale, o.Scale)
 	}
 	if o.THPKSMSplit && o.THPPolicy != thp.PolicyMadvise && o.THPPolicy != thp.PolicyAlways {
 		return fmt.Errorf("-thp-ksm-split needs -thp madvise or always (got -thp %v; never has no huge pages to split, fhpm splits per subpage itself)", o.THPPolicy)
@@ -112,14 +119,17 @@ type cell struct {
 	run   func() cellValue
 }
 
-// cellValue is what a cell leaves behind: its measured value and, under
-// telemetry, its rendered timeline and metrics CSV sections.
+// cellValue is what a cell leaves behind: its measured value, under
+// telemetry its rendered timeline and metrics CSV sections, and the law its
+// host broke, if one did (verifyHost).
 type cellValue struct {
 	v                any
 	timeline, series string
+	err              error
 }
 
-// clusterCell is the cell that builds cfg's cluster and measures it.
+// clusterCell is the cell that builds cfg's cluster, measures it and
+// verifies it before the cluster is dropped.
 func clusterCell[R any](label string, cfg ClusterConfig, measure func(*Cluster) R) cell {
 	return cell{label, cfg, func() cellValue {
 		c := BuildCluster(cfg)
@@ -128,9 +138,19 @@ func clusterCell[R any](label string, cfg ClusterConfig, measure func(*Cluster) 
 			out.timeline = c.telemetry.timeline(label) + "\n"
 			out.series = "# " + label + "\n" + c.telemetry.csv()
 		}
+		out.err = c.Verify()
 		return out
 	}}
 }
+
+// CellError is a cell whose host broke a law when its run ended: a frame
+// reference no live state explains, or a scanner law (Cluster.Verify).
+type CellError struct {
+	Label string
+	Err   error
+}
+
+func (e *CellError) Error() string { return fmt.Sprintf("cell %q: %v", e.Label, e.Err) }
 
 // invocation is one run of tpsim: the options every experiment runs at, one
 // pool of width Jobs, and the cells already run with their configs. Its
@@ -152,14 +172,15 @@ type invocation struct {
 
 func newInvocation(o Options) *invocation {
 	r := NewRunner(o.Jobs)
-	r.OnProgress(o.Progress)
+	r.progress = o.Progress
 	return &invocation{o: o, runner: r, memo: map[string]cellValue{}, cfgs: map[string]any{}}
 }
 
 // NewInvocation starts one tpsim invocation at options o and returns the
 // function that runs an experiment in it. Experiments share the invocation's
 // pool and cells, and each Result carries the telemetry of every cell its
-// experiment read.
+// experiment read. The first of those cells that failed verification is
+// returned as a *CellError, ahead of the experiment's own error.
 func NewInvocation(o Options) func(Experiment) (Result, error) {
 	inv := newInvocation(o)
 	return func(e Experiment) (Result, error) {
@@ -168,6 +189,11 @@ func NewInvocation(o Options) func(Experiment) (Result, error) {
 		for _, label := range inv.read {
 			res.Timelines += inv.memo[label].timeline
 			res.MetricsCSV += inv.memo[label].series
+		}
+		for _, label := range inv.read {
+			if broken := inv.memo[label].err; broken != nil {
+				return res, &CellError{label, broken}
+			}
 		}
 		return res, err
 	}
@@ -427,6 +453,9 @@ var (
 	fig4  = memView(dayTrader, true, "fig4", "Physical memory usage and TPS savings (classes preloaded)")
 	fig5a = javaView(dayTrader, true, "fig5a", "Java memory breakdown per WAS process (classes preloaded)")
 	fig3b = javaView(mixed, false, "fig3b", "Java breakdown: DayTrader / SPECjEnterprise / TPC-W in WAS (baseline)")
+	// §4.B gives each Java program a cache name of its own; here all three
+	// use the WAS cache populated with their own stacks. The WAS classes
+	// dominate, which is the paper's point.
 	fig5b = javaView(mixed, true, "fig5b", "Java breakdown: DayTrader / SPECjEnterprise / TPC-W in WAS (preloaded)")
 	fig3c = javaView(tuscany, false, "fig3c", "Java breakdown: three Tuscany bigbank servers (baseline)")
 	fig5c = javaView(tuscany, true, "fig5c", "Java breakdown: three Tuscany bigbank servers (preloaded)")
@@ -449,15 +478,3 @@ func Fig4(o Options) (MemFigure, JavaFigure) {
 
 // Fig3b runs the mixed-workload baseline breakdown.
 func Fig3b(o Options) JavaFigure { return fig3b(newInvocation(o)) }
-
-// Fig5b runs the mixed-workload breakdown with per-application shared
-// caches (§4.B: a separate cache name per Java program; here all three use
-// the WAS cache populated with their own stacks — the WAS classes dominate,
-// which is the paper's point).
-func Fig5b(o Options) JavaFigure { return fig5b(newInvocation(o)) }
-
-// Fig3c runs the Tuscany baseline breakdown.
-func Fig3c(o Options) JavaFigure { return fig3c(newInvocation(o)) }
-
-// Fig5c runs the Tuscany breakdown with the 25 MB shared cache.
-func Fig5c(o Options) JavaFigure { return fig5c(newInvocation(o)) }

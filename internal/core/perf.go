@@ -251,11 +251,9 @@ func sweep(inv *invocation, id, title, unit string, spec workload.Spec, counts [
 	return fig
 }
 
-// Fig7 sweeps DayTrader from 1 to 9 guest VMs (Quick: fewer points, one
+// fig7 sweeps DayTrader from 1 to 9 guest VMs (Quick: fewer points, one
 // repetition) and reports aggregate requests/sec for the default and
 // preloaded configurations.
-func Fig7(o Options) SweepFigure { return fig7(newInvocation(o)) }
-
 func fig7(inv *invocation) SweepFigure {
 	counts := []int{1, 2, 3, 4, 5, 6, 7, 8, 9}
 	reps := 3
@@ -267,10 +265,8 @@ func fig7(inv *invocation) SweepFigure {
 		workload.DayTrader(), counts, reps, true)
 }
 
-// Fig8 sweeps SPECjEnterprise 2010 from 5 to 8 guest VMs at injection rate
+// fig8 sweeps SPECjEnterprise 2010 from 5 to 8 guest VMs at injection rate
 // 15 with the gencon policy and reports the per-VM EjOPS score.
-func Fig8(o Options) SweepFigure { return fig8(newInvocation(o)) }
-
 func fig8(inv *invocation) SweepFigure {
 	counts := []int{5, 6, 7, 8}
 	reps := 3

@@ -45,12 +45,10 @@ func (f PowerFigure) DeltaMB() float64 {
 	return f.Preload.SavingMB() - f.NoPreload.SavingMB()
 }
 
-// Fig6 runs the PowerVM experiment: three 3.5 GB AIX partitions each
+// fig6 runs the PowerVM experiment: three 3.5 GB AIX partitions each
 // running WAS + DayTrader (25 client threads, 1 GB heap), measured before
 // and after the hypervisor's page sharing, without and with the preloaded
 // shared class cache.
-func Fig6(o Options) PowerFigure { return fig6(newInvocation(o)) }
-
 func fig6(inv *invocation) PowerFigure {
 	pairs := runCells[PowerPair](inv, []cell{powerCell(inv.o, false, mem.DefaultPageSize), powerCell(inv.o, true, mem.DefaultPageSize)})
 	return PowerFigure{ID: "fig6", Title: "PowerVM: physical memory of three guest VMs, before/after sharing",
@@ -66,15 +64,16 @@ func powerCell(o Options, preload bool, pageSize int) cell {
 	if pageSize != mem.DefaultPageSize {
 		label += fmt.Sprintf(" %dK pages", pageSize>>10)
 	}
-	return cell{label, [2]any{preload, pageSize}, func() cellValue { return cellValue{v: powerRun(o, preload, pageSize)} }}
+	return cell{label, [2]any{preload, pageSize}, func() cellValue { return powerRun(o, preload, pageSize) }}
 }
 
-// powerRun executes one Fig. 6 configuration and returns its bar pair.
+// powerRun executes one Fig. 6 configuration and returns its bar pair, with
+// the law its host broke if one did.
 // PowerVM's Active Memory Sharing is modelled as the KVM host with no host
 // kernel reserve and no VM-process overhead, swept by one full KSM pass per
 // round. Only the host's total frames in use are read, the one quantity
 // AIX's monitoring gave the paper; totals cannot see the memslot layer.
-func powerRun(o Options, preload bool, pageSize int) PowerPair {
+func powerRun(o Options, preload bool, pageSize int) cellValue {
 	scale := o.scale()
 	host := hypervisor.NewHost(hypervisor.Config{
 		Name:     "BladeCenter-PS701",
@@ -128,5 +127,5 @@ func powerRun(o Options, preload bool, pageSize int) PowerPair {
 	after := host.Phys().BytesInUse()
 
 	toMB := func(b int64) float64 { return float64(b) * float64(scale) / (1 << 20) }
-	return PowerPair{BeforeMB: toMB(before), AfterMB: toMB(after)}
+	return cellValue{v: PowerPair{BeforeMB: toMB(before), AfterMB: toMB(after)}, err: verifyHost(host, scanner)}
 }

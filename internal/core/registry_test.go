@@ -1,12 +1,14 @@
 package core
 
 import (
+	"errors"
 	"reflect"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/mem"
 	"repro/internal/thp"
 	"repro/internal/workload"
 )
@@ -180,6 +182,39 @@ func TestInvocationRunsEachCellOnce(t *testing.T) {
 	}
 }
 
+// TestInvocationReportsBrokenCell runs one cell whose measurement leaks a
+// reference to a mapped frame: the invocation must verify the cell's host
+// before dropping it and return one line naming the cell and the law.
+func TestInvocationReportsBrokenCell(t *testing.T) {
+	cfg := Options{Scale: 64}.clusterConfig([]workload.Spec{workload.Tuscany()}, 2, true)
+	leak := func(c *Cluster) int {
+		c.Host.VMs()[0].HostPageTable().Range(func(_ mem.VPN, pte mem.PTE) bool {
+			if pte.Swapped || pte.Huge {
+				return true
+			}
+			c.Host.Phys().IncRef(pte.Frame)
+			return false
+		})
+		return 0
+	}
+	e := Experiment{ID: "leaky", run: func(inv *invocation) (Result, error) {
+		runCells[int](inv, []cell{
+			clusterCell("clean", cfg, func(*Cluster) int { return 0 }),
+			clusterCell("leaky", cfg, leak),
+		})
+		return Result{}, nil
+	}}
+	_, err := NewInvocation(Options{Jobs: 1})(e)
+	var broken *CellError
+	if !errors.As(err, &broken) || broken.Label != "leaky" {
+		t.Fatalf("invocation error = %v, want a CellError naming cell \"leaky\"", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, `"leaky"`) || !strings.Contains(msg, "refcount") ||
+		strings.Contains(msg, "\n") {
+		t.Errorf("error %q: want one line naming the cell and the broken refcount law", msg)
+	}
+}
+
 // TestCellLabelsKeyConfigs enumerates every registered experiment's cells in
 // one dry invocation — at the default options and under -incremental -thp
 // fhpm — where runCells files each label's config and panics on a second,
@@ -274,10 +309,13 @@ func TestOptionsValidate(t *testing.T) {
 	if err := (Options{}).Validate(); err != nil {
 		t.Fatalf("zero Options rejected: %v", err)
 	}
-	ok := Options{Scale: 64, Jobs: 8,
-		Knobs: Knobs{THPPolicy: thp.PolicyAlways, THPKSMSplit: true}}
-	if err := ok.Validate(); err != nil {
-		t.Fatalf("valid Options rejected: %v", err)
+	for _, ok := range []Options{
+		{Scale: 64, Jobs: 8, Knobs: Knobs{THPPolicy: thp.PolicyAlways, THPKSMSplit: true}},
+		{Scale: maxJITShareScale, Knobs: Knobs{JITShare: true}},
+	} {
+		if err := ok.Validate(); err != nil {
+			t.Fatalf("valid Options rejected: %v", err)
+		}
 	}
 	for _, tc := range []struct {
 		want string // substring naming the offending flag
@@ -286,6 +324,7 @@ func TestOptionsValidate(t *testing.T) {
 		{"-scale", Options{Scale: -4}},
 		{"-scale", Options{Scale: 65}},
 		{"-jobs", Options{Jobs: -1}},
+		{"-jitshare", Options{Scale: 64, Knobs: Knobs{JITShare: true}}},
 		{"-thp-ksm-split", Options{Knobs: Knobs{THPPolicy: thp.PolicyFHPM, THPKSMSplit: true}}},
 		{"-thp-ksm-split", Options{Knobs: Knobs{THPKSMSplit: true}}},
 	} {

@@ -22,6 +22,8 @@ import (
 type Runner struct {
 	jobs int
 
+	// progress, when set, receives a JobEvent as each job starts and
+	// finishes; mu serializes the calls, which must not block for long.
 	mu       sync.Mutex
 	progress func(JobEvent)
 }
@@ -46,25 +48,12 @@ func NewRunner(jobs int) *Runner {
 	return &Runner{jobs: jobs}
 }
 
-// Jobs reports the worker-pool width.
-func (r *Runner) Jobs() int { return r.jobs }
-
-// OnProgress installs a callback receiving a JobEvent when each job starts
-// and finishes. The callback is serialized by the runner and must not block
-// for long.
-func (r *Runner) OnProgress(fn func(JobEvent)) {
-	r.mu.Lock()
-	r.progress = fn
-	r.mu.Unlock()
-}
-
 func (r *Runner) emit(ev JobEvent) {
-	r.mu.Lock()
-	fn := r.progress
-	if fn != nil {
-		fn(ev)
+	if r.progress != nil {
+		r.mu.Lock()
+		r.progress(ev)
+		r.mu.Unlock()
 	}
-	r.mu.Unlock()
 }
 
 // Job is one labelled unit of independent work.

@@ -61,7 +61,7 @@ func TestRunnerProgressEvents(t *testing.T) {
 	r := NewRunner(4)
 	var mu sync.Mutex
 	started, finished := map[int]bool{}, map[int]bool{}
-	r.OnProgress(func(ev JobEvent) {
+	r.progress = func(ev JobEvent) {
 		mu.Lock()
 		defer mu.Unlock()
 		if ev.Total != 8 {
@@ -72,7 +72,7 @@ func TestRunnerProgressEvents(t *testing.T) {
 		} else {
 			started[ev.Index] = true
 		}
-	})
+	}
 	jobs := make([]Job[int], 8)
 	for i := range jobs {
 		jobs[i] = Job[int]{Label: fmt.Sprint(i), Run: func() int { return 0 }}
@@ -103,7 +103,7 @@ func TestRunnerCollectsBetweenJobs(t *testing.T) {
 }
 
 func TestRunnerDefaultsAndSingleJob(t *testing.T) {
-	if NewRunner(0).Jobs() < 1 {
+	if NewRunner(0).jobs < 1 {
 		t.Fatal("default pool width < 1")
 	}
 	got := RunAll(NewRunner(8), []Job[string]{{Run: func() string { return "only" }}})

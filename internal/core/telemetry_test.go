@@ -52,8 +52,8 @@ func TestConvergenceWithinWarmup(t *testing.T) {
 	if !ok {
 		t.Fatal("merged-pages series never flattened")
 	}
-	if at > c.WarmupEnded() {
-		t.Fatalf("converged at %v, after warm-up ended at %v", at, c.WarmupEnded())
+	if at > c.warmupEnded {
+		t.Fatalf("converged at %v, after warm-up ended at %v", at, c.warmupEnded)
 	}
 }
 

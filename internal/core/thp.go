@@ -61,15 +61,13 @@ var thpPolicies = []struct {
 	{"fhpm", thp.PolicyFHPM, false},
 }
 
-// THPTradeoff sweeps THP policy × guest count on the DayTrader scenario and
+// thpTradeoff sweeps THP policy × guest count on the DayTrader scenario and
 // reports both axes of the huge-page/page-sharing tension: under "always"
 // khugepaged claims dense runs before KSM's two-sighting gate can merge out
 // of them, trading TPS savings for TLB reach; "ksm-split" buys most of the
 // sharing back by dissolving huge pages over verified duplicates. The policy
 // (Knobs.THPPolicy and THPKSMSplit) is the sweep's own axis; every other
 // knob applies.
-func THPTradeoff(o Options) THPFigure { return thpTradeoff(newInvocation(o)) }
-
 func thpTradeoff(inv *invocation) THPFigure {
 	fig := THPFigure{
 		ID:    "thp-tradeoff",

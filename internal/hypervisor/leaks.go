@@ -18,8 +18,8 @@ import (
 //
 // external lists frames holding references outside any page table (pass the
 // scanner's StableFrames; each entry accounts one tree reference). The
-// returned error describes every class of mismatch, bounded per class; nil
-// means the state is exactly accounted for.
+// returned error is one line describing every class of mismatch, bounded per
+// class; nil means the state is exactly accounted for.
 func (h *Host) CheckLeaks(external []mem.FrameID) error {
 	pm := h.phys
 	expected := make([]int, pm.TotalFrames())
@@ -89,8 +89,8 @@ func (h *Host) CheckLeaks(external []mem.FrameID) error {
 	}
 
 	if total := frameMismatches + doubleMapped + dangling + orphanSlots; total > 0 {
-		return fmt.Errorf("hypervisor: %d leak(s): %d frame refcount mismatches, %d double-mapped / %d dangling / %d orphaned swap slots\n  %s",
-			total, frameMismatches, doubleMapped, dangling, orphanSlots, strings.Join(problems, "\n  "))
+		return fmt.Errorf("hypervisor: %d leak(s): %d frame refcount mismatches, %d double-mapped / %d dangling / %d orphaned swap slots: %s",
+			total, frameMismatches, doubleMapped, dangling, orphanSlots, strings.Join(problems, "; "))
 	}
 	return nil
 }
