@@ -27,6 +27,7 @@ func main() {
 	dumpOut := flag.String("dump", "", "write a system dump of the final state to this file (virsh dump + crash workflow)")
 	analyzeIn := flag.String("analyze", "", "skip simulation; analyze a previously written dump file offline")
 	smaps := flag.Bool("smaps", false, "also print each Java process's smaps and the guest meminfo")
+	flag.Usage = usage
 	flag.Parse()
 
 	if err := validate(*scale, *numVMs); err != nil {
@@ -77,6 +78,10 @@ func main() {
 		fmt.Printf("system dump written to %s (analyze offline with -analyze %s)\n\n", *dumpOut, *dumpOut)
 	}
 	a := c.Analyze()
+	if err := c.Verify(); err != nil {
+		fmt.Fprintf(os.Stderr, "memmap: %v\n", err)
+		os.Exit(3)
+	}
 	sc := c.Cfg.Scale
 
 	if *smaps {
@@ -129,6 +134,17 @@ func main() {
 			fmt.Sprintf("%.0f", a.PSS(proc)*float64(sc)/(1<<20)))
 	}
 	fmt.Println(pt)
+}
+
+func usage() {
+	w := flag.CommandLine.Output()
+	fmt.Fprint(w, "usage: memmap [flags]\n\nflags:\n")
+	flag.PrintDefaults()
+	fmt.Fprint(w, `
+Exit status: 0 on success, 1 when a dump file cannot be read or written,
+2 for bad flags, 3 when the live host fails verification after its analysis;
+stderr then has one line naming the broken law.
+`)
 }
 
 // validate applies tpsim's -scale rule and requires at least one guest.

@@ -175,6 +175,8 @@ type Cluster struct {
 	jitArchives map[string]*jitshare.Archive
 	// warmupEnded is the virtual time RunWarmup returned at (zero before).
 	warmupEnded simclock.Time
+	// analysisErr is the first law an analysis broke (Analyze).
+	analysisErr error
 
 	// guests tracks per-slot lifecycle state for the chaos experiments. With
 	// fault injection unused the slots are write-only bookkeeping and the
@@ -408,11 +410,17 @@ func (c *Cluster) CheckLeaks() error {
 	return c.Host.CheckLeaks(c.Scanner.StableFrames())
 }
 
-// Verify checks the cluster at a quiescent point against §2's accounting
-// law, every host frame reference explained by live state (CheckLeaks), and
-// then against the scanner's own laws (ksm.Verify). It reports the first
-// law broken; nil means both hold.
-func (c *Cluster) Verify() error { return verifyHost(c.Host, c.Scanner) }
+// Verify checks the cluster at a quiescent point and reports the first law
+// broken: an attribution law any analysis it returned broke (Analyze checks
+// each), then §2's accounting law, every host frame reference explained by
+// live state (CheckLeaks), then the scanner's own laws (ksm.Verify). Nil
+// means all hold.
+func (c *Cluster) Verify() error {
+	if c.analysisErr != nil {
+		return c.analysisErr
+	}
+	return verifyHost(c.Host, c.Scanner)
+}
 
 // verifyHost is Verify for any host and its scanner; Fig. 6's cells, which
 // build no Cluster, run it too.
@@ -633,9 +641,15 @@ func (c *Cluster) Run() {
 	c.RunSteady()
 }
 
-// Analyze freezes the current memory state through the §2 methodology.
+// Analyze freezes the current memory state through the §2 methodology and
+// checks it against the attribution laws (memanalysis.Analysis.Verify) while
+// the host still matches it; Verify reports the first law broken.
 func (c *Cluster) Analyze() *memanalysis.Analysis {
-	return memanalysis.Analyze(c.Host, c.Kernels)
+	a := memanalysis.Analyze(c.Host, c.Kernels)
+	if err := a.Verify(); err != nil && c.analysisErr == nil {
+		c.analysisErr = err
+	}
+	return a
 }
 
 // ScaleBytes converts simulated bytes back into paper units.

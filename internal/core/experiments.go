@@ -121,7 +121,7 @@ type cell struct {
 
 // cellValue is what a cell leaves behind: its measured value, under
 // telemetry its rendered timeline and metrics CSV sections, and the law its
-// host broke, if one did (verifyHost).
+// host broke, if one did (Cluster.Verify, verifyHost).
 type cellValue struct {
 	v                any
 	timeline, series string
@@ -143,8 +143,9 @@ func clusterCell[R any](label string, cfg ClusterConfig, measure func(*Cluster) 
 	}}
 }
 
-// CellError is a cell whose host broke a law when its run ended: a frame
-// reference no live state explains, or a scanner law (Cluster.Verify).
+// CellError is a cell whose host broke a law: an attribution law one of its
+// analyses broke, or, when its run ended, a frame reference no live state
+// explains or a scanner law (Cluster.Verify).
 type CellError struct {
 	Label string
 	Err   error

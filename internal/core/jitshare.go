@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/jvm"
+	"repro/internal/memanalysis"
 	"repro/internal/workload"
 )
 
@@ -100,13 +101,14 @@ func jitShareSweep(inv *invocation) JITShareFigure {
 }
 
 // jitShareRow runs one built cell, measuring the code area after warm-up and
-// again after steady state.
+// again after steady state, one analysis each.
 func jitShareRow(c *Cluster, workload, mode string) JITShareRow {
 	c.RunWarmup()
-	warmRatio, _, _ := codeSharing(c)
+	warmRatio, _, _ := codeSharing(c.Analyze())
 	warmCensus := c.JITShareCensus()
 	c.RunSteady()
-	endRatio, codeMapped, codeShared := codeSharing(c)
+	end := c.Analyze()
+	endRatio, codeMapped, codeShared := codeSharing(end)
 	endCensus := c.JITShareCensus()
 
 	row := JITShareRow{
@@ -123,8 +125,7 @@ func jitShareRow(c *Cluster, workload, mode string) JITShareRow {
 		MergedEnd:    endCensus.Merged,
 		KSMSavingMB:  mb(c.Scanner.Stats().SavedBytes, c.Cfg.Scale),
 	}
-	a := c.Analyze()
-	for _, jb := range a.JavaBreakdowns() {
+	for _, jb := range end.JavaBreakdowns() {
 		cu := jb.ByCat[jvm.CatJITData]
 		row.StubMappedMB += mb(cu.MappedBytes, c.Cfg.Scale)
 		row.StubSharedMB += mb(cu.SharedBytes, c.Cfg.Scale)
@@ -139,11 +140,9 @@ func jitShareRow(c *Cluster, workload, mode string) JITShareRow {
 	return row
 }
 
-// codeSharing reports the cluster-wide code-area sharing ratio
-// (CatJITCode shared/mapped over every JVM) plus the raw byte totals, via
-// the standard read-only analysis walk.
-func codeSharing(c *Cluster) (ratio float64, mapped, shared int64) {
-	a := c.Analyze()
+// codeSharing reports an analysis's cluster-wide code-area sharing ratio
+// (CatJITCode shared/mapped over every JVM) plus the raw byte totals.
+func codeSharing(a *memanalysis.Analysis) (ratio float64, mapped, shared int64) {
 	for _, jb := range a.JavaBreakdowns() {
 		cu := jb.ByCat[jvm.CatJITCode]
 		mapped += cu.MappedBytes

@@ -182,36 +182,51 @@ func TestInvocationRunsEachCellOnce(t *testing.T) {
 	}
 }
 
-// TestInvocationReportsBrokenCell runs one cell whose measurement leaks a
-// reference to a mapped frame: the invocation must verify the cell's host
-// before dropping it and return one line naming the cell and the law.
+// TestInvocationReportsBrokenCell runs cells that break a law: one leaks a
+// reference to a mapped frame, one frees a mapped frame and then analyzes the
+// host. The invocation must verify each cell's host before dropping it and
+// return one line naming the cell and the law; an analysis's broken law is
+// reported ahead of the leak check.
 func TestInvocationReportsBrokenCell(t *testing.T) {
 	cfg := Options{Scale: 64}.clusterConfig([]workload.Spec{workload.Tuscany()}, 2, true)
-	leak := func(c *Cluster) int {
+	// onFrame hands fn VM 0's first mapped base frame that nothing else references.
+	onFrame := func(c *Cluster, fn func(mem.FrameID)) {
+		pm := c.Host.Phys()
 		c.Host.VMs()[0].HostPageTable().Range(func(_ mem.VPN, pte mem.PTE) bool {
-			if pte.Swapped || pte.Huge {
+			if pte.Swapped || pte.Huge || pm.RefCount(pte.Frame) != 1 {
 				return true
 			}
-			c.Host.Phys().IncRef(pte.Frame)
+			fn(pte.Frame)
 			return false
 		})
-		return 0
 	}
-	e := Experiment{ID: "leaky", run: func(inv *invocation) (Result, error) {
-		runCells[int](inv, []cell{
-			clusterCell("clean", cfg, func(*Cluster) int { return 0 }),
-			clusterCell("leaky", cfg, leak),
-		})
-		return Result{}, nil
-	}}
-	_, err := NewInvocation(Options{Jobs: 1})(e)
-	var broken *CellError
-	if !errors.As(err, &broken) || broken.Label != "leaky" {
-		t.Fatalf("invocation error = %v, want a CellError naming cell \"leaky\"", err)
-	}
-	if msg := err.Error(); !strings.Contains(msg, `"leaky"`) || !strings.Contains(msg, "refcount") ||
-		strings.Contains(msg, "\n") {
-		t.Errorf("error %q: want one line naming the cell and the broken refcount law", msg)
+	for _, tc := range []struct {
+		label, law string
+		measure    func(*Cluster) int
+	}{
+		{"leaky", "refcount", func(c *Cluster) int { onFrame(c, c.Host.Phys().IncRef); return 0 }},
+		{"dangling", "allocated:", func(c *Cluster) int {
+			onFrame(c, c.Host.Phys().DecRef)
+			c.Analyze()
+			return 0
+		}},
+	} {
+		e := Experiment{ID: tc.label, run: func(inv *invocation) (Result, error) {
+			runCells[int](inv, []cell{
+				clusterCell("clean", cfg, func(*Cluster) int { return 0 }),
+				clusterCell(tc.label, cfg, tc.measure),
+			})
+			return Result{}, nil
+		}}
+		_, err := NewInvocation(Options{Jobs: 1})(e)
+		var broken *CellError
+		if !errors.As(err, &broken) || broken.Label != tc.label {
+			t.Fatalf("invocation error = %v, want a CellError naming cell %q", err, tc.label)
+		}
+		if msg := err.Error(); !strings.Contains(msg, `"`+tc.label+`"`) || !strings.Contains(msg, tc.law) ||
+			strings.Contains(msg, "\n") {
+			t.Errorf("error %q: want one line naming the cell and the broken %s law", msg, tc.law)
+		}
 	}
 }
 

@@ -13,7 +13,8 @@
 package memanalysis
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/guestos"
 	"repro/internal/hypervisor"
@@ -49,38 +50,82 @@ func (u PageUser) isJava() bool { return u.Kind == KindProcess && u.Proc.IsJava 
 type Analysis struct {
 	pageSize int
 	phys     *mem.PhysMem
-	// users lists every (frame, user) mapping pair.
-	users map[mem.FrameID][]PageUser
-	// owner[frame] is the index into users[frame] of the owning mapper.
-	owner map[mem.FrameID]int
+	// users holds every mapper of every frame, grouped by frame in frame
+	// order: frame f's mappers are users[head[f]:head[f+1]], its owner first.
+	users []PageUser
+	head  []int32
+	// frames and shared count the frames with one or more and with more
+	// than one mapper.
+	frames, shared int
+}
+
+// walk is what the translation walk finds, in walk order: frames[i] is
+// mapped by mappers[mapper[i]], mappers being the run of distinct mappers
+// (one per VMA or kernel page class).
+type walk struct {
+	frames  []mem.FrameID
+	mapper  []int32
+	mappers []PageUser
+}
+
+func (w *walk) add(f mem.FrameID, u PageUser) {
+	if n := len(w.mappers); n == 0 || w.mappers[n-1] != u {
+		w.mappers = append(w.mappers, u)
+	}
+	w.frames = append(w.frames, f)
+	w.mapper = append(w.mapper, int32(len(w.mappers)-1))
 }
 
 // Analyze walks every translation layer of every guest and attributes every
 // resident host frame. The kernels slice supplies the guest-OS view of each
 // VM (in the same order as host.VMs()).
 func Analyze(host *hypervisor.Host, kernels []*guestos.Kernel) *Analysis {
-	a := &Analysis{
-		pageSize: host.PageSize(),
-		phys:     host.Phys(),
-		users:    make(map[mem.FrameID][]PageUser),
-		owner:    make(map[mem.FrameID]int),
-	}
+	var w walk
 	for _, k := range kernels {
-		a.walkGuest(k)
+		w.guest(k)
 	}
-	a.chooseOwners()
+	// A stable counting sort by frame: each frame's mappers keep walk order.
+	a := &Analysis{pageSize: host.PageSize(), phys: host.Phys(), head: make([]int32, host.Phys().TotalFrames()+1)}
+	for _, f := range w.frames {
+		a.head[f]++
+	}
+	for f := 1; f < len(a.head); f++ {
+		a.head[f] += a.head[f-1]
+	}
+	a.users = make([]PageUser, len(w.frames))
+	for i := len(w.frames) - 1; i >= 0; i-- {
+		a.head[w.frames[i]]--
+		a.users[a.head[w.frames[i]]] = w.mappers[w.mapper[i]]
+	}
+	// Move each frame's owner to the front by the paper's rule: if any Java
+	// process maps the frame, the Java process with the smallest PID owns it
+	// (ties broken by VM id); otherwise the first mapper in deterministic
+	// walk order owns it.
+	a.eachFrame(func(_ mem.FrameID, us []PageUser) {
+		a.frames++
+		if len(us) > 1 {
+			a.shared++
+		}
+		best := 0
+		for i := 1; i < len(us); i++ {
+			if ownerLess(us[i], us[best]) {
+				best = i
+			}
+		}
+		us[0], us[best] = us[best], us[0]
+	})
 	return a
 }
 
-// walkGuest records every mapper within one guest VM, walking the memslot
-// and host page table layers of the kernel's VM process.
-func (a *Analysis) walkGuest(k *guestos.Kernel) {
+// guest records every mapper within one guest VM, walking the memslot and
+// host page table layers of the kernel's VM process.
+func (w *walk) guest(k *guestos.Kernel) {
 	vm := k.VM()
 
 	// Kernel-owned pages (text/data/slab/unmapped page cache).
 	for _, kp := range k.KernelOwnedPages() {
 		if f, ok := vm.ResolveResident(vm.GPFNToHostVPN(kp.GPFN)); ok {
-			a.addUser(f, PageUser{VM: vm, Kind: KindKernel, Category: string(kp.Class)})
+			w.add(f, PageUser{VM: vm, Kind: KindKernel, Category: string(kp.Class)})
 		}
 	}
 
@@ -92,12 +137,11 @@ func (a *Analysis) walkGuest(k *guestos.Kernel) {
 				if !ok {
 					continue
 				}
-				gpfn := uint64(pte.Frame)
-				f, ok := vm.ResolveResident(vm.GPFNToHostVPN(gpfn))
+				f, ok := vm.ResolveResident(vm.GPFNToHostVPN(uint64(pte.Frame)))
 				if !ok {
 					continue // swapped out: not host physical memory
 				}
-				a.addUser(f, PageUser{VM: vm, Kind: KindProcess, Proc: p, Category: v.Category})
+				w.add(f, PageUser{VM: vm, Kind: KindProcess, Proc: p, Category: v.Category})
 			}
 		}
 	}
@@ -106,27 +150,18 @@ func (a *Analysis) walkGuest(k *guestos.Kernel) {
 	start, end := vm.OverheadRegion()
 	for vpn := start; vpn < end; vpn++ {
 		if f, ok := vm.ResolveResident(vpn); ok {
-			a.addUser(f, PageUser{VM: vm, Kind: KindVMOverhead, Category: "vm-overhead"})
+			w.add(f, PageUser{VM: vm, Kind: KindVMOverhead, Category: "vm-overhead"})
 		}
 	}
 }
 
-func (a *Analysis) addUser(f mem.FrameID, u PageUser) {
-	a.users[f] = append(a.users[f], u)
-}
-
-// chooseOwners applies the paper's rule: if any Java process maps the frame,
-// the Java process with the smallest PID owns it (ties broken by VM id);
-// otherwise the first mapper in deterministic walk order owns it.
-func (a *Analysis) chooseOwners() {
-	for f, us := range a.users {
-		best := 0
-		for i := 1; i < len(us); i++ {
-			if ownerLess(us[i], us[best]) {
-				best = i
-			}
+// eachFrame calls fn for every attributed frame in frame order with its
+// mappers, owner first.
+func (a *Analysis) eachFrame(fn func(f mem.FrameID, us []PageUser)) {
+	for f := 0; f+1 < len(a.head); f++ {
+		if lo, hi := a.head[f], a.head[f+1]; hi > lo {
+			fn(mem.FrameID(f), a.users[lo:hi])
 		}
-		a.owner[f] = best
 	}
 }
 
@@ -134,49 +169,34 @@ func (a *Analysis) chooseOwners() {
 // then VM id), then everything else in walk order (stable because we only
 // replace on strict improvement).
 func ownerLess(x, y PageUser) bool {
-	xj, yj := x.isJava(), y.isJava()
-	if xj != yj {
-		return xj
+	if !x.isJava() || !y.isJava() {
+		return x.isJava() && !y.isJava() // non-Java: keep first-walked
 	}
-	if !xj {
-		return false // non-Java: keep first-walked
-	}
-	if x.Proc.PID != y.Proc.PID {
-		return x.Proc.PID < y.Proc.PID
-	}
-	return x.VM.ID() < y.VM.ID()
+	return cmp.Or(cmp.Compare(x.Proc.PID, y.Proc.PID), cmp.Compare(x.VM.ID(), y.VM.ID())) < 0
 }
 
 // PageSize reports the analyzed page size.
 func (a *Analysis) PageSize() int { return a.pageSize }
 
 // SharedFrameCount reports how many frames have more than one mapper.
-func (a *Analysis) SharedFrameCount() int {
-	n := 0
-	for _, us := range a.users {
-		if len(us) > 1 {
-			n++
-		}
-	}
-	return n
-}
+func (a *Analysis) SharedFrameCount() int { return a.shared }
 
 // TotalGuestBytes reports all host physical memory attributed to guests.
 func (a *Analysis) TotalGuestBytes() int64 {
-	return int64(len(a.users)) * int64(a.pageSize)
+	return int64(a.frames) * int64(a.pageSize)
 }
 
 // FrameSizeCounts attributes the analyzed frames by backing page size:
 // hugeBacked frames are subpages of transparent huge pages (mapped by one
 // 2 MiB entry), base frames are ordinary 4 KiB mappings.
 func (a *Analysis) FrameSizeCounts() (hugeBacked, base int) {
-	for f := range a.users {
+	a.eachFrame(func(f mem.FrameID, _ []PageUser) {
 		if a.phys.IsHugeFrame(f) {
 			hugeBacked++
 		} else {
 			base++
 		}
-	}
+	})
 	return hugeBacked, base
 }
 
@@ -193,29 +213,25 @@ const TLBEntries = 1024
 // split block are base frames, so they cost one entry each — exactly the
 // per-subpage granularity FHPM trades against sharing.
 func (a *Analysis) EstimatedTLBReachBytes() int64 {
-	huge, base := a.FrameSizeCounts()
-	blocks := make(map[mem.FrameID]struct{})
-	for f := range a.users {
-		if a.phys.IsHugeFrame(f) {
-			blocks[f/mem.HugePages] = struct{}{}
+	_, base := a.FrameSizeCounts()
+	// Frame order visits a block's frames in one run; ids start at 1.
+	blocks, last := 0, mem.FrameID(0)
+	a.eachFrame(func(f mem.FrameID, _ []PageUser) {
+		if b := f/mem.HugePages + 1; b != last && a.phys.IsHugeFrame(f) {
+			blocks, last = blocks+1, b
 		}
-	}
-	entries := len(blocks) + base
+	})
+	entries := blocks + base
 	if entries == 0 {
 		return 0
 	}
-	totalBytes := int64(huge+base) * int64(a.pageSize)
-	return TLBEntries * totalBytes / int64(entries)
+	return TLBEntries * a.TotalGuestBytes() / int64(entries)
 }
 
 // TotalSavingsBytes reports cluster-wide TPS savings: for each shared frame,
 // every mapper beyond the owner would otherwise need its own copy.
 func (a *Analysis) TotalSavingsBytes() int64 {
-	var extra int64
-	for _, us := range a.users {
-		extra += int64(len(us) - 1)
-	}
-	return extra * int64(a.pageSize)
+	return int64(len(a.users)-a.frames) * int64(a.pageSize)
 }
 
 // VMBreakdown is one guest VM's bar in Fig. 2 / Fig. 4.
@@ -249,9 +265,8 @@ func (a *Analysis) VMBreakdowns() []VMBreakdown {
 		return b
 	}
 	ps := int64(a.pageSize)
-	for f, us := range a.users {
-		oi := a.owner[f]
-		o := us[oi]
+	a.eachFrame(func(_ mem.FrameID, us []PageUser) {
+		o := us[0]
 		b := get(o.VM)
 		switch {
 		case o.Kind == KindKernel:
@@ -268,17 +283,15 @@ func (a *Analysis) VMBreakdowns() []VMBreakdown {
 		// would need its own frame. This counts KSM-merged zero pages many
 		// times within one VM, exactly as KSM's own saved-memory accounting
 		// does.
-		for i, u := range us {
-			if i != oi {
-				get(u.VM).SavingsBytes += ps
-			}
+		for _, u := range us[1:] {
+			get(u.VM).SavingsBytes += ps
 		}
-	}
+	})
 	out := make([]VMBreakdown, 0, len(byVM))
 	for _, b := range byVM {
 		out = append(out, *b)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].VMID < out[j].VMID })
+	slices.SortFunc(out, func(x, y VMBreakdown) int { return cmp.Compare(x.VMID, y.VMID) })
 	return out
 }
 
@@ -324,14 +337,10 @@ func (b JavaBreakdown) TotalShared() int64 {
 // JavaBreakdowns computes the per-JVM category view, ordered by VM id then
 // PID.
 func (a *Analysis) JavaBreakdowns() []JavaBreakdown {
-	type procKey struct {
-		vmID int
-		pid  int
-	}
+	type procKey struct{ vmID, pid int }
 	byProc := map[procKey]*JavaBreakdown{}
 	ps := int64(a.pageSize)
-	for f, us := range a.users {
-		oi := a.owner[f]
+	a.eachFrame(func(_ mem.FrameID, us []PageUser) {
 		// Every PTE counts: a process mapping one KSM-merged frame many
 		// times (zeroed heap regions, recycled work areas) occupies that
 		// many virtual pages, of which exactly one — the owner's — costs
@@ -343,34 +352,26 @@ func (a *Analysis) JavaBreakdowns() []JavaBreakdown {
 			k := procKey{u.VM.ID(), u.Proc.PID}
 			b, ok := byProc[k]
 			if !ok {
-				b = &JavaBreakdown{
-					VMName:   u.VM.Name(),
-					VMID:     u.VM.ID(),
-					ProcName: u.Proc.Name,
-					PID:      u.Proc.PID,
-					ByCat:    map[string]CategoryUsage{},
-				}
+				b = &JavaBreakdown{VMName: u.VM.Name(), VMID: u.VM.ID(),
+					ProcName: u.Proc.Name, PID: u.Proc.PID, ByCat: map[string]CategoryUsage{}}
 				byProc[k] = b
 			}
 			cu := b.ByCat[u.Category]
 			cu.MappedBytes += ps
-			if i == oi {
+			if i == 0 {
 				cu.OwnedBytes += ps
 			} else {
 				cu.SharedBytes += ps
 			}
 			b.ByCat[u.Category] = cu
 		}
-	}
+	})
 	out := make([]JavaBreakdown, 0, len(byProc))
 	for _, b := range byProc {
 		out = append(out, *b)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].VMID != out[j].VMID {
-			return out[i].VMID < out[j].VMID
-		}
-		return out[i].PID < out[j].PID
+	slices.SortFunc(out, func(x, y JavaBreakdown) int {
+		return cmp.Or(cmp.Compare(x.VMID, y.VMID), cmp.Compare(x.PID, y.PID))
 	})
 	return out
 }
@@ -380,24 +381,23 @@ func (a *Analysis) JavaBreakdowns() []JavaBreakdown {
 // total mapper count.
 func (a *Analysis) PSS(proc *guestos.Process) float64 {
 	var pss float64
-	for _, us := range a.users {
-		n := len(us)
+	a.eachFrame(func(_ mem.FrameID, us []PageUser) {
 		for _, u := range us {
 			if u.Kind == KindProcess && u.Proc == proc {
-				pss += float64(a.pageSize) / float64(n)
+				pss += float64(a.pageSize) / float64(len(us))
 			}
 		}
-	}
+	})
 	return pss
 }
 
 // OwnerOrientedBytes reports one process's owner-oriented usage in bytes.
 func (a *Analysis) OwnerOrientedBytes(proc *guestos.Process) int64 {
 	var t int64
-	for f, us := range a.users {
-		if u := us[a.owner[f]]; u.Kind == KindProcess && u.Proc == proc {
+	a.eachFrame(func(_ mem.FrameID, us []PageUser) {
+		if us[0].Kind == KindProcess && us[0].Proc == proc {
 			t += int64(a.pageSize)
 		}
-	}
+	})
 	return t
 }
