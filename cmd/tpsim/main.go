@@ -56,8 +56,8 @@ func main() {
 	flag.IntVar(&opts.Jobs, "jobs", 0, "parallel cluster runs (0 = GOMAXPROCS, 1 = fully sequential)")
 	flag.BoolVar(&v.timeline, "timeline", false, "append an ASCII timeline of sampled metrics after each experiment")
 	flag.BoolVar(&v.metricsCSV, "metrics-csv", false, "append the sampled metrics series as CSV after each experiment")
-	thpFlag := flag.String("thp", "never", "transparent huge page policy: never|madvise|always|fhpm (fhpm splits and re-promotes per subpage)")
-	flag.BoolVar(&opts.THPKSMSplit, "thp-ksm-split", false, "let KSM split huge pages over verified duplicate content (needs -thp madvise or always)")
+	thpFlag := flag.String("thp", "never", "transparent huge page policy: never|always|fhpm (fhpm splits and re-promotes per subpage)")
+	flag.BoolVar(&opts.THPKSMSplit, "thp-ksm-split", false, "let KSM split huge pages over verified duplicate content (needs -thp always)")
 	flag.Uint64Var(&opts.ChaosSeed, "chaos-seed", 0, "fault schedule seed of chaos (fixed seed = byte-identical output)")
 	flag.BoolVar(&opts.IncrementalScan, "incremental", false, "enable dirty-ring incremental KSM rescans")
 	flag.BoolVar(&opts.JITShare, "jitshare", false, "attach the ShareJIT-style shared code archive to every JVM (needs -scale 0..32)")

@@ -25,23 +25,12 @@ func build(t *testing.T, hostPages, guestPages, cachePages int) (*hypervisor.Hos
 	return h, ks
 }
 
-func TestNoInflationWhenMemoryAmple(t *testing.T) {
-	h, ks := build(t, 1024, 128, 16)
-	m := NewManager(h, ks, Config{LowWatermarkBytes: 4 * pg, TargetFreeBytes: 8 * pg})
-	if got := m.Balance(); got != 0 {
-		t.Fatalf("reclaimed %d with ample memory", got)
-	}
-	if m.Stats().Inflations != 0 {
-		t.Fatal("inflation counted without pressure")
-	}
-}
-
 func TestInflationShrinksPageCacheUnderPressure(t *testing.T) {
 	// Host with 100 pages; two guests each caching 32 file pages → ~64 used.
 	h, ks := build(t, 100, 64, 32)
 	free := h.FreeBytes()
-	m := NewManager(h, ks, Config{LowWatermarkBytes: free + 8*pg, TargetFreeBytes: free + 24*pg})
-	got := m.Balance()
+	m := NewManager(h, ks)
+	got := m.ReclaimPages(24)
 	if got == 0 {
 		t.Fatal("no reclamation under pressure")
 	}
@@ -53,26 +42,13 @@ func TestInflationShrinksPageCacheUnderPressure(t *testing.T) {
 			t.Fatal("guest page cache untouched")
 		}
 	}
-	if m.Stats().PagesReclaimed != got {
-		t.Fatal("stats inconsistent")
-	}
 }
 
 func TestInflationBoundedByReclaimable(t *testing.T) {
 	h, ks := build(t, 100, 64, 8)
-	free := h.FreeBytes()
-	m := NewManager(h, ks, Config{LowWatermarkBytes: free + 512*pg, TargetFreeBytes: free + 1024*pg})
-	got := m.Balance()
-	if got > 16 {
+	m := NewManager(h, ks)
+	if got := m.ReclaimPages(1024); got > 16 {
 		t.Fatalf("reclaimed %d pages, more than the caches hold", got)
-	}
-}
-
-func TestDefaultsApplied(t *testing.T) {
-	h, ks := build(t, 1024, 64, 8)
-	m := NewManager(h, ks, Config{})
-	if m.cfg.LowWatermarkBytes <= 0 || m.cfg.TargetFreeBytes < m.cfg.LowWatermarkBytes {
-		t.Fatalf("defaults not applied: %+v", m.cfg)
 	}
 }
 
@@ -85,8 +61,7 @@ func TestInflationAvoidsHypervisorSwap(t *testing.T) {
 		h, ks := build(t, 160, 64, 48)
 		free := h.FreeBytes()
 		if withBalloon {
-			m := NewManager(h, ks, Config{LowWatermarkBytes: free + pg, TargetFreeBytes: free + 48*pg})
-			if m.Balance() == 0 {
+			if NewManager(h, ks).ReclaimPages(48) == 0 {
 				t.Fatal("balloon reclaimed nothing")
 			}
 		}
@@ -107,51 +82,9 @@ func TestInflationAvoidsHypervisorSwap(t *testing.T) {
 	}
 }
 
-func TestDeflateRestoresAccounting(t *testing.T) {
-	h, ks := build(t, 100, 64, 32)
-	free := h.FreeBytes()
-	m := NewManager(h, ks, Config{LowWatermarkBytes: free + 8*pg, TargetFreeBytes: free + 24*pg})
-	got := m.Balance()
-	if got == 0 || m.BalloonedPages() != got {
-		t.Fatalf("ledger %d after reclaiming %d", m.BalloonedPages(), got)
-	}
-	back := m.Deflate()
-	if back != got {
-		t.Fatalf("deflate returned %d of %d ballooned pages", back, got)
-	}
-	if m.BalloonedPages() != 0 {
-		t.Fatalf("ledger %d after deflate", m.BalloonedPages())
-	}
-	s := m.Stats()
-	if s.Deflations != 1 || s.PagesRestored != got || s.PagesReclaimed != got {
-		t.Fatalf("stats inconsistent after deflate: %+v", s)
-	}
-	if m.Deflate() != 0 {
-		t.Fatal("second deflate returned pages from an empty balloon")
-	}
-}
-
-func TestDeflateRefusedUnderPressure(t *testing.T) {
-	h, ks := build(t, 100, 64, 32)
-	free := h.FreeBytes()
-	// Target far beyond what the caches can yield: inflation runs dry with
-	// the host still below target, so the balloon must stay inflated.
-	m := NewManager(h, ks, Config{LowWatermarkBytes: free + 8*pg, TargetFreeBytes: free + 1024*pg})
-	got := m.Balance()
-	if got == 0 {
-		t.Fatal("no reclamation under pressure")
-	}
-	if m.Deflate() != 0 {
-		t.Fatal("deflated while host free memory is still below target")
-	}
-	if m.BalloonedPages() != got {
-		t.Fatal("ledger changed by refused deflate")
-	}
-}
-
-func TestReclaimPagesIgnoresWatermarks(t *testing.T) {
+func TestReclaimPagesBoundedByRequest(t *testing.T) {
 	h, ks := build(t, 1024, 128, 32)
-	m := NewManager(h, ks, Config{LowWatermarkBytes: 4 * pg, TargetFreeBytes: 8 * pg})
+	m := NewManager(h, ks)
 	free := h.FreeBytes()
 	got := m.ReclaimPages(20)
 	if got == 0 {
@@ -163,53 +96,44 @@ func TestReclaimPagesIgnoresWatermarks(t *testing.T) {
 	if h.FreeBytes() <= free {
 		t.Fatal("host free memory did not grow")
 	}
-	if m.BalloonedPages() != got {
-		t.Fatalf("ledger %d != reclaimed %d", m.BalloonedPages(), got)
-	}
 	if m.ReclaimPages(0) != 0 {
 		t.Fatal("zero-page request reclaimed something")
 	}
 }
 
-func TestDropGuestForgetsLedger(t *testing.T) {
+func TestDropGuestAddGuestMembership(t *testing.T) {
 	h, ks := build(t, 1024, 128, 32)
-	m := NewManager(h, ks, Config{})
-	got := m.ReclaimPages(40)
-	if got == 0 {
-		t.Fatal("no reclamation to set the ledger up")
-	}
-	dropped := m.DropGuest(ks[0])
-	if dropped == 0 {
-		t.Fatal("dropped guest's ledger was empty")
-	}
-	if m.BalloonedPages() != got-dropped {
-		t.Fatalf("ledger %d after drop, want %d", m.BalloonedPages(), got-dropped)
-	}
-	if m.DropGuest(ks[0]) != 0 {
-		t.Fatal("double drop found a ledger")
-	}
-	// A rebooted guest comes back with an empty balloon and is reclaimable.
-	m.AddGuest(ks[0])
-	if m.BalloonedPages() != got-dropped {
-		t.Fatal("AddGuest changed the ledger")
-	}
+	m := NewManager(h, ks)
+	m.DropGuest(ks[0])
+	m.DropGuest(ks[0]) // a second drop finds nothing
 	if m.ReclaimPages(10) == 0 {
+		t.Fatal("remaining guest not reclaimable")
+	}
+	if drops := ks[0].Stats().PageCacheDrops; drops != 0 {
+		t.Fatalf("dropped guest gave up %d cache pages", drops)
+	}
+	// A rebooted guest comes back and is reclaimable again.
+	m.AddGuest(ks[0])
+	if m.ReclaimPages(40) == 0 {
+		t.Fatal("no reclamation after AddGuest")
+	}
+	if ks[0].Stats().PageCacheDrops == 0 {
 		t.Fatal("re-added guest not reclaimable")
 	}
 }
 
 func TestManagerCopiesKernelList(t *testing.T) {
 	// The caller's slice may be mutated in place (guest kills compact it);
-	// the manager must hold its own copy or its index-parallel ledger skews.
+	// the manager must hold its own copy or its membership skews.
 	h, ks := build(t, 1024, 128, 32)
-	m := NewManager(h, ks, Config{})
-	if m.ReclaimPages(40) == 0 {
-		t.Fatal("no reclamation to set the ledger up")
-	}
+	m := NewManager(h, ks)
 	victim := ks[0]
 	ks = append(ks[:0], ks[1:]...) // caller compacts its own list
 	_ = ks
-	if m.DropGuest(victim) == 0 {
-		t.Fatal("manager lost track of the dropped guest after caller mutation")
+	if m.ReclaimPages(20) == 0 {
+		t.Fatal("no reclamation")
+	}
+	if victim.Stats().PageCacheDrops == 0 {
+		t.Fatal("manager lost track of a guest after caller mutation")
 	}
 }

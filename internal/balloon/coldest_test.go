@@ -40,7 +40,7 @@ func TestReclaimPagesDrainsColdestFirst(t *testing.T) {
 	h, ks := buildDirty(t, 1024, 128, 32)
 	setWorkingSet(t, ks[0], 500) // hot
 	setWorkingSet(t, ks[1], 4)   // cold
-	m := NewManager(h, ks, Config{LowWatermarkBytes: 4 * pg, TargetFreeBytes: 8 * pg})
+	m := NewManager(h, ks)
 	got := m.ReclaimPages(20)
 	if got != 20 {
 		t.Fatalf("reclaimed %d of 20 with 32 cached pages per guest", got)
@@ -57,7 +57,7 @@ func TestReclaimSpillsToHotterGuestWhenColdRunsDry(t *testing.T) {
 	h, ks := buildDirty(t, 1024, 128, 32)
 	setWorkingSet(t, ks[0], 500)
 	setWorkingSet(t, ks[1], 4)
-	m := NewManager(h, ks, Config{LowWatermarkBytes: 4 * pg, TargetFreeBytes: 8 * pg})
+	m := NewManager(h, ks)
 	got := m.ReclaimPages(48) // more than one guest's 32-page cache
 	if got != 48 {
 		t.Fatalf("reclaimed %d of 48 with 64 cached pages total", got)
@@ -75,7 +75,7 @@ func TestUnknownWorkingSetTreatedAsHot(t *testing.T) {
 	// ks[0] has no estimate yet (no drain observed); ks[1] looks busy but
 	// still colder than "unknown".
 	setWorkingSet(t, ks[1], 500)
-	m := NewManager(h, ks, Config{LowWatermarkBytes: 4 * pg, TargetFreeBytes: 8 * pg})
+	m := NewManager(h, ks)
 	if got := m.ReclaimPages(20); got != 20 {
 		t.Fatalf("reclaimed %d of 20", got)
 	}
@@ -84,23 +84,5 @@ func TestUnknownWorkingSetTreatedAsHot(t *testing.T) {
 	}
 	if drops := ks[1].Stats().PageCacheDrops; drops == 0 {
 		t.Fatal("measured guest untouched")
-	}
-}
-
-func TestBalanceUsesColdestFirstUnderDirtyLog(t *testing.T) {
-	h, ks := buildDirty(t, 100, 64, 32)
-	setWorkingSet(t, ks[0], 500)
-	setWorkingSet(t, ks[1], 4)
-	free := h.FreeBytes()
-	// A target the cold guest's cache can satisfy alone.
-	m := NewManager(h, ks, Config{LowWatermarkBytes: free + 8*pg, TargetFreeBytes: free + 16*pg})
-	if got := m.Balance(); got == 0 {
-		t.Fatal("no reclamation under pressure")
-	}
-	if drops := ks[0].Stats().PageCacheDrops; drops != 0 {
-		t.Fatalf("hot guest lost %d cache pages on a shortfall the cold guest covers", drops)
-	}
-	if drops := ks[1].Stats().PageCacheDrops; drops == 0 {
-		t.Fatal("cold guest's page cache untouched")
 	}
 }

@@ -163,7 +163,7 @@ type chaosHarness struct {
 func newChaosHarness(c *Cluster) *chaosHarness {
 	h := &chaosHarness{
 		c:         c,
-		balloon:   balloon.NewManager(c.Host, c.Kernels, balloon.Config{}),
+		balloon:   balloon.NewManager(c.Host, c.Kernels),
 		oomPolicy: hypervisor.VictimLargest,
 	}
 	if c.Host.DirtyLogEnabled() {
@@ -189,8 +189,8 @@ func (h *chaosHarness) Alive(slot int) bool { return h.c.GuestAlive(slot) }
 
 func (h *chaosHarness) Kill(slot int) {
 	// Detach the kernel from the balloon manager BEFORE the hypervisor
-	// reclaims its pages: a balance pass between teardown and drop would
-	// drive reclaim against a guest whose memory no longer exists.
+	// reclaims its pages: a reclaim between teardown and drop would be
+	// driven against a guest whose memory no longer exists.
 	if k := h.c.GuestKernel(slot); k != nil {
 		h.balloon.DropGuest(k)
 	}

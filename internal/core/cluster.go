@@ -55,14 +55,14 @@ const (
 // copy. The zero value of every knob keeps the paper figures byte-identical.
 type Knobs struct {
 	// THPPolicy enables the transparent-huge-page collapse daemon (tpsim
-	// -thp). Under madvise or always, khugepaged-style collapse competes
+	// -thp). Under always or fhpm, khugepaged-style collapse competes
 	// with KSM for dense guest-RAM runs.
 	THPPolicy thp.Policy
 	// THPKSMSplit lets KSM split huge mappings back to base pages when it
 	// verifies duplicate content (tpsim -thp-ksm-split) — the
 	// sharing-recovery side of the THP-vs-KSM tradeoff. Meaningless under
 	// thp.PolicyFHPM, which carries its own per-subpage splitting
-	// (ksm.Config.PartialSplitHuge); Options.Validate rejects the pair.
+	// (ksm.SplitSubpage); Options.Validate rejects the pair.
 	THPKSMSplit bool
 	// IncrementalScan turns on the host's PML-style dirty-page rings and
 	// switches the KSM scanner to dirty-ring driven incremental rescans once
@@ -152,10 +152,6 @@ func (cfg ClusterConfig) withDefaults() ClusterConfig {
 	return cfg
 }
 
-// CachePath is where the pre-populated shared class cache file lives in
-// every guest image built with the technique enabled.
-const CachePath = "/opt/middleware/javasharedresources/classCache"
-
 // Cluster is a running experiment.
 type Cluster struct {
 	Cfg     ClusterConfig
@@ -165,8 +161,8 @@ type Cluster struct {
 	Kernels []*guestos.Kernel
 	Workers []*workload.Instance
 	Scanner *ksm.KSM
-	// THP is the huge-page collapse daemon (nil unless THPPolicy is madvise
-	// or always; the thp API is nil-safe).
+	// THP is the huge-page collapse daemon (nil under thp.PolicyNever; the
+	// thp API is nil-safe).
 	THP *thp.Daemon
 
 	// telemetry is nil unless EnableMetrics.
@@ -224,10 +220,14 @@ func BuildCluster(cfg ClusterConfig) *Cluster {
 	// in §2.C where KSM is enabled during WAS startup.
 	kcfg := ksm.DefaultConfig()
 	kcfg.PagesToScan = 10000
-	kcfg.SplitHugePages = cfg.THPKSMSplit
-	// Under FHPM, KSM carves just the duplicate-bearing subpage instead of
-	// dissolving the whole block (takes precedence over SplitHugePages).
-	kcfg.PartialSplitHuge = cfg.THPPolicy == thp.PolicyFHPM
+	switch {
+	case cfg.THPPolicy == thp.PolicyFHPM:
+		// Under FHPM, KSM carves just the duplicate-bearing subpage instead
+		// of dissolving the whole block.
+		kcfg.HugeSplit = ksm.SplitSubpage
+	case cfg.THPKSMSplit:
+		kcfg.HugeSplit = ksm.SplitWhole
+	}
 	kcfg.IncrementalScan = cfg.IncrementalScan
 	c.Scanner = ksm.New(host, kcfg)
 	if !cfg.DisableKSM {
@@ -250,9 +250,7 @@ func BuildCluster(cfg ClusterConfig) *Cluster {
 		spec := cfg.Specs[i%len(cfg.Specs)]
 		c.addGuest(i, spec)
 		c.Scanner.Register(c.Host.VMs()[i])
-		// QEMU madvises all guest RAM as MADV_HUGEPAGE, so under the madvise
-		// policy guest memory is still an explicit collapse candidate.
-		c.THP.Register(c.Host.VMs()[i], true)
+		c.THP.Register(c.Host.VMs()[i])
 		// Let the scanner absorb this guest's startup before the next one
 		// boots (sequential provisioning).
 		clock.RunFor(simclock.Time(c.totalGuestPages()/10000+1) * 100 * simclock.Millisecond)
@@ -306,13 +304,10 @@ func (c *Cluster) bootGuest(i int, slot *guestSlot) {
 			order := classlib.ShuffleWindows(c.Corpus.Stack(spec.CacheAwareGroups...), vmSeed, 48)
 			img = cds.Build(spec.CacheName, c.Corpus.Version, spec.CacheBytes/int64(cfg.Scale), order)
 		}
-		k.FS().Install(&guestos.File{Path: CachePath, Data: img.FileBytes(c.Corpus)})
-		dcfg.SharedClasses = true
+		k.FS().Install(&guestos.File{Path: jvm.CachePath, Data: img.FileBytes(c.Corpus)})
 		dcfg.CacheImage = img
-		dcfg.CachePath = CachePath
 	}
 	if cfg.JITShare {
-		dcfg.JITShare = true
 		dcfg.JITArchive = c.jitArchive(spec)
 	}
 	if cfg.PerVMNIOSalt {
@@ -399,7 +394,7 @@ func (c *Cluster) RestartGuest(i int) *guestos.Kernel {
 	slot.gen++
 	c.bootGuest(i, slot)
 	c.Scanner.Register(slot.vm)
-	c.THP.Register(slot.vm, true)
+	c.THP.Register(slot.vm)
 	return slot.kernel
 }
 
@@ -650,9 +645,4 @@ func (c *Cluster) Analyze() *memanalysis.Analysis {
 		c.analysisErr = err
 	}
 	return a
-}
-
-// ScaleBytes converts simulated bytes back into paper units.
-func (c *Cluster) ScaleBytes(b int64) int64 {
-	return b * int64(c.Cfg.withDefaults().Scale)
 }

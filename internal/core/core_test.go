@@ -86,13 +86,6 @@ func TestRenderersProduceOutput(t *testing.T) {
 	}
 }
 
-func TestScaleBytesRoundTrip(t *testing.T) {
-	c := &Cluster{Cfg: ClusterConfig{Scale: 16, Specs: []workload.Spec{workload.DayTrader()}}}
-	if c.ScaleBytes(1<<20) != 16<<20 {
-		t.Fatal("ScaleBytes wrong")
-	}
-}
-
 func TestMultipleJVMsPerGuestShareCacheIntraGuest(t *testing.T) {
 	// §4.B's original use of shared classes: several WAS processes in ONE
 	// guest attach the same cache file and share its pages through the

@@ -82,8 +82,8 @@ func (o Options) Validate() error {
 	if o.JITShare && o.scale() > maxJITShareScale {
 		return fmt.Errorf("-jitshare needs -scale 0..%d (got %d; tier-2 recompilation runs coarser guests out of memory)", maxJITShareScale, o.Scale)
 	}
-	if o.THPKSMSplit && o.THPPolicy != thp.PolicyMadvise && o.THPPolicy != thp.PolicyAlways {
-		return fmt.Errorf("-thp-ksm-split needs -thp madvise or always (got -thp %v; never has no huge pages to split, fhpm splits per subpage itself)", o.THPPolicy)
+	if o.THPKSMSplit && o.THPPolicy != thp.PolicyAlways {
+		return fmt.Errorf("-thp-ksm-split needs -thp always (got -thp %v; never has no huge pages to split, fhpm splits per subpage itself)", o.THPPolicy)
 	}
 	return nil
 }

@@ -101,10 +101,8 @@ func powerRun(o Options, preload bool, pageSize int) cellValue {
 		})
 		dcfg := workload.DeployConfig{Scale: scale}
 		if preload {
-			k.FS().Install(&guestos.File{Path: CachePath, Data: img.FileBytes(corpus)})
-			dcfg.SharedClasses = true
+			k.FS().Install(&guestos.File{Path: jvm.CachePath, Data: img.FileBytes(corpus)})
 			dcfg.CacheImage = img
-			dcfg.CachePath = CachePath
 		}
 		instances = append(instances, workload.Deploy(k, corpus, spec, dcfg))
 	}

@@ -159,8 +159,8 @@ func TestInvocationRunsEachCellOnce(t *testing.T) {
 	for _, e := range all {
 		n += len(started[e.ID])
 	}
-	if n != 30 {
-		t.Errorf("all ran %d distinct cells, want 30", n)
+	if n != 28 {
+		t.Errorf("all ran %d distinct cells, want 28", n)
 	}
 	// Sorted: workers may report their starts in any order.
 	got := started["check"]
@@ -243,9 +243,9 @@ func TestCellLabelsKeyConfigs(t *testing.T) {
 			e.run(inv)
 		}
 		// fig2-5: 6, fig6: 2, fig7: 9 counts × 2 × 3 reps, fig8: 4 × 2 × 3,
-		// thp-tradeoff 10, dirtylog 12, jitshare 4, chaos 4, check's own 3.
-		if n := len(inv.cfgs); n != 119 {
-			t.Errorf("%+v: %d distinct cells, want 119", o.Knobs, n)
+		// thp-tradeoff 8, dirtylog 12, jitshare 4, chaos 4, check's own 3.
+		if n := len(inv.cfgs); n != 117 {
+			t.Errorf("%+v: %d distinct cells, want 117", o.Knobs, n)
 		}
 	}
 	// The guard itself: one label, two configs.
@@ -333,15 +333,15 @@ func TestOptionsValidate(t *testing.T) {
 		}
 	}
 	for _, tc := range []struct {
-		want string // substring naming the offending flag
+		want string // substring naming the offending flag (and, for a pair, its partner)
 		o    Options
 	}{
 		{"-scale", Options{Scale: -4}},
 		{"-scale", Options{Scale: 65}},
 		{"-jobs", Options{Jobs: -1}},
 		{"-jitshare", Options{Scale: 64, Knobs: Knobs{JITShare: true}}},
-		{"-thp-ksm-split", Options{Knobs: Knobs{THPPolicy: thp.PolicyFHPM, THPKSMSplit: true}}},
-		{"-thp-ksm-split", Options{Knobs: Knobs{THPKSMSplit: true}}},
+		{"-thp-ksm-split needs -thp always (got -thp fhpm", Options{Knobs: Knobs{THPPolicy: thp.PolicyFHPM, THPKSMSplit: true}}},
+		{"-thp-ksm-split needs -thp always (got -thp never", Options{Knobs: Knobs{THPKSMSplit: true}}},
 	} {
 		err := tc.o.Validate()
 		if err == nil || !strings.Contains(err.Error(), tc.want) || strings.Contains(err.Error(), "\n") {

@@ -10,7 +10,7 @@ import (
 // THPRow is one cell of the THP-vs-KSM tradeoff sweep: one policy at one
 // guest count, with both axes of the tradeoff in paper-scale units.
 type THPRow struct {
-	// Policy labels the row: "never", "madvise", "always", "ksm-split"
+	// Policy labels the row: "never", "always", "ksm-split"
 	// (always + KSM splitting whole huge pages over duplicates), or "fhpm"
 	// (fine-grained per-subpage split/promote).
 	Policy string
@@ -46,16 +46,13 @@ type THPFigure struct {
 	Rows  []THPRow
 }
 
-// thpPolicies enumerates the sweep's policy axis. "madvise" equals "always"
-// for guest RAM (QEMU madvises it MADV_HUGEPAGE) and serves as that very
-// sanity check.
+// thpPolicies enumerates the sweep's policy axis.
 var thpPolicies = []struct {
 	label  string
 	policy thp.Policy
 	split  bool
 }{
 	{"never", thp.PolicyNever, false},
-	{"madvise", thp.PolicyMadvise, false},
 	{"always", thp.PolicyAlways, false},
 	{"ksm-split", thp.PolicyAlways, true},
 	{"fhpm", thp.PolicyFHPM, false},

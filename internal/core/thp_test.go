@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/thp"
@@ -80,6 +81,32 @@ func TestTHPTradeoffQualitativeAndDeterministic(t *testing.T) {
 		if fhpm.HugeMB <= never.HugeMB {
 			t.Fatalf("fhpm kept no huge coverage: %+v", fhpm)
 		}
+	}
+}
+
+// TestTHPTradeoffPinned holds the tradeoff sweep's CSV at test scale: the
+// never, always, ksm-split (whole-block split) and fhpm (per-subpage split)
+// rows at both guest counts. Any row labelled madvise is left out of the
+// comparison; the policy equalled always on guest RAM and is not modelled.
+func TestTHPTradeoffPinned(t *testing.T) {
+	seq, _ := runMemo(t, "thp-tradeoff")
+	const want = "guests,policy,huge_mb,huge_coverage_pct,tlb_reach_mb,ksm_saving_mb,sharing_pages,collapses,splits,partial_splits,reabsorbs,ksm_skips\n" +
+		"2,never,0.0,0.0,192.0,289.3,3044,0,0,0,0,0\n" +
+		"2,always,1716.0,87.9,1566.4,4.1,23,18,0,0,0,242058\n" +
+		"2,ksm-split,480.0,28.8,269.4,301.3,3108,17,12,0,0,0\n" +
+		"2,fhpm,1110.0,66.6,570.9,300.4,3098,17,0,2844,1,148\n" +
+		"4,never,0.0,0.0,192.0,860.4,6100,0,0,0,0,0\n" +
+		"4,always,3619.3,92.7,2575.3,4.1,23,38,0,0,0,273392\n" +
+		"4,ksm-split,1056.0,34.7,293.5,889.1,6253,38,27,0,0,0\n" +
+		"4,fhpm,2533.9,83.1,1120.4,886.7,6237,38,0,6211,5,215\n"
+	var got strings.Builder
+	for _, line := range strings.SplitAfter(seq.CSV, "\n") {
+		if !strings.Contains(line, ",madvise,") {
+			got.WriteString(line)
+		}
+	}
+	if got.String() != want {
+		t.Errorf("thp-tradeoff csv:\n%s\nwant:\n%s", got.String(), want)
 	}
 }
 

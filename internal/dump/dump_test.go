@@ -34,10 +34,10 @@ func buildLive(t *testing.T) (*hypervisor.Host, []*guestos.Kernel) {
 			Name: "VM", GuestMemBytes: 48 << 20, OverheadBytes: 1 << 20, Seed: mem.Seed(i + 1),
 		})
 		k := guestos.Boot(vmp, guestos.KernelConfig{Version: "v", TextBytes: 2 << 20, DataBytes: 1 << 20})
-		k.FS().Install(&guestos.File{Path: "/cache", Data: fileBytes})
+		k.FS().Install(&guestos.File{Path: jvm.CachePath, Data: fileBytes})
 		j := jvm.Launch(k, "java", corpus, jvm.Options{
 			GCPolicy: jvm.OptThruput, HeapBytes: 8 << 20, Threads: 2,
-			SharedClasses: true, CacheImage: img, CachePath: "/cache",
+			CacheImage: img,
 		}, jvm.DefaultSizes(scale))
 		j.LoadGroups(true, classlib.GroupDerby)
 		for it := 0; it < 200; it++ {

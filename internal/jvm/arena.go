@@ -108,11 +108,6 @@ func (a *arena) usedRanges() []touchRange {
 	return out
 }
 
-// write stores bytes at an absolute address, spanning pages as needed.
-func (a *arena) write(addr Addr, data []byte) {
-	writeBytes(a.proc, a.pageSize, addr, data)
-}
-
 // fill writes size deterministic bytes derived from seed at addr.
 func (a *arena) fill(addr Addr, size int, seed mem.Seed) {
 	fillBytes(a.proc, a.pageSize, addr, size, seed)

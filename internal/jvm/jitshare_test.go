@@ -20,7 +20,6 @@ func testArchive() *jitshare.Archive {
 
 func shareOpts(a *jitshare.Archive) Options {
 	o := basicOpts()
-	o.JITShare = true
 	o.JITArchive = a
 	return o
 }
@@ -43,10 +42,6 @@ func mustPanic(t *testing.T, what string, fn func()) {
 
 func TestJITShareLaunchValidatesArchive(t *testing.T) {
 	opts := basicOpts()
-	opts.JITShare = true
-	mustPanic(t, "JITShare without an archive", func() {
-		launch(t, bootGuest(t, 1), opts)
-	})
 	opts.JITArchive = jitshare.Build("t-code", "J9-other", 8<<20, pg,
 		corpus().Stack(classlib.GroupJDK), 20)
 	mustPanic(t, "archive from another compiler level", func() {

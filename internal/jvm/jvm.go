@@ -23,20 +23,16 @@ type Options struct {
 	// 530 MB nursery + 200 MB tenured).
 	NurseryBytes int64
 	TenuredBytes int64
-	// SharedClasses enables -Xshareclasses with a persistent
-	// (memory-mapped file) cache.
-	SharedClasses bool
-	// CacheImage is the populated cache directory; CachePath is the guest
-	// file holding its bytes. Both must be set when SharedClasses is on.
+	// CacheImage, when set, enables -Xshareclasses with a persistent
+	// (memory-mapped file) cache: the populated cache directory, whose
+	// bytes the guest file at CachePath must hold.
 	CacheImage *cds.Image
-	CachePath  string
-	// JITShare attaches a shared code archive (ShareJIT mode): tier-1
-	// compiled code becomes position-independent bodies at the archive's
-	// canonical page-aligned offsets — identical across processes, so KSM
-	// merges it — with per-process profile stubs split into CatJITData.
-	// Requires JITArchive. Off (the default) keeps the paper's measured
-	// behaviour: all JIT output private and unshareable.
-	JITShare   bool
+	// JITArchive, when set, attaches a shared code archive (ShareJIT mode):
+	// tier-1 compiled code becomes position-independent bodies at the
+	// archive's canonical page-aligned offsets — identical across
+	// processes, so KSM merges it — with per-process profile stubs split
+	// into CatJITData. Nil keeps the paper's measured behaviour: all JIT
+	// output private and unshareable.
 	JITArchive *jitshare.Archive
 	// Threads is the worker thread count (stacks scale with it).
 	Threads int
@@ -141,13 +137,17 @@ type LoadStats struct {
 	RAMBytes        int64
 }
 
+// CachePath is the guest file a JVM with a CacheImage attaches: where the
+// pre-populated shared class cache is copied into every guest image.
+const CachePath = "/opt/middleware/javasharedresources/classCache"
+
 // RuntimeVersion labels the JVM build; identical versions produce identical
 // code-area files across VMs.
 const RuntimeVersion = "J9-Java6-SR9"
 
 // Launch starts a JVM in the guest: spawns the process, maps the runtime's
 // executables and libraries, creates the heap and native areas, and — when
-// SharedClasses is on — attaches the shared class cache file.
+// opts carry a CacheImage — attaches the shared class cache file.
 func Launch(k *guestos.Kernel, name string, corpus *classlib.Corpus, opts Options, sizes Sizes) *JVM {
 	proc := k.Spawn(name, true)
 	j := &JVM{
@@ -163,33 +163,25 @@ func Launch(k *guestos.Kernel, name string, corpus *classlib.Corpus, opts Option
 	j.romSpace = newArena(proc, CatClassMeta, "romclass-segments", sizes.MetaSegBytes)
 	j.ramSpace = newArena(proc, CatClassMeta, "ramclass-segments", sizes.MetaSegBytes)
 
-	if opts.SharedClasses {
-		if opts.CacheImage == nil || opts.CachePath == "" {
-			panic("jvm: SharedClasses requires CacheImage and CachePath")
-		}
+	if opts.CacheImage != nil {
 		// A real JVM refuses a cache built by a different JVM level.
 		if err := opts.CacheImage.Validate(RuntimeVersion, 0); err != nil {
 			panic(err)
 		}
-		f := k.FS().MustLookup(opts.CachePath)
+		f := k.FS().MustLookup(CachePath)
 		j.cacheVMA = proc.MapFile(f, 0, 0, CatClassMeta, "shared-class-cache")
 		ps := int64(k.PageSize())
 		j.cacheUsedPages = int((opts.CacheImage.UsedBytes() + ps - 1) / ps)
 		proc.Touch(j.cacheVMA.Start, false) // cache header is read at attach
 	}
 
-	var share *jitshare.Archive
-	if opts.JITShare {
-		if opts.JITArchive == nil {
-			panic("jvm: JITShare requires JITArchive")
-		}
+	if opts.JITArchive != nil {
 		if err := opts.JITArchive.Validate(RuntimeVersion); err != nil {
 			panic(err)
 		}
-		share = opts.JITArchive
 	}
 	j.heap = newHeap(proc, opts.GCPolicy, opts.HeapBytes, opts.NurseryBytes, opts.TenuredBytes)
-	j.jit = newJIT(proc, sizes.JITCodeSegBytes, sizes.JITScratchBytes, share)
+	j.jit = newJIT(proc, sizes.JITCodeSegBytes, sizes.JITScratchBytes, opts.JITArchive)
 	j.work = newWorkArea(proc, sizes.MallocSegBytes)
 	j.work.BulkReserve(sizes.BulkReserveBytes)
 	j.work.SetupNIO(sizes.NIOPoolBytes)
@@ -405,7 +397,7 @@ func (j *JVM) loadClass(cl *classlib.Class, cacheAware bool) {
 	j.stats.ClassesLoaded++
 
 	fromCache := false
-	if cacheAware && j.opts.SharedClasses {
+	if cacheAware && j.opts.CacheImage != nil {
 		if e, ok := j.opts.CacheImage.Lookup(cl.Name); ok {
 			// Touch the cache pages this class spans: reading the ROMClass
 			// faults the identical file-backed pages into every VM.

@@ -136,11 +136,9 @@ func withCache(t *testing.T, k *guestos.Kernel, c *classlib.Corpus, groups ...cl
 		t.Helper()
 	}
 	img := cds.Build("was", RuntimeVersion, 16<<20, c.Stack(groups...))
-	k.FS().Install(&guestos.File{Path: "/opt/shared/classcache", Data: img.FileBytes(c)})
+	k.FS().Install(&guestos.File{Path: CachePath, Data: img.FileBytes(c)})
 	opts := basicOpts()
-	opts.SharedClasses = true
 	opts.CacheImage = img
-	opts.CachePath = "/opt/shared/classcache"
 	return opts
 }
 
@@ -184,11 +182,9 @@ func TestCachePagesIdenticalAcrossVMs(t *testing.T) {
 
 	readCachePage := func(seed mem.Seed) []byte {
 		k := bootGuest(nil, seed)
-		k.FS().Install(&guestos.File{Path: "/cache", Data: fileBytes})
+		k.FS().Install(&guestos.File{Path: CachePath, Data: fileBytes})
 		opts := basicOpts()
-		opts.SharedClasses = true
 		opts.CacheImage = img
-		opts.CachePath = "/cache"
 		j := Launch(k, "java", c, opts, DefaultSizes(scale))
 		j.LoadGroups(true, classlib.GroupDerby)
 		return append([]byte(nil), j.Process().ReadPage(j.cacheVMA.Start+5)...)
@@ -463,11 +459,9 @@ func TestLaunchRejectsStaleCache(t *testing.T) {
 	k := bootGuest(t, 1)
 	c := corpus()
 	img := cds.Build("was", "some-other-jvm-level", 8<<20, c.Stack(classlib.GroupDerby))
-	k.FS().Install(&guestos.File{Path: "/cache", Data: img.FileBytes(c)})
+	k.FS().Install(&guestos.File{Path: CachePath, Data: img.FileBytes(c)})
 	opts := basicOpts()
-	opts.SharedClasses = true
 	opts.CacheImage = img
-	opts.CachePath = "/cache"
 	defer func() {
 		if recover() == nil {
 			t.Fatal("stale cache accepted at attach")

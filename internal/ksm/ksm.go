@@ -59,34 +59,17 @@ import (
 )
 
 // Config holds the scanner's tuning parameters, mirroring
-// /sys/kernel/mm/ksm/{pages_to_scan,sleep_millisecs}.
+// /sys/kernel/mm/ksm/pages_to_scan.
 type Config struct {
 	// PagesToScan is the number of pages examined per wake-up.
 	// The paper uses 10 000 during warm-up and 1 000 in steady state.
 	PagesToScan int
-	// SleepMillis is the sleep between wake-ups (paper: 100 ms).
-	SleepMillis int
 	// ChecksumGate enables the volatility filter (Linux behaviour). Only
 	// tests turn it off.
 	ChecksumGate bool
-	// ScanCostNanos is the CPU cost charged per scanned page, used only for
-	// the duty-cycle estimate. 2 500 ns reproduces the paper's ≈25 % CPU at
-	// 10 000 pages/100 ms and ≈2 % at 1 000 pages/100 ms.
-	ScanCostNanos int
-	// SplitHugePages lets the scanner split a transparent huge mapping back
-	// into base pages when it sees that a subpage duplicates known content
-	// (a stable page or an unstable candidate), recovering sharing at the
-	// cost of TLB reach. Off, huge-mapped pages are skipped entirely — the
-	// default Linux behaviour, where THP hides duplicates from KSM.
-	SplitHugePages bool
-	// PartialSplitHuge is the FHPM refinement of SplitHugePages: instead of
-	// dissolving the whole huge mapping, the scanner carves out only the
-	// duplicate-bearing subpage (hypervisor.VMProcess.SplitHugeSubpages)
-	// and leaves the remainder huge — the same sharing recovered at a
-	// fraction of the TLB-reach cost. Takes precedence over SplitHugePages
-	// when both are set. The head subpage (offset 0) anchors the huge entry
-	// and cannot be carved; its duplicates are skipped.
-	PartialSplitHuge bool
+	// HugeSplit selects what the scanner does with a transparent huge
+	// mapping that hides a verified duplicate subpage.
+	HugeSplit HugeSplit
 	// IncrementalScan switches the scanner to dirty-ring driven rescans
 	// after two consecutive completed full passes (see the package comment).
 	// It requires the host to be configured with hypervisor.Config.DirtyLog;
@@ -94,6 +77,36 @@ type Config struct {
 	// behaviour is byte-identical to the linear scanner.
 	IncrementalScan bool
 }
+
+// HugeSplit is the scanner's policy for duplicates hidden in huge mappings.
+type HugeSplit int
+
+const (
+	// SplitNone skips huge-mapped pages entirely: the default Linux
+	// behaviour, where THP hides duplicates from KSM.
+	SplitNone HugeSplit = iota
+	// SplitWhole splits the huge mapping back into base pages when a
+	// subpage duplicates known content (a stable page or an unstable
+	// candidate), recovering sharing at the cost of TLB reach.
+	SplitWhole
+	// SplitSubpage is the FHPM refinement of SplitWhole: the scanner carves
+	// out only the duplicate-bearing subpage
+	// (hypervisor.VMProcess.SplitHugeSubpages) and leaves the remainder
+	// huge, the same sharing recovered at a fraction of the TLB-reach cost.
+	// The head subpage (offset 0) anchors the huge entry and cannot be
+	// carved; its duplicates are skipped.
+	SplitSubpage
+)
+
+const (
+	// sleepMillis is the sleep between wake-ups (sleep_millisecs; paper:
+	// 100 ms).
+	sleepMillis = 100
+	// scanCostNanos is the CPU cost charged per scanned page, used only for
+	// the duty-cycle estimate. 2 500 ns reproduces the paper's ≈25 % CPU at
+	// 10 000 pages/100 ms and ≈2 % at 1 000 pages/100 ms.
+	scanCostNanos = 2500
+)
 
 // fullPassesBeforeIncremental is how many consecutive completed full passes
 // an IncrementalScan scanner needs before switching to dirty-ring rescans:
@@ -105,10 +118,8 @@ const fullPassesBeforeIncremental = 2
 // DefaultConfig matches the paper's steady-state setting.
 func DefaultConfig() Config {
 	return Config{
-		PagesToScan:   1000,
-		SleepMillis:   100,
-		ChecksumGate:  true,
-		ScanCostNanos: 2500,
+		PagesToScan:  1000,
+		ChecksumGate: true,
 	}
 }
 
@@ -134,7 +145,7 @@ type Stats struct {
 	HugeSkips      uint64 // candidates skipped because a huge mapping covers them
 	HugeSplits     uint64 // huge mappings split whole by KSM to recover sharing
 	// HugePartialSplits counts subpages carved out of huge mappings under
-	// PartialSplitHuge (each event is one subpage, not one block).
+	// SplitSubpage (each event is one subpage, not one block).
 	HugePartialSplits uint64
 
 	IncrementalRounds  uint64 // dirty-ring drain rounds that produced rescan work
@@ -259,9 +270,6 @@ func New(host *hypervisor.Host, cfg Config) *KSM {
 	if cfg.PagesToScan <= 0 {
 		panic(fmt.Sprintf("ksm: PagesToScan = %d", cfg.PagesToScan))
 	}
-	if cfg.SleepMillis <= 0 {
-		panic(fmt.Sprintf("ksm: SleepMillis = %d", cfg.SleepMillis))
-	}
 	k := &KSM{
 		host:     host,
 		cfg:      cfg,
@@ -385,7 +393,7 @@ func (k *KSM) Start() {
 	k.running = true
 	k.started = k.host.Clock().Now()
 	k.everStarted = true
-	k.host.Clock().Every(simclock.Time(k.cfg.SleepMillis)*simclock.Millisecond, func(now simclock.Time) bool {
+	k.host.Clock().Every(sleepMillis*simclock.Millisecond, func(now simclock.Time) bool {
 		if !k.running {
 			return false
 		}
@@ -481,7 +489,7 @@ func (k *KSM) ScanChunk(n int) {
 		k.endPass()
 		k.processBatch(cands[last:])
 	}
-	k.stats.CPUBusy += simclock.Time(int64(scanned) * int64(k.cfg.ScanCostNanos) / 1000)
+	k.stats.CPUBusy += simclock.Time(int64(scanned) * scanCostNanos / 1000)
 	if t := &k.index; k.incremental && t.unstableStorage() > 2*t.unstableN+unstableChunk {
 		t.repackUnstable()
 	}
@@ -699,28 +707,22 @@ func (k *KSM) compactUnstable() {
 	})
 }
 
-// hugeSplitting reports whether the scanner is allowed to break huge
-// mappings at all (either split policy).
-func (k *KSM) hugeSplitting() bool {
-	return k.cfg.SplitHugePages || k.cfg.PartialSplitHuge
-}
-
 // splitHugeFor recovers the verified-duplicate subpage at vpn from the huge
 // mapping covering it, honoring the configured split policy: carving just
-// that subpage out (PartialSplitHuge) or dissolving the whole huge page
-// (SplitHugePages). Reports false, having touched nothing, when the policy
+// that subpage out (SplitSubpage) or dissolving the whole huge page
+// (SplitWhole). Reports false, having touched nothing, when the policy
 // leaves the mapping intact — splitting off, or a partial split aimed at the
 // uncarvable head subpage — and the caller forgoes the merge.
 func (k *KSM) splitHugeFor(vm *hypervisor.VMProcess, vpn mem.VPN) bool {
 	head := mem.HugeAlign(vpn)
-	switch {
-	case k.cfg.PartialSplitHuge:
+	switch k.cfg.HugeSplit {
+	case SplitSubpage:
 		if vpn == head {
 			return false
 		}
 		vm.SplitHugeSubpages(head, []mem.VPN{vpn})
 		k.stats.HugePartialSplits++
-	case k.cfg.SplitHugePages:
+	case SplitWhole:
 		vm.SplitHuge(head)
 		k.stats.HugeSplits++
 	default:

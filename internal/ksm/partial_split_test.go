@@ -9,7 +9,7 @@ import (
 
 func TestPartialSplitCarvesOnlyDuplicateSubpages(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.PartialSplitHuge = true
+	cfg.HugeSplit = SplitSubpage
 	f := hugeFixture(t, cfg)
 	f.scanPasses(5)
 	s := f.k.Stats()
@@ -48,29 +48,9 @@ func TestPartialSplitCarvesOnlyDuplicateSubpages(t *testing.T) {
 	}
 }
 
-func TestPartialSplitTakesPrecedenceOverWholeSplit(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.SplitHugePages = true
-	cfg.PartialSplitHuge = true
-	f := hugeFixture(t, cfg)
-	f.scanPasses(5)
-	s := f.k.Stats()
-	if s.HugeSplits != 0 {
-		t.Fatalf("whole splits ran despite partial mode: %d", s.HugeSplits)
-	}
-	if s.HugePartialSplits == 0 {
-		t.Fatal("partial mode never carved")
-	}
-	for _, vm := range f.vms {
-		if vm.HugeMappings() != 1 {
-			t.Fatal("huge mapping lost")
-		}
-	}
-}
-
 func TestPartialSplitLeavesUniqueHugePagesAlone(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.PartialSplitHuge = true
+	cfg.HugeSplit = SplitSubpage
 	f := newFixture(t, 6*hp, 2, 2*hp, cfg)
 	for vi, vm := range f.vms {
 		for i := uint64(0); i < hp; i++ {
@@ -94,7 +74,7 @@ func TestPartialSplitLeavesUniqueHugePagesAlone(t *testing.T) {
 
 func TestPartialSplitCarvesHugeSideToMeetBasePages(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.PartialSplitHuge = true
+	cfg.HugeSplit = SplitSubpage
 	f := newFixture(t, 6*hp, 2, 2*hp, cfg)
 	// Same content in both VMs, but only VM 2's run is collapsed: the
 	// partner-huge path must carve VM 2's subpages one at a time.

@@ -130,7 +130,7 @@ func (k *KSM) classify(c *candidate, pm *mem.PhysMem) {
 		return
 	}
 	if pte.Huge {
-		if !k.hugeSplitting() {
+		if k.cfg.HugeSplit == SplitNone {
 			c.verdict = vHugeSkip // THP hides the page from merging
 			return
 		}

@@ -15,7 +15,7 @@ import (
 // to split.
 func TestHugeScanIgnoresPromotedUnstablePartner(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.SplitHugePages = true
+	cfg.HugeSplit = SplitWhole
 	cfg.ChecksumGate = false // let the first sighting reach the merge pipeline
 	f := newFixture(t, 8*hp, 2, 2*hp, cfg)
 	base, huge := f.vms[0], f.vms[1]

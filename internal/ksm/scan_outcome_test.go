@@ -282,7 +282,7 @@ func TestScanOutcomePinned(t *testing.T) {
 		}},
 		{"partial-split-huge", func(t *testing.T) *fixture {
 			cfg := DefaultConfig()
-			cfg.PartialSplitHuge = true
+			cfg.HugeSplit = SplitSubpage
 			f := hugeFixture(t, cfg)
 			f.scanPasses(5)
 			return f
@@ -448,7 +448,7 @@ func TestScanOutcomePinned(t *testing.T) {
 		}},
 		{"partial-split-incremental", func(t *testing.T) *fixture {
 			cfg := incrementalConfig()
-			cfg.PartialSplitHuge = true
+			cfg.HugeSplit = SplitSubpage
 			f := newDirtyFixture(t, 6*hp, 2, 2*hp, 0, cfg)
 			for _, vm := range f.vms {
 				for i := uint64(0); i < hp; i++ {

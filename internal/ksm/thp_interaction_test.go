@@ -47,7 +47,7 @@ func TestKSMSkipsHugePagesByDefault(t *testing.T) {
 
 func TestKSMSplitModeRecoversSharing(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.SplitHugePages = true
+	cfg.HugeSplit = SplitWhole
 	f := hugeFixture(t, cfg)
 	f.scanPasses(5)
 	s := f.k.Stats()
@@ -76,7 +76,7 @@ func TestKSMSplitModeRecoversSharing(t *testing.T) {
 
 func TestKSMSplitModeLeavesUniqueHugePagesAlone(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.SplitHugePages = true
+	cfg.HugeSplit = SplitWhole
 	// Two VMs with *different* content in their collapsed runs: nothing to
 	// merge, so nothing may be split.
 	f := newFixture(t, 6*hp, 2, 2*hp, cfg)
@@ -102,7 +102,7 @@ func TestKSMSplitModeLeavesUniqueHugePagesAlone(t *testing.T) {
 
 func TestKSMSplitsHugeSideToMergeWithBasePages(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.SplitHugePages = true
+	cfg.HugeSplit = SplitWhole
 	f := newFixture(t, 6*hp, 2, 2*hp, cfg)
 	// Same content in both VMs, but only VM 2's run is collapsed.
 	for _, vm := range f.vms {
@@ -130,8 +130,8 @@ func TestKSMSplitsHugeSideToMergeWithBasePages(t *testing.T) {
 // be read again after the candidate's split.
 func TestDuplicatePairInsideOneHugeMapping(t *testing.T) {
 	for name, set := range map[string]func(*Config){
-		"whole":   func(c *Config) { c.SplitHugePages = true },
-		"partial": func(c *Config) { c.PartialSplitHuge = true },
+		"whole":   func(c *Config) { c.HugeSplit = SplitWhole },
+		"partial": func(c *Config) { c.HugeSplit = SplitSubpage },
 	} {
 		t.Run(name, func(t *testing.T) {
 			cfg := DefaultConfig()

@@ -51,10 +51,8 @@ func buildCluster(t *testing.T, nVMs int, shared bool) *cluster {
 		})
 		opts := jvm.Options{GCPolicy: jvm.OptThruput, HeapBytes: 8 << 20, Threads: 4}
 		if shared {
-			k.FS().Install(&guestos.File{Path: "/opt/cache", Data: fileBytes})
-			opts.SharedClasses = true
+			k.FS().Install(&guestos.File{Path: jvm.CachePath, Data: fileBytes})
 			opts.CacheImage = img
-			opts.CachePath = "/opt/cache"
 		}
 		j := jvm.Launch(k, "java-was", corpus, opts, jvm.DefaultSizes(scale))
 		j.LoadGroups(true, classlib.GroupDerby, classlib.GroupOSGi)

@@ -25,7 +25,7 @@ func TestFHPMDemotesAndReabsorbs(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Policy = PolicyFHPM
 	d := New(h, cfg)
-	d.Register(vm, false)
+	d.Register(vm)
 	d.Start()
 	clock.RunFor(2 * simclock.Second)
 
@@ -73,7 +73,7 @@ func TestFHPMHeatProtectsHotSubpages(t *testing.T) {
 	cfg.Policy = PolicyFHPM
 	cfg.ScanPages = hp // exactly one visit per wake
 	d := New(h, cfg)
-	d.Register(vm, false)
+	d.Register(vm)
 	d.Start()
 
 	// Re-dirty page 50 between daemon visits so its ring-fed heat never
@@ -81,7 +81,7 @@ func TestFHPMHeatProtectsHotSubpages(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		vm.ZeroGuestPage(50)
 		vm.DrainDirtyLog()
-		clock.RunFor(simclock.Time(cfg.SleepMillis) * simclock.Millisecond)
+		clock.RunFor(sleepMillis * simclock.Millisecond)
 	}
 
 	pt := vm.HostPageTable()
@@ -116,17 +116,17 @@ func TestFHPMRespectsMinAge(t *testing.T) {
 	cfg.Policy = PolicyFHPM
 	cfg.ScanPages = hp // one visit per wake
 	d := New(h, cfg)
-	d.Register(vm, false)
+	d.Register(vm)
 	d.Start()
 
 	// Visit 1 collapses; visits 2..fhpmMinAge only age the block.
 	for i := 0; i < fhpmMinAge; i++ {
-		clock.RunFor(simclock.Time(cfg.SleepMillis) * simclock.Millisecond)
+		clock.RunFor(sleepMillis * simclock.Millisecond)
 	}
 	if got := d.Stats().Demotions; got != 0 {
 		t.Fatalf("demoted %d subpages before min age", got)
 	}
-	clock.RunFor(simclock.Time(cfg.SleepMillis) * simclock.Millisecond)
+	clock.RunFor(sleepMillis * simclock.Millisecond)
 	if d.Stats().Demotions == 0 {
 		t.Fatal("no demotion once the block aged past the gate")
 	}
@@ -143,7 +143,7 @@ func TestFHPMFallsBackToCollapseOnBasePages(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Policy = PolicyFHPM
 	d := New(h, cfg)
-	d.Register(vm, false)
+	d.Register(vm)
 	d.Start()
 	clock.RunFor(simclock.Second)
 	if vm.HugeMappings() != 2 {

@@ -7,10 +7,10 @@
 //
 // THP and KSM pull the host in opposite directions: a collapsed run raises
 // TLB reach but hides its 4 KiB subpages from the merge scanner, so sharing
-// is forgone (or must be bought back by splitting — ksm.Config.
-// SplitHugePages). The thp-tradeoff experiment in internal/core sweeps the
-// policies against each other; FHPM (arXiv:2307.10618) measures the same
-// tension on real hardware.
+// is forgone (or must be bought back by splitting — ksm.Config.HugeSplit).
+// The thp-tradeoff experiment in internal/core sweeps the policies against
+// each other; FHPM (arXiv:2307.10618) measures the same tension on real
+// hardware.
 //
 // Deviation from Linux noted in DESIGN.md: khugepaged defaults to
 // 4096 pages every 10 s; our default is 8192 pages every 100 ms. The
@@ -35,10 +35,9 @@ type Policy int
 const (
 	// PolicyNever disables collapse entirely; the daemon never starts.
 	PolicyNever Policy = iota
-	// PolicyMadvise collapses only ranges explicitly registered as
-	// huge-page candidates (Register with madvise=true).
-	PolicyMadvise
-	// PolicyAlways collapses every registered range.
+	// PolicyAlways collapses every registered range. Linux's madvise
+	// setting is not modelled: QEMU madvises all guest RAM MADV_HUGEPAGE,
+	// so on the only ranges registered it selects what always does.
 	PolicyAlways
 	// PolicyFHPM treats every registered range as eligible (like always)
 	// and additionally runs the fine-grained promote/demote state machine
@@ -53,8 +52,6 @@ func (p Policy) String() string {
 	switch p {
 	case PolicyNever:
 		return "never"
-	case PolicyMadvise:
-		return "madvise"
 	case PolicyAlways:
 		return "always"
 	case PolicyFHPM:
@@ -68,27 +65,27 @@ func ParsePolicy(s string) (Policy, error) {
 	switch s {
 	case "never", "":
 		return PolicyNever, nil
-	case "madvise":
-		return PolicyMadvise, nil
 	case "always":
 		return PolicyAlways, nil
 	case "fhpm":
 		return PolicyFHPM, nil
 	}
-	return PolicyNever, fmt.Errorf("thp: unknown policy %q (want never|madvise|always|fhpm)", s)
+	return PolicyNever, fmt.Errorf("thp: unknown policy %q (want never|always|fhpm)", s)
 }
 
 // Config holds the daemon's tuning parameters, mirroring
 // /sys/kernel/mm/transparent_hugepage/khugepaged/*.
 type Config struct {
-	// Policy selects which registered ranges are eligible.
+	// Policy selects whether the daemon runs and how (never, always, fhpm).
 	Policy Policy
 	// ScanPages is the number of base pages examined per wake-up
 	// (khugepaged's pages_to_scan).
 	ScanPages int
-	// SleepMillis is the sleep between wake-ups (scan_sleep_millisecs).
-	SleepMillis int
 }
+
+// sleepMillis is the sleep between wake-ups (khugepaged's
+// scan_sleep_millisecs).
+const sleepMillis = 100
 
 // maxPtesNone is the per-run budget of absent pages a collapse may zero-fill
 // (khugepaged's max_ptes_none; Linux defaults to 511, this is tighter to
@@ -99,9 +96,8 @@ const maxPtesNone = 64
 // for why the scan rate deviates from Linux.
 func DefaultConfig() Config {
 	return Config{
-		Policy:      PolicyNever,
-		ScanPages:   8192,
-		SleepMillis: 100,
+		Policy:    PolicyNever,
+		ScanPages: 8192,
 	}
 }
 
@@ -144,7 +140,6 @@ const (
 type region struct {
 	vm         *hypervisor.VMProcess
 	start, end mem.VPN // [start, end), HugePages-aligned
-	madvised   bool
 }
 
 // Daemon is the khugepaged instance for one host. A nil Daemon is inert:
@@ -168,9 +163,6 @@ func New(host *hypervisor.Host, cfg Config) *Daemon {
 	if cfg.ScanPages <= 0 {
 		panic(fmt.Sprintf("thp: ScanPages = %d", cfg.ScanPages))
 	}
-	if cfg.SleepMillis <= 0 {
-		panic(fmt.Sprintf("thp: SleepMillis = %d", cfg.SleepMillis))
-	}
 	d := &Daemon{host: host, cfg: cfg}
 	host.OnHugeSplit = func(*hypervisor.VMProcess, mem.VPN) { d.stats.Splits++ }
 	host.OnPartialSplit = func(_ *hypervisor.VMProcess, _ mem.VPN, n int) {
@@ -179,13 +171,9 @@ func New(host *hypervisor.Host, cfg Config) *Daemon {
 	return d
 }
 
-// Config returns the daemon's tuning parameters.
-func (d *Daemon) Config() Config { return d.cfg }
-
 // Register adds a VM's guest RAM to the scan list, aligned inward to whole
-// HugePages runs (a partial run can never collapse). madvised marks the
-// range as an explicit huge-page candidate for PolicyMadvise.
-func (d *Daemon) Register(vm *hypervisor.VMProcess, madvised bool) {
+// HugePages runs (a partial run can never collapse).
+func (d *Daemon) Register(vm *hypervisor.VMProcess) {
 	if d == nil {
 		return
 	}
@@ -201,7 +189,7 @@ func (d *Daemon) Register(vm *hypervisor.VMProcess, madvised bool) {
 			return
 		}
 	}
-	d.regions = append(d.regions, region{vm: vm, start: start, end: end, madvised: madvised})
+	d.regions = append(d.regions, region{vm: vm, start: start, end: end})
 }
 
 // Unregister drops a VM's ranges from the scan list (the process exited).
@@ -234,17 +222,6 @@ func (d *Daemon) Unregister(vm *hypervisor.VMProcess) {
 	}
 }
 
-// eligible reports whether the region may collapse under the policy.
-func (d *Daemon) eligible(r region) bool {
-	switch d.cfg.Policy {
-	case PolicyAlways, PolicyFHPM:
-		return true
-	case PolicyMadvise:
-		return r.madvised
-	}
-	return false
-}
-
 // Start schedules the scan loop on the host clock; under PolicyNever it
 // does nothing. A nil Daemon is a no-op.
 func (d *Daemon) Start() {
@@ -252,7 +229,7 @@ func (d *Daemon) Start() {
 		return
 	}
 	d.running = true
-	d.host.Clock().Every(simclock.Time(d.cfg.SleepMillis)*simclock.Millisecond, func(now simclock.Time) bool {
+	d.host.Clock().Every(sleepMillis*simclock.Millisecond, func(now simclock.Time) bool {
 		if !d.running {
 			return false
 		}
@@ -277,11 +254,11 @@ func (d *Daemon) Stats() Stats {
 	return d.stats
 }
 
-// ScanChunk examines up to n base pages of eligible regions, advancing a
+// ScanChunk examines up to n base pages of the registered regions, advancing a
 // circular cursor run by run, and attempts to collapse each aligned run it
 // lands on — the khugepaged loop, driven here by the simulated clock.
 func (d *Daemon) ScanChunk(n int) {
-	if d == nil || !d.anyEligible() {
+	if d == nil || len(d.regions) == 0 || d.cfg.Policy == PolicyNever {
 		return
 	}
 	if d.regionIdx >= len(d.regions) {
@@ -289,9 +266,6 @@ func (d *Daemon) ScanChunk(n int) {
 		d.cursor = 0
 	}
 	for scanned := 0; scanned < n; {
-		for !d.eligible(d.regions[d.regionIdx]) {
-			d.advanceRegion()
-		}
 		reg := d.regions[d.regionIdx]
 		if d.cursor < reg.start {
 			d.cursor = reg.start
@@ -371,16 +345,6 @@ func (d *Daemon) fhpmVisit(vm *hypervisor.VMProcess, head mem.VPN) {
 		// A refused re-absorption (carved subpages still shared) is the
 		// steady state of a block contributing KSM savings, not a failure.
 	}
-}
-
-// anyEligible reports whether the policy admits at least one region.
-func (d *Daemon) anyEligible() bool {
-	for _, r := range d.regions {
-		if d.eligible(r) {
-			return true
-		}
-	}
-	return false
 }
 
 // advanceRegion moves the cursor to the next region, counting a full scan

@@ -29,7 +29,7 @@ func denseVM(t *testing.T, h *hypervisor.Host, runs int) *hypervisor.VMProcess {
 }
 
 func TestParsePolicyRoundTrip(t *testing.T) {
-	for _, p := range []Policy{PolicyNever, PolicyMadvise, PolicyAlways, PolicyFHPM} {
+	for _, p := range []Policy{PolicyNever, PolicyAlways, PolicyFHPM} {
 		got, err := ParsePolicy(p.String())
 		if err != nil || got != p {
 			t.Fatalf("round trip of %v: %v, %v", p, got, err)
@@ -38,14 +38,16 @@ func TestParsePolicyRoundTrip(t *testing.T) {
 	if p, err := ParsePolicy(""); err != nil || p != PolicyNever {
 		t.Fatalf("empty spelling: %v, %v", p, err)
 	}
-	if _, err := ParsePolicy("sometimes"); err == nil {
-		t.Fatal("bad spelling accepted")
+	for _, bad := range []string{"sometimes", "madvise"} {
+		if _, err := ParsePolicy(bad); err == nil {
+			t.Fatalf("spelling %q accepted", bad)
+		}
 	}
 }
 
 func TestNilDaemonIsInert(t *testing.T) {
 	var d *Daemon
-	d.Register(nil, true)
+	d.Register(nil)
 	d.Start()
 	d.Stop()
 	d.ScanChunk(100)
@@ -61,7 +63,7 @@ func TestDaemonCollapsesDenseRunsOnClock(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Policy = PolicyAlways
 	d := New(h, cfg)
-	d.Register(vm, false)
+	d.Register(vm)
 	d.Start()
 	clock.RunFor(2 * simclock.Second)
 	if vm.HugeMappings() != 2 {
@@ -90,30 +92,11 @@ func TestPolicyNeverNeverStarts(t *testing.T) {
 	clock, h := newHost(t, 8)
 	vm := denseVM(t, h, 1)
 	d := New(h, DefaultConfig()) // Policy: never
-	d.Register(vm, true)
+	d.Register(vm)
 	d.Start()
 	clock.RunFor(2 * simclock.Second)
 	if vm.HugeMappings() != 0 || d.Stats().PagesScanned != 0 {
 		t.Fatalf("never policy acted: mappings=%d stats=%+v", vm.HugeMappings(), d.Stats())
-	}
-}
-
-func TestPolicyMadviseCollapsesOnlyAdvisedRegions(t *testing.T) {
-	clock, h := newHost(t, 12)
-	advised := denseVM(t, h, 1)
-	plain := denseVM(t, h, 1)
-	cfg := DefaultConfig()
-	cfg.Policy = PolicyMadvise
-	d := New(h, cfg)
-	d.Register(advised, true)
-	d.Register(plain, false)
-	d.Start()
-	clock.RunFor(2 * simclock.Second)
-	if advised.HugeMappings() != 1 {
-		t.Fatal("madvised region not collapsed")
-	}
-	if plain.HugeMappings() != 0 {
-		t.Fatal("non-advised region collapsed under madvise policy")
 	}
 }
 
@@ -123,15 +106,15 @@ func TestRegisterIsIdempotentAndAlignsInward(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Policy = PolicyAlways
 	d := New(h, cfg)
-	d.Register(vm, false)
-	d.Register(vm, false)
+	d.Register(vm)
+	d.Register(vm)
 	if len(d.regions) != 1 {
 		t.Fatalf("duplicate registration: %d regions", len(d.regions))
 	}
 	// A guest smaller than one aligned run can never collapse and is not
 	// registered at all.
 	tiny := h.NewVM(hypervisor.VMConfig{Name: "tiny", GuestMemBytes: 8 * pg, Seed: 9})
-	d.Register(tiny, false)
+	d.Register(tiny)
 	if len(d.regions) != 1 {
 		t.Fatal("sub-run guest registered")
 	}
@@ -143,7 +126,7 @@ func TestSplitsElsewhereCounted(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Policy = PolicyAlways
 	d := New(h, cfg)
-	d.Register(vm, false)
+	d.Register(vm)
 	d.Start()
 	clock.RunFor(simclock.Second)
 	if vm.HugeMappings() != 1 {
@@ -167,8 +150,8 @@ func TestUnregisterDropsVMFromScan(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Policy = PolicyAlways
 	d := New(h, cfg)
-	d.Register(vm1, false)
-	d.Register(vm2, false)
+	d.Register(vm1)
+	d.Register(vm2)
 	d.Start()
 
 	// Drop vm2 mid-flight (as a guest kill does) and let the daemon run: it

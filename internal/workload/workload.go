@@ -15,31 +15,21 @@ import (
 type DeployConfig struct {
 	// Scale divides every unscaled byte quantity.
 	Scale int
-	// SharedClasses enables the paper's technique: the JVM attaches the
-	// shared class cache file (which Deploy expects at CachePath).
-	SharedClasses bool
-	// CacheImage/CachePath identify the pre-populated cache copied into
-	// this guest's image; required when SharedClasses is set.
+	// CacheImage, when set, enables the paper's technique: the JVM attaches
+	// this pre-populated cache, copied into the guest's image at
+	// jvm.CachePath.
 	CacheImage *cds.Image
-	CachePath  string
 	// PerVMNIOSalt, when nonzero, de-identifies the wire traffic per VM
 	// (modelling real-world workloads rather than identical benchmark
 	// drivers; the paper warns NIO sharing would not repeat in production).
 	PerVMNIOSalt mem.Seed
-	// Threads overrides the JVM worker thread count (defaults to
-	// ClientThreads).
-	Threads int
-	// Sizes overrides the native-memory sizing (defaults to
-	// SizesFor(spec, Scale)).
-	Sizes *jvm.Sizes
 	// DeferWarmup skips the deploy-time warmup burst; the caller drives it
 	// later via Warmup, interleaved with hypervisor activity (the paper
 	// runs the KSM scanner at full rate during startup and initialization).
 	DeferWarmup bool
-	// JITShare attaches a shared code archive so tier-1 JIT output is
-	// position-independent and cross-process shareable (the ShareJIT
-	// extension); requires JITArchive, built with BuildJITArchive.
-	JITShare   bool
+	// JITArchive, when set, attaches a shared code archive so tier-1 JIT
+	// output is position-independent and cross-process shareable (the
+	// ShareJIT extension); BuildJITArchive builds it.
 	JITArchive *jitshare.Archive
 }
 
@@ -153,46 +143,27 @@ func Deploy(k *guestos.Kernel, corpus *classlib.Corpus, spec Spec, cfg DeployCon
 		k.ReadFileAll(JarPath(g))
 	}
 
-	threads := cfg.Threads
-	if threads == 0 {
-		threads = spec.ClientThreads
-	}
 	opts := jvm.Options{
 		GCPolicy:     spec.GCPolicy,
 		HeapBytes:    spec.HeapBytes / int64(cfg.Scale),
 		NurseryBytes: spec.NurseryBytes / int64(cfg.Scale),
 		TenuredBytes: spec.TenuredBytes / int64(cfg.Scale),
-		Threads:      threads,
+		CacheImage:   cfg.CacheImage,
+		JITArchive:   cfg.JITArchive,
+		Threads:      spec.ClientThreads,
 	}
-	if cfg.SharedClasses {
-		if cfg.CacheImage == nil || cfg.CachePath == "" {
-			panic("workload: SharedClasses without cache image/path")
-		}
+	if cfg.CacheImage != nil {
 		// Guard the copy-the-file step: the guest's file must be this
 		// cache's serialization.
-		if f, ok := k.FS().Lookup(cfg.CachePath); ok && f.Data != nil {
+		if f, ok := k.FS().Lookup(jvm.CachePath); ok && f.Data != nil {
 			if err := cfg.CacheImage.VerifyFile(f.Data); err != nil {
 				panic(err)
 			}
 		}
-		opts.SharedClasses = true
-		opts.CacheImage = cfg.CacheImage
-		opts.CachePath = cfg.CachePath
-	}
-	if cfg.JITShare {
-		if cfg.JITArchive == nil {
-			panic("workload: JITShare without archive")
-		}
-		opts.JITShare = true
-		opts.JITArchive = cfg.JITArchive
 	}
 
-	sizes := SizesFor(spec, cfg.Scale)
-	if cfg.Sizes != nil {
-		sizes = *cfg.Sizes
-	}
 	procName := "java-" + spec.Middleware
-	j := jvm.Launch(k, procName, corpus, opts, sizes)
+	j := jvm.Launch(k, procName, corpus, opts, SizesFor(spec, cfg.Scale))
 	j.LoadGroups(true, spec.CacheAwareGroups...)
 	if len(spec.PrivateGroups) > 0 {
 		j.LoadGroups(false, spec.PrivateGroups...)

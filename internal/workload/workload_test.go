@@ -85,10 +85,8 @@ func TestDeployWithSharedCache(t *testing.T) {
 	corpus := classlib.NewCorpus(jvm.RuntimeVersion, scale)
 	spec := quickSpec(DayTrader())
 	img := BuildCache(corpus, spec, scale)
-	k.FS().Install(&guestos.File{Path: "/opt/cache", Data: img.FileBytes(corpus)})
-	in := Deploy(k, corpus, spec, DeployConfig{
-		Scale: scale, SharedClasses: true, CacheImage: img, CachePath: "/opt/cache",
-	})
+	k.FS().Install(&guestos.File{Path: jvm.CachePath, Data: img.FileBytes(corpus)})
+	in := Deploy(k, corpus, spec, DeployConfig{Scale: scale, CacheImage: img})
 	ls := in.JVM.LoadStats()
 	if ls.ROMFromCache == 0 {
 		t.Fatal("no classes from cache")
