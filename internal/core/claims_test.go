@@ -26,8 +26,8 @@ func TestClaimsWellFormed(t *testing.T) {
 // TestClaimsHoldAtTestScale evaluates the whole suite at test scale: the
 // memoized check row, whose factual cells the registry rows above it share.
 func TestClaimsHoldAtTestScale(t *testing.T) {
-	if seq, _ := runMemo(t, "check"); strings.Contains(seq.Text, "[FAIL]") {
-		t.Fatalf("claims failed at test scale:\n%s", seq.Text)
+	if res := runMemo(t, "check"); strings.Contains(res.Text, "[FAIL]") {
+		t.Fatalf("claims failed at test scale:\n%s", res.Text)
 	}
 }
 

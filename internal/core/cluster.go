@@ -60,9 +60,11 @@ type Knobs struct {
 	THPPolicy thp.Policy
 	// THPKSMSplit lets KSM split huge mappings back to base pages when it
 	// verifies duplicate content (tpsim -thp-ksm-split) — the
-	// sharing-recovery side of the THP-vs-KSM tradeoff. Meaningless under
-	// thp.PolicyFHPM, which carries its own per-subpage splitting
-	// (ksm.SplitSubpage); Options.Validate rejects the pair.
+	// sharing-recovery side of the THP-vs-KSM tradeoff. It needs
+	// thp.PolicyAlways: never has no huge pages to split, and
+	// thp.PolicyFHPM carries its own per-subpage splitting
+	// (ksm.SplitSubpage). Options.Validate rejects any other policy, and
+	// BuildCluster panics on one.
 	THPKSMSplit bool
 	// IncrementalScan turns on the host's PML-style dirty-page rings and
 	// switches the KSM scanner to dirty-ring driven incremental rescans once
@@ -197,6 +199,9 @@ func BuildCluster(cfg ClusterConfig) *Cluster {
 	cfg = cfg.withDefaults()
 	if len(cfg.Specs) == 0 {
 		panic("core: no workload specs")
+	}
+	if cfg.THPKSMSplit && cfg.THPPolicy != thp.PolicyAlways {
+		panic(fmt.Sprintf("core: THPKSMSplit needs THPPolicy always (got %v)", cfg.THPPolicy))
 	}
 	clock := simclock.New()
 	host := hypervisor.NewHost(hypervisor.Config{

@@ -7,15 +7,15 @@ import (
 )
 
 // TestDirtyLogSweepQualitativeAndDeterministic reads the memoized dirtylog
-// sweep (its byte-identity across -jobs widths is that row of
-// TestRegistryDeterministicAcrossJobs): the rows must show the tentpole claim
+// sweep (its bytes are that row of the registry golden,
+// TestRegistryDeterministicAcrossJobs): the rows must show the sweep's claim
 // — the linear scanner's converged cost tracks registered pages while
 // incremental mode's tracks churn, without giving up the merges.
 func TestDirtyLogSweepQualitativeAndDeterministic(t *testing.T) {
-	seq := figureOf[DirtyLogFigure](t, "dirtylog")
+	fig := figureOf[DirtyLogFigure](t, "dirtylog")
 
 	row := func(guests, churn int, mode string) DirtyLogRow {
-		for _, r := range seq.Rows {
+		for _, r := range fig.Rows {
 			if r.Guests == guests && r.ChurnPct == churn && r.Mode == mode {
 				return r
 			}

@@ -8,16 +8,16 @@ import (
 )
 
 // TestJITShareSweepQualitativeAndDeterministic reads the memoized jitshare
-// sweep (its byte-identity across -jobs widths is that row of
-// TestRegistryDeterministicAcrossJobs): the rows must show the tentpole claim
+// sweep (its bytes are that row of the registry golden,
+// TestRegistryDeterministicAcrossJobs): the rows must show the sweep's claim
 // — the code area goes from unshareable (the paper's result) to substantially
 // shared with PIC bodies, decaying from warm to end as re-JITs break the
 // merges.
 func TestJITShareSweepQualitativeAndDeterministic(t *testing.T) {
-	seq := figureOf[JITShareFigure](t, "jitshare")
+	fig := figureOf[JITShareFigure](t, "jitshare")
 
 	row := func(wl, mode string) JITShareRow {
-		for _, r := range seq.Rows {
+		for _, r := range fig.Rows {
 			if r.Workload == wl && r.Mode == mode {
 				return r
 			}

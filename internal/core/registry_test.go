@@ -1,11 +1,14 @@
 package core
 
 import (
+	"crypto/sha256"
 	"errors"
+	"flag"
+	"fmt"
+	"os"
 	"reflect"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/mem"
@@ -22,120 +25,185 @@ func testOptions(jobs int) Options {
 	return Options{Scale: testScale, Quick: true, Jobs: jobs, ChaosSeed: 7}
 }
 
-// memoWidths are the pool widths the registry is memoized at.
-var memoWidths = [2]int{1, 4}
+// memoJobs is the pool width of the memoized registry run.
+const memoJobs = 4
 
-// memo runs the registry as one invocation per width, with telemetry on,
-// always in print order: a test asking for a row first runs every row
-// before it that has not run yet. Each cell thus runs once per width and
-// test binary, however many experiments read it, and the wide invocation's
-// cells are started in one order whichever test comes first. The
-// determinism test compares the two widths' results; the qualitative tests
-// read the Jobs 1 figure.
+// update rewrites the golden file instead of comparing against it:
+// go test ./internal/core -run TestRegistryDeterministicAcrossJobs -update.
+var update = flag.Bool("update", false, "rewrite "+goldenPath+" from a Jobs 1 invocation")
+
+// goldenPath holds every registered experiment's output at testOptions.
+const goldenPath = "testdata/registry.golden"
+
+// memo runs the registry as one invocation on memoJobs workers, with
+// telemetry on, always in print order: a test asking for a row first runs
+// every row before it that has not run yet. Each cell thus runs once per
+// test binary, however many experiments read it, and the cells are started
+// in one order whichever test comes first.
 var memo struct {
-	invocations [2]func(Experiment) (Result, error)
-	rows        [2][]Result // per width, the rows run so far
-	// started holds the wide invocation's cell starts by the row that
-	// started them, and peak the most cells it had in flight, both seen
-	// through Options.Progress.
+	invocation func(Experiment) (Result, error)
+	rows       []Result // the rows run so far
+	// started holds the cell starts by the row that started them, and peak
+	// the most cells in flight, both seen through Options.Progress.
 	current        string
 	started        map[string][]string
 	inFlight, peak int
 }
 
-// runMemo returns experiment id's memoized results at Jobs 1 and Jobs 4.
-// The two invocations share nothing and advance concurrently: overlapping
-// the single-threaded one with the wide one is what keeps this suite's wall
-// time down.
-func runMemo(t *testing.T, id string) (seq, par Result) {
+// runMemo returns experiment id's memoized result.
+func runMemo(t *testing.T, id string) Result {
 	t.Helper()
 	rows := Experiments()
 	at := slices.IndexFunc(rows, func(e Experiment) bool { return e.ID == id })
 	if at < 0 {
 		t.Fatalf("no experiment %q", id)
 	}
-	if memo.invocations[0] == nil {
+	if memo.invocation == nil {
 		memo.started = map[string][]string{}
-		for w, jobs := range memoWidths {
-			o := testOptions(jobs)
-			o.Telemetry = true
-			if w == 1 {
-				// The runner serializes the callback and the rows run one
-				// after another, so current names every event's experiment.
-				o.Progress = func(ev JobEvent) {
-					if ev.Done {
-						memo.inFlight--
-						return
-					}
-					memo.inFlight++
-					memo.peak = max(memo.peak, memo.inFlight)
-					memo.started[memo.current] = append(memo.started[memo.current], ev.Label)
-				}
+		o := testOptions(memoJobs)
+		o.Telemetry = true
+		// The runner serializes the callback and the rows run one after
+		// another, so current names every event's experiment.
+		o.Progress = func(ev JobEvent) {
+			if ev.Done {
+				memo.inFlight--
+				return
 			}
-			memo.invocations[w] = NewInvocation(o)
+			memo.inFlight++
+			memo.peak = max(memo.peak, memo.inFlight)
+			memo.started[memo.current] = append(memo.started[memo.current], ev.Label)
 		}
+		memo.invocation = NewInvocation(o)
 	}
-	var wg sync.WaitGroup
-	for w := range memoWidths {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for len(memo.rows[w]) <= at {
-				e := rows[len(memo.rows[w])]
-				if w == 1 {
-					memo.current = e.ID
-				}
-				res, err := memo.invocations[w](e)
-				if err != nil {
-					t.Errorf("%s at Jobs %d: %v", e.ID, memoWidths[w], err)
-				}
-				memo.rows[w] = append(memo.rows[w], res)
-			}
-		}()
+	for len(memo.rows) <= at {
+		e := rows[len(memo.rows)]
+		memo.current = e.ID
+		res, err := memo.invocation(e)
+		if err != nil {
+			t.Errorf("%s: %v", e.ID, err)
+		}
+		memo.rows = append(memo.rows, res)
 	}
-	wg.Wait()
-	return memo.rows[0][at], memo.rows[1][at]
+	return memo.rows[at]
 }
 
-// figureOf returns experiment id's typed figure from the memoized
-// sequential run.
+// figureOf returns experiment id's typed figure from the memoized run.
 func figureOf[F any](t *testing.T, id string) F {
 	t.Helper()
-	seq, _ := runMemo(t, id)
-	return seq.Figure.(F)
+	return runMemo(t, id).Figure.(F)
 }
 
-// TestRegistryDeterministicAcrossJobs is the one determinism contract of the
-// parallel runner: every registered experiment's text, CSV and telemetry must
-// be byte-identical whether its cells execute sequentially or on four
-// workers.
+// goldenBlock is experiment id's block of the golden file: a header line,
+// the text and CSV in full, then one `<sha256> timeline|series <cell label>`
+// line per telemetry section, in the order tpsim -timeline -metrics-csv
+// prints them.
+func goldenBlock(id string, res Result) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "==> %s <==\n", id)
+	b.WriteString(res.Text)
+	b.WriteString(res.CSV)
+	for _, sec := range []struct{ kind, text, prefix, end string }{
+		{"timeline", res.Timelines, "TIMELINE — ", "  ("},
+		{"series", res.MetricsCSV, "# ", "\n"},
+	} {
+		// Each section starts at the line naming its cell.
+		var label string
+		var body strings.Builder
+		flush := func() {
+			if body.Len() > 0 {
+				fmt.Fprintf(&b, "%x %s %s\n", sha256.Sum256([]byte(body.String())), sec.kind, label)
+			}
+			body.Reset()
+		}
+		for _, line := range strings.SplitAfter(sec.text, "\n") {
+			if rest, ok := strings.CutPrefix(line, sec.prefix); ok {
+				flush()
+				label, _, _ = strings.Cut(rest, sec.end)
+			}
+			body.WriteString(line)
+		}
+		flush()
+	}
+	return b.String()
+}
+
+// goldenBlocks splits the golden file into its blocks by experiment id.
+func goldenBlocks(t *testing.T) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("%v (-update writes it)", err)
+	}
+	blocks := map[string]string{}
+	id := ""
+	for _, line := range strings.SplitAfter(string(data), "\n") {
+		if rest, ok := strings.CutPrefix(line, "==> "); ok {
+			id, _, _ = strings.Cut(rest, " <==")
+		}
+		blocks[id] += line
+	}
+	return blocks
+}
+
+// firstDiffs lists the first few lines at which got and want differ.
+func firstDiffs(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	n := max(len(g), len(w))
+	g, w = append(g, make([]string, n-len(g))...), append(w, make([]string, n-len(w))...)
+	var b strings.Builder
+	for i, shown := 0, 0; i < n && shown < 8; i++ {
+		if g[i] != w[i] {
+			fmt.Fprintf(&b, "line %d:\n  -golden %s\n  +got    %s\n", i+1, w[i], g[i])
+			shown++
+		}
+	}
+	return b.String()
+}
+
+// TestRegistryDeterministicAcrossJobs holds every registered experiment's
+// text, CSV and telemetry to testdata/registry.golden, which -update writes
+// from a Jobs 1 invocation. The memo runs the same options on memoJobs
+// workers, so the comparison is also the parallel runner's determinism
+// contract.
 func TestRegistryDeterministicAcrossJobs(t *testing.T) {
+	if *update {
+		if testing.Short() {
+			t.Fatal("-update writes every row; drop -short")
+		}
+		o := testOptions(1)
+		o.Telemetry = true
+		run := NewInvocation(o)
+		var b strings.Builder
+		for _, e := range Experiments() {
+			res, err := run(e)
+			if err != nil {
+				t.Fatalf("%s: %v", e.ID, err)
+			}
+			b.WriteString(goldenBlock(e.ID, res))
+		}
+		if err := os.WriteFile(goldenPath, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	golden := goldenBlocks(t)
 	for _, e := range Experiments() {
 		t.Run(e.ID, func(t *testing.T) {
 			if testing.Short() && (e.ID == "fig7" || e.ID == "fig8") {
 				t.Skip("sweep is slow")
 			}
-			seq, par := runMemo(t, e.ID)
-			if seq.Text != par.Text {
-				t.Errorf("text differs between -jobs 1 and -jobs 4:\n%s\n---\n%s", seq.Text, par.Text)
-			}
-			if seq.CSV != par.CSV {
-				t.Errorf("CSV differs between -jobs 1 and -jobs 4:\n%s\n---\n%s", seq.CSV, par.CSV)
-			}
-			if seq.Timelines != par.Timelines || seq.MetricsCSV != par.MetricsCSV {
-				t.Error("telemetry differs between -jobs 1 and -jobs 4")
-			}
-			if seq.Text == "" || seq.CSV == "" {
-				t.Error("empty output")
+			if got, want := goldenBlock(e.ID, runMemo(t, e.ID)), golden[e.ID]; got != want {
+				t.Errorf("%s differs from %s at Jobs %d (rerun with -update if the change is intended):\n%s",
+					e.ID, goldenPath, memoJobs, firstDiffs(got, want))
 			}
 		})
 	}
 }
 
-// TestInvocationRunsEachCellOnce watches the memo's wide invocation — quick,
-// on four workers, over every registered row, check last — through
+// TestInvocationRunsEachCellOnce watches the memo's invocation — quick, on
+// memoJobs workers, over every registered row, check last — through
 // Options.Progress: every cell starts exactly once, fig3a and fig5a start
-// none (they read fig2's and fig4's), the rows of all run 30 distinct cells,
+// none (they read fig2's and fig4's), the rows of all run 28 distinct cells,
 // check starts only its three counterfactual ones, and no more than Jobs
 // cells are ever in flight.
 func TestInvocationRunsEachCellOnce(t *testing.T) {
@@ -177,8 +245,8 @@ func TestInvocationRunsEachCellOnce(t *testing.T) {
 			t.Errorf("claim cell %q started %d times, want once", label, count[label])
 		}
 	}
-	if memo.peak > memoWidths[1] {
-		t.Errorf("%d cells in flight at once, want at most %d", memo.peak, memoWidths[1])
+	if memo.peak > memoJobs {
+		t.Errorf("%d cells in flight at once, want at most %d", memo.peak, memoJobs)
 	}
 }
 

@@ -115,11 +115,11 @@ func TestRunnerDefaultsAndSingleJob(t *testing.T) {
 	}
 }
 
-// TestSweepDeterministicAcrossJobWidths covers what the fig7/fig8 rows of
-// TestRegistryDeterministicAcrossJobs (seed 0, one repetition) leave out: at
-// a non-zero seed and with error-bar repetitions, the rendered figure and its
-// CSV must be byte-identical whether the sweep's cluster runs execute
-// sequentially or on 4 workers.
+// TestSweepDeterministicAcrossJobWidths covers what the registry golden's
+// fig7/fig8 rows (seed 0, one repetition; TestRegistryDeterministicAcrossJobs)
+// leave out: at a non-zero seed and with error-bar repetitions, the rendered
+// figure and its CSV must be byte-identical whether the sweep's cluster runs
+// execute sequentially or on 4 workers.
 func TestSweepDeterministicAcrossJobWidths(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep is slow")

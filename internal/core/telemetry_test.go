@@ -1,7 +1,6 @@
 package core
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"math"
 	"slices"
@@ -18,8 +17,8 @@ import (
 // seed.
 func TestFiguresByteIdenticalWithMetrics(t *testing.T) {
 	memOff, javaOff := Fig2(testOptions(1))
-	on, _ := runMemo(t, "fig2") // memoized runs collect telemetry
-	javaOn, _ := runMemo(t, "fig3a")
+	on := runMemo(t, "fig2") // memoized runs collect telemetry
+	javaOn := runMemo(t, "fig3a")
 	if RenderMemFigure(memOff)+"\n" != on.Text {
 		t.Fatal("MemFigure differs with metrics enabled")
 	}
@@ -85,35 +84,6 @@ func convergedAt(times []simclock.Time, vs []float64) (at simclock.Time, ok bool
 	return 0, false
 }
 
-// TestTelemetryIdenticalAcrossJobs reads the Fig. 7 sweep memoized at two
-// pool widths, each cell's series rendered on its worker: the timelines and
-// CSV must be byte-identical, one section per cell in submission order.
-func TestTelemetryIdenticalAcrossJobs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep is slow")
-	}
-	seq, par := runMemo(t, "fig7")
-	if seq.Timelines != par.Timelines || seq.MetricsCSV != par.MetricsCSV {
-		t.Fatal("timelines or metrics CSV differ between -jobs 1 and -jobs 4")
-	}
-	// Quick Fig. 7 is four VM counts × two configurations, one cell each,
-	// and their sections follow the cells' submission order.
-	var want, timelines, series []string
-	for _, c := range testOptions(1).sweepCells("fig7", workload.DayTrader(), []int{2, 7, 8, 9}, 1) {
-		want = append(want, c.label)
-	}
-	for _, line := range strings.Split(seq.Timelines+seq.MetricsCSV, "\n") {
-		if rest, ok := strings.CutPrefix(line, "TIMELINE — "); ok {
-			timelines = append(timelines, strings.SplitN(rest, "  ", 2)[0])
-		} else if rest, ok := strings.CutPrefix(line, "# "); ok {
-			series = append(series, rest)
-		}
-	}
-	if !slices.Equal(timelines, want) || !slices.Equal(series, want) {
-		t.Fatalf("sections %q and %q, want %q", timelines, series, want)
-	}
-}
-
 // TestClusterGaugeSanity cross-checks sampled gauges against the direct
 // accessors at the end of a run.
 func TestClusterGaugeSanity(t *testing.T) {
@@ -177,48 +147,6 @@ func BenchmarkSamplingOverheadOff(b *testing.B) { benchSamplingCluster(b, false)
 // BenchmarkSamplingOverheadOn runs the same cluster with the sampler reading
 // every gauge at its 500 ms cadence.
 func BenchmarkSamplingOverheadOn(b *testing.B) { benchSamplingCluster(b, true) }
-
-// TestTelemetryPinned holds the -timeline and -metrics-csv sections of a
-// fig2 cell and a chaos cell at test scale to SHA-256 digests read off the
-// general-purpose metrics registry the cluster's sampler replaced. The chaos
-// cell registers its eight faults.* gauges after the cluster's t=0 sample,
-// so its first CSV row leaves those columns empty and their timelines are
-// one sample short.
-func TestTelemetryPinned(t *testing.T) {
-	o := testOptions(1)
-	o.Telemetry = true
-	const chaosLabel = "chaos n=2 profile=stormy"
-	cases := []struct {
-		cell             cell
-		samples          int
-		firstRow         string // the t=0 row's leading cells
-		timeline, series string
-	}{
-		{dayTrader().cellAt(o, false, "", nil), 35, "0.000,0,1.06258432e+08,0,",
-			"d9f7ad7e29c274100453f914c8d8f6056287ee63476c6cd8b67f11b67a6e4f6e",
-			"0b6f9a2470850e89ab20455f9d51ed01af2b9641cde5daee3955076023095276"},
-		{clusterCell(chaosLabel, o.clusterConfig([]workload.Spec{workload.DayTrader()}, 2, true),
-			func(c *Cluster) ChaosRow { return chaosCell(c, o.ChaosSeed, chaosProfiles[1], chaosLabel) }), 34, "0.000,,,,,,,,,0,1.06258432e+08,0,",
-			"56f0139ca46d3bf7bf22eb5b09bd9ebd7a09613ce25c1224b9699093bf1f53a5",
-			"394a5ac7444e130db992b713638c0d49f38793c0c9d5c01f657085b0655be4dc"},
-	}
-	for _, tc := range cases {
-		v := tc.cell.run()
-		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(v.timeline))); got != tc.timeline {
-			t.Errorf("%s: timeline digest %s, want %s:\n%s", tc.cell.label, got, tc.timeline, v.timeline)
-		}
-		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(v.series))); got != tc.series {
-			t.Errorf("%s: series digest %s, want %s:\n%s", tc.cell.label, got, tc.series, v.series)
-		}
-		// "# label", the header, then one row per sample.
-		if rows := strings.Count(v.series, "\n") - 2; rows != tc.samples {
-			t.Errorf("%s: %d CSV rows, want %d", tc.cell.label, rows, tc.samples)
-		}
-		if !strings.Contains(v.series, "\n"+tc.firstRow) {
-			t.Errorf("%s: no CSV row starts %q", tc.cell.label, tc.firstRow)
-		}
-	}
-}
 
 // newTestSampler is a sampler on a fresh clock.
 func newTestSampler() (*simclock.Clock, *sampler) {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/thp"
@@ -9,15 +8,15 @@ import (
 )
 
 // TestTHPTradeoffQualitativeAndDeterministic reads the memoized tradeoff
-// sweep (its byte-identity across -jobs widths is that row of
+// sweep (its bytes are that row of the registry golden,
 // TestRegistryDeterministicAcrossJobs): the rows must show the
 // paper-extension tradeoff — `always` buys TLB reach by forgoing KSM sharing,
 // `ksm-split` buys the sharing back.
 func TestTHPTradeoffQualitativeAndDeterministic(t *testing.T) {
-	seq := figureOf[THPFigure](t, "thp-tradeoff")
+	fig := figureOf[THPFigure](t, "thp-tradeoff")
 
 	row := func(guests int, policy string) THPRow {
-		for _, r := range seq.Rows {
+		for _, r := range fig.Rows {
 			if r.Guests == guests && r.Policy == policy {
 				return r
 			}
@@ -84,32 +83,6 @@ func TestTHPTradeoffQualitativeAndDeterministic(t *testing.T) {
 	}
 }
 
-// TestTHPTradeoffPinned holds the tradeoff sweep's CSV at test scale: the
-// never, always, ksm-split (whole-block split) and fhpm (per-subpage split)
-// rows at both guest counts. Any row labelled madvise is left out of the
-// comparison; the policy equalled always on guest RAM and is not modelled.
-func TestTHPTradeoffPinned(t *testing.T) {
-	seq, _ := runMemo(t, "thp-tradeoff")
-	const want = "guests,policy,huge_mb,huge_coverage_pct,tlb_reach_mb,ksm_saving_mb,sharing_pages,collapses,splits,partial_splits,reabsorbs,ksm_skips\n" +
-		"2,never,0.0,0.0,192.0,289.3,3044,0,0,0,0,0\n" +
-		"2,always,1716.0,87.9,1566.4,4.1,23,18,0,0,0,242058\n" +
-		"2,ksm-split,480.0,28.8,269.4,301.3,3108,17,12,0,0,0\n" +
-		"2,fhpm,1110.0,66.6,570.9,300.4,3098,17,0,2844,1,148\n" +
-		"4,never,0.0,0.0,192.0,860.4,6100,0,0,0,0,0\n" +
-		"4,always,3619.3,92.7,2575.3,4.1,23,38,0,0,0,273392\n" +
-		"4,ksm-split,1056.0,34.7,293.5,889.1,6253,38,27,0,0,0\n" +
-		"4,fhpm,2533.9,83.1,1120.4,886.7,6237,38,0,6211,5,215\n"
-	var got strings.Builder
-	for _, line := range strings.SplitAfter(seq.CSV, "\n") {
-		if !strings.Contains(line, ",madvise,") {
-			got.WriteString(line)
-		}
-	}
-	if got.String() != want {
-		t.Errorf("thp-tradeoff csv:\n%s\nwant:\n%s", got.String(), want)
-	}
-}
-
 // TestTHPOffLeavesClusterUntouched is the compatibility contract: the default
 // policy builds no daemon, allocates no huge frames, and the existing
 // scenarios behave exactly as before the subsystem existed.
@@ -129,6 +102,23 @@ func TestTHPOffLeavesClusterUntouched(t *testing.T) {
 	}
 }
 
+// TestBuildClusterRejectsSplitWithoutAlways: KSM's whole-block split
+// applies only under thp.PolicyAlways, so a config pairing THPKSMSplit with
+// any other policy must not build, whether or not Options.Validate saw it.
+func TestBuildClusterRejectsSplitWithoutAlways(t *testing.T) {
+	for _, pol := range []thp.Policy{thp.PolicyNever, thp.PolicyFHPM} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("THPKSMSplit under %v built a cluster", pol)
+				}
+			}()
+			BuildCluster(ClusterConfig{Scale: testScale, Specs: []workload.Spec{workload.DayTrader()}, NumVMs: 1,
+				Knobs: Knobs{THPPolicy: pol, THPKSMSplit: true}})
+		}()
+	}
+}
+
 // TestTHPPolicyAppliesToPaperExperiments checks the -thp flag path: Fig2
 // under `always` must run with a live daemon and end with huge coverage,
 // while staying deterministic for a fixed seed.
@@ -139,7 +129,7 @@ func TestTHPPolicyAppliesToPaperExperiments(t *testing.T) {
 	if RenderMemFigure(memA) != RenderMemFigure(memB) {
 		t.Fatal("Fig2 under THP always is not deterministic")
 	}
-	if off, _ := runMemo(t, "fig2"); off.Text == RenderMemFigure(memA)+"\n" {
+	if off := runMemo(t, "fig2"); off.Text == RenderMemFigure(memA)+"\n" {
 		t.Fatal("THP always left Fig2 untouched; flag not threaded")
 	}
 }

@@ -187,11 +187,7 @@ func Launch(k *guestos.Kernel, name string, corpus *classlib.Corpus, opts Option
 	j.work.SetupNIO(sizes.NIOPoolBytes)
 	j.work.MallocStartup(sizes.MallocStartupBytes)
 
-	threads := opts.Threads
-	if threads <= 0 {
-		threads = 8
-	}
-	j.mapStacks(threads)
+	j.mapStacks(opts.Threads)
 	return j
 }
 

@@ -282,9 +282,6 @@ func New(host *hypervisor.Host, cfg Config) *KSM {
 	return k
 }
 
-// Config returns the current tuning parameters.
-func (k *KSM) Config() Config { return k.cfg }
-
 // SetPagesToScan retunes the scan rate at runtime (the paper switches from
 // 10 000 to 1 000 after warm-up).
 func (k *KSM) SetPagesToScan(n int) {

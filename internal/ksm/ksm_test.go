@@ -233,7 +233,7 @@ func TestCPUDutyCycleMatchesPaper(t *testing.T) {
 func TestSetPagesToScan(t *testing.T) {
 	f := newFixture(t, 64, 1, 16, DefaultConfig())
 	f.k.SetPagesToScan(10)
-	if f.k.Config().PagesToScan != 10 {
+	if f.k.cfg.PagesToScan != 10 {
 		t.Fatal("SetPagesToScan did not apply")
 	}
 	defer func() {

@@ -2,7 +2,12 @@
 # Byte-identity check of the working tree's tpsim against another commit's:
 # stdout of every registered experiment, as text and as -csv, at -jobs 1, 2
 # and 8, must compare equal; where it does not, the first lines of the diff
-# are printed. Usage: scripts/byteidentity.sh [ref] [workdir] [tpsim flags...]
+# are printed. The tier-1 tests already hold every id's output to
+# internal/core/testdata/registry.golden at -scale 48 and at -jobs 1 and 4
+# with default knobs; this script covers what that golden does not run: the
+# default scale, -jobs 8, and the knob flag sets (-incremental, -thp fhpm,
+# -thp always -thp-ksm-split).
+# Usage: scripts/byteidentity.sh [ref] [workdir] [tpsim flags...]
 # (ref defaults to HEAD~1; a workdir that already holds the ref's outputs
 # skips re-running them; flags after the workdir go to both binaries, e.g.
 # `scripts/byteidentity.sh HEAD~1 /tmp/bi -thp fhpm`).
