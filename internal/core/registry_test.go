@@ -50,13 +50,22 @@ var memo struct {
 	inFlight, peak int
 }
 
-// runMemo returns experiment id's memoized result.
+// sweepIDs are the rows that read fig7's or fig8's VM-count sweep cells
+// (check reads fig7's 8-VM point). -short leaves them out of the memo, so the
+// rows after them in print order run without the sweeps.
+var sweepIDs = []string{"fig7", "fig8", "check"}
+
+// runMemo returns experiment id's memoized result; under -short it skips the
+// test for a sweep row.
 func runMemo(t *testing.T, id string) Result {
 	t.Helper()
 	rows := Experiments()
 	at := slices.IndexFunc(rows, func(e Experiment) bool { return e.ID == id })
 	if at < 0 {
 		t.Fatalf("no experiment %q", id)
+	}
+	if testing.Short() && slices.Contains(sweepIDs, id) {
+		t.Skip("-short leaves out the VM-count sweeps")
 	}
 	if memo.invocation == nil {
 		memo.started = map[string][]string{}
@@ -77,6 +86,10 @@ func runMemo(t *testing.T, id string) Result {
 	}
 	for len(memo.rows) <= at {
 		e := rows[len(memo.rows)]
+		if testing.Short() && slices.Contains(sweepIDs, e.ID) {
+			memo.rows = append(memo.rows, Result{})
+			continue
+		}
 		memo.current = e.ID
 		res, err := memo.invocation(e)
 		if err != nil {
@@ -189,14 +202,22 @@ func TestRegistryDeterministicAcrossJobs(t *testing.T) {
 	golden := goldenBlocks(t)
 	for _, e := range Experiments() {
 		t.Run(e.ID, func(t *testing.T) {
-			if testing.Short() && (e.ID == "fig7" || e.ID == "fig8") {
-				t.Skip("sweep is slow")
-			}
 			if got, want := goldenBlock(e.ID, runMemo(t, e.ID)), golden[e.ID]; got != want {
 				t.Errorf("%s differs from %s at Jobs %d (rerun with -update if the change is intended):\n%s",
 					e.ID, goldenPath, memoJobs, firstDiffs(got, want))
 			}
 		})
+	}
+	if !testing.Short() {
+		return
+	}
+	// A row that reads a sweep cell belongs in sweepIDs.
+	for id, labels := range memo.started {
+		for _, label := range labels {
+			if strings.HasPrefix(label, "fig7 ") || strings.HasPrefix(label, "fig8 ") {
+				t.Errorf("-short ran sweep cell %q for %s; add %s to sweepIDs", label, id, id)
+			}
+		}
 	}
 }
 

@@ -67,6 +67,10 @@ type Kernel struct {
 
 	bootSeed mem.Seed
 
+	// scratch holds a file page on its way into the page cache;
+	// WriteGuestPage copies it, so one page serves every fill.
+	scratch []byte
+
 	stats KernelStats
 }
 
@@ -90,6 +94,7 @@ func Boot(vm *hypervisor.VMProcess, cfg KernelConfig) *Kernel {
 		owners:    make([]pageOwner, vm.GuestPages()),
 		mapCount:  make([]int32, vm.GuestPages()),
 		pageCache: make(map[cacheKey]uint64),
+		scratch:   make([]byte, vm.PageSize()),
 		nextPID:   1,
 		bootSeed:  mem.Combine(mem.HashString("guest-boot"), vm.Seed()),
 	}
@@ -202,9 +207,8 @@ func (k *Kernel) pageCacheGet(f *File, idx int) uint64 {
 		// identical file pages across guests share one interned buffer.
 		k.vm.FillGuestPage(pfn, seed)
 	} else {
-		buf := make([]byte, k.pageSize)
-		f.FillPage(buf, idx)
-		k.vm.WriteGuestPage(pfn, 0, buf)
+		f.FillPage(k.scratch, idx)
+		k.vm.WriteGuestPage(pfn, 0, k.scratch)
 	}
 	k.pageCache[key] = pfn
 	k.cacheFIFO = append(k.cacheFIFO, key)

@@ -179,17 +179,15 @@ func (p *Process) findVMA(vpn mem.VPN) *VMA {
 }
 
 // ensure resolves a guest-virtual page to a guest-physical page, faulting it
-// in on first touch.
+// in on first touch. It leaves the host page alone: the caller's access
+// propagates to the host layer (demand paging, swap-in, COW breaking all
+// live there) through the one VMProcess call it makes next.
 func (p *Process) ensure(vpn mem.VPN, write bool) uint64 {
 	if pte, ok := p.pt.Lookup(vpn); ok {
-		gpfn := uint64(pte.Frame)
 		if write && !pte.Writable {
 			panic(fmt.Sprintf("guestos: write to read-only page %#x in %s", vpn, p.Name))
 		}
-		// Propagate the access to the host layer (demand paging, swap-in,
-		// COW breaking all live there).
-		p.kernel.vm.TouchGuestPage(gpfn, write)
-		return gpfn
+		return uint64(pte.Frame)
 	}
 	v := p.findVMA(vpn)
 	if v == nil {
@@ -201,7 +199,6 @@ func (p *Process) ensure(vpn mem.VPN, write bool) uint64 {
 		p.kernel.mapCount[gpfn] = 1
 		p.pt.Set(vpn, mem.PTE{Frame: mem.FrameID(gpfn), Writable: true})
 		p.kernel.stats.ProcAnonFaults++
-		p.kernel.vm.TouchGuestPage(gpfn, write)
 		return gpfn
 	case VMAFile:
 		if write {
@@ -212,7 +209,6 @@ func (p *Process) ensure(vpn mem.VPN, write bool) uint64 {
 		p.kernel.mapCount[gpfn]++
 		p.pt.Set(vpn, mem.PTE{Frame: mem.FrameID(gpfn), Writable: false})
 		p.kernel.stats.ProcFileFaults++
-		p.kernel.vm.TouchGuestPage(gpfn, false)
 		return gpfn
 	default:
 		panic("guestos: unknown VMA kind")
@@ -221,7 +217,7 @@ func (p *Process) ensure(vpn mem.VPN, write bool) uint64 {
 
 // Touch simulates an access to a guest-virtual page.
 func (p *Process) Touch(vpn mem.VPN, write bool) {
-	p.ensure(vpn, write)
+	p.kernel.vm.TouchGuestPage(p.ensure(vpn, write), write)
 }
 
 // WritePage writes bytes into a page at byte offset off.
@@ -254,7 +250,7 @@ func (p *Process) ResidentPages() int { return p.pt.Len() }
 // TouchAll faults in an entire VMA (readahead / eager population).
 func (p *Process) TouchAll(v *VMA, write bool) {
 	for vpn := v.Start; vpn < v.End; vpn++ {
-		p.ensure(vpn, write)
+		p.Touch(vpn, write)
 	}
 }
 

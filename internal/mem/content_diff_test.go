@@ -28,16 +28,20 @@ type diffModel struct {
 	pages map[FrameID][]byte // reference content per live frame
 	refs  map[FrameID]int
 	snaps []diffSnap
+	// materialize adds the scanner index's Materialize to the op mix; the
+	// streams pinned without it keep their values.
+	materialize bool
 	// peakBlobs is the most blobs seen live at once, which bounds how many
 	// page buffers the store may hold, recycled ones included.
 	peakBlobs int
 }
 
-func newDiffModel(frames int) *diffModel {
+func newDiffModel(frames int, materialize bool) *diffModel {
 	return &diffModel{
-		pm:    NewPhysMem(int64(frames)*DefaultPageSize, DefaultPageSize),
-		pages: make(map[FrameID][]byte),
-		refs:  make(map[FrameID]int),
+		pm:          NewPhysMem(int64(frames)*DefaultPageSize, DefaultPageSize),
+		pages:       make(map[FrameID][]byte),
+		refs:        make(map[FrameID]int),
+		materialize: materialize,
 	}
 }
 
@@ -68,7 +72,11 @@ func (m *diffModel) notePeak() {
 // step applies one random operation to both the pool and the model.
 func (m *diffModel) step(t testing.TB, r *rand.Rand) {
 	defer m.notePeak()
-	switch r.Intn(12) {
+	ops := 12
+	if m.materialize {
+		ops++
+	}
+	switch r.Intn(ops) {
 	case 0, 1: // alloc
 		id, err := m.pm.Alloc()
 		if err != nil {
@@ -180,6 +188,10 @@ func (m *diffModel) step(t testing.TB, r *rand.Rand) {
 		}
 	case 11: // ask seeded frames for checksum, zeroness and equality, bytes unread
 		m.peekSeeded(t)
+	case 12: // intern a frame's content as the scanner's index does, bytes unread
+		if id, ok := m.pick(r); ok {
+			m.pm.Materialize(id)
+		}
 	}
 }
 
@@ -197,14 +209,15 @@ func (m *diffModel) checkSum(t testing.TB, id FrameID) {
 }
 
 // peekSeeded checks Checksum, IsZero and Equal on every frame still holding a
-// seeded descriptor, before anything reads its bytes: a checksum remembered
-// across FillFrame, CopyFrame or Restore shows here, where
-// verify's Bytes pass would first replace the descriptor with a blob.
+// seeded descriptor or a deferred blob, before anything reads its bytes: a
+// checksum remembered across FillFrame, CopyFrame or Restore shows here,
+// where verify's Bytes pass would first replace the descriptor with a blob
+// or generate the blob's page.
 func (m *diffModel) peekSeeded(t testing.TB) {
 	t.Helper()
 	ids := m.ids()
 	for _, a := range ids {
-		if m.pm.frames[a].desc.kind != descSeeded {
+		if d := m.pm.frames[a].desc; d.kind != descSeeded && (d.kind != descLiteral || !d.blob.deferred()) {
 			continue
 		}
 		m.checkSum(t, a)
@@ -277,13 +290,18 @@ func (m *diffModel) checkBlobs(t *testing.T) {
 	if st := m.pm.ContentStats(); st.Blobs != len(want) || st.BlobBytes != int64(len(want))*DefaultPageSize {
 		t.Fatalf("ContentStats counts %d blobs / %d bytes, census %d live blobs", st.Blobs, st.BlobBytes, len(want))
 	}
-	// One over: a copy-on-write holds its source and its copy at once.
-	if len(cs.freeBufs)+cs.blobs > m.peakBlobs+1 {
-		t.Fatalf("%d recycled + %d live buffers exceed the peak of %d live blobs", len(cs.freeBufs), cs.blobs, m.peakBlobs)
-	}
 	live := make(map[*byte]bool, len(want))
 	for b := range want {
-		live[&b.data[0]] = true
+		switch {
+		case !b.deferred():
+			live[&b.data[0]] = true
+		case !b.interned || !b.seeded:
+			t.Fatalf("deferred blob %p is not an interned seeded blob (interned %v, seeded %v)", b, b.interned, b.seeded)
+		}
+	}
+	// One over: a copy-on-write holds its source and its copy at once.
+	if len(cs.freeBufs)+len(live) > m.peakBlobs+1 {
+		t.Fatalf("%d recycled + %d live buffers exceed the peak of %d live blobs", len(cs.freeBufs), len(live), m.peakBlobs)
 	}
 	for _, buf := range cs.freeBufs {
 		if len(buf) != DefaultPageSize || live[&buf[0]] {
@@ -293,13 +311,17 @@ func (m *diffModel) checkBlobs(t *testing.T) {
 	chained := make(map[*blob]bool, interned)
 	for sum, head := range cs.table {
 		for b := head; b != nil; b = b.next {
+			content := b.data
+			if b.deferred() {
+				content = FillBytes(DefaultPageSize, b.seed)
+			}
 			switch {
 			case chained[b]:
 				t.Fatalf("blob %p is chained twice", b)
 			case !b.interned || want[b] == 0:
 				t.Fatalf("chained blob %p is not a live interned blob (interned %v, census %d)", b, b.interned, want[b])
-			case !b.sumValid || b.sum != sum || ChecksumBytes(b.data) != sum:
-				t.Fatalf("blob %p chained under %#x holds content summing to %#x", b, sum, ChecksumBytes(b.data))
+			case !b.sumValid || b.sum != sum || ChecksumBytes(content) != sum:
+				t.Fatalf("blob %p chained under %#x holds content summing to %#x", b, sum, ChecksumBytes(content))
 			}
 			chained[b] = true
 		}
@@ -328,18 +350,19 @@ func (m *diffModel) drain(t *testing.T) {
 		t.Fatalf("drained pool still holds %d frames", m.pm.FramesInUse())
 	}
 	cs := m.pm.cs
-	if cs.blobs != 0 || cs.internedBlobs != 0 || cs.blobBytes != 0 || len(cs.table) != 0 {
+	if st := m.pm.ContentStats(); cs.blobs != 0 || cs.internedBlobs != 0 || st.BlobBytes != 0 || len(cs.table) != 0 {
 		t.Fatalf("drained store not empty: blobs=%d interned=%d bytes=%d table=%d",
-			cs.blobs, cs.internedBlobs, cs.blobBytes, len(cs.table))
+			cs.blobs, cs.internedBlobs, st.BlobBytes, len(cs.table))
 	}
 }
 
 // runDiff drives a frames-wide model through steps random operations from
-// seed, verifying every verifyEvery steps and once at the end.
-func runDiff(t *testing.T, seed int64, frames, steps, verifyEvery int) *diffModel {
+// seed, verifying every verifyEvery steps and once at the end; materialize
+// adds Materialize to the op mix.
+func runDiff(t *testing.T, seed int64, frames, steps, verifyEvery int, materialize bool) *diffModel {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
-	m := newDiffModel(frames)
+	m := newDiffModel(frames, materialize)
 	for i := 0; i < steps; i++ {
 		m.step(t, r)
 		if i%verifyEvery == 0 {
@@ -354,32 +377,37 @@ func runDiff(t *testing.T, seed int64, frames, steps, verifyEvery int) *diffMode
 // operation sequences, model-checked throughout.
 func TestContentStoreDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		runDiff(t, seed, 64, 3000, 200).drain(t)
+		runDiff(t, seed, 64, 3000, 200, false).drain(t)
+		runDiff(t, seed, 64, 3000, 200, true).drain(t)
 	}
 }
 
-// TestContentStatsPinned holds the store's counters for two fixed op streams
-// at exact values: a change to how the store indexes or caches content must
-// leave what it counts — blobs made and reused, seeds asked, pages
-// materialized — where it was.
+// TestContentStatsPinned holds the store's counters for three fixed op
+// streams at exact values: a change to how the store indexes or caches
+// content must leave what it counts — blobs made and reused, seeds asked,
+// pages materialized — where it was. The third stream interns pages without
+// reading them, as the scanner's index does.
 func TestContentStatsPinned(t *testing.T) {
 	for _, c := range []struct {
 		seed         int64
 		steps        int
+		materialize  bool
 		want         ContentStats
 		materialized uint64
 	}{
-		{5, 3000, ContentStats{Blobs: 40, BlobBytes: 40 * DefaultPageSize, InternedBlobs: 20,
+		{5, 3000, false, ContentStats{Blobs: 40, BlobBytes: 40 * DefaultPageSize, InternedBlobs: 20,
 			SeedSums: 65, InternHits: 146, COWCopies: 230}, 750},
-		{13, 6000, ContentStats{Blobs: 55, BlobBytes: 55 * DefaultPageSize, InternedBlobs: 24,
+		{13, 6000, false, ContentStats{Blobs: 55, BlobBytes: 55 * DefaultPageSize, InternedBlobs: 24,
 			SeedSums: 111, InternHits: 324, COWCopies: 492}, 1508},
+		{21, 6000, true, ContentStats{Blobs: 52, BlobBytes: 52 * DefaultPageSize, InternedBlobs: 27,
+			SeedSums: 102, InternHits: 260, COWCopies: 499}, 1424},
 	} {
-		m := runDiff(t, c.seed, 64, c.steps, 100)
+		m := runDiff(t, c.seed, 64, c.steps, 100, c.materialize)
 		if got := m.pm.ContentStats(); got != c.want {
-			t.Errorf("seed %d, %d steps: ContentStats %+v, want %+v", c.seed, c.steps, got, c.want)
+			t.Errorf("seed %d, %d steps, materialize %v: ContentStats %+v, want %+v", c.seed, c.steps, c.materialize, got, c.want)
 		}
 		if got := m.pm.Stats().Materialized; got != c.materialized {
-			t.Errorf("seed %d, %d steps: Materialized %d, want %d", c.seed, c.steps, got, c.materialized)
+			t.Errorf("seed %d, %d steps, materialize %v: Materialized %d, want %d", c.seed, c.steps, c.materialize, got, c.materialized)
 		}
 		m.drain(t)
 	}
@@ -395,6 +423,6 @@ func FuzzContentStoreDifferential(f *testing.F) {
 		if steps < 0 || steps > 4000 {
 			return
 		}
-		runDiff(t, seed, 32, steps, 500).drain(t)
+		runDiff(t, seed, 32, steps, 500, true).drain(t)
 	})
 }

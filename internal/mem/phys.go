@@ -107,7 +107,7 @@ func NewPhysMem(totalBytes int64, pageSize int) *PhysMem {
 		frames:   make([]frame, n),
 		free:     make([]FrameID, 0, n),
 		zero:     make([]byte, pageSize),
-		cs:       newContentStore(),
+		cs:       newContentStore(pageSize),
 	}
 	// Precomputed here rather than cached in a package-level map: pools in
 	// concurrently running clusters checksum zero frames without sharing any
@@ -441,20 +441,24 @@ func (pm *PhysMem) Bytes(id FrameID) []byte {
 	return pm.bytesOf(pm.frameAt(id))
 }
 
-// Materialize interns the frame's content as a read would, without handing
-// out the bytes: a seeded page becomes an interned blob.
-func (pm *PhysMem) Materialize(id FrameID) { pm.bytesOf(pm.frameAt(id)) }
+// Materialize interns the frame's content as a read would, without reading
+// it: a seeded page becomes an interned blob, whose bytes wait for their first
+// reader unless another blob shares their checksum.
+func (pm *PhysMem) Materialize(id FrameID) { pm.intern(pm.frameAt(id)) }
+
+// intern turns a seeded descriptor into its interned blob.
+func (pm *PhysMem) intern(f *frame) {
+	if f.desc.kind == descSeeded {
+		f.desc = desc{kind: descLiteral, blob: pm.internSeeded(f.desc.seed, pm.seededSum(&f.desc))}
+	}
+}
 
 func (pm *PhysMem) bytesOf(f *frame) []byte {
-	switch f.desc.kind {
-	case descZero:
+	pm.intern(f)
+	if f.desc.kind == descZero {
 		return pm.zero
-	case descSeeded:
-		f.desc = desc{kind: descLiteral, blob: pm.internSeeded(f.desc.seed, pm.seededSum(&f.desc))}
-		return f.desc.blob.data
-	default:
-		return f.desc.blob.data
 	}
+	return pm.cs.page(f.desc.blob)
 }
 
 // seedSum returns the checksum of seed's page, computed at most once per
@@ -482,23 +486,29 @@ func (pm *PhysMem) seededSum(d *desc) uint64 {
 // internSeeded materializes seed's page, whose checksum is sum, as an
 // interned blob; frames sharing a fill seed converge on one buffer. A blob in
 // sum's chain made from this very seed is a hit that never regenerates or
-// compares bytes. Otherwise the page is generated once, into the buffer the
-// new blob keeps, which goes back for reuse only if the table has the bytes.
+// compares bytes. When no blob has sum at all, no blob can hold the bytes,
+// so the new blob is deferred and generates nothing until it is read.
+// Otherwise the page is generated once, into the buffer the new blob keeps,
+// which goes back for reuse only if the table has the bytes.
 //
 // Asking for sum before the hit test cannot grow ContentStats.SeedSums: a
 // blob is marked seeded on a miss, after its seed's sum entered seedSums,
 // which never forgets — so on a hit the seed is always cached already.
 func (pm *PhysMem) internSeeded(seed Seed, sum uint64) *blob {
 	cs := pm.cs
-	for b := cs.table[sum]; b != nil; b = b.next {
+	head := cs.table[sum]
+	for b := head; b != nil; b = b.next {
 		if b.seeded && b.seed == seed {
 			b.refs++
 			cs.internHits++
 			return b
 		}
 	}
-	buf := cs.pageBuf(pm.pageSize, false)
-	Fill(buf, seed)
+	var buf []byte // nil while no blob shares sum: the new blob is deferred
+	if head != nil {
+		buf = cs.pageBuf(false)
+		Fill(buf, seed)
+	}
 	b := cs.lookupInterned(buf, sum)
 	if b == nil {
 		pm.materialized++
@@ -534,7 +544,7 @@ func (pm *PhysMem) isZeroFrame(f *frame) bool {
 		if b.sumValid && b.sum != pm.zeroSum {
 			return false
 		}
-		return bytes.Equal(b.data, pm.zero)
+		return bytes.Equal(pm.cs.page(b), pm.zero)
 	}
 }
 
@@ -567,13 +577,13 @@ func (pm *PhysMem) Write(id FrameID, off int, data []byte) {
 		if allZero {
 			return // zero write to a zero page is a no-op
 		}
-		buf := pm.cs.pageBuf(pm.pageSize, true)
+		buf := pm.cs.pageBuf(true)
 		copy(buf[off:], data)
 		f.desc = desc{kind: descLiteral, blob: pm.cs.newBlob(buf)}
 		pm.materialized++
 		pm.zeroFrames--
 	case descSeeded:
-		buf := pm.cs.pageBuf(pm.pageSize, false)
+		buf := pm.cs.pageBuf(false)
 		Fill(buf, f.desc.seed)
 		copy(buf[off:], data)
 		f.desc = desc{kind: descLiteral, blob: pm.cs.newBlob(buf)}
@@ -581,12 +591,16 @@ func (pm *PhysMem) Write(id FrameID, off int, data []byte) {
 	default:
 		b := f.desc.blob
 		if b.refs == 1 && !b.interned {
-			copy(b.data[off:], data)
+			copy(pm.cs.page(b)[off:], data)
 			b.sumValid = false
 			return
 		}
-		buf := pm.cs.pageBuf(pm.pageSize, false)
-		copy(buf, b.data)
+		buf := pm.cs.pageBuf(false)
+		if b.deferred() {
+			Fill(buf, b.seed) // generate straight into the copy
+		} else {
+			copy(buf, pm.cs.page(b))
+		}
 		copy(buf[off:], data)
 		pm.cs.release(f.desc)
 		f.desc = desc{kind: descLiteral, blob: pm.cs.newBlob(buf)}
@@ -714,14 +728,17 @@ func (pm *PhysMem) checksumOf(f *frame) uint64 {
 	case descSeeded:
 		return pm.seededSum(&f.desc)
 	default:
-		return f.desc.blob.checksum()
+		return pm.cs.checksum(f.desc.blob)
 	}
 }
 
 // Stats reports cumulative allocator statistics.
 type Stats struct {
-	Allocs       uint64
-	Frees        uint64
+	Allocs uint64
+	Frees  uint64
+	// Materialized counts the blobs made from a descriptor: a seeded page
+	// interned (its bytes generated or deferred) or a Write privatizing a
+	// zero, seeded or shared page.
 	Materialized uint64
 	InUse        int
 	Free         int

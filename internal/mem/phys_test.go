@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -162,6 +163,118 @@ func TestEqualZeroVsMaterializedZero(t *testing.T) {
 	pm.Write(b, 0, []byte{0}) // back to all-zero content, still materialized
 	if !pm.Equal(a, b) || !pm.Equal(b, a) {
 		t.Fatal("lazy zero and materialized zero not equal")
+	}
+}
+
+// TestMaterializeDefersBytes holds the deferred blob to its contract: a
+// Materialize of a seed no blob shares a checksum with counts as the interned
+// page it stands for but takes no buffer; the first read generates exactly
+// one; and every operation on a still-deferred blob answers as on a
+// generated one.
+func TestMaterializeDefersBytes(t *testing.T) {
+	const seed = Seed(77)
+	want := FillBytes(DefaultPageSize, seed)
+	// pool returns a pool holding one recycled buffer and, in frame a, seed's
+	// page interned by Materialize; generated reads it once.
+	pool := func(t *testing.T, generated bool) (*PhysMem, FrameID) {
+		t.Helper()
+		pm := newPool(t, 8)
+		a, _ := pm.Alloc()
+		pm.Write(a, 0, []byte{1}) // a private blob, which dies here
+		pm.ZeroFrame(a)
+		pm.FillFrame(a, seed)
+		pooled := len(pm.cs.freeBufs)
+		pm.Materialize(a)
+		if got := len(pm.cs.freeBufs); got != pooled {
+			t.Fatalf("Materialize took a buffer: %d pooled before, %d after", pooled, got)
+		}
+		if !pm.frames[a].desc.blob.deferred() {
+			t.Fatal("Materialize generated the page")
+		}
+		wantStats := ContentStats{Blobs: 1, BlobBytes: DefaultPageSize, InternedBlobs: 1, SeedSums: 1}
+		if got := pm.ContentStats(); got != wantStats || pm.Stats().Materialized != 2 {
+			t.Fatalf("after Materialize: %+v, Materialized %d; want %+v, 2", got, pm.Stats().Materialized, wantStats)
+		}
+		if generated {
+			if !bytes.Equal(pm.Bytes(a), want) {
+				t.Fatal("first Bytes differs from FillBytes")
+			}
+			if got := len(pm.cs.freeBufs); got != pooled-1 {
+				t.Fatalf("first Bytes took %d buffers, want 1", pooled-got)
+			}
+			if got := pm.ContentStats(); got != wantStats {
+				t.Fatalf("first Bytes moved ContentStats to %+v", got)
+			}
+		}
+		return pm, a
+	}
+	for _, op := range []struct {
+		name string
+		run  func(t *testing.T, pm *PhysMem, a FrameID) []byte // the content op leaves behind
+	}{
+		{"Equal", func(t *testing.T, pm *PhysMem, a FrameID) []byte {
+			same, _ := pm.Alloc()
+			pm.Write(same, 0, want)
+			other, _ := pm.Alloc()
+			pm.FillFrame(other, seed+1)
+			if !pm.Equal(a, same) || !pm.Equal(same, a) || pm.Equal(a, other) {
+				t.Error("Equal disagrees with the bytes")
+			}
+			return pm.Bytes(a)
+		}},
+		{"IsZero", func(t *testing.T, pm *PhysMem, a FrameID) []byte {
+			if pm.IsZero(a) {
+				t.Error("IsZero on a seeded page")
+			}
+			return pm.Bytes(a)
+		}},
+		{"Write", func(t *testing.T, pm *PhysMem, a FrameID) []byte {
+			alias, _ := pm.Alloc()
+			pm.CopyFrame(alias, a)
+			pm.Write(a, 100, []byte{1, 2, 3})
+			if !bytes.Equal(pm.Bytes(alias), want) {
+				t.Error("copy-on-write changed the shared blob")
+			}
+			return pm.Bytes(a)
+		}},
+		{"Snapshot", func(t *testing.T, pm *PhysMem, a FrameID) []byte {
+			c := pm.Snapshot(a)
+			pm.ZeroFrame(a)
+			dst, _ := pm.Alloc()
+			pm.Restore(dst, c)
+			return pm.Bytes(dst)
+		}},
+		{"Intern", func(t *testing.T, pm *PhysMem, a FrameID) []byte {
+			// An interned literal copy of the page: a seeded page interned
+			// now meets a non-empty chain, generates and attaches to it.
+			lit, _ := pm.Alloc()
+			pm.Write(lit, 0, want)
+			pm.ZeroFrame(a)
+			pm.Release(pm.Snapshot(lit))
+			b, _ := pm.Alloc()
+			pm.FillFrame(b, seed)
+			pm.Materialize(b)
+			if pm.frames[b].desc.blob != pm.frames[lit].desc.blob {
+				t.Error("Materialize did not attach to the interned copy")
+			}
+			return pm.Bytes(b)
+		}},
+	} {
+		t.Run(op.name, func(t *testing.T) {
+			deferred, a := pool(t, false)
+			gotDeferred := bytes.Clone(op.run(t, deferred, a))
+			generated, a := pool(t, true)
+			gotGenerated := op.run(t, generated, a)
+			if !bytes.Equal(gotDeferred, gotGenerated) {
+				t.Error("content differs between the deferred and the generated blob")
+			}
+			if d, g := deferred.ContentStats(), generated.ContentStats(); d != g {
+				t.Errorf("ContentStats: deferred %+v, generated %+v", d, g)
+			}
+			if d, g := deferred.Stats(), generated.Stats(); d != g {
+				t.Errorf("Stats: deferred %+v, generated %+v", d, g)
+			}
+		})
 	}
 }
 

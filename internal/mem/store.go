@@ -19,7 +19,9 @@ import "bytes"
 // freshly mutated content that is expected to keep changing, held outside
 // the table. A private blob can still be aliased (CopyFrame, swap
 // snapshots); mutation through any alias is copy-on-write once more than
-// one reference exists.
+// one reference exists. An interned blob made from a seed whose checksum no
+// other blob shares is deferred: it records the seed and generates its page
+// only when something reads it, so interning costs a record, not a page.
 //
 // All of this is invisible above the PhysMem API: Bytes materializes on
 // read, Equal/Compare/Checksum answer from descriptors and cached checksums
@@ -55,6 +57,9 @@ type desc struct {
 // under their checksum; private blobs are mutable only while exactly one
 // reference exists.
 type blob struct {
+	// data holds the page, or is nil while the blob is deferred: an interned
+	// seeded blob whose bytes nothing has read yet. contentStore.page is its
+	// only reader.
 	data []byte
 	refs int32
 	// sum is the content checksum, valid while sumValid: set by setSum and
@@ -64,21 +69,15 @@ type blob struct {
 	interned bool
 	// seeded records that the blob was first materialized from seed:
 	// internSeeded attaches later frames with that seed without generating
-	// or comparing bytes.
+	// or comparing bytes, and a deferred blob generates its page from it.
 	seeded bool
 	seed   Seed
 	// next chains interned blobs whose checksums collide.
 	next *blob
 }
 
-// checksum returns the blob's content checksum, computing and caching it on
-// first use — once per content, not per frame per scan pass.
-func (b *blob) checksum() uint64 {
-	if !b.sumValid {
-		b.setSum(ChecksumBytes(b.data))
-	}
-	return b.sum
-}
+// deferred reports whether the blob's page is still ungenerated.
+func (b *blob) deferred() bool { return b.data == nil }
 
 // setSum caches sum, which must be the checksum of the blob's current bytes.
 func (b *blob) setSum(sum uint64) { b.sum, b.sumValid = sum, true }
@@ -86,6 +85,7 @@ func (b *blob) setSum(sum uint64) { b.sum, b.sumValid = sum, true }
 // contentStore holds the pool's interned blobs and per-seed checksum cache.
 // It is per-PhysMem: concurrently running clusters share no mutable state.
 type contentStore struct {
+	pageSize int
 	// table chains interned blobs through blob.next by content checksum. It
 	// holds each content once and verifies every match byte-for-byte, so a
 	// collision costs a memcmp, never a wrong share; chain order is unseen.
@@ -102,27 +102,27 @@ type contentStore struct {
 	// and its copy at once).
 	freeBufs [][]byte
 
-	blobs         int   // live blobs, interned + private
-	internedBlobs int   // blobs currently in the table
-	blobBytes     int64 // bytes held by live blobs
+	blobs         int // live blobs, interned + private
+	internedBlobs int // blobs currently in the table
 	internHits    uint64
 	cowCopies     uint64
 }
 
-func newContentStore() *contentStore {
+func newContentStore(pageSize int) *contentStore {
 	return &contentStore{
+		pageSize: pageSize,
 		table:    make(map[uint64]*blob),
 		seedSums: make(map[Seed]uint64),
 	}
 }
 
-// pageBuf returns an n-byte buffer for a new blob, recycled from a dead one
-// when possible. A recycled buffer holds stale bytes; zeroed asks for them
-// to be cleared.
-func (cs *contentStore) pageBuf(n int, zeroed bool) []byte {
+// pageBuf returns a page buffer for a blob, recycled from a dead one when
+// possible. A recycled buffer holds stale bytes; zeroed asks for them to be
+// cleared.
+func (cs *contentStore) pageBuf(zeroed bool) []byte {
 	k := len(cs.freeBufs) - 1
-	if k < 0 || len(cs.freeBufs[k]) != n {
-		return make([]byte, n)
+	if k < 0 {
+		return make([]byte, cs.pageSize)
 	}
 	buf := cs.freeBufs[k]
 	cs.freeBufs = cs.freeBufs[:k]
@@ -132,10 +132,30 @@ func (cs *contentStore) pageBuf(n int, zeroed bool) []byte {
 	return buf
 }
 
-// newBlob registers a fresh private buffer with the store's accounting.
+// page returns b's bytes. A deferred blob generates them from its seed on
+// first use, into a buffer it keeps from then on.
+func (cs *contentStore) page(b *blob) []byte {
+	if b.deferred() {
+		b.data = cs.pageBuf(false)
+		Fill(b.data, b.seed)
+	}
+	return b.data
+}
+
+// checksum returns the blob's content checksum, computing and caching it on
+// first use — once per content, not per frame per scan pass. A deferred blob
+// was born with its seed's checksum, so this never generates its page.
+func (cs *contentStore) checksum(b *blob) uint64 {
+	if !b.sumValid {
+		b.setSum(ChecksumBytes(cs.page(b)))
+	}
+	return b.sum
+}
+
+// newBlob registers a fresh private blob holding data (nil for a deferred
+// one) with the store's accounting.
 func (cs *contentStore) newBlob(data []byte) *blob {
 	cs.blobs++
-	cs.blobBytes += int64(len(data))
 	return &blob{data: data, refs: 1}
 }
 
@@ -148,8 +168,9 @@ func (cs *contentStore) retain(d desc) desc {
 }
 
 // release drops one reference; a blob whose last reference goes away leaves
-// the table (if interned) and its buffer goes to freeBufs for reuse — which
-// is why slices handed out by PhysMem.Bytes are only borrowed.
+// the table (if interned) and its buffer, if it has one, goes to freeBufs
+// for reuse — which is why slices handed out by PhysMem.Bytes are only
+// borrowed.
 func (cs *contentStore) release(d desc) {
 	if d.kind != descLiteral {
 		return
@@ -163,12 +184,13 @@ func (cs *contentStore) release(d desc) {
 		panic("mem: content blob over-released")
 	}
 	cs.blobs--
-	cs.blobBytes -= int64(len(b.data))
 	if b.interned {
 		cs.unlink(b)
 	}
-	cs.freeBufs = append(cs.freeBufs, b.data)
-	b.data = nil
+	if !b.deferred() {
+		cs.freeBufs = append(cs.freeBufs, b.data)
+		b.data = nil
+	}
 }
 
 // internExisting registers an already-live blob in the content table
@@ -180,8 +202,8 @@ func (cs *contentStore) internExisting(b *blob) {
 	if b.interned {
 		return
 	}
-	sum := b.checksum()
-	if cs.lookupInterned(b.data, sum) == nil {
+	sum := cs.checksum(b)
+	if cs.lookupInterned(cs.page(b), sum) == nil {
 		cs.link(b, sum)
 	}
 }
@@ -199,7 +221,7 @@ func (cs *contentStore) link(b *blob, sum uint64) {
 // unlink takes a dying interned blob out of its checksum's chain.
 func (cs *contentStore) unlink(b *blob) {
 	cs.internedBlobs--
-	sum := b.checksum()
+	sum := cs.checksum(b)
 	if p := cs.table[sum]; p != b {
 		for p.next != b {
 			p = p.next
@@ -215,7 +237,7 @@ func (cs *contentStore) unlink(b *blob) {
 // lookupInterned returns the table blob byte-equal to data, if any.
 func (cs *contentStore) lookupInterned(data []byte, sum uint64) *blob {
 	for b := cs.table[sum]; b != nil; b = b.next {
-		if bytes.Equal(b.data, data) {
+		if bytes.Equal(cs.page(b), data) {
 			return b
 		}
 	}
@@ -223,7 +245,8 @@ func (cs *contentStore) lookupInterned(data []byte, sum uint64) *blob {
 }
 
 // addInterned enters buf, whose checksum is sum and whose bytes the table
-// does not hold yet, as a new interned blob carrying one reference.
+// does not hold yet, as a new interned blob carrying one reference. A nil
+// buf makes a deferred blob, which the caller gives its seed.
 func (cs *contentStore) addInterned(buf []byte, sum uint64) *blob {
 	b := cs.newBlob(buf)
 	b.setSum(sum)
@@ -234,9 +257,10 @@ func (cs *contentStore) addInterned(buf []byte, sum uint64) *blob {
 // ContentStats is a snapshot of the content store's occupancy, for tests,
 // benchmarks, and the heap-footprint trajectory in BENCH_content.json.
 type ContentStats struct {
-	// Blobs is the number of live page buffers (interned + private);
-	// BlobBytes is the bytes they hold — the store's whole variable-size
-	// footprint, where the old representation held one page per frame.
+	// Blobs is the number of live blobs (interned + private); BlobBytes is
+	// Blobs × page size, the pages the blobs stand for, generated or not —
+	// the store's whole variable-size footprint, where the old
+	// representation held one page per frame.
 	Blobs     int
 	BlobBytes int64
 	// InternedBlobs counts blobs shared through the content table.
@@ -256,7 +280,7 @@ type ContentStats struct {
 func (pm *PhysMem) ContentStats() ContentStats {
 	return ContentStats{
 		Blobs:         pm.cs.blobs,
-		BlobBytes:     pm.cs.blobBytes,
+		BlobBytes:     int64(pm.cs.blobs) * int64(pm.pageSize),
 		InternedBlobs: pm.cs.internedBlobs,
 		SeedSums:      len(pm.cs.seedSums),
 		InternHits:    pm.cs.internHits,
@@ -293,8 +317,8 @@ func (pm *PhysMem) Snapshot(id FrameID) PageContent {
 	}
 	if f.desc.kind == descLiteral && !f.desc.blob.interned {
 		b := f.desc.blob
-		sum := b.checksum()
-		if existing := pm.cs.lookupInterned(b.data, sum); existing != nil {
+		sum := pm.cs.checksum(b)
+		if existing := pm.cs.lookupInterned(pm.cs.page(b), sum); existing != nil {
 			// The table already holds this content: retarget the frame and
 			// drop the private duplicate.
 			existing.refs++
