@@ -31,6 +31,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"time"
 
 	"repro/internal/core"
@@ -61,6 +63,8 @@ func main() {
 	flag.Uint64Var(&opts.ChaosSeed, "chaos-seed", 0, "fault schedule seed of chaos (fixed seed = byte-identical output)")
 	flag.BoolVar(&opts.IncrementalScan, "incremental", false, "enable dirty-ring incremental KSM rescans")
 	flag.BoolVar(&opts.JITShare, "jitshare", false, "attach the ShareJIT-style shared code archive to every JVM (needs -scale 0..32)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to `file`")
+	memProfile := flag.String("memprofile", "", "write an allocation profile of the run to `file` at exit")
 	flag.Usage = usage
 	flag.Parse()
 	ids := flag.Args()
@@ -81,9 +85,19 @@ func main() {
 	for i := 0; i < len(ids) && err == nil; i++ {
 		groups[i], err = core.Lookup(ids[i])
 	}
+	var prof *profiles
+	if err == nil {
+		prof, err = startProfiles(*cpuProfile, *memProfile)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tpsim: %v\n", err)
 		os.Exit(2)
+	}
+	// os.Exit skips deferred calls: every exit from here on goes through
+	// exit, which writes the profiles first.
+	exit := func(code int) {
+		prof.stop()
+		os.Exit(code)
 	}
 	run := core.NewInvocation(opts)
 	for i, id := range ids {
@@ -95,17 +109,68 @@ func main() {
 			var broken *core.CellError
 			if errors.As(err, &broken) {
 				fmt.Fprintf(os.Stderr, "tpsim: %v\n", err)
-				os.Exit(3)
+				exit(3)
 			}
 			fmt.Print(v.render(res))
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "tpsim: %v\n", err)
-				os.Exit(1)
+				exit(1)
 			}
 		}
 		if len(groups[i]) > 1 {
 			fmt.Fprintf(os.Stderr, "[%s done in %v]\n", id, time.Since(start).Round(time.Millisecond))
 		}
+	}
+	exit(0)
+}
+
+// profiles holds the files of -cpuprofile and -memprofile (nil when unset).
+type profiles struct {
+	cpu, mem *os.File
+}
+
+// startProfiles creates the requested profile files and starts the CPU
+// profile, so a bad path fails before anything runs.
+func startProfiles(cpuPath, memPath string) (*profiles, error) {
+	p := &profiles{}
+	var err error
+	if cpuPath != "" {
+		if p.cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err = pprof.StartCPUProfile(p.cpu); err != nil {
+			p.cpu.Close()
+			return nil, err
+		}
+	}
+	if memPath != "" {
+		if p.mem, err = os.Create(memPath); err != nil {
+			p.stop()
+			return nil, err
+		}
+	}
+	return p, nil
+}
+
+// stop ends the CPU profile and writes the allocation profile. The
+// collection first completes the heap profile: without it, allocations made
+// since the last finished GC cycle are missing. A profile that cannot be
+// written is reported on stderr; the exit status stays the run's.
+func (p *profiles) stop() {
+	if p.cpu != nil {
+		pprof.StopCPUProfile()
+		reportErr(p.cpu.Close())
+	}
+	if p.mem != nil {
+		runtime.GC()
+		reportErr(pprof.Lookup("allocs").WriteTo(p.mem, 0))
+		reportErr(p.mem.Close())
+	}
+}
+
+func reportErr(err error) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tpsim: %v\n", err)
 	}
 }
 

@@ -170,6 +170,7 @@ type Cluster struct {
 	// telemetry is nil unless EnableMetrics.
 	telemetry   *sampler
 	images      map[string]*cds.Image
+	cacheFiles  map[*cds.Image][]byte
 	jitArchives map[string]*jitshare.Archive
 	// warmupEnded is the virtual time RunWarmup returned at (zero before).
 	warmupEnded simclock.Time
@@ -218,6 +219,7 @@ func BuildCluster(cfg ClusterConfig) *Cluster {
 		Host:        host,
 		Corpus:      classlib.NewCorpus(jvm.RuntimeVersion, cfg.Scale),
 		images:      make(map[string]*cds.Image),
+		cacheFiles:  make(map[*cds.Image][]byte),
 		jitArchives: make(map[string]*jitshare.Archive),
 	}
 	// The scanner runs from the start at the paper's warm-up rate (10 000
@@ -309,7 +311,7 @@ func (c *Cluster) bootGuest(i int, slot *guestSlot) {
 			order := classlib.ShuffleWindows(c.Corpus.Stack(spec.CacheAwareGroups...), vmSeed, 48)
 			img = cds.Build(spec.CacheName, c.Corpus.Version, spec.CacheBytes/int64(cfg.Scale), order)
 		}
-		k.FS().Install(&guestos.File{Path: jvm.CachePath, Data: img.FileBytes(c.Corpus)})
+		k.FS().Install(&guestos.File{Path: jvm.CachePath, Data: c.cacheFile(img)})
 		dcfg.CacheImage = img
 	}
 	if cfg.JITShare {
@@ -441,6 +443,18 @@ func (c *Cluster) cacheImage(spec workload.Spec) *cds.Image {
 	img := workload.BuildCache(c.Corpus, spec, c.Cfg.Scale)
 	c.images[spec.CacheName] = img
 	return img
+}
+
+// cacheFile returns img's serialized file, made once per image per cluster.
+// Guests only copy from File.Data, so every guest given the image installs
+// the same backing array.
+func (c *Cluster) cacheFile(img *cds.Image) []byte {
+	data, ok := c.cacheFiles[img]
+	if !ok {
+		data = img.FileBytes(c.Corpus)
+		c.cacheFiles[img] = data
+	}
+	return data
 }
 
 // jitArchive returns the shared code archive for a workload, laid out once

@@ -129,6 +129,29 @@ func TestMultipleJVMsPerGuestShareCacheIntraGuest(t *testing.T) {
 	}
 }
 
+// TestCacheFileSerializedOncePerCell holds the §4.B copy step to one file
+// per cell: every guest of a shared-cache cell installs the one serialized
+// image, while the per-VM-layout ablation, which builds each guest its own
+// image, gives each guest its own file.
+func TestCacheFileSerializedOncePerCell(t *testing.T) {
+	for _, perVM := range []bool{false, true} {
+		cfg := Options{Scale: testScale, Quick: true}.clusterConfig(dayTrader().specs, 4, true)
+		cfg.PerVMCacheLayout = perVM
+		c := BuildCluster(cfg)
+		arrays := map[*byte]bool{}
+		for _, k := range c.Kernels {
+			f, ok := k.FS().Lookup(jvm.CachePath)
+			if !ok || len(f.Data) == 0 {
+				t.Fatalf("per-VM layout %v: a guest has no cache file", perVM)
+			}
+			arrays[&f.Data[0]] = true
+		}
+		if want := map[bool]int{false: 1, true: len(c.Kernels)}[perVM]; len(arrays) != want {
+			t.Errorf("per-VM layout %v: %d guests hold %d cache file arrays, want %d", perVM, len(c.Kernels), len(arrays), want)
+		}
+	}
+}
+
 // TestFullScaleFig2 runs the Fig. 2 scenario at MemScale=1 — four real
 // 1 GB guests with full-size page bytes. It needs several GB of RAM and
 // minutes of CPU, so it only runs when explicitly requested:

@@ -84,6 +84,10 @@ func powerRun(o Options, preload bool, pageSize int) cellValue {
 	spec := workload.DayTraderPOWER()
 
 	var img = workload.BuildCache(corpus, spec, scale)
+	var file []byte // one serialized cache file, copied to every LPAR
+	if preload {
+		file = img.FileBytes(corpus)
+	}
 	var instances []*workload.Instance
 	pages := 0
 	for i := 0; i < 3; i++ {
@@ -101,7 +105,7 @@ func powerRun(o Options, preload bool, pageSize int) cellValue {
 		})
 		dcfg := workload.DeployConfig{Scale: scale}
 		if preload {
-			k.FS().Install(&guestos.File{Path: jvm.CachePath, Data: img.FileBytes(corpus)})
+			k.FS().Install(&guestos.File{Path: jvm.CachePath, Data: file})
 			dcfg.CacheImage = img
 		}
 		instances = append(instances, workload.Deploy(k, corpus, spec, dcfg))

@@ -73,8 +73,12 @@ type Host struct {
 	// evictQueue approximates LRU: mappings enter at the tail when they are
 	// first mapped or swapped back in, and eviction pops from the head with
 	// lazy validation. Hot pages that get evicted fault straight back in and
-	// rejoin at the tail, so the head converges on the cold set.
+	// rejoin at the tail, so the head converges on the cold set. The live
+	// queue is evictQueue[evictHead:]; popEvict moves the live entries back
+	// to the front once half the array is consumed, so appends reuse the
+	// array instead of re-growing one whose head has walked away.
 	evictQueue []mapping
+	evictHead  int
 
 	// OnCOWBreak, if set, is invoked after a copy-on-write fault has been
 	// resolved. The KSM scanner registers itself here to keep its sharing
@@ -206,9 +210,8 @@ func (h *Host) allocFrame() mem.FrameID {
 func (h *Host) evictOne() bool {
 	// Bounded: each iteration evicts, drops a stale/shared entry, or clears
 	// one referenced bit; after two full rotations something must give.
-	for spins := 2*len(h.evictQueue) + 1; spins > 0 && len(h.evictQueue) > 0; spins-- {
-		m := h.evictQueue[0]
-		h.evictQueue = h.evictQueue[1:]
+	for spins := 2*h.queued() + 1; spins > 0 && h.queued() > 0; spins-- {
+		m := h.popEvict()
 		pte, ok := m.vm.hpt.Lookup(m.vpn)
 		if !ok || pte.Swapped || pte.Frame == mem.NilFrame {
 			continue // stale entry
@@ -229,7 +232,7 @@ func (h *Host) evictOne() bool {
 			m.vm.SplitHuge(head)
 			// SplitHuge re-queued the run's base pages; reset the budget to
 			// cover the grown queue.
-			spins = 2*len(h.evictQueue) + 1
+			spins = 2*h.queued() + 1
 			continue
 		}
 		if h.phys.IsKSM(pte.Frame) || h.phys.RefCount(pte.Frame) > 1 {
@@ -260,6 +263,24 @@ func (h *Host) evictOne() bool {
 // noteMapped registers a freshly mapped page with the eviction queue.
 func (h *Host) noteMapped(vm *VMProcess, vpn mem.VPN) {
 	h.evictQueue = append(h.evictQueue, mapping{vm: vm, vpn: vpn})
+}
+
+// queued reports the eviction queue's live length.
+func (h *Host) queued() int { return len(h.evictQueue) - h.evictHead }
+
+// popEvict takes the eviction queue's head entry. Once the consumed prefix
+// is half the array, the live entries move to the front: each move copies
+// fewer entries than were popped since the last, so a pop is amortized O(1)
+// and the array stays at most twice the live queue.
+func (h *Host) popEvict() mapping {
+	m := h.evictQueue[h.evictHead]
+	h.evictHead++
+	if 2*h.evictHead >= len(h.evictQueue) {
+		n := copy(h.evictQueue, h.evictQueue[h.evictHead:])
+		h.evictQueue = h.evictQueue[:n]
+		h.evictHead = 0
+	}
+	return m
 }
 
 // now returns the current virtual time as an int64 for PTE bookkeeping.

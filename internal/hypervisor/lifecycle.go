@@ -53,12 +53,12 @@ func (h *Host) KillVM(vm *VMProcess) {
 		}
 	}
 	kept := h.evictQueue[:0]
-	for _, m := range h.evictQueue {
+	for _, m := range h.evictQueue[h.evictHead:] {
 		if m.vm != vm {
 			kept = append(kept, m)
 		}
 	}
-	h.evictQueue = kept
+	h.evictQueue, h.evictHead = kept, 0
 	h.stats.Kills++
 }
 

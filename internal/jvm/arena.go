@@ -93,19 +93,19 @@ type touchRange struct {
 	pages int
 }
 
-// usedRanges lists every segment with its populated page count.
-func (a *arena) usedRanges() []touchRange {
-	out := make([]touchRange, 0, len(a.segs))
+// appendUsedRanges appends every segment with its populated page count to
+// dst: callers on the touch path pass a buffer they keep.
+func (a *arena) appendUsedRanges(dst []touchRange) []touchRange {
 	for _, v := range a.segs {
 		pages := v.Pages()
 		if v == a.cur {
 			pages = int((a.curOff + int64(a.pageSize) - 1) / int64(a.pageSize))
 		}
 		if pages > 0 {
-			out = append(out, touchRange{v: v, pages: pages})
+			dst = append(dst, touchRange{v: v, pages: pages})
 		}
 	}
-	return out
+	return dst
 }
 
 // fill writes size deterministic bytes derived from seed at addr.

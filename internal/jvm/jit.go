@@ -257,16 +257,14 @@ func (j *JIT) upgrade(ms *methodState) {
 	j.stats.CodeBytes += int64(size)
 }
 
-// touchRanges lists the code regions an executing thread cycles through:
-// the archive's populated prefix (when attached) followed by the private
-// code cache segments.
-func (j *JIT) touchRanges() []touchRange {
-	if j.shareVMA == nil {
-		return j.code.usedRanges()
+// appendTouchRanges appends the code regions an executing thread cycles
+// through to dst: the archive's populated prefix (when attached) followed
+// by the private code cache segments.
+func (j *JIT) appendTouchRanges(dst []touchRange) []touchRange {
+	if j.shareVMA != nil {
+		dst = append(dst, touchRange{v: j.shareVMA, pages: j.share.UsedPages()})
 	}
-	out := make([]touchRange, 0, 4)
-	out = append(out, touchRange{v: j.shareVMA, pages: j.share.UsedPages()})
-	return append(out, j.code.usedRanges()...)
+	return j.code.appendUsedRanges(dst)
 }
 
 // noteExecution records that one archive page was executed: the owning

@@ -211,7 +211,7 @@ func TestTouchJITCodeWrapsGrownArena(t *testing.T) {
 		t.Fatalf("code arena shrank: %d -> %d segments", segs0, j.jit.code.segCount)
 	}
 
-	regions := j.jit.touchRanges()
+	regions := j.jit.appendTouchRanges(nil)
 	total := 0
 	for _, r := range regions {
 		total += r.pages

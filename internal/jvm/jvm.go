@@ -120,6 +120,9 @@ type JVM struct {
 	metaCursor     uint64
 	codeCursor     uint64
 	cacheUsedPages int
+	// touchBuf is TouchMetadata's and TouchJITCode's region list, rebuilt
+	// in place on every call.
+	touchBuf []touchRange
 
 	loaded     map[string]bool
 	loadedList []*classlib.Class
@@ -259,10 +262,11 @@ func (j *JVM) mapStacks(threads int) {
 // without dirtying them, so shared cache pages remain shared. Only the
 // populated portion of each region is touched.
 func (j *JVM) TouchMetadata(step, pages int) {
-	regions := append(j.romSpace.usedRanges(), j.ramSpace.usedRanges()...)
+	regions := j.ramSpace.appendUsedRanges(j.romSpace.appendUsedRanges(j.touchBuf[:0]))
 	if j.cacheVMA != nil && j.cacheUsedPages > 0 {
 		regions = append(regions, touchRange{v: j.cacheVMA, pages: j.cacheUsedPages})
 	}
+	j.touchBuf = regions
 	j.touchRegions(regions, &j.metaCursor, pages)
 }
 
@@ -271,14 +275,15 @@ func (j *JVM) TouchMetadata(step, pages int) {
 // the owning method's invocation counter in its private stub — the sampling
 // that eventually triggers the tier-2 re-JIT and decays the sharing.
 func (j *JVM) TouchJITCode(step, pages int) {
+	regions := j.jit.appendTouchRanges(j.touchBuf[:0])
+	j.touchBuf = regions
 	if !j.jit.Shared() {
-		j.touchRegions(j.jit.code.usedRanges(), &j.codeCursor, pages)
+		j.touchRegions(regions, &j.codeCursor, pages)
 		return
 	}
 	// The same cursor walk as touchRegions, over a snapshot of the regions
 	// (an upgrade mid-loop grows the code arena; the new segments join the
 	// rotation on the next call).
-	regions := j.jit.touchRanges()
 	var total int
 	for _, r := range regions {
 		total += r.pages

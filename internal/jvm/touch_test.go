@@ -140,7 +140,7 @@ func TestArenaReleaseAll(t *testing.T) {
 	if p.ResidentPages() != 0 {
 		t.Fatal("releaseAll left pages mapped")
 	}
-	if len(a.usedRanges()) != 0 {
+	if len(a.appendUsedRanges(nil)) != 0 {
 		t.Fatal("usedRanges after release")
 	}
 	// The arena is reusable after release.

@@ -28,6 +28,7 @@ type WorkArea struct {
 	nioWrapped bool
 
 	nativeCursor uint64
+	rangeBuf     []touchRange // TouchNative's segment list, rebuilt in place
 
 	pageSize int
 	stats    WorkStats
@@ -80,7 +81,8 @@ func (w *WorkArea) MallocStartup(total int64) {
 // monitor tables, zip caches), cycling through every segment. The rewrite
 // keeps the content per-process and volatile — unshareable, but resident.
 func (w *WorkArea) TouchNative(step int, bytes int) {
-	ranges := w.malloc.usedRanges()
+	ranges := w.malloc.appendUsedRanges(w.rangeBuf[:0])
+	w.rangeBuf = ranges
 	if len(ranges) == 0 || bytes <= 0 {
 		return
 	}

@@ -243,7 +243,8 @@ type KSM struct {
 	vmRegs map[*hypervisor.VMProcess]int
 
 	// candBuf is reusable scratch for the batch pipeline (pipeline.go); each
-	// batch is fully consumed before the next collection reuses it.
+	// batch is fully consumed before the next collection reuses it. collect
+	// sizes it to the largest budget asked for, so a batch never re-grows it.
 	candBuf []candidate
 
 	running bool

@@ -65,6 +65,9 @@ type candidate struct {
 // drained incremental round drops its backing array, which the popped ranges
 // would otherwise pin across a converged idle phase.
 func (k *KSM) collect(budget int) []candidate {
+	if cap(k.candBuf) < budget {
+		k.candBuf = make([]candidate, 0, budget)
+	}
 	cands := k.candBuf[:0]
 	for len(cands) < budget && len(k.queue) > 0 {
 		r := &k.queue[0]

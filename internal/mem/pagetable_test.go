@@ -26,6 +26,11 @@ func TestFramePacking(t *testing.T) {
 	if got := unsafe.Sizeof(frame{}); got > 40 {
 		t.Fatalf("unsafe.Sizeof(frame{}) = %d, want at most 40", got)
 	}
+	// A blob is an allocation of its own, one per live content: one more
+	// flag byte moves it from the 64-byte size class to the 80-byte one.
+	if got := unsafe.Sizeof(blob{}); got != 64 {
+		t.Fatalf("unsafe.Sizeof(blob{}) = %d, want 64 (one size class)", got)
+	}
 }
 
 func TestPageTableSetLookupDelete(t *testing.T) {

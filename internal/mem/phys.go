@@ -685,7 +685,9 @@ func descsEqualFast(x, y desc) (eq, ok bool) {
 
 // Equal reports whether two frames have byte-identical contents: O(1) on
 // matching descriptors, checksum reject for the common different case, and
-// a byte verify only when checksums collide.
+// a byte verify only when checksums collide. A seeded frame that interns
+// into the other frame's blob is equal without reading a byte, so a
+// deferred blob stays ungenerated.
 func (pm *PhysMem) Equal(a, b FrameID) bool {
 	if a == b {
 		return true
@@ -696,6 +698,11 @@ func (pm *PhysMem) Equal(a, b FrameID) bool {
 	}
 	if pm.checksumOf(fa) != pm.checksumOf(fb) {
 		return false
+	}
+	pm.intern(fa)
+	pm.intern(fb)
+	if eq, _ := descsEqualFast(fa.desc, fb.desc); eq {
+		return true
 	}
 	return bytes.Equal(pm.bytesOf(fa), pm.bytesOf(fb))
 }

@@ -278,6 +278,46 @@ func TestMaterializeDefersBytes(t *testing.T) {
 	}
 }
 
+// TestEqualReadsNoBytesForOneBlob compares seeded pages with the stable
+// frame holding their seed's deferred blob, in both argument orders: each
+// probe interns into that blob, so Equal answers without generating it, and
+// the store counters are the ones a byte compare leaves.
+func TestEqualReadsNoBytesForOneBlob(t *testing.T) {
+	const seed = Seed(77)
+	pm := newPool(t, 8)
+	stable, _ := pm.Alloc()
+	pm.Write(stable, 0, []byte{1}) // a private blob, which dies here
+	pm.ZeroFrame(stable)
+	pm.FillFrame(stable, seed)
+	pm.Materialize(stable)
+	pm.SetKSM(stable, true)
+	pooled := len(pm.cs.freeBufs)
+	for i, probeFirst := range []bool{true, false} {
+		probe, _ := pm.Alloc()
+		pm.FillFrame(probe, seed)
+		a, b := stable, probe
+		if probeFirst {
+			a, b = b, a
+		}
+		if !pm.Equal(a, b) {
+			t.Fatalf("probe %d: seeded page unequal to its own seed's blob", i)
+		}
+		if pm.frames[probe].desc.blob != pm.frames[stable].desc.blob {
+			t.Fatalf("probe %d did not intern into the stable blob", i)
+		}
+	}
+	if !pm.frames[stable].desc.blob.deferred() {
+		t.Error("Equal generated the page")
+	}
+	if got := len(pm.cs.freeBufs); got != pooled {
+		t.Errorf("Equal took a buffer: %d pooled before, %d after", pooled, got)
+	}
+	wantStats := ContentStats{Blobs: 1, BlobBytes: DefaultPageSize, InternedBlobs: 1, SeedSums: 1, InternHits: 2}
+	if got := pm.ContentStats(); got != wantStats || pm.Stats().Materialized != 2 {
+		t.Errorf("ContentStats %+v, Materialized %d; want %+v, 2", got, pm.Stats().Materialized, wantStats)
+	}
+}
+
 func TestChecksumMatchesContent(t *testing.T) {
 	pm := newPool(t, 3)
 	a, _ := pm.Alloc()
